@@ -8,6 +8,8 @@ All types are immutable values and all functions are pure.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,11 @@ class BoundingBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
+
+    def contains(self, point: tuple[float, float]) -> bool:
+        """Closed-interval test: points on the box's edges are inside."""
+        x, y = point
+        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +124,13 @@ def clip(b: BoundingBox, frame: FrameMeta) -> BoundingBox:
     )
 
 
-def point_in_polygon(point: tuple[float, float], polygon: list[tuple[float, float]]) -> bool:
-    """Ray-casting parity test; points exactly on an edge count as inside."""
+def point_in_polygon(point: tuple[float, float],
+                     polygon: Sequence[tuple[float, float]]) -> bool:
+    """Ray-casting parity test; points exactly on an edge count as inside.
+
+    "On an edge" carries the tolerance of :func:`_on_segment`, so
+    :func:`polygon_reach` bounds every point this returns True for.
+    """
     x, y = point
     n = len(polygon)
     inside = False
@@ -135,13 +147,51 @@ def point_in_polygon(point: tuple[float, float], polygon: list[tuple[float, floa
     return inside
 
 
-def _on_segment(px, py, x1, y1, x2, y2, tol: float = 1e-9) -> bool:
+EDGE_TOL = 1e-9  # on-edge tolerance of point_in_polygon
+
+
+def _on_segment(px, py, x1, y1, x2, y2, tol: float = EDGE_TOL) -> bool:
     cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
     scale = max(abs(x2 - x1), abs(y2 - y1), 1.0)
     if abs(cross) > tol * scale:
         return False
     dot = (px - x1) * (x2 - x1) + (py - y1) * (y2 - y1)
     return -tol <= dot <= (x2 - x1) ** 2 + (y2 - y1) ** 2 + tol
+
+
+def polygon_reach(polygon: Sequence[tuple[float, float]]) -> BoundingBox:
+    """Box outside which ``point_in_polygon(point, polygon)`` is False.
+
+    A point the parity count finds inside lies in the polygon's bounding
+    box.  A point :func:`_on_segment` accepts may lie off its edge: with
+    d = (dx, dy) the edge, L = |d| and scale = max(|dx|, |dy|, 1), the
+    accepted set is the edge stretched by EDGE_TOL / L along d and widened
+    by EDGE_TOL * scale / L across it, so in exact arithmetic it stays
+    within EDGE_TOL * (1 + scale) / L of the edge's box on either axis.
+    That reach is at most 2 * EDGE_TOL for edges of 1 px or longer and
+    grows as an edge shortens below 1 px.  The box is widened by twice the
+    largest reach plus 2**-36 times the largest coordinate magnitude, which
+    covers the rounding in the cross, dot and crossing-point arithmetic (a
+    few units in the last place of those magnitudes).  A zero-length edge
+    accepts every point, so it makes the box unbounded.
+    """
+    xs = [x for x, _ in polygon]
+    ys = [y for _, y in polygon]
+    if not xs or not all(map(math.isfinite, xs + ys)):
+        raise ValueError("polygon needs finite vertices")
+    n = len(polygon)
+    reach = 0.0
+    for i in range(n):
+        x1, y1 = polygon[i]
+        x2, y2 = polygon[(i + 1) % n]
+        dx, dy = x2 - x1, y2 - y1
+        length = math.hypot(dx, dy)
+        scale = max(abs(dx), abs(dy), 1.0)
+        reach = max(reach, EDGE_TOL * (1.0 + scale) / length if length > 0.0 else math.inf)
+    magnitude = max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
+    margin = 2.0 * reach + magnitude * 2.0 ** -36
+    return BoundingBox(min(xs) - margin, min(ys) - margin,
+                       max(xs) + margin, max(ys) + margin)
 
 
 def polygon_is_simple(polygon: list[tuple[float, float]]) -> bool:

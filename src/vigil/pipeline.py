@@ -250,14 +250,16 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
             for track in confirmed:
                 tracks_fh.write(json.dumps(track_record(meta, track)) + "\n")
             n_rows += len(confirmed)
-            if stats is not None:
-                stats.ingest(meta, confirmed)
             if engine is not None:
                 for event in engine.evaluate(meta, confirmed):
                     alerts_fh.write(json.dumps(alert_record(event)) + "\n")
                     n_alerts += 1
                     if sink is not None:
                         sink.send(event)
+            if stats is not None:
+                # reuse the zone tests the rules just made for these tracks
+                stats.ingest(meta, confirmed,
+                             engine.placements if engine is not None else None)
             n_frames += 1
     finally:
         tracks_fh.close()

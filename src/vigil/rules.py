@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError, DataError
-from .geometry import FrameMeta, point_in_polygon, polygon_is_simple, segment_side
+from .geometry import (
+    BoundingBox,
+    FrameMeta,
+    point_in_polygon,
+    polygon_is_simple,
+    polygon_reach,
+    segment_side,
+)
 from .tracker import Track, TrackStatus
 
 log = logging.getLogger(__name__)
@@ -42,17 +49,25 @@ class Zone:
     id: str
     polygon: tuple  # ((x, y), ...) with >= 3 vertices
     class_filter: Optional[frozenset] = None
+    # box outside which contains() is False, prepared once (see polygon_reach)
+    reach: BoundingBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "polygon",
                            tuple((float(x), float(y)) for x, y in self.polygon))
         if len(self.polygon) < 3:
             raise ConfigError(f"zone {self.id!r}: polygon needs >= 3 vertices")
+        try:
+            reach = polygon_reach(self.polygon)
+        except ValueError as exc:
+            raise ConfigError(f"zone {self.id!r}: {exc}") from None
         if not polygon_is_simple(list(self.polygon)):
             raise ConfigError(f"zone {self.id!r}: polygon self-intersects")
+        object.__setattr__(self, "reach", reach)
 
     def contains(self, point) -> bool:
-        return point_in_polygon(point, list(self.polygon))
+        """Edge-inclusive test; points outside ``reach`` skip the ray cast."""
+        return self.reach.contains(point) and point_in_polygon(point, self.polygon)
 
 
 @dataclass(frozen=True)
@@ -159,14 +174,40 @@ def alert_record(event: AlertEvent) -> dict:
     }
 
 
+def _distinct_zones(rules: list[Rule]) -> list[Zone]:
+    """The rules' zones, one per id, in first-use order.
+
+    Containment is keyed by zone id, so an id naming two different zones
+    (polygon or class filter) is a ConfigError.
+    """
+    by_id: dict = {}
+    for rule in rules:
+        if rule.zone is None:
+            continue
+        known = by_id.setdefault(rule.zone.id, rule.zone)
+        if known != rule.zone:
+            raise ConfigError(
+                f"rule {rule.id!r}: zone id {rule.zone.id!r} already names a "
+                f"different zone (polygon or classes differ)")
+    return list(by_id.values())
+
+
 class RuleEngine:
-    """Per-source rule state machine; evaluate() must see frames in order."""
+    """Per-source rule state machine; evaluate() must see frames in order.
+
+    Each frame, every confirmed track's anchor is read once and tested once
+    against each distinct zone; the rules share that result, and it stays
+    in ``placements`` (track_id -> (anchor, ids of the zones containing
+    it)) until the next frame, for :meth:`SceneStats.ingest`.
+    """
 
     def __init__(self, rules: list[Rule]):
         ids = [r.id for r in rules]
         if len(set(ids)) != len(ids):
             raise ConfigError("rule ids must be unique")
         self.rules = list(rules)
+        self._zones = _distinct_zones(self.rules)
+        self.placements: dict = {}
         self._last_frame: Optional[int] = None
         self._inside: dict = {}        # (rule_id, track_id) -> bool
         self._prev_anchor: dict = {}   # (rule_id, track_id) -> last anchor
@@ -177,13 +218,7 @@ class RuleEngine:
 
     def zones(self) -> list[tuple[str, list]]:
         """(zone_id, polygon) pairs for dwell attribution downstream."""
-        out = []
-        seen = set()
-        for rule in self.rules:
-            if rule.zone is not None and rule.zone.id not in seen:
-                seen.add(rule.zone.id)
-                out.append((rule.zone.id, list(rule.zone.polygon)))
-        return out
+        return [(zone.id, list(zone.polygon)) for zone in self._zones]
 
     def _debounced(self, key, ts: int, debounce_ms: int) -> bool:
         last = self._last_emit.get(key)
@@ -196,6 +231,11 @@ class RuleEngine:
         self._last_frame = frame.frame_id
         ts = frame.timestamp_ms
         confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
+        self.placements = placements = {}
+        for track in confirmed:
+            anchor = track.bbox.anchor
+            placements[track.track_id] = (
+                anchor, frozenset(z.id for z in self._zones if z.contains(anchor)))
         events: list[AlertEvent] = []
 
         for rule in self.rules:
@@ -204,12 +244,13 @@ class RuleEngine:
                 self._occupancy(rule, frame, ts, relevant, events)
                 continue
             for track in relevant:
-                anchor = track.bbox.anchor
+                anchor, zone_ids = placements[track.track_id]
                 key = (rule.id, track.track_id)
                 if rule.kind == "LineCross":
                     self._line_cross(rule, frame, ts, track, anchor, key, events)
                 else:
-                    self._zone_rule(rule, frame, ts, track, anchor, key, events)
+                    self._zone_rule(rule, frame, ts, track, anchor,
+                                    rule.zone.id in zone_ids, key, events)
 
         for ev in events:
             self._last_emit[(ev.rule_id, ev.track_id)] = ev.timestamp_ms
@@ -221,8 +262,7 @@ class RuleEngine:
         events.append(AlertEvent(rule.id, track_id, frame.frame_id, ts,
                                  rule.kind, payload))
 
-    def _zone_rule(self, rule, frame, ts, track, anchor, key, events):
-        inside = rule.zone.contains(anchor)
+    def _zone_rule(self, rule, frame, ts, track, anchor, inside, key, events):
         was_inside = self._inside.get(key)
         self._inside[key] = inside
 
@@ -256,7 +296,8 @@ class RuleEngine:
                    {"direction": direction})
 
     def _occupancy(self, rule, frame, ts, tracks, events):
-        count = sum(1 for t in tracks if rule.zone.contains(t.bbox.anchor))
+        count = sum(1 for t in tracks
+                    if rule.zone.id in self.placements[t.track_id][1])
         holds = _COMPARATORS[rule.comparator](count, rule.min_count)
         armed = not self._occupancy_on[rule.id]
         self._occupancy_on[rule.id] = holds
@@ -268,17 +309,67 @@ class RuleEngine:
 # config loading
 
 
+_RULE_KEYS = {"id", "kind", "zone", "line", "classes", "debounce_ms",
+              "threshold_ms", "min_count", "comparator"}
+_ZONE_KEYS = {"id", "polygon", "classes"}
+_LINE_KEYS = {"id", "p", "q", "direction"}
+
+
+def _check_keys(doc: dict, allowed: set, where: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+
+
+def _point(value, where: str) -> tuple:
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                       for c in value)):
+        raise ConfigError(f"{where}: a point must be [x, y] with numeric x and y")
+    return (value[0], value[1])
+
+
+def _id(doc: dict, default: str, where: str) -> str:
+    value = doc.get("id", default)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: id must be a non-empty string")
+    return value
+
+
+def _classes(value, where: str) -> Optional[frozenset]:
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(c, str) and c for c in value):
+        raise ConfigError(f"{where}: classes must be a list of class labels")
+    return frozenset(value) or None
+
+
 def _parse_zone(doc, rule_id: str) -> Zone:
+    where = f"rule {rule_id!r} zone"
     if isinstance(doc, dict):
-        zid = doc.get("id", f"{rule_id}.zone")
+        _check_keys(doc, _ZONE_KEYS, where)
+        zid = _id(doc, f"{rule_id}.zone", where)
         poly = doc.get("polygon")
-        filt = doc.get("classes")
+        filt = _classes(doc.get("classes"), where)
     else:
         zid, poly, filt = f"{rule_id}.zone", doc, None
-    if not isinstance(poly, (list, tuple)):
-        raise ConfigError(f"rule {rule_id!r}: zone polygon must be [[x,y],...]")
-    return Zone(zid, tuple((p[0], p[1]) for p in poly),
-                frozenset(filt) if filt else None)
+    if not isinstance(poly, list):
+        raise ConfigError(f"{where}: polygon must be [[x,y],...]")
+    return Zone(zid, tuple(_point(p, where) for p in poly), filt)
+
+
+def _parse_line(doc, rule_id: str) -> TripLine:
+    """Either [[x1,y1],[x2,y2]] or {"p": [x,y], "q": [x,y], "direction", "id"}."""
+    where = f"rule {rule_id!r} line"
+    if isinstance(doc, list) and len(doc) == 2:
+        return TripLine(f"{rule_id}.line", _point(doc[0], where), _point(doc[1], where))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: must be [[x1,y1],[x2,y2]] or an object with 'p' and 'q'")
+    _check_keys(doc, _LINE_KEYS, where)
+    if "p" not in doc or "q" not in doc:
+        raise ConfigError(f"{where}: needs 'p' and 'q' endpoints")
+    return TripLine(_id(doc, f"{rule_id}.line", where), _point(doc["p"], where),
+                    _point(doc["q"], where), doc.get("direction", "any"))
 
 
 def rules_from_doc(doc) -> list[Rule]:
@@ -289,30 +380,26 @@ def rules_from_doc(doc) -> list[Rule]:
         if not isinstance(entry, dict):
             raise ConfigError(f"rule #{i}: must be a JSON object")
         rid = entry.get("id")
-        if not rid:
-            raise ConfigError(f"rule #{i}: missing id")
-        kind = entry.get("kind")
+        if not isinstance(rid, str) or not rid:
+            raise ConfigError(f"rule #{i}: id must be a non-empty string")
+        _check_keys(entry, _RULE_KEYS, f"rule {rid!r}")
+        zone = _parse_zone(entry["zone"], rid) if "zone" in entry else None
+        line = _parse_line(entry["line"], rid) if "line" in entry else None
         try:
-            zone = _parse_zone(entry["zone"], rid) if "zone" in entry else None
-            line = None
-            if "line" in entry:
-                ld = entry["line"]
-                line = TripLine(ld.get("id", f"{rid}.line"),
-                                tuple(ld["p"]), tuple(ld["q"]),
-                                ld.get("direction", "any"))
             rules.append(Rule(
                 id=rid,
-                kind=kind,
+                kind=entry.get("kind"),
                 zone=zone,
                 line=line,
-                class_filter=frozenset(entry["classes"]) if entry.get("classes") else None,
+                class_filter=_classes(entry.get("classes"), f"rule {rid!r}"),
                 debounce_ms=entry.get("debounce_ms", DEFAULT_DEBOUNCE_MS),
                 threshold_ms=entry.get("threshold_ms"),
                 min_count=entry.get("min_count"),
                 comparator=entry.get("comparator", ">="),
             ))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"rule {rid!r}: malformed: {exc!r}") from exc
+        except TypeError as exc:  # a non-numeric threshold or unhashable field
+            raise ConfigError(f"rule {rid!r}: malformed: {exc}") from exc
+    _distinct_zones(rules)  # fail on a reused zone id before any run starts
     return rules
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import FrameMeta, point_in_polygon
+from .geometry import FrameMeta, point_in_polygon, polygon_reach
 from .images import write_image
 from .tracker import Track, TrackStatus
 
@@ -63,7 +63,8 @@ class SceneStats:
 
     Zones (for dwell attribution) are (zone_id, polygon) pairs; an
     inter-frame interval counts toward a zone when the anchors at both
-    endpoints lie inside it.
+    endpoints lie inside it (edge-inclusive, as
+    :meth:`vigil.rules.Zone.contains`).
     """
 
     def __init__(self, width: int, height: int,
@@ -75,6 +76,8 @@ class SceneStats:
         self.height = height
         self.grid = grid if grid is not None else GridSpec()
         self.zones = list(zones) if zones else []
+        self._prepared = [(zid, tuple(poly), polygon_reach(poly))
+                          for zid, poly in self.zones]
         gw, gh = self.grid.dims(width, height)
         self.heat = np.zeros((gh, gw), dtype=np.int64)
         self.flow_dx = np.zeros((gh, gw))
@@ -96,12 +99,18 @@ class SceneStats:
         return (min(int(ax // cs), gw - 1), min(int(ay // cs), gh - 1))
 
     def _zones_containing(self, anchor) -> frozenset:
-        if not self.zones:
-            return frozenset()
-        return frozenset(zid for zid, poly in self.zones
-                         if point_in_polygon(anchor, poly))
+        return frozenset(zid for zid, poly, reach in self._prepared
+                         if reach.contains(anchor) and point_in_polygon(anchor, poly))
 
-    def ingest(self, frame: FrameMeta, tracks: list[Track]) -> None:
+    def ingest(self, frame: FrameMeta, tracks: list[Track],
+               placements: Optional[dict] = None) -> None:
+        """Fold one frame's confirmed tracks into the statistics.
+
+        *placements* maps each confirmed track's id to its (anchor, ids of
+        the zones containing it) at this frame, as
+        :attr:`RuleEngine.placements` holds them after evaluating the same
+        frame over the same zones; without it both are computed here.
+        """
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
@@ -111,12 +120,15 @@ class SceneStats:
         for track in tracks:
             if track.status is not TrackStatus.CONFIRMED:
                 continue
-            anchor = track.bbox.anchor
+            if placements is None:
+                anchor = track.bbox.anchor
+                zones_now = self._zones_containing(anchor)
+            else:
+                anchor, zones_now = placements[track.track_id]
             cell = self._cell(anchor)
             if cell is not None:
                 self.heat[cell[1], cell[0]] += 1
                 self.observations += 1
-            zones_now = self._zones_containing(anchor)
 
             trace = self._traces.get(track.track_id)
             if trace is None:

@@ -304,6 +304,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_cli_rule_config_exit_codes(tmp_path, capsys):
+    # the README's list form of a trip line runs
+    line_rule = {"id": "gate", "kind": "LineCross", "line": [[160, 0], [160, 240]]}
+    config = _write_config(tmp_path, "line.json", _run_doc(rules=[line_rule]))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "ok"),
+                 "--quiet"]) == 0
+
+    tri = [[0, 0], [10, 0], [10, 10]]
+    for i, rule in enumerate([
+            {"id": "gate", "kind": "LineCross", "line": [[160, 0]]},
+            {"id": "gate", "kind": "LineCross", "line": {"p": ["a", 0], "q": [1, 1]}},
+            {"id": "door", "kind": "Intrusion", "zone": tri, "class_filter": ["car"]},
+            {"id": "door", "kind": "Intrusion", "zone": [[0, 0], [1, 0], ["x", 1]]}]):
+        config = _write_config(tmp_path, f"bad{i}.json", _run_doc(rules=[rule]))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "bad"),
+                     "--quiet"]) == 2, rule
+        assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_cli_synth_then_eval(tmp_path, capsys):
     clean = copy.deepcopy(SCENE)
     clean.update(jitter_sigma=0.0, miss_probability=0.0,

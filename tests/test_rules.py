@@ -277,11 +277,28 @@ def test_engine_zones_deduplicates():
              Rule(id="c", kind="LineCross", line=VLINE),
              Rule(id="d", kind="Occupancy",
                   zone=Zone("yard", ((60.0, 0.0), (90.0, 0.0), (90.0, 30.0))),
-                  min_count=1)]
+                  min_count=1),
+             Rule(id="e", kind="Intrusion", zone=Zone("hall", SQUARE))]
     engine = RuleEngine(rules)
     zones = engine.zones()
     assert [zid for zid, _ in zones] == ["hall", "yard"]
     assert zones[0][1] == list(SQUARE)
+
+
+def test_zone_id_names_one_zone():
+    moved = tuple((x + 1.0, y) for x, y in SQUARE)
+    for other in (Zone("hall", moved),
+                  Zone("hall", SQUARE, class_filter=frozenset({"car"}))):
+        rules = [Rule(id="a", kind="Intrusion", zone=Zone("hall", SQUARE)),
+                 Rule(id="b", kind="Occupancy", zone=other, min_count=1)]
+        with pytest.raises(ConfigError, match="hall"):
+            RuleEngine(rules)
+    doc = [{"id": "a", "kind": "Intrusion",
+            "zone": {"id": "hall", "polygon": [[0, 0], [50, 0], [50, 50]]}},
+           {"id": "b", "kind": "Intrusion",
+            "zone": {"id": "hall", "polygon": [[0, 0], [60, 0], [60, 60]]}}]
+    with pytest.raises(ConfigError, match="hall"):
+        rules_from_doc(doc)
 
 
 def test_alert_record_key_order():
@@ -321,6 +338,8 @@ def test_zone_and_line_validation():
     bowtie = ((0.0, 0.0), (10.0, 10.0), (10.0, 0.0), (0.0, 10.0))
     with pytest.raises(ConfigError):
         Zone("z", bowtie)
+    with pytest.raises(ConfigError, match="finite"):
+        Zone("z", ((0.0, 0.0), (1.0, float("nan")), (1.0, 1.0)))
     with pytest.raises(ConfigError):
         TripLine("l", (1.0, 2.0), (1.0, 2.0))
     with pytest.raises(ConfigError):
@@ -341,10 +360,12 @@ def test_rules_from_doc():
         {"id": "crowd", "kind": "Occupancy",
          "zone": [[0, 0], [50, 0], [50, 50], [0, 50]],
          "min_count": 3, "comparator": "<="},
+        {"id": "exit", "kind": "LineCross", "line": [[10, 0], [10, 100]]},
     ]
     rules = rules_from_doc(doc)
     assert [r.kind for r in rules] == ["Intrusion", "LineCross", "Loiter",
-                                      "Occupancy"]
+                                      "Occupancy", "LineCross"]
+    assert rules[4].line == TripLine("exit.line", (10.0, 0.0), (10.0, 100.0))
     assert rules[0].zone.id == "lobby"
     assert rules[0].zone.class_filter == frozenset({"person"})
     assert rules[0].debounce_ms == 5000
@@ -368,6 +389,38 @@ def test_rules_from_doc_errors():
     with pytest.raises(ConfigError):
         rules_from_doc([{"id": "x", "kind": "LineCross",
                          "line": {"p": [0, 0]}}])
+    tri = [[0, 0], [1, 0], [1, 1]]
+    malformed = [
+        {"id": "x", "kind": "LineCross", "line": [[0, 0], [1, 1], [2, 2]]},
+        {"id": "x", "kind": "LineCross", "line": "a-b"},
+        {"id": "x", "kind": "LineCross", "line": [["a", 0], [1, 1]]},
+        {"id": "x", "kind": "LineCross", "line": {"p": "ab", "q": [1, 1]}},
+        {"id": "x", "kind": "Intrusion", "zone": [[0, 0], ["1", 0], [1, 1]]},
+        {"id": "x", "kind": "Intrusion", "zone": [[0, 0, 0], [1, 0], [1, 1]]},
+        {"id": "x", "kind": "Intrusion", "zone": {"id": ["z"], "polygon": tri}},
+        {"id": "x", "kind": "Intrusion", "zone": tri, "classes": "person"},
+        {"id": 7, "kind": "Intrusion", "zone": tri},
+        {"id": "x", "kind": "Loiter", "zone": tri, "threshold_ms": "1s"},
+        {"id": "x", "kind": "Occupancy", "zone": tri, "min_count": 1,
+         "comparator": [">="]},
+    ]
+    for entry in malformed:
+        with pytest.raises(ConfigError):
+            rules_from_doc([entry])
+
+
+def test_rules_from_doc_rejects_unknown_keys():
+    tri = [[0, 0], [1, 0], [1, 1]]
+    # the per-rule filter is "classes"; "class_filter" used to be ignored
+    with pytest.raises(ConfigError, match="class_filter"):
+        rules_from_doc([{"id": "x", "kind": "Intrusion", "zone": tri,
+                         "class_filter": ["person"]}])
+    with pytest.raises(ConfigError, match="colour"):
+        rules_from_doc([{"id": "x", "kind": "Intrusion",
+                         "zone": {"polygon": tri, "colour": "red"}}])
+    with pytest.raises(ConfigError, match="dir"):
+        rules_from_doc([{"id": "x", "kind": "LineCross",
+                         "line": {"p": [0, 0], "q": [1, 1], "dir": "any"}}])
 
 
 def test_load_rules(tmp_path):
