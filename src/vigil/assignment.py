@@ -40,11 +40,11 @@ def hungarian_assign(cost) -> list[tuple[int, int]]:
     if m <= n:
         cols = _strict_row_minima(a)
         if cols is not None:
-            return [(i, int(cols[i])) for i in range(m)]
+            return list(enumerate(cols))
     else:
         rows = _strict_row_minima(a.T)
         if rows is not None:
-            return sorted((int(rows[j]), j) for j in range(n))
+            return sorted((i, j) for j, i in enumerate(rows))
 
     size = max(m, n)
     padded = np.zeros((size, size), dtype=float)
@@ -57,12 +57,18 @@ def hungarian_assign(cost) -> list[tuple[int, int]]:
 
 def _strict_row_minima(a: np.ndarray):
     """Per-row argmin columns, or None unless each row's minimum is attained
-    at exactly one column and no two rows share that column."""
-    cols = np.argmin(a, axis=1)
-    mins = a[np.arange(a.shape[0]), cols]
-    if np.any(np.count_nonzero(a == mins[:, None], axis=1) != 1):
-        return None
-    if np.unique(cols).size != a.shape[0]:
+    at exactly one column and no two rows share that column.
+
+    Plain lists: the tracker's matrices are a few rows wide, where numpy's
+    per-call overhead dominates.
+    """
+    cols = []
+    for row in a.tolist():
+        low = min(row)
+        if row.count(low) != 1:
+            return None
+        cols.append(row.index(low))
+    if len(set(cols)) != len(cols):
         return None
     return cols
 

@@ -105,7 +105,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(-1, 4)
     ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
     iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
@@ -124,46 +124,60 @@ def clip(b: BoundingBox, frame: FrameMeta) -> BoundingBox:
     )
 
 
-def point_in_polygon(point: tuple[float, float],
-                     polygon: Sequence[tuple[float, float]]) -> bool:
-    """Ray-casting parity test; points exactly on an edge count as inside.
-
-    "On an edge" carries the tolerance of :func:`_on_segment`, so
-    :func:`polygon_reach` bounds every point this returns True for.
-    """
-    x, y = point
-    n = len(polygon)
-    inside = False
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        if _on_segment(x, y, x1, y1, x2, y2):
-            return True
-        if (y1 > y) != (y2 > y):
-            # x-coordinate where the edge crosses the horizontal ray
-            t = (y - y1) / (y2 - y1)
-            if x < x1 + t * (x2 - x1):
-                inside = not inside
-    return inside
-
-
 EDGE_TOL = 1e-9  # on-edge tolerance of point_in_polygon
 
 
-def _on_segment(px, py, x1, y1, x2, y2, tol: float = EDGE_TOL) -> bool:
-    cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    scale = max(abs(x2 - x1), abs(y2 - y1), 1.0)
-    if abs(cross) > tol * scale:
-        return False
-    dot = (px - x1) * (x2 - x1) + (py - y1) * (y2 - y1)
-    return -tol <= dot <= (x2 - x1) ** 2 + (y2 - y1) ** 2 + tol
+def polygon_edges(polygon: Sequence[tuple[float, float]]) -> tuple:
+    """The per-edge constants :func:`point_in_polygon` tests a point against.
+
+    One (x1, y1, y2, dx, dy, near, span) row per edge from (x1, y1) to
+    (x2, y2), closing edge last: d = (dx, dy) is the edge vector, near =
+    EDGE_TOL * max(|dx|, |dy|, 1) bounds |d x (p - a)| for a point p on
+    the edge and span = |d|^2 + EDGE_TOL bounds d . (p - a).  A zone that
+    is tested every frame computes these once.
+    """
+    n = len(polygon)
+    rows = []
+    for i in range(n):
+        x1, y1 = polygon[i]
+        x2, y2 = polygon[(i + 1) % n]
+        dx, dy = x2 - x1, y2 - y1
+        rows.append((x1, y1, y2, dx, dy,
+                     EDGE_TOL * max(abs(dx), abs(dy), 1.0),
+                     dx ** 2 + dy ** 2 + EDGE_TOL))
+    return tuple(rows)
+
+
+def point_in_polygon(point: tuple[float, float],
+                     polygon: Sequence[tuple[float, float]],
+                     edges: tuple | None = None) -> bool:
+    """Ray-casting parity test; points exactly on an edge count as inside.
+
+    "On an edge" carries a tolerance: with d = (dx, dy) the edge from
+    a = (x1, y1), the point p is on it when |d x (p - a)| <= EDGE_TOL *
+    max(|dx|, |dy|, 1) and -EDGE_TOL <= d . (p - a) <= |d|^2 + EDGE_TOL,
+    so :func:`polygon_reach` bounds every point this returns True for.
+    *edges* is ``polygon_edges(polygon)`` when the caller keeps it.
+    """
+    x, y = point
+    inside = False
+    for x1, y1, y2, dx, dy, near, span in (
+            polygon_edges(polygon) if edges is None else edges):
+        cross = dx * (y - y1) - dy * (x - x1)
+        if -near <= cross <= near and -EDGE_TOL <= (x - x1) * dx + (y - y1) * dy <= span:
+            return True
+        if (y1 > y) != (y2 > y):
+            # x-coordinate where the edge crosses the horizontal ray
+            if x < x1 + (y - y1) / dy * dx:
+                inside = not inside
+    return inside
 
 
 def polygon_reach(polygon: Sequence[tuple[float, float]]) -> BoundingBox:
     """Box outside which ``point_in_polygon(point, polygon)`` is False.
 
     A point the parity count finds inside lies in the polygon's bounding
-    box.  A point :func:`_on_segment` accepts may lie off its edge: with
+    box.  A point the on-edge test accepts may lie off its edge: with
     d = (dx, dy) the edge, L = |d| and scale = max(|dx|, |dy|, 1), the
     accepted set is the edge stretched by EDGE_TOL / L along d and widened
     by EDGE_TOL * scale / L across it, so in exact arithmetic it stays

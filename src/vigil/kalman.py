@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg
 
 from .geometry import BoundingBox
 
 # dt = 1 frame: u += du, v += dv, s += ds, r unchanged.
 _F = np.eye(7)
 _F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
+_FT = _F.T
 
 DEFAULT_Q = np.diag([1e-2, 1e-2, 1e-2, 1e-4, 1e-2, 1e-2, 1e-4])
 DEFAULT_R = np.diag([1.0, 1.0, 10.0, 10.0])
@@ -24,6 +27,22 @@ DEFAULT_R = np.diag([1.0, 1.0, 10.0, 10.0])
 DEFAULT_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e3, 1e3, 1e3])
 
 _SIZE_FLOOR = 1e-4  # lower clamp for area and aspect ratio
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for float64 matrices a (n x n), b (n x k).
+
+    Calls the same LAPACK gufunc with the same error handling, so the
+    result is bit for bit the same, minus the argument normalisation that
+    dominates the call at 4 x 4.
+    """
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def bbox_to_z(box: BoundingBox) -> np.ndarray:
@@ -37,7 +56,7 @@ def bbox_to_z(box: BoundingBox) -> np.ndarray:
 
 def z_to_bbox(z) -> BoundingBox:
     """Inverse of bbox_to_z: w = sqrt(s * r), h = s / w."""
-    u, v, s, r = (float(z[i]) for i in range(4))
+    u, v, s, r = np.asarray(z, dtype=float)[:4].tolist()
     w = math.sqrt(max(s * r, 0.0))
     if w <= 0.0:
         raise ValueError(f"non-positive size in state: s={s}, r={r}")
@@ -69,7 +88,7 @@ class KalmanBoxFilter:
             # area drifted non-positive: pin it and stop shrinking
             x[2] = _SIZE_FLOOR
             x[6] = 0.0
-        self.P = _F @ self.P @ _F.T + self.Q
+        self.P = _F @ self.P @ _FT + self.Q
         return z_to_bbox(x)
 
     def update(self, box: BoundingBox) -> None:
@@ -78,7 +97,7 @@ class KalmanBoxFilter:
         innovation = z - x[:4]
         S = P[:4, :4] + self.R
         # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
-        K = np.linalg.solve(S, P[:, :4].T).T
+        K = _solve(S, P[:, :4].T).T
         x += K @ innovation
         P = P - K @ P[:4, :]
         self.P = (P + P.T) * 0.5

@@ -25,6 +25,7 @@ from .geometry import (
     BoundingBox,
     FrameMeta,
     point_in_polygon,
+    polygon_edges,
     polygon_is_simple,
     polygon_reach,
     segment_side,
@@ -49,8 +50,10 @@ class Zone:
     id: str
     polygon: tuple  # ((x, y), ...) with >= 3 vertices
     class_filter: Optional[frozenset] = None
-    # box outside which contains() is False, prepared once (see polygon_reach)
+    # box outside which contains() is False, and the edge table of the
+    # exact test, both prepared once (see polygon_reach, polygon_edges)
     reach: BoundingBox = field(init=False, repr=False, compare=False)
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "polygon",
@@ -64,10 +67,12 @@ class Zone:
         if not polygon_is_simple(list(self.polygon)):
             raise ConfigError(f"zone {self.id!r}: polygon self-intersects")
         object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "edges", polygon_edges(self.polygon))
 
     def contains(self, point) -> bool:
         """Edge-inclusive test; points outside ``reach`` skip the ray cast."""
-        return self.reach.contains(point) and point_in_polygon(point, self.polygon)
+        return (self.reach.contains(point)
+                and point_in_polygon(point, self.polygon, self.edges))
 
 
 @dataclass(frozen=True)

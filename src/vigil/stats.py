@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import FrameMeta, point_in_polygon, polygon_reach
+from .geometry import FrameMeta, point_in_polygon, polygon_edges, polygon_reach
 from .images import write_image
 from .tracker import Track, TrackStatus
 
@@ -54,6 +54,7 @@ class _TrackTrace:
     class_label: str
     timestamps: list  # observation ts_ms, ascending
     last_anchor: tuple[float, float]
+    last_cell: Optional[tuple[int, int]]  # _cell(last_anchor)
     last_ts: int
     last_zones: frozenset
 
@@ -76,7 +77,7 @@ class SceneStats:
         self.height = height
         self.grid = grid if grid is not None else GridSpec()
         self.zones = list(zones) if zones else []
-        self._prepared = [(zid, tuple(poly), polygon_reach(poly))
+        self._prepared = [(zid, tuple(poly), polygon_reach(poly), polygon_edges(poly))
                           for zid, poly in self.zones]
         gw, gh = self.grid.dims(width, height)
         self.heat = np.zeros((gh, gw), dtype=np.int64)
@@ -99,8 +100,9 @@ class SceneStats:
         return (min(int(ax // cs), gw - 1), min(int(ay // cs), gh - 1))
 
     def _zones_containing(self, anchor) -> frozenset:
-        return frozenset(zid for zid, poly, reach in self._prepared
-                         if reach.contains(anchor) and point_in_polygon(anchor, poly))
+        return frozenset(zid for zid, poly, reach, edges in self._prepared
+                         if reach.contains(anchor)
+                         and point_in_polygon(anchor, poly, edges))
 
     def ingest(self, frame: FrameMeta, tracks: list[Track],
                placements: Optional[dict] = None) -> None:
@@ -133,12 +135,12 @@ class SceneStats:
             trace = self._traces.get(track.track_id)
             if trace is None:
                 self._traces[track.track_id] = _TrackTrace(
-                    track.class_label, [ts], anchor, ts, zones_now)
+                    track.class_label, [ts], anchor, cell, ts, zones_now)
                 self._dwell[track.track_id] = DwellRecord(
                     track.track_id, track.class_label, ts, ts,
                     {zid: 0 for zid, _ in self.zones})
             else:
-                prev_cell = self._cell(trace.last_anchor)
+                prev_cell = trace.last_cell
                 if prev_cell is not None:
                     self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - trace.last_anchor[0]
                     self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - trace.last_anchor[1]
@@ -150,6 +152,7 @@ class SceneStats:
                     rec.zone_ms[zid] = rec.zone_ms.get(zid, 0) + interval
                 trace.timestamps.append(ts)
                 trace.last_anchor = anchor
+                trace.last_cell = cell
                 trace.last_ts = ts
                 trace.last_zones = zones_now
 

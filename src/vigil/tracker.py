@@ -135,6 +135,10 @@ class SortTracker:
         matched_d: set[int] = set()
 
         if predictions and detections:
+            # IoU is computed pair by pair, so one matrix over every
+            # prediction and detection serves all class groups
+            overlap = iou_matrix(np.array([p.as_tuple() for p in predictions]),
+                                 np.array([d.bbox.as_tuple() for d in detections]))
             if self.config.per_class:
                 labels = sorted({t.class_label for t in self.tracks}
                                 & {d.class_label for d in detections})
@@ -143,11 +147,10 @@ class SortTracker:
                              if t.class_label == label]
                     d_idx = [j for j, d in enumerate(detections)
                              if d.class_label == label]
-                    self._match_group(predictions, detections, t_idx, d_idx,
+                    self._match_group(overlap[t_idx][:, d_idx], t_idx, d_idx,
                                       matches, matched_t, matched_d)
             else:
-                self._match_group(predictions, detections,
-                                  list(range(len(self.tracks))),
+                self._match_group(overlap, list(range(len(self.tracks))),
                                   list(range(len(detections))),
                                   matches, matched_t, matched_d)
 
@@ -155,11 +158,7 @@ class SortTracker:
         unmatched_dets = [j for j in range(len(detections)) if j not in matched_d]
         return matches, unmatched_tracks, unmatched_dets
 
-    def _match_group(self, predictions, detections, t_idx, d_idx,
-                     matches, matched_t, matched_d):
-        pred_arr = np.array([predictions[i].as_tuple() for i in t_idx])
-        det_arr = np.array([detections[j].bbox.as_tuple() for j in d_idx])
-        overlap = iou_matrix(pred_arr, det_arr)
+    def _match_group(self, overlap, t_idx, d_idx, matches, matched_t, matched_d):
         for r, c in hungarian_assign(1.0 - overlap):
             if overlap[r, c] >= self.config.iou_min:
                 ti, dj = t_idx[r], d_idx[c]

@@ -38,7 +38,7 @@ POLYGONS = {
     "concave": [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (5.0, 3.0), (0.0, 10.0)],
     "star": _star(random.Random(7), 300.0, 200.0, 120.0),
     "far": [(1e6, 1e6), (1e6 + 40.0, 1e6 + 3.0), (1e6 + 20.0, 1e6 + 30.0)],
-    # sub-pixel edges, where _on_segment's tolerance reaches furthest
+    # sub-pixel edges, where the on-edge tolerance reaches furthest
     "short-edge": [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (10.0 - 3e-7, 10.0),
                    (0.0, 10.0)],
     "tiny-edge": [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (10.0 - 2e-9, 10.0 + 1e-9),
