@@ -36,7 +36,7 @@ def _raise_singular(err, flag):
 @np.errstate(call=_raise_singular, invalid="call",
              over="ignore", divide="ignore", under="ignore")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for float64 matrices a (n x n), b (n x k).
+    """``np.linalg.solve(a, b)`` for float64 matrices a (..., n, n), b (..., n, k).
 
     Calls the same LAPACK gufunc with the same error handling, so the
     result is bit for bit the same, minus the argument normalisation that
@@ -47,16 +47,23 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bbox_to_z(box: BoundingBox) -> np.ndarray:
     """Corner-format box -> measurement vector [u, v, s, r]."""
+    return np.array(_measurement(box))
+
+
+def _measurement(box: BoundingBox) -> tuple[float, float, float, float]:
     w = box.x2 - box.x1
     h = box.y2 - box.y1
     if w <= 0.0 or h <= 0.0:
         raise ValueError(f"box must have positive area: {box.as_tuple()}")
-    return np.array([box.x1 + 0.5 * w, box.y1 + 0.5 * h, w * h, w / h])
+    return (box.x1 + 0.5 * w, box.y1 + 0.5 * h, w * h, w / h)
 
 
 def z_to_bbox(z) -> BoundingBox:
     """Inverse of bbox_to_z: w = sqrt(s * r), h = s / w."""
-    u, v, s, r = np.asarray(z, dtype=float)[:4].tolist()
+    return _box(*np.asarray(z, dtype=float)[:4].tolist())
+
+
+def _box(u: float, v: float, s: float, r: float) -> BoundingBox:
     w = math.sqrt(max(s * r, 0.0))
     if w <= 0.0:
         raise ValueError(f"non-positive size in state: s={s}, r={r}")
@@ -69,7 +76,8 @@ class KalmanBoxFilter:
 
     predict() advances the state one frame and returns the predicted box;
     update() folds in a measured box.  covariance stays symmetric because
-    every update re-symmetrizes it explicitly.
+    every update re-symmetrizes it explicitly.  predict_all / update_all
+    do the same for many filters at once.
     """
 
     __slots__ = ("x", "P", "Q", "R")
@@ -82,30 +90,59 @@ class KalmanBoxFilter:
         self.P = DEFAULT_P0.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
 
     def predict(self) -> BoundingBox:
-        x = self.x
-        x[:3] += x[4:]
-        if x[2] <= 0.0:
-            # area drifted non-positive: pin it and stop shrinking
-            x[2] = _SIZE_FLOOR
-            x[6] = 0.0
-        self.P = _F @ self.P @ _FT + self.Q
-        return z_to_bbox(x)
+        return predict_all([self])[0]
 
     def update(self, box: BoundingBox) -> None:
-        z = bbox_to_z(box)
-        x, P = self.x, self.P
-        innovation = z - x[:4]
-        S = P[:4, :4] + self.R
-        # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
-        K = _solve(S, P[:, :4].T).T
-        x += K @ innovation
-        P = P - K @ P[:4, :]
-        self.P = (P + P.T) * 0.5
-        if x[2] < _SIZE_FLOOR:
-            x[2] = _SIZE_FLOOR
-        if x[3] < _SIZE_FLOOR:
-            x[3] = _SIZE_FLOOR
+        update_all([self], [box])
 
     @property
     def bbox(self) -> BoundingBox:
         return z_to_bbox(self.x)
+
+
+# The filters of a tracker step together, so their states are stacked and
+# each step below is one numpy call for all of them rather than one per
+# filter.  numpy applies element-wise steps per element and matrix steps
+# (product, solve) per stacked matrix with the same BLAS / LAPACK call a
+# lone matrix gets, so a filter's result does not depend on which others
+# it is stacked with.  Filters must be distinct.
+
+
+def predict_all(filters: list[KalmanBoxFilter]) -> list[BoundingBox]:
+    """Advance each filter one frame; returns the predicted boxes."""
+    if not filters:
+        return []
+    x = np.array([f.x for f in filters])
+    x[:, :3] += x[:, 4:]
+    pinned = x[:, 2] <= 0.0
+    if pinned.any():
+        # area drifted non-positive: pin it and stop shrinking
+        x[pinned, 2] = _SIZE_FLOOR
+        x[pinned, 6] = 0.0
+    P = _F @ np.array([f.P for f in filters]) @ _FT + np.array([f.Q for f in filters])
+    _store(filters, x, P)
+    return [_box(*z) for z in x[:, :4].tolist()]
+
+
+def update_all(filters: list[KalmanBoxFilter], boxes: list[BoundingBox]) -> None:
+    """Fold boxes[i] into filters[i] for every i."""
+    if not filters:
+        return
+    z = np.array([_measurement(box) for box in boxes])
+    x = np.array([f.x for f in filters])
+    P = np.array([f.P for f in filters])
+    innovation = z - x[:, :4]
+    S = P[:, :4, :4] + np.array([f.R for f in filters])
+    # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
+    K = _solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
+    x += (K @ innovation[:, :, None])[:, :, 0]
+    P = P - K @ P[:, :4, :]
+    P = (P + P.transpose(0, 2, 1)) * 0.5
+    np.maximum(x[:, 2:4], _SIZE_FLOOR, out=x[:, 2:4])  # area, aspect >= floor
+    _store(filters, x, P)
+
+
+def _store(filters, x: np.ndarray, P: np.ndarray) -> None:
+    for f, x_new, P_new in zip(filters, x, P):
+        f.x[:] = x_new  # in place: the state vector keeps its identity
+        f.P = P_new

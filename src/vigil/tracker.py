@@ -17,7 +17,7 @@ import numpy as np
 from .assignment import hungarian_assign
 from .errors import ConfigError, DataError
 from .geometry import BoundingBox, Detection, FrameMeta, iou_matrix
-from .kalman import KalmanBoxFilter
+from .kalman import KalmanBoxFilter, predict_all, update_all
 
 
 class TrackStatus(enum.Enum):
@@ -89,13 +89,14 @@ class SortTracker:
         self._last_frame = frame.frame_id
         cfg = self.config
 
-        predictions = [t.kalman.predict() for t in self.tracks]
+        predictions = predict_all([t.kalman for t in self.tracks])
         matches, unmatched_tracks, unmatched_dets = self._associate(
             predictions, detections)
 
+        update_all([self.tracks[ti].kalman for ti, _ in matches],
+                   [detections[di].bbox for _, di in matches])
         for ti, di in matches:
             t = self.tracks[ti]
-            t.kalman.update(detections[di].bbox)
             t.hits += 1
             t.time_since_update = 0
             if t.status is TrackStatus.TENTATIVE and t.hits >= cfg.min_hits:
@@ -140,15 +141,16 @@ class SortTracker:
             overlap = iou_matrix(np.array([p.as_tuple() for p in predictions]),
                                  np.array([d.bbox.as_tuple() for d in detections]))
             if self.config.per_class:
-                labels = sorted({t.class_label for t in self.tracks}
-                                & {d.class_label for d in detections})
-                for label in labels:
-                    t_idx = [i for i, t in enumerate(self.tracks)
-                             if t.class_label == label]
-                    d_idx = [j for j, d in enumerate(detections)
-                             if d.class_label == label]
-                    self._match_group(overlap[t_idx][:, d_idx], t_idx, d_idx,
-                                      matches, matched_t, matched_d)
+                t_by_label: dict[str, list[int]] = {}
+                for i, t in enumerate(self.tracks):
+                    t_by_label.setdefault(t.class_label, []).append(i)
+                d_by_label: dict[str, list[int]] = {}
+                for j, d in enumerate(detections):
+                    d_by_label.setdefault(d.class_label, []).append(j)
+                for label in sorted(t_by_label.keys() & d_by_label.keys()):
+                    t_idx, d_idx = t_by_label[label], d_by_label[label]
+                    self._match_group(overlap.take(t_idx, 0).take(d_idx, 1),
+                                      t_idx, d_idx, matches, matched_t, matched_d)
             else:
                 self._match_group(overlap, list(range(len(self.tracks))),
                                   list(range(len(detections))),

@@ -13,6 +13,8 @@ from vigil.kalman import (
     KalmanBoxFilter,
     _solve,
     bbox_to_z,
+    predict_all,
+    update_all,
     z_to_bbox,
 )
 
@@ -86,6 +88,43 @@ def test_solve_is_numpy_solve_bit_for_bit():
         assert np.array_equal(_solve(s, rhs), np.linalg.solve(s, rhs))
     with pytest.raises(np.linalg.LinAlgError):
         _solve(np.zeros((4, 4)), np.ones((4, 7)))
+
+
+def test_filters_stepped_together_match_filters_stepped_alone():
+    # the tracker steps all its filters at once; each must end bit for bit
+    # where stepping it on its own puts it, whatever it is stacked with
+    def bank():
+        rnd = random.Random(8)
+        filters = []
+        for k in range(7):
+            x1, y1 = rnd.uniform(0, 800), rnd.uniform(0, 600)
+            box = BoundingBox(x1, y1, x1 + rnd.uniform(5, 120), y1 + rnd.uniform(5, 120))
+            if k == 3:  # its own noise model
+                q = np.diag([rnd.uniform(1e-4, 1.0) for _ in range(7)])
+                r = np.diag([rnd.uniform(0.5, 20.0) for _ in range(4)])
+                filters.append(KalmanBoxFilter(box, q=q, r=r))
+            else:
+                filters.append(KalmanBoxFilter(box))
+        return filters
+
+    together, alone = bank(), bank()
+    rnd = random.Random(9)
+    for step in range(80):
+        if step == 20:  # one area collapses, so one row of the stack is pinned
+            together[5].x[6] = alone[5].x[6] = -1e6
+        assert predict_all(together) == [f.predict() for f in alone]
+        picked = [i for i in range(len(alone)) if rnd.random() < 0.7]
+        boxes = []
+        for i in picked:
+            cx, cy = alone[i].x[0] + rnd.uniform(-3, 3), alone[i].x[1] + rnd.uniform(-3, 3)
+            w, h = rnd.uniform(5, 120), rnd.uniform(5, 120)
+            boxes.append(BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        update_all([together[i] for i in picked], boxes)
+        for i, box in zip(picked, boxes):
+            alone[i].update(box)
+        for a, b in zip(together, alone):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
+    assert together[5].x[2] >= 1e-4
 
 
 def test_covariance_stays_symmetric():
