@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 import os
 from dataclasses import dataclass
 
@@ -20,9 +21,10 @@ import numpy as np
 from .errors import DataError, open_input
 from .images import read_image
 
-SIGNATURE_DIM = 512           # 8 bins per RGB channel
-DEFAULT_BUDGET = 500          # frames selected when no budget is given
-SIM_PRECOMPUTE_LIMIT = 20000  # above this, similarity rows are not cached
+SIGNATURE_DIM = 512                # 8 bins per RGB channel
+DEFAULT_BUDGET = 500               # frames selected when no budget is given
+SIM_TILE_BYTES = 2 << 20           # largest temporary similarity_matrix makes
+SIM_PRECOMPUTE_BYTES = 512 << 20   # larger n x n matrices are not cached
 
 
 def signature_from_image(img: np.ndarray) -> np.ndarray:
@@ -62,15 +64,38 @@ def similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(1.0 - 0.5 * np.abs(a - b).sum())
 
 
-def similarity_matrix(signatures: np.ndarray, block: int = 256) -> np.ndarray:
-    """Pairwise similarity, computed in row blocks to bound peak memory."""
+def similarity_matrix(signatures: np.ndarray) -> np.ndarray:
+    """Pairwise similarity; beyond the n x n result it holds one small tile.
+
+    Square tiles of t x t pairs are computed through one reused
+    (t, t, d) difference buffer of at most SIM_TILE_BYTES (t >= 1, so a
+    single pair may exceed it).  Only tiles on or above the diagonal are
+    computed; each is mirrored into its lower counterpart.  The result
+    equals 1 - 0.5 * |s_i - s_j|.sum() bit for bit: fl(a - b) = -fl(b - a),
+    and each entry sums its own contiguous d-vector in numpy's pairwise
+    order whatever the tile shape.
+    """
     sig = np.asarray(signatures, dtype=float)
     n = sig.shape[0]
     out = np.empty((n, n))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        l1 = np.abs(sig[i0:i1, None, :] - sig[None, :, :]).sum(axis=2)
-        out[i0:i1] = 1.0 - 0.5 * l1
+    if n == 0:
+        return out
+    d = sig.shape[1]
+    t = min(n, max(1, math.isqrt(SIM_TILE_BYTES // (8 * d))))
+    buf = np.empty((t, t, d))
+    for i0 in range(0, n, t):
+        i1 = min(i0 + t, n)
+        for j0 in range(i0, n, t):
+            j1 = min(j0 + t, n)
+            diff = buf[:i1 - i0, :j1 - j0]
+            np.subtract(sig[i0:i1, None, :], sig[None, j0:j1, :], out=diff)
+            np.abs(diff, out=diff)
+            tile = out[i0:i1, j0:j1]
+            diff.sum(axis=2, out=tile)
+            tile *= -0.5
+            tile += 1.0
+            if j0 != i0:
+                out[j0:j1, i0:i1] = tile.T
     return out
 
 
@@ -143,8 +168,9 @@ class _SimilarityModel:
     """Shared plumbing: similarity-row access with optional precompute.
 
     Construct from an explicit similarity matrix, or from signatures (rows
-    are then derived; cached as a full matrix while n stays at or below
-    SIM_PRECOMPUTE_LIMIT).  gain_evals counts marginal-gain evaluations.
+    are then derived; cached as a full matrix while its n * n * 8 bytes
+    stay within SIM_PRECOMPUTE_BYTES, else computed on demand).  gain_evals
+    counts marginal-gain evaluations.
     """
 
     kind = "?"
@@ -162,7 +188,7 @@ class _SimilarityModel:
         else:
             sig = np.asarray(signatures, dtype=float)
             self.n = sig.shape[0]
-            if self.n <= SIM_PRECOMPUTE_LIMIT:
+            if 8 * self.n * self.n <= SIM_PRECOMPUTE_BYTES:
                 self._S = similarity_matrix(sig)
             else:
                 self._S = None

@@ -10,7 +10,7 @@ unmatched detections spawn Tentative tracks, and unmatched tracks age out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
     hits: int = 0                 # consecutive matches since the last miss
     time_since_update: int = 0
-    history: list[tuple[int, BoundingBox]] = field(default_factory=list)
 
     @property
     def bbox(self) -> BoundingBox:
@@ -101,7 +100,6 @@ class SortTracker:
             t.time_since_update = 0
             if t.status is TrackStatus.TENTATIVE and t.hits >= cfg.min_hits:
                 t.status = TrackStatus.CONFIRMED
-            t.history.append((frame.frame_id, t.bbox))
 
         for ti in unmatched_tracks:
             t = self.tracks[ti]
@@ -109,9 +107,6 @@ class SortTracker:
             t.time_since_update += 1
             if t.time_since_update >= cfg.max_age:
                 t.status = TrackStatus.DELETED
-            else:
-                # still coasting on the prediction
-                t.history.append((frame.frame_id, predictions[ti]))
 
         spawned: list[Track] = []
         for di in unmatched_dets:
@@ -120,7 +115,6 @@ class SortTracker:
                 continue  # degenerate boxes cannot seed a Kalman state
             t = Track(self._next_id, det.class_label, KalmanBoxFilter(det.bbox))
             self._next_id += 1
-            t.history.append((frame.frame_id, det.bbox))
             spawned.append(t)
 
         self.tracks = [t for t in self.tracks

@@ -1,15 +1,22 @@
 """Diversity models, greedy selection, and the lazy-evaluation shortcut."""
 
+import json
 import math
+import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import vigil.cli
+from vigil import summarize
 from vigil.errors import DataError
 from vigil.summarize import (
     DEFAULT_BUDGET,
     SIGNATURE_DIM,
+    SIM_TILE_BYTES,
+    MODEL_KINDS,
     FacilityLocation,
     GroundSet,
     SaturatedCoverage,
@@ -93,6 +100,89 @@ def test_similarity_matrix_agrees_with_pairs():
         for j in range(6):
             assert S[i, j] == pytest.approx(similarity(sigs[i], sigs[j]), abs=1e-12)
     assert np.allclose(np.diag(S), 1.0)
+
+
+def _signatures(rng, n: int, d: int) -> np.ndarray:
+    """L1-normalized rows, every third one all-zero."""
+    sigs = rng.random((n, d))
+    sigs /= sigs.sum(axis=1, keepdims=True)
+    sigs[::3] = 0.0
+    return sigs
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("n, d", [(0, 5), (1, 1), (2, 3), (7, 1), (7, 17),
+                                  (13, 129), (13, 512)])
+@pytest.mark.parametrize("side", [1, 3, None])       # None: one tile for all
+def test_similarity_matrix_tiles_match_full_broadcast_bits(monkeypatch, n, d, side):
+    sigs = _signatures(np.random.default_rng(100 * n + d), n, d)
+    monkeypatch.setattr(summarize, "SIM_TILE_BYTES", 8 * d * (side or n) ** 2)
+    S = similarity_matrix(sigs)
+    want = 1 - 0.5 * np.abs(sigs[:, None] - sigs[None]).sum(2)
+    assert S.shape == (n, n)
+    assert np.array_equal(_bits(S), _bits(want))
+
+
+def test_similarity_matrix_of_empty_ground_set():
+    ground = GroundSet([], [])
+    assert ground.signatures.ndim == 1
+    assert similarity_matrix(ground.signatures).shape == (0, 0)
+    for kind in MODEL_KINDS:
+        model = build_model(kind, ground)
+        assert model.n == 0
+        assert lazy_greedy_trace(model, 3) == []
+
+
+def test_similarity_matrix_memory_is_output_plus_one_tile():
+    n, d = 400, 512
+    sigs = _signatures(np.random.default_rng(8), n, d)
+    tracemalloc.start()
+    try:
+        S = similarity_matrix(sigs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < S.nbytes + SIM_TILE_BYTES + (256 << 10)
+
+
+@pytest.mark.parametrize("model_cls", [FacilityLocation, SaturatedCoverage])
+def test_rows_on_demand_match_precomputed_matrix(monkeypatch, model_cls):
+    n = 23
+    sigs = _signatures(np.random.default_rng(12), n, 17)
+    cached = [model_cls(signatures=sigs) for _ in range(3)]
+    monkeypatch.setattr(summarize, "SIM_PRECOMPUTE_BYTES", 8 * n * n - 1)
+    on_demand = [model_cls(signatures=sigs) for _ in range(3)]
+    assert cached[0]._S is not None and on_demand[0]._S is None
+    for j in range(n):
+        assert np.array_equal(_bits(on_demand[0]._row(j)), _bits(cached[0]._row(j)))
+    if model_cls is SaturatedCoverage:
+        assert np.array_equal(_bits(on_demand[0]._cap), _bits(cached[0]._cap))
+    assert greedy_trace(on_demand[1], 9) == greedy_trace(cached[1], 9)
+    assert lazy_greedy_trace(on_demand[2], 9) == lazy_greedy_trace(cached[2], 9)
+
+
+def test_trace_seam_times_model_build(tmp_path, monkeypatch):
+    # perfbench/tracing.py times the build by rebinding vigil.cli.build_model;
+    # if the name moved, summarize.model_build would silently read 0
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer
+
+    (tmp_path / "sig.csv").write_text("a,1,0,0\nb,0,1,0\nc,1,1,0\n")
+    config = tmp_path / "summarize.json"
+    config.write_text(json.dumps({"signatures_csv": "sig.csv", "budget": 2}))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = vigil.cli.main(["summarize", "--config", str(config),
+                               "--out", str(tmp_path / "out"), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["summarize.model_build"] == 1
 
 
 # ---------------------------------------------------------------------------
