@@ -14,6 +14,7 @@ optimal potentials), so repeated runs and platforms agree bit-for-bit.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -87,28 +88,37 @@ def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     Returns dual potentials (u, v) with u[i] + v[j] <= a[i][j] everywhere and
     equality on matched edges, plus the matched column of each row.
+
+    Plain lists: at the tracker's sizes (tens of rows) numpy's per-element
+    scalar overhead is most of the cost of the O(n^2)-per-row loop.  Python
+    floats are the same IEEE-754 doubles as numpy float64 scalars, and each
+    update below keeps the numpy version's operations and their order
+    (`row[j - 1] - ui0 - v[j]`, strict `<` so the first minimum wins), so
+    u, v and the matching are bit-identical to it; `_canonicalize` then
+    sees the same ties.  The columns not yet on the path are kept in an
+    ascending list, which visits them in the same order as a scan over
+    every column that skips the used ones.
     """
     n = a.shape[0]
     INF = math.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
+    rows = a.tolist()
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
     p = [0] * (n + 1)  # col -> row (1-based); col 0 is the virtual start
     way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
         minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        used = [0]
+        free = list(range(1, n + 1))
         while True:
-            used[j0] = True
             i0 = p[j0]
             delta = INF
             j1 = 0
-            row = a[i0 - 1]
+            row = rows[i0 - 1]
             ui0 = u[i0]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
+            for j in free:
                 cur = row[j - 1] - ui0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
@@ -116,15 +126,16 @@ def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
+            free.remove(j0)
+            used.append(j0)
         while j0 != 0:
             j1 = way[j0]
             p[j0] = p[j1]
@@ -133,7 +144,7 @@ def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     for j in range(1, n + 1):
         if p[j] != 0:
             row_to_col[p[j] - 1] = j - 1
-    return np.asarray(u[1:]), np.asarray(v[1:]), row_to_col
+    return np.array(u[1:]), np.array(v[1:]), row_to_col
 
 
 def _canonicalize(a, u, v, row_to_col, m, n) -> None:
@@ -148,10 +159,11 @@ def _canonicalize(a, u, v, row_to_col, m, n) -> None:
     """
     size = a.shape[0]
     eps = 1e-9 * max(1.0, float(np.abs(a).max()))
-    tight = (a - u[:, None] - v[None, :]) <= eps
+    tight = ((a - u[:, None] - v[None, :]) <= eps).tolist()
     for i, j in enumerate(row_to_col):
-        tight[i, j] = True  # guard against float noise on matched edges
-    tight_cols = [np.flatnonzero(tight[i]).tolist() for i in range(size)]
+        tight[i][j] = True  # guard against float noise on matched edges
+    cols = range(size)
+    tight_cols = [list(compress(cols, row)) for row in tight]
 
     col_to_row = [-1] * size
     for i, j in enumerate(row_to_col):

@@ -427,7 +427,9 @@ class TcpAlertSink:
     """Line-delimited TCP mirror for alerts; lossy-by-buffering, never blocks.
 
     Failed sends stash lines in a bounded deque and retry on the next
-    call; connection errors are logged, not raised.
+    call; connection errors are logged, not raised.  When the buffer is
+    full the oldest line is dropped and counted in `dropped`: the first
+    drop logs a warning, and `close()` logs the total.
     """
 
     def __init__(self, host: str, port: int, buffer_limit: int = 10_000,
@@ -435,6 +437,7 @@ class TcpAlertSink:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self.dropped = 0
         self._buffer: deque = deque(maxlen=buffer_limit)
         self._sock: Optional[socket.socket] = None
 
@@ -453,6 +456,12 @@ class TcpAlertSink:
 
     def send(self, event: AlertEvent) -> None:
         line = json.dumps(alert_record(event)) + "\n"
+        if len(self._buffer) == self._buffer.maxlen:
+            self.dropped += 1  # the append below evicts the oldest line
+            if self.dropped == 1:
+                log.warning("alert sink %s:%d buffer full (%d alerts), "
+                            "dropping the oldest", self.host, self.port,
+                            self._buffer.maxlen)
         self._buffer.append(line.encode("utf-8"))
         if not self._connect():
             return
@@ -462,12 +471,18 @@ class TcpAlertSink:
                 self._buffer.popleft()
         except OSError as exc:
             log.warning("alert sink send failed, buffering: %s", exc)
-            self.close()
+            self._disconnect()
 
-    def close(self) -> None:
+    def _disconnect(self) -> None:
         if self._sock is not None:
             try:
                 self._sock.close()
             except OSError:
                 pass
             self._sock = None
+
+    def close(self) -> None:
+        self._disconnect()
+        if self.dropped:
+            log.warning("alert sink %s:%d dropped %d alerts in total",
+                        self.host, self.port, self.dropped)

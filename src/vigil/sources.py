@@ -11,7 +11,10 @@ Dump format, one JSON object per line:
      "x1": num, "y1": num, "x2": num, "y2": num, "conf": num}
 
 Lines must be non-decreasing in "frame"; lines sharing a frame id form one
-frame group.  Ground-truth dumps use the same format with conf = 1.0.
+frame group, whose timestamp is its first line's "ts_ms" (later lines' values
+are ignored).  Frame timestamps must be non-decreasing: a frame whose "ts_ms"
+is below the previous frame's is a format error, since dwell times would go
+negative.  Ground-truth dumps use the same format with conf = 1.0.
 """
 
 from __future__ import annotations
@@ -92,9 +95,13 @@ def read_dump(path, *, width: int = 1920, height: int = 1080,
                         line_no, f'"frame" {fid} decreases (previous {last_frame})')
                 if fid < 0:
                     raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
+                ts = rec["ts_ms"]
+                if meta is not None and fid != meta.frame_id and ts < meta.timestamp_ms:
+                    raise DumpFormatError(
+                        line_no, f'"ts_ms" {ts} decreases (previous frame {meta.timestamp_ms})')
                 try:
                     det = Detection(
-                        frame=FrameMeta(source_id, fid, rec["ts_ms"], width, height)
+                        frame=FrameMeta(source_id, fid, ts, width, height)
                         if meta is None or fid != meta.frame_id else meta,
                         bbox=BoundingBox(float(rec["x1"]), float(rec["y1"]),
                                          float(rec["x2"]), float(rec["y2"])),

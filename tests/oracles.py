@@ -97,6 +97,60 @@ def assignment_bruteforce(cost, tie_eps: float = 1e-9):
     return best_total, best_pairs
 
 
+def solve_square_numpy_scalars(a: np.ndarray):
+    """Shortest-augmenting-path solve on numpy float64 scalars: (u, v, row_to_col).
+
+    A frozen copy of the solver as it stood before its loop moved to plain
+    Python floats; the package must reproduce its potentials bit for bit.
+    """
+    n = a.shape[0]
+    INF = math.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = [0] * (n + 1)  # col -> row (1-based); col 0 is the virtual start
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            row = a[i0 - 1]
+            ui0 = u[i0]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - ui0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    row_to_col = [0] * n
+    for j in range(1, n + 1):
+        if p[j] != 0:
+            row_to_col[p[j] - 1] = j - 1
+    return np.asarray(u[1:]), np.asarray(v[1:]), row_to_col
+
+
 # ---------------------------------------------------------------------------
 # submodular functions
 

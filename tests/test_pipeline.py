@@ -304,6 +304,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_cli_rejects_timestamps_going_backwards(tmp_path, capsys):
+    # accepted, this dump gave the track a negative dwell ("total_ms": -40)
+    lines = [json.dumps({"frame": f, "ts_ms": ts, "class": "person",
+                         "x1": 100, "y1": 100, "x2": 120, "y2": 140, "conf": 0.9})
+             for f, ts in enumerate([0, 100, 200, 300, 400, 50, 60])]
+    (tmp_path / "back.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = _write_config(tmp_path, "run.json", {
+        "source": {"kind": "dump", "path": "back.jsonl", "width": 320, "height": 240},
+        "tracker": {"min_hits": 1},
+        "rules": [{"id": "linger", "kind": "Loiter", "threshold_ms": 100,
+                   "zone": {"id": "all", "polygon": [[0, 0], [320, 0], [320, 240],
+                                                     [0, 240]]}}]})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "line 6" in err and "ts_ms" in err
+
+
 def test_cli_rule_config_exit_codes(tmp_path, capsys):
     # the README's list form of a trip line runs
     line_rule = {"id": "gate", "kind": "LineCross", "line": [[160, 0], [160, 240]]}

@@ -2,6 +2,7 @@
 occupancy, debouncing, config parsing, and the TCP alert mirror."""
 
 import json
+import logging
 import socket
 import threading
 from types import SimpleNamespace
@@ -456,6 +457,24 @@ def test_tcp_sink_buffers_when_unreachable():
     sink.send(_event(1))
     assert len(sink._buffer) == 2
     sink.close()
+
+
+def test_tcp_sink_counts_dropped_alerts(caplog):
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # nothing listens here now
+    sink = TcpAlertSink("127.0.0.1", port, buffer_limit=2, timeout=0.2)
+    with caplog.at_level(logging.WARNING, logger="vigil.rules"):
+        for i in range(5):
+            sink.send(_event(i))  # must not raise
+        sink.close()
+    assert sink.dropped == 3
+    assert [json.loads(line) for line in sink._buffer] == \
+        [alert_record(_event(3)), alert_record(_event(4))]
+    drops = [r.getMessage() for r in caplog.records if "drop" in r.getMessage()]
+    assert len(drops) == 2  # the first drop, then the total on close
+    assert drops[1].endswith("dropped 3 alerts in total")
 
 
 def test_tcp_sink_delivers_jsonl():

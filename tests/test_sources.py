@@ -1,5 +1,6 @@
 """Detection dump I/O and the synthetic scene simulator."""
 
+import itertools
 import json
 import math
 
@@ -125,6 +126,22 @@ def test_first_timestamp_of_group_wins(tmp_path):
     (meta, dets), = read_dump(path)
     assert meta.timestamp_ms == 0
     assert len(dets) == 2
+
+
+def test_decreasing_timestamp_rejected(tmp_path):
+    def frame(fid, ts):
+        return GOOD.replace('"frame": 0, "ts_ms": 0', f'"frame": {fid}, "ts_ms": {ts}')
+
+    path = tmp_path / "ts.jsonl"
+    write_lines(path, [frame(0, 0), frame(1, 100), frame(1, 20), frame(2, 100),
+                       frame(3, 50)])
+    groups = read_dump(path)
+    # only a frame's first line sets its timestamp, and frame 2 may repeat it
+    assert [m.timestamp_ms for m, _ in itertools.islice(groups, 2)] == [0, 100]
+    with pytest.raises(DumpFormatError) as err:
+        next(groups)
+    assert err.value.line_no == 5
+    assert '"ts_ms" 50 decreases' in str(err.value)
 
 
 def test_missing_dump_is_data_error(tmp_path):

@@ -1,6 +1,11 @@
 """Tracker lifecycle, association gating, and identity stability."""
 
+import json
+import pathlib
+
 import pytest
+
+import vigil.cli
 
 from vigil.errors import ConfigError, DataError
 from vigil.geometry import BoundingBox, Detection, FrameMeta, iou
@@ -182,3 +187,36 @@ def test_noiseless_multi_object_scene_keeps_identities():
                 assert identities[obj_idx] == best.track_id   # no switches
             identities[obj_idx] = best.track_id
     assert len(set(identities.values())) == 3
+
+
+def test_trace_seam_times_hungarian_assign(tmp_path, monkeypatch):
+    # perfbench/tracing.py times the solver by rebinding
+    # vigil.tracker.hungarian_assign; if the tracker reached it through
+    # another name, assignment.* would silently read 0
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer
+
+    lines = []
+    for f in range(20):  # two people walking into each other and past
+        for x in (20 + 10 * f, 220 - 10 * f):
+            lines.append(json.dumps({"frame": f, "ts_ms": 100 * f, "class": "person",
+                                     "x1": x, "y1": 100, "x2": x + 30, "y2": 160,
+                                     "conf": 0.9}))
+    (tmp_path / "cross.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "source": {"kind": "dump", "path": "cross.jsonl", "width": 320, "height": 240},
+        "tracker": {"min_hits": 2}}), encoding="utf-8")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = vigil.cli.main(["run", "--config", str(config),
+                               "--out", str(tmp_path / "out"), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["assignment.hungarian"] > 0
+    assert tracer.counters["assignment.cells"] >= 4 * tracer.calls["assignment.hungarian"]
+    # where the two cross, their cheapest columns collide and the full solver runs
+    assert tracer.counters["assignment.strict_minima"] < tracer.calls["assignment.hungarian"]
