@@ -23,9 +23,10 @@ from .augment import (
     read_manifest_csv,
     write_manifest_csv,
 )
+from .config import as_int, check_keys, config_path, read_config
 from .errors import ConfigError, DataError, VigilError
 from .evaluation import EvalConfig, evaluate_detections
-from .pipeline import pipeline_config_from_dict
+from .pipeline import load_pipeline_config
 from .pipeline import run as run_pipeline
 from .rng import Rng, derive_seed
 from .softmax import (
@@ -37,7 +38,7 @@ from .softmax import (
     save_model,
     train,
 )
-from .sources import read_dump, scene_config_from_dict, simulate, write_dump
+from .sources import load_scene_config, read_dump, simulate, write_dump
 from .summarize import (
     DEFAULT_BUDGET,
     MODEL_KINDS,
@@ -51,36 +52,11 @@ from .summarize import (
 )
 
 
-def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return doc, os.path.dirname(os.fspath(path))
-
-
-def _check_keys(doc: dict, allowed: set, what: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} field(s): {sorted(unknown)}")
-
-
-def _resolve(path, base_dir):
-    if base_dir and not os.path.isabs(path):
-        return os.path.join(base_dir, path)
-    return path
-
-
-def _require_path(doc: dict, key: str, base_dir) -> str:
-    value = doc.get(key)
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"config requires a '{key}' path")
-    return _resolve(value, base_dir)
+def _job_config(args, allowed: set, what: str):
+    """The --config document, checked against *allowed*, and its directory."""
+    doc = read_config(args.config, "config")
+    check_keys(doc, allowed, what)
+    return doc, os.path.dirname(args.config)
 
 
 def _out_dir(args) -> str:
@@ -105,8 +81,7 @@ def _say(args, message: str) -> None:
 
 
 def _cmd_run(args) -> None:
-    doc, base_dir = _load_config(args.config)
-    cfg = pipeline_config_from_dict(doc, base_dir=base_dir)
+    cfg = load_pipeline_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     out = args.out or cfg.out_dir or "out"
@@ -118,8 +93,7 @@ def _cmd_run(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    doc, _ = _load_config(args.config)
-    scene_cfg = scene_config_from_dict(doc)
+    scene_cfg = load_scene_config(args.config)
     if args.seed is not None:
         scene_cfg = dataclasses.replace(scene_cfg, seed=args.seed)
     scene = simulate(scene_cfg)
@@ -135,10 +109,9 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_summarize(args) -> None:
-    doc, base_dir = _load_config(args.config)
-    _check_keys(doc, {"signatures_csv", "images_dir", "model", "alpha",
-                      "budget", "sampling_fps", "algorithm", "write_signatures"},
-                "summarize")
+    doc, base_dir = _job_config(args, {"signatures_csv", "images_dir", "model", "alpha",
+                                        "budget", "sampling_fps", "algorithm",
+                                        "write_signatures"}, "summarize")
     if ("signatures_csv" in doc) == ("images_dir" in doc):
         raise ConfigError("give exactly one of 'signatures_csv' or 'images_dir'")
 
@@ -146,9 +119,9 @@ def _cmd_summarize(args) -> None:
     if not isinstance(fps, (int, float)) or fps <= 0:
         raise ConfigError("sampling_fps must be a positive number")
     if "signatures_csv" in doc:
-        ground = ground_set_from_csv(_resolve(doc["signatures_csv"], base_dir), float(fps))
+        ground = ground_set_from_csv(config_path(doc, "signatures_csv", base_dir), float(fps))
     else:
-        ground = ground_set_from_images(_resolve(doc["images_dir"], base_dir), float(fps))
+        ground = ground_set_from_images(config_path(doc, "images_dir", base_dir), float(fps))
 
     kind = doc.get("model", "facility-location")
     if kind not in MODEL_KINDS:
@@ -156,8 +129,8 @@ def _cmd_summarize(args) -> None:
     alpha = doc.get("alpha", 0.5)
     if not isinstance(alpha, (int, float)):
         raise ConfigError("alpha must be a number")
-    budget = doc.get("budget", DEFAULT_BUDGET)
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+    budget = as_int(doc, "budget", DEFAULT_BUDGET, where="summarize")
+    if budget < 1:
         raise ConfigError("budget must be a positive integer")
     algorithm = doc.get("algorithm", "lazy")
     if algorithm not in ("lazy", "naive"):
@@ -180,9 +153,9 @@ def _cmd_summarize(args) -> None:
 
 
 def _cmd_augment(args) -> None:
-    doc, base_dir = _load_config(args.config)
-    _check_keys(doc, {"manifest_csv", "bounds", "seed", "materialize"}, "augment")
-    manifest = read_manifest_csv(_require_path(doc, "manifest_csv", base_dir))
+    doc, base_dir = _job_config(args, {"manifest_csv", "bounds", "seed", "materialize"},
+                                 "augment")
+    manifest = read_manifest_csv(config_path(doc, "manifest_csv", base_dir))
 
     bounds_doc = doc.get("bounds", {})
     if not isinstance(bounds_doc, dict):
@@ -193,9 +166,7 @@ def _cmd_augment(args) -> None:
     except TypeError as exc:
         raise ConfigError(f"bad bounds: {exc}") from exc
 
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = args.seed if args.seed is not None else as_int(doc, "seed", 0, where="augment")
 
     out = _out_dir(args)
     rng = Rng(derive_seed(seed, "augment"))
@@ -216,9 +187,8 @@ _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 def _cmd_train_head(args) -> None:
-    doc, base_dir = _load_config(args.config)
-    _check_keys(doc, {"features_csv"} | _TRAIN_FIELDS, "train-head")
-    ids, labels, X = load_features_csv(_require_path(doc, "features_csv", base_dir))
+    doc, base_dir = _job_config(args, {"features_csv"} | _TRAIN_FIELDS, "train-head")
+    ids, labels, X = load_features_csv(config_path(doc, "features_csv", base_dir))
     try:
         cfg = TrainConfig(**{k: doc[k] for k in _TRAIN_FIELDS if k in doc})
     except TypeError as exc:
@@ -248,10 +218,9 @@ def _cmd_train_head(args) -> None:
 
 
 def _cmd_predict(args) -> None:
-    doc, base_dir = _load_config(args.config)
-    _check_keys(doc, {"model_json", "features_csv"}, "predict")
-    model = load_model(_require_path(doc, "model_json", base_dir))
-    ids, labels, X = load_features_csv(_require_path(doc, "features_csv", base_dir))
+    doc, base_dir = _job_config(args, {"model_json", "features_csv"}, "predict")
+    model = load_model(config_path(doc, "model_json", base_dir))
+    ids, labels, X = load_features_csv(config_path(doc, "features_csv", base_dir))
     if X.shape[1] != model.d:
         raise DataError(f"feature dimension {X.shape[1]} does not match model ({model.d})")
 
@@ -280,20 +249,18 @@ def _read_flat_dump(path, width: int, height: int):
 
 
 def _cmd_eval(args) -> None:
-    doc, base_dir = _load_config(args.config)
-    _check_keys(doc, {"predictions", "ground_truth", "iou_threshold",
-                      "width", "height"}, "eval")
-    width = doc.get("width", 1920)
-    height = doc.get("height", 1080)
-    for name, value in (("width", width), ("height", height)):
-        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-            raise ConfigError(f"{name} must be a positive integer")
+    doc, base_dir = _job_config(args, {"predictions", "ground_truth", "iou_threshold",
+                                        "width", "height"}, "eval")
+    width = as_int(doc, "width", 1920, where="eval")
+    height = as_int(doc, "height", 1080, where="eval")
+    if width <= 0 or height <= 0:
+        raise ConfigError("width and height must be positive")
     threshold = doc.get("iou_threshold", 0.5)
     if not isinstance(threshold, (int, float)):
         raise ConfigError("iou_threshold must be a number")
 
-    preds = _read_flat_dump(_require_path(doc, "predictions", base_dir), width, height)
-    gts = _read_flat_dump(_require_path(doc, "ground_truth", base_dir), width, height)
+    preds = _read_flat_dump(config_path(doc, "predictions", base_dir), width, height)
+    gts = _read_flat_dump(config_path(doc, "ground_truth", base_dir), width, height)
     report = evaluate_detections(preds, gts, EvalConfig(float(threshold)))
 
     out = _out_dir(args)

@@ -23,13 +23,13 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ._version import __version__
+from .config import as_int, check_keys, config_path, read_config
 from .errors import ConfigError
-from .geometry import FrameMeta, Detection
 from .rng import derive_seed
-from .rules import Rule, RuleEngine, TcpAlertSink, alert_record, load_rules, rules_from_doc
+from .rules import RuleEngine, TcpAlertSink, alert_record, load_rules, place, rules_from_doc
 from .sources import (
     SyntheticSceneConfig,
     load_scene_config,
@@ -46,8 +46,8 @@ SCENE_SEED_LABEL = "synthetic-scene"
 
 _TOP_KEYS = {"source", "tracker", "grid", "rules_file", "rules", "stages",
              "seed", "alert_sink", "out_dir"}
-_SOURCE_KEYS_DUMP = {"kind", "path", "width", "height"}
-_SOURCE_KEYS_SYNTH = {"kind", "scene", "scene_file"}
+_SOURCE_KEYS = {"dump": {"kind", "path", "width", "height"},
+                "synthetic": {"kind", "scene", "scene_file"}}
 
 
 @dataclass
@@ -70,60 +70,32 @@ class PipelineConfig:
     doc: dict = field(default_factory=dict)     # original document, echoed into the manifest
 
 
-def _as_int(doc: dict, key: str, default, *, where: str):
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    return value
-
-
-def _resolve(path: str, base_dir: Optional[str]) -> str:
-    if base_dir and not os.path.isabs(path):
-        return os.path.join(base_dir, path)
-    return path
-
-
 def _parse_source(doc, base_dir, cfg: PipelineConfig) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError("source must be an object")
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
+        raise ConfigError("source must be an object whose kind is 'dump' or 'synthetic'")
+    check_keys(doc, _SOURCE_KEYS[kind], "source")
+    cfg.source_kind = kind
     if kind == "dump":
-        unknown = set(doc) - _SOURCE_KEYS_DUMP
-        if unknown:
-            raise ConfigError(f"unknown source field(s): {sorted(unknown)}")
-        path = doc.get("path")
-        if not isinstance(path, str) or not path:
-            raise ConfigError("dump source requires a 'path' string")
-        cfg.source_kind = "dump"
-        cfg.dump_path = _resolve(path, base_dir)
-        cfg.frame_width = _as_int(doc, "width", 1920, where="source")
-        cfg.frame_height = _as_int(doc, "height", 1080, where="source")
+        cfg.dump_path = config_path(doc, "path", base_dir)
+        cfg.frame_width = as_int(doc, "width", 1920, where="source")
+        cfg.frame_height = as_int(doc, "height", 1080, where="source")
         if cfg.frame_width <= 0 or cfg.frame_height <= 0:
             raise ConfigError("source width/height must be positive")
-    elif kind == "synthetic":
-        unknown = set(doc) - _SOURCE_KEYS_SYNTH
-        if unknown:
-            raise ConfigError(f"unknown source field(s): {sorted(unknown)}")
-        if ("scene" in doc) == ("scene_file" in doc):
-            raise ConfigError("synthetic source requires exactly one of 'scene' or 'scene_file'")
-        if "scene" in doc:
-            cfg.scene = scene_config_from_dict(doc["scene"])
-        else:
-            cfg.scene = load_scene_config(_resolve(doc["scene_file"], base_dir))
-        cfg.source_kind = "synthetic"
-        cfg.frame_width = cfg.scene.width
-        cfg.frame_height = cfg.scene.height
+        return
+    if ("scene" in doc) == ("scene_file" in doc):
+        raise ConfigError("synthetic source requires exactly one of 'scene' or 'scene_file'")
+    if "scene" in doc:
+        cfg.scene = scene_config_from_dict(doc["scene"])
     else:
-        raise ConfigError("source.kind must be 'dump' or 'synthetic'")
+        cfg.scene = load_scene_config(config_path(doc, "scene_file", base_dir))
+    cfg.frame_width = cfg.scene.width
+    cfg.frame_height = cfg.scene.height
 
 
 def pipeline_config_from_dict(doc: dict, base_dir: Optional[str] = None) -> PipelineConfig:
     """Validate a run document.  Relative paths resolve against *base_dir*."""
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    check_keys(doc, _TOP_KEYS, "run config")
     if "source" not in doc:
         raise ConfigError("run config requires a 'source' object")
 
@@ -139,55 +111,41 @@ def pipeline_config_from_dict(doc: dict, base_dir: Optional[str] = None) -> Pipe
         raise ConfigError(f"bad tracker config: {exc}") from exc
 
     grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict) or set(grid_doc) - {"cell_size"}:
-        raise ConfigError("grid must be an object with at most a 'cell_size' field")
-    cfg.grid = GridSpec(cell_size=_as_int(grid_doc, "cell_size", 10, where="grid"))
+    check_keys(grid_doc, {"cell_size"}, "grid")
+    cfg.grid = GridSpec(cell_size=as_int(grid_doc, "cell_size", 10, where="grid"))
 
     if "rules_file" in doc and "rules" in doc:
         raise ConfigError("give either 'rules_file' or inline 'rules', not both")
     if "rules_file" in doc:
-        path = doc["rules_file"]
-        if not isinstance(path, str) or not path:
-            raise ConfigError("rules_file must be a path string")
-        cfg.rules = tuple(load_rules(_resolve(path, base_dir)))
+        cfg.rules = tuple(load_rules(config_path(doc, "rules_file", base_dir)))
     elif "rules" in doc:
         cfg.rules = tuple(rules_from_doc(doc["rules"]))
 
     stages = doc.get("stages", {})
-    if not isinstance(stages, dict) or set(stages) - {"stats", "rules"}:
-        raise ConfigError("stages must be an object with 'stats'/'rules' booleans")
+    check_keys(stages, {"stats", "rules"}, "stages")
     for key in ("stats", "rules"):
         if key in stages and not isinstance(stages[key], bool):
             raise ConfigError(f"stages.{key} must be a boolean")
     cfg.run_stats = stages.get("stats", True)
     cfg.run_rules = stages.get("rules", True)
 
-    cfg.seed = _as_int(doc, "seed", 0, where="config")
+    cfg.seed = as_int(doc, "seed", 0, where="config")
 
     sink = doc.get("alert_sink")
     if sink is not None:
-        if (not isinstance(sink, dict) or set(sink) - {"host", "port"}
-                or not isinstance(sink.get("host"), str)):
+        check_keys(sink, {"host", "port"}, "alert_sink")
+        if not isinstance(sink.get("host"), str):
             raise ConfigError("alert_sink must be {'host': str, 'port': int}")
-        cfg.alert_sink = (sink["host"], _as_int(sink, "port", None, where="alert_sink"))
+        cfg.alert_sink = (sink["host"], as_int(sink, "port", None, where="alert_sink"))
 
-    out_dir = doc.get("out_dir")
-    if out_dir is not None:
-        if not isinstance(out_dir, str) or not out_dir:
-            raise ConfigError("out_dir must be a non-empty string")
-        cfg.out_dir = _resolve(out_dir, base_dir)
+    if doc.get("out_dir") is not None:
+        cfg.out_dir = config_path(doc, "out_dir", base_dir)
     return cfg
 
 
 def load_pipeline_config(path) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return pipeline_config_from_dict(doc, base_dir=os.path.dirname(os.fspath(path)))
+    return pipeline_config_from_dict(read_config(path, "config"),
+                                     base_dir=os.path.dirname(os.fspath(path)))
 
 
 def _frame_stream(cfg: PipelineConfig):
@@ -224,9 +182,9 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     stream, scene_seed = _frame_stream(cfg)
     tracker = SortTracker(cfg.tracker)
     engine = RuleEngine(list(cfg.rules)) if cfg.run_rules else None
+    zones = engine.prepared_zones if engine is not None else []
     stats = None
     if cfg.run_stats:
-        zones = engine.zones() if engine is not None else []
         stats = SceneStats(cfg.frame_width, cfg.frame_height, grid=cfg.grid, zones=zones)
     sink = TcpAlertSink(*cfg.alert_sink) if cfg.alert_sink else None
 
@@ -250,16 +208,17 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
             for track in confirmed:
                 tracks_fh.write(json.dumps(track_record(meta, track)) + "\n")
             n_rows += len(confirmed)
+            # one zone test per track and zone, shared by rules and stats
+            placed = (place(zones, confirmed)
+                      if engine is not None or stats is not None else None)
             if engine is not None:
-                for event in engine.evaluate(meta, confirmed):
+                for event in engine.evaluate(meta, confirmed, placed):
                     alerts_fh.write(json.dumps(alert_record(event)) + "\n")
                     n_alerts += 1
                     if sink is not None:
                         sink.send(event)
             if stats is not None:
-                # reuse the zone tests the rules just made for these tracks
-                stats.ingest(meta, confirmed,
-                             engine.placements if engine is not None else None)
+                stats.ingest(meta, confirmed, placed)
             n_frames += 1
     finally:
         tracks_fh.close()

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .config import check_keys, read_config
 from .errors import ConfigError, DataError
 from .geometry import (
     BoundingBox,
@@ -179,6 +180,22 @@ def alert_record(event: AlertEvent) -> dict:
     }
 
 
+def place(zones, tracks) -> dict:
+    """track_id -> (anchor, ids of the *zones* containing it) for each
+    confirmed track in *tracks*.
+
+    Each track's anchor is read once and tested once against each zone;
+    rules and statistics over the same frame and zones share the result.
+    """
+    placed = {}
+    for track in tracks:
+        if track.status is TrackStatus.CONFIRMED:
+            anchor = track.bbox.anchor
+            placed[track.track_id] = (
+                anchor, frozenset(z.id for z in zones if z.contains(anchor)))
+    return placed
+
+
 def _distinct_zones(rules: list[Rule]) -> list[Zone]:
     """The rules' zones, one per id, in first-use order.
 
@@ -200,10 +217,11 @@ def _distinct_zones(rules: list[Rule]) -> list[Zone]:
 class RuleEngine:
     """Per-source rule state machine; evaluate() must see frames in order.
 
-    Each frame, every confirmed track's anchor is read once and tested once
-    against each distinct zone; the rules share that result, and it stays
-    in ``placements`` (track_id -> (anchor, ids of the zones containing
-    it)) until the next frame, for :meth:`SceneStats.ingest`.
+    ``prepared_zones`` holds the rules' distinct zones.  All rules of a
+    frame share one :func:`place` result over them: ``evaluate`` takes it
+    as *placed* when the caller has already placed the frame's tracks over
+    these zones (the pipeline shares it with :meth:`SceneStats.ingest`),
+    and calls :func:`place` itself when *placed* is omitted.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -211,8 +229,7 @@ class RuleEngine:
         if len(set(ids)) != len(ids):
             raise ConfigError("rule ids must be unique")
         self.rules = list(rules)
-        self._zones = _distinct_zones(self.rules)
-        self.placements: dict = {}
+        self.prepared_zones = _distinct_zones(self.rules)
         self._last_frame: Optional[int] = None
         self._inside: dict = {}        # (rule_id, track_id) -> bool
         self._prev_anchor: dict = {}   # (rule_id, track_id) -> last anchor
@@ -223,33 +240,31 @@ class RuleEngine:
 
     def zones(self) -> list[tuple[str, list]]:
         """(zone_id, polygon) pairs for dwell attribution downstream."""
-        return [(zone.id, list(zone.polygon)) for zone in self._zones]
+        return [(zone.id, list(zone.polygon)) for zone in self.prepared_zones]
 
     def _debounced(self, key, ts: int, debounce_ms: int) -> bool:
         last = self._last_emit.get(key)
         return last is not None and ts - last < debounce_ms
 
-    def evaluate(self, frame: FrameMeta, tracks: list[Track]) -> list[AlertEvent]:
+    def evaluate(self, frame: FrameMeta, tracks: list[Track],
+                 placed: Optional[dict] = None) -> list[AlertEvent]:
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
         ts = frame.timestamp_ms
         confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
-        self.placements = placements = {}
-        for track in confirmed:
-            anchor = track.bbox.anchor
-            placements[track.track_id] = (
-                anchor, frozenset(z.id for z in self._zones if z.contains(anchor)))
+        if placed is None:
+            placed = place(self.prepared_zones, confirmed)
         events: list[AlertEvent] = []
 
         for rule in self.rules:
             relevant = [t for t in confirmed if rule.applies_to(t.class_label)]
             if rule.kind == "Occupancy":
-                self._occupancy(rule, frame, ts, relevant, events)
+                self._occupancy(rule, frame, ts, relevant, placed, events)
                 continue
             for track in relevant:
-                anchor, zone_ids = placements[track.track_id]
+                anchor, zone_ids = placed[track.track_id]
                 key = (rule.id, track.track_id)
                 if rule.kind == "LineCross":
                     self._line_cross(rule, frame, ts, track, anchor, key, events)
@@ -300,9 +315,8 @@ class RuleEngine:
         self._emit(events, rule, frame, ts, track.track_id,
                    {"direction": direction})
 
-    def _occupancy(self, rule, frame, ts, tracks, events):
-        count = sum(1 for t in tracks
-                    if rule.zone.id in self.placements[t.track_id][1])
+    def _occupancy(self, rule, frame, ts, tracks, placed, events):
+        count = sum(1 for t in tracks if rule.zone.id in placed[t.track_id][1])
         holds = _COMPARATORS[rule.comparator](count, rule.min_count)
         armed = not self._occupancy_on[rule.id]
         self._occupancy_on[rule.id] = holds
@@ -318,12 +332,6 @@ _RULE_KEYS = {"id", "kind", "zone", "line", "classes", "debounce_ms",
               "threshold_ms", "min_count", "comparator"}
 _ZONE_KEYS = {"id", "polygon", "classes"}
 _LINE_KEYS = {"id", "p", "q", "direction"}
-
-
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
 def _point(value, where: str) -> tuple:
@@ -352,7 +360,7 @@ def _classes(value, where: str) -> Optional[frozenset]:
 def _parse_zone(doc, rule_id: str) -> Zone:
     where = f"rule {rule_id!r} zone"
     if isinstance(doc, dict):
-        _check_keys(doc, _ZONE_KEYS, where)
+        check_keys(doc, _ZONE_KEYS, where)
         zid = _id(doc, f"{rule_id}.zone", where)
         poly = doc.get("polygon")
         filt = _classes(doc.get("classes"), where)
@@ -370,7 +378,7 @@ def _parse_line(doc, rule_id: str) -> TripLine:
         return TripLine(f"{rule_id}.line", _point(doc[0], where), _point(doc[1], where))
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: must be [[x1,y1],[x2,y2]] or an object with 'p' and 'q'")
-    _check_keys(doc, _LINE_KEYS, where)
+    check_keys(doc, _LINE_KEYS, where)
     if "p" not in doc or "q" not in doc:
         raise ConfigError(f"{where}: needs 'p' and 'q' endpoints")
     return TripLine(_id(doc, f"{rule_id}.line", where), _point(doc["p"], where),
@@ -387,7 +395,7 @@ def rules_from_doc(doc) -> list[Rule]:
         rid = entry.get("id")
         if not isinstance(rid, str) or not rid:
             raise ConfigError(f"rule #{i}: id must be a non-empty string")
-        _check_keys(entry, _RULE_KEYS, f"rule {rid!r}")
+        check_keys(entry, _RULE_KEYS, f"rule {rid!r}")
         zone = _parse_zone(entry["zone"], rid) if "zone" in entry else None
         line = _parse_line(entry["line"], rid) if "line" in entry else None
         try:
@@ -409,14 +417,7 @@ def rules_from_doc(doc) -> list[Rule]:
 
 
 def load_rules(path) -> list[Rule]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"rules file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return rules_from_doc(doc)
+    return rules_from_doc(read_config(path, "rules"))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,9 @@ class TcpAlertSink:
     """Line-delimited TCP mirror for alerts; lossy-by-buffering, never blocks.
 
     Failed sends stash lines in a bounded deque and retry on the next
-    call; connection errors are logged, not raised.  When the buffer is
+    call; connection errors are logged, not raised: the receiver being
+    unreachable is logged once per outage (again only after a connection
+    has succeeded in between).  When the buffer is
     full the oldest line is dropped and counted in `dropped`: the first
     drop logs a warning, and `close()` logs the total.
     """
@@ -438,6 +441,7 @@ class TcpAlertSink:
         self.port = port
         self.timeout = timeout
         self.dropped = 0
+        self._reachable = True  # False from a failed connect to the next success
         self._buffer: deque = deque(maxlen=buffer_limit)
         self._sock: Optional[socket.socket] = None
 
@@ -447,12 +451,14 @@ class TcpAlertSink:
         try:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout)
-            return True
         except OSError as exc:
-            log.warning("alert sink %s:%d unreachable: %s",
-                        self.host, self.port, exc)
-            self._sock = None
+            if self._reachable:
+                log.warning("alert sink %s:%d unreachable: %s",
+                            self.host, self.port, exc)
+            self._reachable = False
             return False
+        self._reachable = True
+        return True
 
     def send(self, event: AlertEvent) -> None:
         line = json.dumps(alert_record(event)) + "\n"

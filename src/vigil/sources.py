@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .config import check_keys, read_config
 from .errors import ConfigError, DumpFormatError, open_input
 from .geometry import BoundingBox, Detection, FrameMeta
 from .rng import Rng
@@ -209,24 +210,13 @@ class SyntheticSceneConfig:
 
 def scene_config_from_dict(doc: dict) -> SyntheticSceneConfig:
     """Build a config from a parsed JSON document (field names match)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("scene config must be a JSON object")
-    known = {"width", "height", "fps", "duration_frames", "objects",
-             "jitter_sigma", "miss_probability", "false_positives_per_frame",
-             "seed", "source_id"}
-    extra = [k for k in doc if k not in known]
-    if extra:
-        raise ConfigError(f"unknown scene config fields: {', '.join(sorted(extra))}")
+    check_keys(doc, {"width", "height", "fps", "duration_frames", "objects",
+                     "jitter_sigma", "miss_probability", "false_positives_per_frame",
+                     "seed", "source_id"}, "scene config")
     objects = []
     for i, entry in enumerate(doc.get("objects", [])):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"objects[{i}] must be an object")
-        obj_known = {"class_label", "center", "velocity", "size",
-                     "entry_frame", "exit_frame"}
-        obj_extra = [k for k in entry if k not in obj_known]
-        if obj_extra:
-            raise ConfigError(
-                f"objects[{i}] unknown fields: {', '.join(sorted(obj_extra))}")
+        check_keys(entry, {"class_label", "center", "velocity", "size",
+                           "entry_frame", "exit_frame"}, f"objects[{i}]")
         try:
             objects.append(ObjectSpec(
                 class_label=entry["class_label"],
@@ -260,16 +250,7 @@ def scene_config_from_dict(doc: dict) -> SyntheticSceneConfig:
 
 
 def load_scene_config(path) -> SyntheticSceneConfig:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    with fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return scene_config_from_dict(doc)
+    return scene_config_from_dict(read_config(path, "scene"))
 
 
 def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:

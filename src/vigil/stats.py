@@ -18,8 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import FrameMeta, point_in_polygon, polygon_edges, polygon_reach
+from .geometry import FrameMeta
+# Not called here (zones are rules.Zone), but perfbench/tracing.py wraps
+# vigil.stats.point_in_polygon, and its install() fails when the name is gone.
+from .geometry import point_in_polygon  # noqa: F401
 from .images import write_image
+from .rules import Zone, place
 from .tracker import Track, TrackStatus
 
 
@@ -62,23 +66,25 @@ class _TrackTrace:
 class SceneStats:
     """Single-writer accumulator for one source's confirmed tracks.
 
-    Zones (for dwell attribution) are (zone_id, polygon) pairs; an
-    inter-frame interval counts toward a zone when the anchors at both
-    endpoints lie inside it (edge-inclusive, as
+    Zones (for dwell attribution) are :class:`vigil.rules.Zone` objects,
+    used as given, or (zone_id, polygon) pairs, made into Zones here, so a
+    polygon with fewer than 3 vertices or one that self-intersects is a
+    ConfigError.  An inter-frame interval counts toward a zone when the
+    anchors at both endpoints lie inside it (edge-inclusive,
     :meth:`vigil.rules.Zone.contains`).
     """
 
     def __init__(self, width: int, height: int,
                  grid: Optional[GridSpec] = None,
-                 zones: Optional[list[tuple[str, list]]] = None):
+                 zones: Optional[list] = None):
         if width <= 0 or height <= 0:
             raise ConfigError("frame dimensions must be positive")
         self.width = width
         self.height = height
         self.grid = grid if grid is not None else GridSpec()
-        self.zones = list(zones) if zones else []
-        self._prepared = [(zid, tuple(poly), polygon_reach(poly), polygon_edges(poly))
-                          for zid, poly in self.zones]
+        # a Zone is used as given, so the pipeline's stats share the rule
+        # engine's zones instead of preparing and checking each polygon again
+        self.zones = [z if isinstance(z, Zone) else Zone(*z) for z in zones or ()]
         gw, gh = self.grid.dims(width, height)
         self.heat = np.zeros((gh, gw), dtype=np.int64)
         self.flow_dx = np.zeros((gh, gw))
@@ -99,34 +105,27 @@ class SceneStats:
         gh, gw = self.heat.shape
         return (min(int(ax // cs), gw - 1), min(int(ay // cs), gh - 1))
 
-    def _zones_containing(self, anchor) -> frozenset:
-        return frozenset(zid for zid, poly, reach, edges in self._prepared
-                         if reach.contains(anchor)
-                         and point_in_polygon(anchor, poly, edges))
-
     def ingest(self, frame: FrameMeta, tracks: list[Track],
-               placements: Optional[dict] = None) -> None:
+               placed: Optional[dict] = None) -> None:
         """Fold one frame's confirmed tracks into the statistics.
 
-        *placements* maps each confirmed track's id to its (anchor, ids of
-        the zones containing it) at this frame, as
-        :attr:`RuleEngine.placements` holds them after evaluating the same
-        frame over the same zones; without it both are computed here.
+        *placed* is :func:`vigil.rules.place` over this frame's tracks and
+        zones with the same ids and polygons as ``self.zones`` (the pipeline
+        passes the one it gave :meth:`RuleEngine.evaluate`); when omitted,
+        it is computed here.
         """
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
         ts = frame.timestamp_ms
+        if placed is None:
+            placed = place(self.zones, tracks)
 
         for track in tracks:
             if track.status is not TrackStatus.CONFIRMED:
                 continue
-            if placements is None:
-                anchor = track.bbox.anchor
-                zones_now = self._zones_containing(anchor)
-            else:
-                anchor, zones_now = placements[track.track_id]
+            anchor, zones_now = placed[track.track_id]
             cell = self._cell(anchor)
             if cell is not None:
                 self.heat[cell[1], cell[0]] += 1
@@ -138,7 +137,7 @@ class SceneStats:
                     track.class_label, [ts], anchor, cell, ts, zones_now)
                 self._dwell[track.track_id] = DwellRecord(
                     track.track_id, track.class_label, ts, ts,
-                    {zid: 0 for zid, _ in self.zones})
+                    {zone.id: 0 for zone in self.zones})
             else:
                 prev_cell = trace.last_cell
                 if prev_cell is not None:

@@ -2,18 +2,20 @@
 
 Prepared zones reject points outside a widened box before the ray cast;
 the answer must still equal point_in_polygon's for every point, including
-points that only its on-edge tolerance accepts.  The rule engine tests
-each confirmed track against each zone once per frame, and the pipeline
-hands those results to the statistics instead of testing again.
+points that only its on-edge tolerance accepts.  The pipeline places
+each confirmed track in the zones once per frame (rules.place) and hands
+that one result to both the rules and the statistics.
 """
 
 import dataclasses
 import json
 import math
+import pathlib
 import random
 from collections import Counter
 from types import SimpleNamespace
 
+import vigil.cli
 from vigil.geometry import EDGE_TOL, FrameMeta, point_in_polygon
 from vigil.pipeline import SCENE_SEED_LABEL, pipeline_config_from_dict, run
 from vigil.rng import derive_seed
@@ -144,12 +146,13 @@ RULES = [
     {"id": "gate", "kind": "LineCross", "line": [[200, 0], [200, 240]]},
 ]
 
+PIPELINE_DOC = {"source": {"kind": "synthetic", "scene": SCENE},
+                "tracker": {"min_hits": 2, "max_age": 2}, "grid": {"cell_size": 16},
+                "rules": RULES, "seed": 12}
+
 
 def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
-    doc = {"source": {"kind": "synthetic", "scene": SCENE},
-           "tracker": {"min_hits": 2, "max_age": 2}, "grid": {"cell_size": 16},
-           "rules": RULES, "seed": 12}
-    cfg = pipeline_config_from_dict(doc)
+    cfg = pipeline_config_from_dict(PIPELINE_DOC)
     run(cfg, str(tmp_path))
     piped_alerts = [json.loads(line) for line in
                     (tmp_path / "alerts.jsonl").read_text().splitlines()]
@@ -187,3 +190,47 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     in_both = [rec for rec in piped_dwell["tracks"]
                if rec["zone_ms"]["east"] and rec["zone_ms"]["middle"]]
     assert in_both
+
+
+def test_pipeline_places_each_track_once_per_frame(tmp_path, monkeypatch):
+    # with rules and stats both on, each confirmed track meets each distinct
+    # zone once per frame; a stage that placed the tracks again would double it
+    calls = Counter()
+    real_contains = Zone.contains
+
+    def counted_contains(zone, point):
+        calls[zone.id] += 1
+        return real_contains(zone, point)
+
+    monkeypatch.setattr(Zone, "contains", counted_contains)
+    cfg = pipeline_config_from_dict(PIPELINE_DOC)
+    assert cfg.run_rules and cfg.run_stats
+    manifest = run(cfg, str(tmp_path))
+    # track_rows is the sum over frames of the confirmed tracks
+    assert manifest["track_rows"] > 0
+    assert calls == {zid: manifest["track_rows"]
+                     for zid in ("east", "middle", "west.zone")}
+
+
+def test_trace_seam_times_zone_layer(tmp_path, monkeypatch):
+    # perfbench/tracing.py times the zone layer by rebinding
+    # vigil.rules.point_in_polygon, RuleEngine.evaluate and SceneStats.ingest;
+    # if the pipeline reached them through other names, the metrics would read 0
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(PIPELINE_DOC), encoding="utf-8")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = vigil.cli.main(["run", "--config", str(config),
+                               "--out", str(tmp_path / "out"), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    frames = SCENE["duration_frames"]
+    assert tracer.calls["geometry.point_in_polygon"] > 0
+    assert tracer.calls["rules.evaluate"] == frames
+    assert tracer.calls["stats.ingest"] == frames

@@ -4,6 +4,9 @@ import copy
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -302,6 +305,46 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", missing_dump, "--out",
                  str(tmp_path / "x"), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith("data error:")
+
+    # unreadable config files: a directory, or bytes that are not UTF-8
+    (tmp_path / "rules-dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"note": "caf\xe9"}')
+    configs = [
+        str(tmp_path),
+        str(tmp_path / "latin1.json"),
+        _write_config(tmp_path, "rd.json", {
+            "source": {"kind": "synthetic", "scene": SCENE}, "rules_file": "rules-dir"}),
+        _write_config(tmp_path, "sl.json", {
+            "source": {"kind": "synthetic", "scene_file": "latin1.json"}}),
+    ]
+    for config in configs:
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x"),
+                     "--quiet"]) == 2, config
+        assert capsys.readouterr().err.startswith("config error:"), config
+
+
+def test_cli_non_string_paths_are_config_errors(tmp_path):
+    # the ints once reached open() (0 is stdin) or os.path.isabs (a TypeError)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "sub").mkdir()
+    cases = [
+        ("run", "run.json", {"source": {"kind": "synthetic", "scene_file": 0}},
+         json.dumps(SCENE)),
+        ("summarize", "sum.json", {"signatures_csv": 0, "budget": 1},
+         "a,1.0,0.0\nb,0.0,1.0\n"),
+        ("summarize", os.path.join("sub", "sum.json"), {"images_dir": 7}, ""),
+    ]
+    for command, name, doc, stdin in cases:
+        _write_config(tmp_path, name, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vigil.cli", command, "--config", name,
+             "--out", "out", "--quiet"],
+            input=stdin, cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 2, (doc, proc.stderr)
+        assert proc.stderr.startswith("config error:"), proc.stderr
 
 
 def test_cli_rejects_timestamps_going_backwards(tmp_path, capsys):

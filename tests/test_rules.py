@@ -447,15 +447,35 @@ def _event(i=0):
     return AlertEvent("r1", 5, i, i * 100, "Intrusion", {"n": i})
 
 
-def test_tcp_sink_buffers_when_unreachable():
+def test_tcp_sink_buffers_when_unreachable(caplog):
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()  # nothing listens here now
     sink = TcpAlertSink("127.0.0.1", port, timeout=0.2)
-    sink.send(_event(0))  # must not raise
-    sink.send(_event(1))
-    assert len(sink._buffer) == 2
+
+    def unreachable():
+        return [r for r in caplog.records if "unreachable" in r.getMessage()]
+
+    with caplog.at_level(logging.WARNING, logger="vigil.rules"):
+        sink.send(_event(0))  # must not raise
+        sink.send(_event(1))
+        assert len(sink._buffer) == 2
+        for i in range(2, 5):
+            sink.send(_event(i))
+        assert len(unreachable()) == 1  # one warning per outage, not per alert
+
+        server = socket.socket()
+        server.bind(("127.0.0.1", port))
+        server.listen(1)
+        try:
+            sink.send(_event(5))  # connects: the backlog takes all six lines
+            assert len(sink._buffer) == 0
+            sink.close()
+        finally:
+            server.close()
+        sink.send(_event(6))  # a new outage after a success warns again
+        assert len(unreachable()) == 2
     sink.close()
 
 

@@ -143,6 +143,14 @@ def test_zone_boundary_counts_as_inside():
     assert stats.dwell_report()[0].zone_ms == {"lobby": 800}
 
 
+def test_bad_zone_polygons_rejected():
+    # zones are rules.Zone, so stats reject what rule zones reject
+    for poly in ([(0, 0), (10, 0)],                      # under 3 vertices
+                 [(0, 0), (10, 10), (10, 0), (0, 10)]):  # a bow tie
+        with pytest.raises(ConfigError):
+            SceneStats(200, 100, zones=[("bad", poly)])
+
+
 def test_dwell_matches_recount_on_random_paths():
     rng = random.Random(911)
     zones = [("a", ZONE_SQUARE),
