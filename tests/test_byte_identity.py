@@ -1,0 +1,77 @@
+"""Every stream artifact stays byte-identical to the recorded outputs.
+
+For crowd and perimeter at seeds 0 and 1, the benchmark's own generator
+and checker (``perfbench/record.py``, ``perfbench/checks.py``) run the
+workload; its fingerprint must match ``perfbench/reference/``, and the
+sha256 of every file vigil wrote (the synthesized dumps and the run's
+artifacts, all but ``run-manifest.json``, which echoes absolute paths)
+must match ``artifact_digests.json`` beside this file.
+
+The fingerprint tolerates float noise; the digests do not, so a refactor
+that moves one float by one ulp fails here.  The digests were recorded
+with numpy 2.4.6 on scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH,
+x86_64).  Another numpy or BLAS/LAPACK build may round the Kalman
+matrix products differently; on such a build, or when a change is meant
+to alter outputs, re-record on the commit whose outputs are correct with
+
+    PYTHONPATH=src python tests/test_byte_identity.py
+
+and say in CHANGES.md why the outputs changed.
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import sys
+
+import pytest
+
+import vigil.cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIGESTS = pathlib.Path(__file__).resolve().parent / "artifact_digests.json"
+CASES = [(name, seed) for name in ("crowd", "perimeter") for seed in (0, 1)]
+
+
+def _digests(workdir) -> dict:
+    """sha256 of each file vigil wrote under *workdir*, by relative path."""
+    out = {}
+    for sub in ("scene", "out"):
+        for path in sorted((pathlib.Path(workdir) / sub).iterdir()):
+            if path.name != "run-manifest.json":
+                out[f"{sub}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def _run(name, seed, workdir):
+    """(fingerprint failures, artifact digests) of one workload run."""
+    import checks
+    import record
+
+    fp = record.fingerprint(vigil.cli.main, name, seed, str(workdir))
+    return checks.compare(fp, checks.load_reference(name)[str(seed)]), _digests(workdir)
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_artifacts_match_recorded_bytes(name, seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    failures, got = _run(name, seed, tmp_path / "work")
+    assert failures == []
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))[name][str(seed)]
+    assert got == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seed in CASES:
+            failures, digests = _run(name, seed, os.path.join(tmp, f"{name}-{seed}"))
+            if failures:
+                raise SystemExit(f"{name} seed {seed}: {failures}")
+            table.setdefault(name, {})[str(seed)] = digests
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS}")
