@@ -124,7 +124,7 @@ def _cmd_summarize(args) -> None:
         ground = ground_set_from_images(config_path(doc, "images_dir", base_dir), float(fps))
 
     kind = doc.get("model", "facility-location")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ConfigError(f"model must be one of {sorted(MODEL_KINDS)}")
     alpha = doc.get("alpha", 0.5)
     if not isinstance(alpha, (int, float)):

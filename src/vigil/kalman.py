@@ -8,8 +8,6 @@ with H = [I4 | 0].
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg
@@ -47,10 +45,11 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bbox_to_z(box: BoundingBox) -> np.ndarray:
     """Corner-format box -> measurement vector [u, v, s, r]."""
-    return np.array(_measurement(box))
+    return np.array(measurement(box))
 
 
-def _measurement(box: BoundingBox) -> tuple[float, float, float, float]:
+def measurement(box: BoundingBox) -> tuple[float, float, float, float]:
+    """bbox_to_z as a tuple of Python floats."""
     w = box.x2 - box.x1
     h = box.y2 - box.y1
     if w <= 0.0 or h <= 0.0:
@@ -60,24 +59,33 @@ def _measurement(box: BoundingBox) -> tuple[float, float, float, float]:
 
 def z_to_bbox(z) -> BoundingBox:
     """Inverse of bbox_to_z: w = sqrt(s * r), h = s / w."""
-    return _box(*np.asarray(z, dtype=float)[:4].tolist())
+    return BoundingBox(*corners(np.asarray(z, dtype=float)[None, :4])[0].tolist())
 
 
-def _box(u: float, v: float, s: float, r: float) -> BoundingBox:
-    w = math.sqrt(max(s * r, 0.0))
-    if w <= 0.0:
-        raise ValueError(f"non-positive size in state: s={s}, r={r}")
+@np.errstate(over="ignore", invalid="ignore")
+def corners(x: np.ndarray) -> np.ndarray:
+    """Corner rows [x1, y1, x2, y2] (n, 4) of stacked states x (n, >= 4).
+
+    numpy's element-wise sqrt, *, / and +/- round exactly as Python's float
+    operations do, so each row is bit for bit the box that the same formula
+    gives on Python floats, which overflow to inf and nan without a warning.
+    """
+    u, v, s, r = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    w = np.sqrt(np.maximum(s * r, 0.0))
+    if (w <= 0.0).any():
+        i = np.flatnonzero(w <= 0.0)[0]
+        raise ValueError(f"non-positive size in state: s={s[i].item()}, r={r[i].item()}")
     h = s / w
-    return BoundingBox(u - 0.5 * w, v - 0.5 * h, u + 0.5 * w, v + 0.5 * h)
+    return np.stack([u - 0.5 * w, v - 0.5 * h, u + 0.5 * w, v + 0.5 * h], axis=1)
 
 
 class KalmanBoxFilter:
-    """Tracks one box through time.
+    """Tracks one box through time: the one-filter case of the stacked steps.
 
     predict() advances the state one frame and returns the predicted box;
     update() folds in a measured box.  covariance stays symmetric because
     every update re-symmetrizes it explicitly.  predict_all / update_all
-    do the same for many filters at once.
+    do the same for a list of filters.
     """
 
     __slots__ = ("x", "P", "Q", "R")
@@ -100,45 +108,67 @@ class KalmanBoxFilter:
         return z_to_bbox(self.x)
 
 
-# The filters of a tracker step together, so their states are stacked and
-# each step below is one numpy call for all of them rather than one per
-# filter.  numpy applies element-wise steps per element and matrix steps
-# (product, solve) per stacked matrix with the same BLAS / LAPACK call a
-# lone matrix gets, so a filter's result does not depend on which others
-# it is stacked with.  Filters must be distinct.
+# The Kalman steps work on stacked states: x (n, 7) and P (n, 7, 7), one
+# row per filter, so each step is one numpy call for all of them rather
+# than one per filter.  numpy applies element-wise steps per element and
+# matrix steps (product, solve) per stacked matrix with the same BLAS /
+# LAPACK call a lone matrix gets, so a row's result does not depend on
+# which rows it is stacked with.  SortTracker owns its stacks; the
+# functions below that take filters gather and scatter theirs.
 
 
-def predict_all(filters: list[KalmanBoxFilter]) -> list[BoundingBox]:
-    """Advance each filter one frame; returns the predicted boxes."""
-    if not filters:
-        return []
-    x = np.array([f.x for f in filters])
+def predict(x: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Advance stacked states one frame.
+
+    x is advanced in place; returns the predicted covariances.  Q is one
+    (7, 7) matrix for every row or a stack of one per row.
+    """
     x[:, :3] += x[:, 4:]
     pinned = x[:, 2] <= 0.0
     if pinned.any():
         # area drifted non-positive: pin it and stop shrinking
         x[pinned, 2] = _SIZE_FLOOR
         x[pinned, 6] = 0.0
-    P = _F @ np.array([f.P for f in filters]) @ _FT + np.array([f.Q for f in filters])
-    _store(filters, x, P)
-    return [_box(*z) for z in x[:, :4].tolist()]
+    return _F @ P @ _FT + Q
 
 
-def update_all(filters: list[KalmanBoxFilter], boxes: list[BoundingBox]) -> None:
-    """Fold boxes[i] into filters[i] for every i."""
-    if not filters:
-        return
-    z = np.array([_measurement(box) for box in boxes])
-    x = np.array([f.x for f in filters])
-    P = np.array([f.P for f in filters])
+def update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Fold measurements z (n, 4) into stacked states.
+
+    x is corrected in place; returns the corrected covariances.  R is one
+    (4, 4) matrix for every row or a stack of one per row.
+    """
     innovation = z - x[:, :4]
-    S = P[:, :4, :4] + np.array([f.R for f in filters])
+    S = P[:, :4, :4] + R
     # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
     K = _solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
     x += (K @ innovation[:, :, None])[:, :, 0]
     P = P - K @ P[:, :4, :]
     P = (P + P.transpose(0, 2, 1)) * 0.5
     np.maximum(x[:, 2:4], _SIZE_FLOOR, out=x[:, 2:4])  # area, aspect >= floor
+    return P
+
+
+def predict_all(filters: list[KalmanBoxFilter]) -> list[BoundingBox]:
+    """Advance each filter one frame; returns the predicted boxes.
+
+    Filters must be distinct.
+    """
+    if not filters:
+        return []
+    x = np.array([f.x for f in filters])
+    P = predict(x, np.array([f.P for f in filters]), np.array([f.Q for f in filters]))
+    _store(filters, x, P)
+    return [BoundingBox(*box) for box in corners(x).tolist()]
+
+
+def update_all(filters: list[KalmanBoxFilter], boxes: list[BoundingBox]) -> None:
+    """Fold boxes[i] into filters[i] for every i; filters must be distinct."""
+    if not filters:
+        return
+    z = np.array([measurement(box) for box in boxes])
+    x = np.array([f.x for f in filters])
+    P = update(x, np.array([f.P for f in filters]), z, np.array([f.R for f in filters]))
     _store(filters, x, P)
 
 

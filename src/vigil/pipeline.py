@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,6 +29,7 @@ from typing import Optional
 from ._version import __version__
 from .config import as_int, check_keys, config_path, read_config
 from .errors import ConfigError
+from .geometry import FrameMeta
 from .rng import derive_seed
 from .rules import RuleEngine, TcpAlertSink, alert_record, load_rules, place, rules_from_doc
 from .sources import (
@@ -38,7 +40,7 @@ from .sources import (
     simulate,
 )
 from .stats import GridSpec, SceneStats
-from .tracker import SortTracker, TrackerConfig, track_record
+from .tracker import SortTracker, Track, TrackerConfig, TrackStatus, track_record
 
 # Label mixed into the pipeline seed to obtain the synthetic-scene seed, so a
 # run-level seed never collides with a scene seed used elsewhere.
@@ -169,6 +171,29 @@ COUNTS_JSON = "counts.json"
 MANIFEST_JSON = "run-manifest.json"
 
 
+_STATUS_JSON = {status: json.dumps(status.value) for status in TrackStatus}
+
+
+def track_line(frame: FrameMeta, track: Track, labels: dict) -> str:
+    """``json.dumps(track_record(frame, track)) + "\n"``, from a fixed template.
+
+    json.dumps writes ints and finite floats with their repr, so only the
+    strings need encoding; *labels* caches each class label's JSON.  repr
+    writes inf / nan where json.dumps writes Infinity / NaN, so a row with
+    a non-finite coordinate goes through json.dumps.
+    """
+    box = track.bbox
+    x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    if not math.isfinite(x1 + y1 + x2 + y2):
+        return json.dumps(track_record(frame, track)) + "\n"
+    label = labels.get(track.class_label)
+    if label is None:
+        label = labels[track.class_label] = json.dumps(track.class_label)
+    return (f'{{"frame": {frame.frame_id}, "track_id": {track.track_id}, '
+            f'"class": {label}, "x1": {x1!r}, "y1": {y1!r}, "x2": {x2!r}, '
+            f'"y2": {y2!r}, "status": {_STATUS_JSON[track.status]}}}\n')
+
+
 def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     """Execute a configured run and write artifacts into *out_dir*.
 
@@ -195,6 +220,7 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
         artifacts += [HEATMAP_CSV, HEATMAP_PGM, FLOWMAP_CSV, DWELL_JSON, COUNTS_JSON]
     artifacts.append(MANIFEST_JSON)
 
+    labels: dict = {}
     n_frames = 0
     n_rows = 0
     n_alerts = 0
@@ -205,8 +231,7 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     try:
         for meta, detections in stream:
             confirmed = tracker.step(meta, detections)
-            for track in confirmed:
-                tracks_fh.write(json.dumps(track_record(meta, track)) + "\n")
+            tracks_fh.write("".join([track_line(meta, t, labels) for t in confirmed]))
             n_rows += len(confirmed)
             # one zone test per track and zone, shared by rules and stats
             placed = (place(zones, confirmed)

@@ -432,7 +432,8 @@ class TcpAlertSink:
     unreachable is logged once per outage (again only after a connection
     has succeeded in between).  When the buffer is
     full the oldest line is dropped and counted in `dropped`: the first
-    drop logs a warning, and `close()` logs the total.
+    drop logs a warning.  `close()` tries once more to send the buffer,
+    counts what is left in `dropped` and logs the total.
     """
 
     def __init__(self, host: str, port: int, buffer_limit: int = 10_000,
@@ -469,6 +470,10 @@ class TcpAlertSink:
                             "dropping the oldest", self.host, self.port,
                             self._buffer.maxlen)
         self._buffer.append(line.encode("utf-8"))
+        self._flush()
+
+    def _flush(self) -> None:
+        """Send buffered lines in order until the buffer empties or a send fails."""
         if not self._connect():
             return
         try:
@@ -488,7 +493,16 @@ class TcpAlertSink:
             self._sock = None
 
     def close(self) -> None:
+        """Try once to send what is still buffered, then disconnect.
+
+        The attempt uses the open socket or one connection attempt bounded
+        by `timeout`; lines it cannot send are counted in `dropped`.
+        """
+        if self._buffer:
+            self._flush()
         self._disconnect()
+        self.dropped += len(self._buffer)
+        self._buffer.clear()
         if self.dropped:
             log.warning("alert sink %s:%d dropped %d alerts in total",
                         self.host, self.port, self.dropped)

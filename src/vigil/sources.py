@@ -213,8 +213,11 @@ def scene_config_from_dict(doc: dict) -> SyntheticSceneConfig:
     check_keys(doc, {"width", "height", "fps", "duration_frames", "objects",
                      "jitter_sigma", "miss_probability", "false_positives_per_frame",
                      "seed", "source_id"}, "scene config")
+    entries = doc.get("objects", [])
+    if not isinstance(entries, list):
+        raise ConfigError("scene objects must be a list")
     objects = []
-    for i, entry in enumerate(doc.get("objects", [])):
+    for i, entry in enumerate(entries):
         check_keys(entry, {"class_label", "center", "velocity", "size",
                            "entry_frame", "exit_frame"}, f"objects[{i}]")
         try:

@@ -5,6 +5,12 @@ velocity Kalman model, associates predictions to detections by Hungarian
 assignment on 1 - IoU cost (per class by default), then applies the
 lifecycle rules: matched tracks are corrected and accumulate hits,
 unmatched detections spawn Tentative tracks, and unmatched tracks age out.
+
+The tracker owns the Kalman state of all its tracks as two stacks, row i
+belonging to tracks[i].  A step makes one predict over all rows, one
+update over the matched rows and one compaction that drops the deleted
+rows, and computes all boxes at once: the predictions for association,
+then each live track's end-of-step box.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .assignment import hungarian_assign
 from .errors import ConfigError, DataError
 from .geometry import BoundingBox, Detection, FrameMeta, iou_matrix
-from .kalman import KalmanBoxFilter, predict_all, update_all
+from .kalman import DEFAULT_P0, DEFAULT_Q, DEFAULT_R, corners, measurement, predict, update
 
 
 class TrackStatus(enum.Enum):
@@ -42,18 +48,24 @@ class TrackerConfig:
             raise ConfigError("min_hits must be >= 1")
 
 
-@dataclass
 class Track:
-    track_id: int
-    class_label: str
-    kalman: KalmanBoxFilter
-    status: TrackStatus = TrackStatus.TENTATIVE
-    hits: int = 0                 # consecutive matches since the last miss
-    time_since_update: int = 0
+    """A track's identity, lifecycle and box; its Kalman state is a row of
+    the owning tracker's stacks."""
+
+    __slots__ = ("track_id", "class_label", "status", "hits", "misses", "_bbox")
+
+    def __init__(self, track_id: int, class_label: str, bbox: BoundingBox | None = None):
+        self.track_id = track_id
+        self.class_label = class_label
+        self.status = TrackStatus.TENTATIVE
+        self.hits = 0                 # consecutive matches since the last miss
+        self.misses = 0               # consecutive misses since the last match
+        self._bbox = bbox
 
     @property
     def bbox(self) -> BoundingBox:
-        return self.kalman.bbox
+        """The box of the track's state at the end of the last step."""
+        return self._bbox
 
 
 def track_record(frame: FrameMeta, track: Track) -> dict:
@@ -77,6 +89,8 @@ class SortTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
         self.tracks: list[Track] = []
+        self._x = np.zeros((0, 7))      # Kalman states, row i for tracks[i]
+        self._P = np.zeros((0, 7, 7))   # their covariances
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -87,52 +101,67 @@ class SortTracker:
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
         cfg = self.config
+        tracks = self.tracks
 
-        predictions = predict_all([t.kalman for t in self.tracks])
+        self._P = predict(self._x, self._P, DEFAULT_Q)
         matches, unmatched_tracks, unmatched_dets = self._associate(
-            predictions, detections)
+            corners(self._x), detections)
 
-        update_all([self.tracks[ti].kalman for ti, _ in matches],
-                   [detections[di].bbox for _, di in matches])
-        for ti, di in matches:
-            t = self.tracks[ti]
+        rows = [ti for ti, _ in matches]
+        if rows:
+            x = self._x[rows]
+            z = np.array([measurement(detections[di].bbox) for _, di in matches])
+            self._P[rows] = update(x, self._P[rows], z, DEFAULT_R)
+            self._x[rows] = x
+        for ti in rows:
+            t = tracks[ti]
             t.hits += 1
-            t.time_since_update = 0
+            t.misses = 0
             if t.status is TrackStatus.TENTATIVE and t.hits >= cfg.min_hits:
                 t.status = TrackStatus.CONFIRMED
 
         for ti in unmatched_tracks:
-            t = self.tracks[ti]
+            t = tracks[ti]
             t.hits = 0
-            t.time_since_update += 1
-            if t.time_since_update >= cfg.max_age:
+            t.misses += 1
+            if t.misses >= cfg.max_age:
                 t.status = TrackStatus.DELETED
 
-        spawned: list[Track] = []
-        for di in unmatched_dets:
-            det = detections[di]
-            if det.bbox.width <= 0.0 or det.bbox.height <= 0.0:
-                continue  # degenerate boxes cannot seed a Kalman state
-            t = Track(self._next_id, det.class_label, KalmanBoxFilter(det.bbox))
-            self._next_id += 1
-            spawned.append(t)
+        live = [i for i, t in enumerate(tracks) if t.status is not TrackStatus.DELETED]
+        tracks = [tracks[i] for i in live]
+        if len(tracks) < len(self.tracks):
+            self._x = self._x[live]
+            self._P = self._P[live]
 
-        self.tracks = [t for t in self.tracks
-                       if t.status is not TrackStatus.DELETED] + spawned
-        return [t for t in self.tracks if t.status is TrackStatus.CONFIRMED]
+        # degenerate boxes cannot seed a Kalman state
+        seeds = [detections[di] for di in unmatched_dets
+                 if detections[di].bbox.width > 0.0 and detections[di].bbox.height > 0.0]
+        if seeds:
+            x0 = np.zeros((len(seeds), 7))
+            x0[:, :4] = [measurement(det.bbox) for det in seeds]
+            self._x = np.concatenate([self._x, x0])
+            self._P = np.concatenate(
+                [self._P, np.broadcast_to(DEFAULT_P0, (len(seeds), 7, 7))])
+            for det in seeds:
+                tracks.append(Track(self._next_id, det.class_label))
+                self._next_id += 1
+
+        for t, box in zip(tracks, corners(self._x).tolist()):
+            t._bbox = BoundingBox(*box)
+        self.tracks = tracks
+        return [t for t in tracks if t.status is TrackStatus.CONFIRMED]
 
     # -- association ------------------------------------------------------
 
-    def _associate(self, predictions: list[BoundingBox],
-                   detections: list[Detection]):
+    def _associate(self, predictions: np.ndarray, detections: list[Detection]):
         matches: list[tuple[int, int]] = []
         matched_t: set[int] = set()
         matched_d: set[int] = set()
 
-        if predictions and detections:
+        if len(predictions) and detections:
             # IoU is computed pair by pair, so one matrix over every
             # prediction and detection serves all class groups
-            overlap = iou_matrix(np.array([p.as_tuple() for p in predictions]),
+            overlap = iou_matrix(predictions,
                                  np.array([d.bbox.as_tuple() for d in detections]))
             if self.config.per_class:
                 t_by_label: dict[str, list[int]] = {}

@@ -248,6 +248,134 @@ def kalman_update_reference(x, P, z, R):
 
 
 # ---------------------------------------------------------------------------
+# tracker: the per-filter SORT tracker, frozen as it was before the tracker
+# took over the Kalman state as stacked arrays.  Each track owns its own
+# state vector and covariance, gathered into stacks and scattered back on
+# every step, and boxes come from scalar Python float arithmetic.  It
+# reuses vigil's IoU matrix and assignment solver (which have oracles of
+# their own above), so that a comparison tests the state handling alone.
+
+
+_KF_F = np.eye(7)
+_KF_F[0, 4] = _KF_F[1, 5] = _KF_F[2, 6] = 1.0
+_KF_Q = np.diag([1e-2, 1e-2, 1e-2, 1e-4, 1e-2, 1e-2, 1e-4])
+_KF_R = np.diag([1.0, 1.0, 10.0, 10.0])
+_KF_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e3, 1e3, 1e3])
+_KF_FLOOR = 1e-4
+
+
+def _kf_measurement(box):
+    x1, y1, x2, y2 = box
+    w, h = x2 - x1, y2 - y1
+    return (x1 + 0.5 * w, y1 + 0.5 * h, w * h, w / h)
+
+
+class ReferenceTrack:
+    def __init__(self, track_id, class_label, box):
+        self.track_id = track_id
+        self.class_label = class_label
+        self.status = "Tentative"
+        self.hits = 0
+        self.time_since_update = 0
+        self.x = np.zeros(7)
+        self.x[:4] = _kf_measurement(box)
+        self.P = _KF_P0.copy()
+
+    @property
+    def bbox(self):
+        u, v, s, r = self.x[:4].tolist()
+        w = math.sqrt(max(s * r, 0.0))
+        h = s / w
+        return (u - 0.5 * w, v - 0.5 * h, u + 0.5 * w, v + 0.5 * h)
+
+
+class ReferenceSortTracker:
+    """step(detections) with detections as (box tuple, class label) pairs;
+    returns the Confirmed tracks.  `pins` counts area clamps in predict."""
+
+    def __init__(self, iou_min, max_age, min_hits, per_class):
+        self.iou_min, self.max_age = iou_min, max_age
+        self.min_hits, self.per_class = min_hits, per_class
+        self.tracks = []
+        self.pins = 0
+        self._next_id = 1
+
+    def step(self, detections):
+        from vigil.assignment import hungarian_assign
+        from vigil.geometry import iou_matrix
+
+        tracks = self.tracks
+        if tracks:
+            x = np.array([t.x for t in tracks])
+            x[:, :3] += x[:, 4:]
+            pinned = x[:, 2] <= 0.0
+            self.pins += int(pinned.sum())
+            x[pinned, 2] = _KF_FLOOR
+            x[pinned, 6] = 0.0
+            P = _KF_F @ np.array([t.P for t in tracks]) @ _KF_F.T \
+                + np.array([_KF_Q for _ in tracks])
+            for t, x_new, P_new in zip(tracks, x, P):
+                t.x[:] = x_new
+                t.P = P_new
+
+        matches = []
+        if tracks and detections:
+            overlap = iou_matrix(np.array([t.bbox for t in tracks]),
+                                 np.array([box for box, _ in detections]))
+            groups = [(list(range(len(tracks))), list(range(len(detections))))]
+            if self.per_class:
+                labels = sorted({t.class_label for t in tracks}
+                                & {label for _, label in detections})
+                groups = [([i for i, t in enumerate(tracks) if t.class_label == label],
+                           [j for j, d in enumerate(detections) if d[1] == label])
+                          for label in labels]
+            for t_idx, d_idx in groups:
+                sub = overlap[np.ix_(t_idx, d_idx)]
+                for r, c in hungarian_assign(1.0 - sub):
+                    if sub[r, c] >= self.iou_min:
+                        matches.append((t_idx[r], d_idx[c]))
+
+        if matches:
+            filters = [tracks[ti] for ti, _ in matches]
+            z = np.array([_kf_measurement(detections[di][0]) for _, di in matches])
+            x = np.array([t.x for t in filters])
+            P = np.array([t.P for t in filters])
+            innovation = z - x[:, :4]
+            S = P[:, :4, :4] + np.array([_KF_R for _ in filters])
+            K = np.linalg.solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
+            x += (K @ innovation[:, :, None])[:, :, 0]
+            P = P - K @ P[:, :4, :]
+            P = (P + P.transpose(0, 2, 1)) * 0.5
+            np.maximum(x[:, 2:4], _KF_FLOOR, out=x[:, 2:4])
+            for t, x_new, P_new in zip(filters, x, P):
+                t.x[:] = x_new
+                t.P = P_new
+        for ti, _ in matches:
+            t = tracks[ti]
+            t.hits += 1
+            t.time_since_update = 0
+            if t.status == "Tentative" and t.hits >= self.min_hits:
+                t.status = "Confirmed"
+
+        matched_t = {ti for ti, _ in matches}
+        for ti, t in enumerate(tracks):
+            if ti not in matched_t:
+                t.hits = 0
+                t.time_since_update += 1
+                if t.time_since_update >= self.max_age:
+                    t.status = "Deleted"
+
+        matched_d = {di for _, di in matches}
+        spawned = []
+        for di, (box, label) in enumerate(detections):
+            if di not in matched_d and box[2] - box[0] > 0.0 and box[3] - box[1] > 0.0:
+                spawned.append(ReferenceTrack(self._next_id, label, box))
+                self._next_id += 1
+        self.tracks = [t for t in tracks if t.status != "Deleted"] + spawned
+        return [t for t in self.tracks if t.status == "Confirmed"]
+
+
+# ---------------------------------------------------------------------------
 # scene statistics (brute-force recomputation from a raw track log)
 
 

@@ -3,8 +3,11 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import pathlib
+import random
+import struct
 import subprocess
 import sys
 
@@ -13,6 +16,7 @@ import pytest
 from vigil._version import __version__
 from vigil.cli import main
 from vigil.errors import ConfigError
+from vigil.geometry import BoundingBox, FrameMeta
 from vigil.pipeline import (
     ALERTS_FILE,
     COUNTS_JSON,
@@ -26,9 +30,11 @@ from vigil.pipeline import (
     load_pipeline_config,
     pipeline_config_from_dict,
     run,
+    track_line,
 )
 from vigil.rng import derive_seed
 from vigil.sources import read_dump, scene_config_from_dict, simulate, write_dump
+from vigil.tracker import Track, TrackStatus, track_record
 
 SCENE = {
     "width": 320,
@@ -322,6 +328,23 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--quiet"]) == 2, config
         assert capsys.readouterr().err.startswith("config error:"), config
 
+    # fields of the wrong type: a scene whose objects are not a list (5 once
+    # raised a TypeError, "" read as no objects), a summarize model that is
+    # not a string ([] once raised "unhashable type")
+    (tmp_path / "sig.csv").write_text("a,1.0,0.0\nb,0.0,1.0\n", encoding="utf-8")
+    commands = []
+    for i, objects in enumerate((5, "")):
+        scene = dict(SCENE, objects=objects)
+        commands.append(["run", "--config", _write_config(tmp_path, f"ob{i}.json", {
+            "source": {"kind": "synthetic", "scene": scene}})])
+        commands.append(["synth", "--config", _write_config(tmp_path, f"os{i}.json", scene)])
+    for i, model in enumerate(([], {})):
+        commands.append(["summarize", "--config", _write_config(tmp_path, f"sm{i}.json", {
+            "signatures_csv": "sig.csv", "model": model, "budget": 1})])
+    for argv in commands:
+        assert main(argv + ["--out", str(tmp_path / "x"), "--quiet"]) == 2, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
+
 
 def test_cli_non_string_paths_are_config_errors(tmp_path):
     # the ints once reached open() (0 is stdin) or os.path.isabs (a TypeError)
@@ -407,3 +430,49 @@ def test_cli_synth_then_eval(tmp_path, capsys):
     assert "mAP@0.5 = 1.0" in capsys.readouterr().out
     report = json.loads((out / "eval-report.json").read_text())
     assert report["map"] == 1.0 and report["recall"] == 1.0
+
+
+def _odd_float(rnd):
+    kind = rnd.randrange(6)
+    if kind == 0:
+        return rnd.choice((0.0, -0.0, 1.0, -3.0, 1e16, 2.0 ** 53, 5e-324, -2.2250738585072014e-308,
+                           1.7976931348623157e308, 1e22, 123456789.0))
+    if kind == 1:
+        return float(rnd.randint(-10 ** 6, 10 ** 6))           # integral
+    if kind == 2:                                                # any finite bit pattern
+        while True:
+            x = struct.unpack("<d", rnd.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(x):
+                return x
+    if kind == 3:
+        return rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-320, 308)
+    return rnd.uniform(-50.0, 2000.0)
+
+
+def _odd_label(rnd):
+    pieces = ["person", "car", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "日本",
+              "\u2028", "😀", "\ud800", "/", "'", " ", "{}", "Infinity"]
+    return "".join(rnd.choice(pieces) for _ in range(rnd.randint(1, 4)))
+
+
+def test_track_line_equals_json_dumps_of_track_record():
+    rnd = random.Random(77)
+    labels = {}
+    for i in range(4000):
+        meta = FrameMeta("cam", rnd.choice((0, 7, rnd.getrandbits(70))), 0, 640, 480)
+        x1, x2 = sorted((_odd_float(rnd), _odd_float(rnd)))
+        y1, y2 = sorted((_odd_float(rnd), _odd_float(rnd)))
+        track = Track(rnd.randint(1, 10 ** 9), _odd_label(rnd), BoundingBox(x1, y1, x2, y2))
+        track.status = rnd.choice(list(TrackStatus))
+        want = json.dumps(track_record(meta, track)) + "\n"
+        assert track_line(meta, track, labels) == want, (x1, y1, x2, y2, track.class_label)
+    # non-finite coordinates: repr writes inf / nan, json.dumps Infinity / NaN
+    meta = FrameMeta("cam", 3, 0, 640, 480)
+    for box in [(-math.inf, 0.0, 1.0, 2.0), (0.0, 0.0, math.inf, 2.0),
+                (0.0, -math.inf, 1.0, math.inf), (math.nan, 0.0, 1.0, 2.0),
+                (0.0, 0.0, 1.0, math.nan), (1.7976931348623157e308,) * 4]:
+        track = Track(5, "car", BoundingBox(*box))
+        track.status = TrackStatus.CONFIRMED
+        line = track_line(meta, track, labels)
+        assert line == json.dumps(track_record(meta, track)) + "\n"
+        assert "inf" not in line and "nan" not in line

@@ -488,13 +488,39 @@ def test_tcp_sink_counts_dropped_alerts(caplog):
     with caplog.at_level(logging.WARNING, logger="vigil.rules"):
         for i in range(5):
             sink.send(_event(i))  # must not raise
-        sink.close()
-    assert sink.dropped == 3
-    assert [json.loads(line) for line in sink._buffer] == \
-        [alert_record(_event(3)), alert_record(_event(4))]
+        assert sink.dropped == 3
+        assert [json.loads(line) for line in sink._buffer] == \
+            [alert_record(_event(3)), alert_record(_event(4))]
+        sink.close()  # the two lines still buffered cannot be sent either
+    assert sink.dropped == 5 and not sink._buffer
     drops = [r.getMessage() for r in caplog.records if "drop" in r.getMessage()]
     assert len(drops) == 2  # the first drop, then the total on close
-    assert drops[1].endswith("dropped 3 alerts in total")
+    assert drops[1].endswith("dropped 5 alerts in total")
+
+
+def test_tcp_sink_close_flushes_buffered_alerts():
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))  # bound but not listening: connects are refused
+    port = server.getsockname()[1]
+    sink = TcpAlertSink("127.0.0.1", port, timeout=1.0)
+    try:
+        for i in range(3):
+            sink.send(_event(i))
+        assert len(sink._buffer) == 3
+        server.listen(1)
+        server.settimeout(2.0)
+        sink.close()  # the receiver is back: close sends the backlog
+        conn, _ = server.accept()
+        with conn:
+            conn.settimeout(2.0)
+            data = b""
+            while chunk := conn.recv(4096):  # until close() hung up
+                data += chunk
+    finally:
+        server.close()
+    assert [json.loads(line) for line in data.decode("utf-8").splitlines()] == \
+        [alert_record(_event(i)) for i in range(3)]
+    assert sink.dropped == 0
 
 
 def test_tcp_sink_delivers_jsonl():

@@ -2,7 +2,9 @@
 
 import json
 import pathlib
+import random
 
+import numpy as np
 import pytest
 
 import vigil.cli
@@ -11,6 +13,8 @@ from vigil.errors import ConfigError, DataError
 from vigil.geometry import BoundingBox, Detection, FrameMeta, iou
 from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
 from vigil.tracker import SortTracker, TrackStatus, TrackerConfig, track_record
+
+from oracles import ReferenceSortTracker
 
 
 def frame(fid: int, fps: float = 10.0) -> FrameMeta:
@@ -189,16 +193,88 @@ def test_noiseless_multi_object_scene_keeps_identities():
     assert len(set(identities.values())) == 3
 
 
-def test_trace_seam_times_hungarian_assign(tmp_path, monkeypatch):
-    # perfbench/tracing.py times the solver by rebinding
-    # vigil.tracker.hungarian_assign; if the tracker reached it through
-    # another name, assignment.* would silently read 0
+def _random_scene(rnd, frames):
+    """Per-frame (box, label) lists: objects that enter, leave, are missed,
+    and some that shrink fast before vanishing, plus clutter and
+    zero-width boxes."""
+    objects = []
+    for _ in range(rnd.randint(2, 12)):
+        start = rnd.randrange(frames)
+        objects.append({
+            "label": rnd.choice(("person", "car", "bike")),
+            "c": [rnd.uniform(20, 600), rnd.uniform(20, 440)],
+            "v": (rnd.uniform(-12, 12), rnd.uniform(-12, 12)),
+            "size": [rnd.uniform(8, 90), rnd.uniform(8, 90)],
+            "shrink": rnd.choice((1.0, 1.0, 0.55)),   # shrinking tracks coast into a pin
+            "frames": range(start, start + rnd.randint(2, frames))})
+    scene = []
+    for f in range(frames):
+        dets = []
+        for ob in objects:
+            if f not in ob["frames"]:
+                continue
+            ob["c"] = [ob["c"][0] + ob["v"][0], ob["c"][1] + ob["v"][1]]
+            ob["size"] = [max(ob["size"][0] * ob["shrink"], 0.5),
+                          max(ob["size"][1] * ob["shrink"], 0.5)]
+            if rnd.random() < 0.15:
+                continue                                  # missed
+            (cx, cy), (w, h) = ob["c"], ob["size"]
+            x1, x2 = sorted(cx + d * w / 2 + rnd.gauss(0.0, 1.5) for d in (-1, 1))
+            y1, y2 = sorted(cy + d * h / 2 + rnd.gauss(0.0, 1.5) for d in (-1, 1))
+            dets.append(((x1, y1, x2, y2), ob["label"]))
+        if rnd.random() < 0.4:                            # clutter
+            x, y = rnd.uniform(0, 600), rnd.uniform(0, 440)
+            dets.append(((x, y, x + rnd.uniform(5, 60), y + rnd.uniform(5, 60)),
+                         rnd.choice(("person", "car"))))
+        if rnd.random() < 0.1:                            # zero width: never spawns
+            x, y = rnd.uniform(0, 600), rnd.uniform(0, 440)
+            dets.append(((x, y, x, y + 20.0), "person"))
+        rnd.shuffle(dets)
+        scene.append(dets)
+    return scene
+
+
+def test_stacked_tracker_matches_frozen_per_filter_tracker():
+    # the stacked state must give the per-filter tracker's ids, statuses
+    # and boxes bit for bit, through spawns, deletions and pinned areas
+    rnd = random.Random(2024)
+    pins = deletions = 0
+    for _ in range(40):
+        cfg = TrackerConfig(iou_min=rnd.choice((0.1, 0.3, 0.5)),
+                            max_age=rnd.randint(1, 4), min_hits=rnd.randint(1, 3),
+                            per_class=rnd.random() < 0.6)
+        tracker = SortTracker(cfg)
+        oracle = ReferenceSortTracker(cfg.iou_min, cfg.max_age, cfg.min_hits,
+                                      cfg.per_class)
+        for f, dets in enumerate(_random_scene(rnd, 50)):
+            meta = frame(f)
+            out = tracker.step(meta, [Detection(meta, BoundingBox(*box), label, 0.9)
+                                      for box, label in dets])
+            want_out = oracle.step(dets)
+            assert [t.track_id for t in out] == [t.track_id for t in want_out]
+            got = [(t.track_id, t.class_label, t.status.value) for t in tracker.tracks]
+            want = [(t.track_id, t.class_label, t.status) for t in oracle.tracks]
+            assert got == want, f
+            got_boxes = np.array([t.bbox.as_tuple() for t in tracker.tracks]).reshape(-1, 4)
+            want_boxes = np.array([t.bbox for t in oracle.tracks]).reshape(-1, 4)
+            assert np.array_equal(got_boxes.view(np.uint64), want_boxes.view(np.uint64)), f
+        pins += oracle.pins
+        deletions += oracle._next_id - 1 - len(oracle.tracks)
+    assert pins > 0 and deletions > 0
+
+
+CROSSING_FRAMES = 20
+
+
+def _traced_crossing_run(tmp_path, monkeypatch):
+    """Run `vigil run` on a 20-frame dump of two people walking into each
+    other and past, under perfbench's tracer; returns the tracer."""
     monkeypatch.syspath_prepend(
         str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
     from tracing import Tracer
 
     lines = []
-    for f in range(20):  # two people walking into each other and past
+    for f in range(CROSSING_FRAMES):
         for x in (20 + 10 * f, 220 - 10 * f):
             lines.append(json.dumps({"frame": f, "ts_ms": 100 * f, "class": "person",
                                      "x1": x, "y1": 100, "x2": x + 30, "y2": 160,
@@ -216,7 +292,26 @@ def test_trace_seam_times_hungarian_assign(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert code == 0
+    return tracer
+
+
+def test_trace_seam_times_hungarian_assign(tmp_path, monkeypatch):
+    # perfbench/tracing.py times the solver by rebinding
+    # vigil.tracker.hungarian_assign; if the tracker reached it through
+    # another name, assignment.* would silently read 0
+    tracer = _traced_crossing_run(tmp_path, monkeypatch)
     assert tracer.calls["assignment.hungarian"] > 0
     assert tracer.counters["assignment.cells"] >= 4 * tracer.calls["assignment.hungarian"]
     # where the two cross, their cheapest columns collide and the full solver runs
     assert tracer.counters["assignment.strict_minima"] < tracer.calls["assignment.hungarian"]
+
+
+def test_trace_seam_reads_tracker_state(tmp_path, monkeypatch):
+    # the tracer wraps SortTracker.step and reads tracker.tracks, a list of
+    # objects with a track_id, after each step
+    tracer = _traced_crossing_run(tmp_path, monkeypatch)
+    tracer.end_pass()
+    layers = tracer.layer_metrics(1)
+    assert layers["tracker.step_calls"] == CROSSING_FRAMES
+    assert layers["tracker.live_tracks_mean"] > 0
+    assert layers["tracker.spawned"] > 0
