@@ -1,11 +1,14 @@
-"""Every stream artifact stays byte-identical to the recorded outputs.
+"""Every artifact stays byte-identical to the recorded outputs.
 
-For crowd and perimeter at seeds 0 and 1, the benchmark's own generator
-and checker (``perfbench/record.py``, ``perfbench/checks.py``) run the
-workload; its fingerprint must match ``perfbench/reference/``, and the
-sha256 of every file vigil wrote (the synthesized dumps and the run's
-artifacts, all but ``run-manifest.json``, which echoes absolute paths)
-must match ``artifact_digests.json`` beside this file.
+For each benchmark workload at seeds 0 and 1, the benchmark's own
+generator and checker (``perfbench/record.py``, ``perfbench/checks.py``)
+run the workload (live as its closed-loop twin); its fingerprint must
+match ``perfbench/reference/``, and the sha256 of every file vigil wrote
+must match ``artifact_digests.json`` beside this file.  Those files are
+the synthesized dumps and the outputs of every command, all but
+``run-manifest.json``, which echoes absolute paths.  Curate's
+``balanced-manifest.csv`` names its images by absolute path, so the work
+directory is replaced by ``$WORK`` before hashing.
 
 The fingerprint tolerates float noise; the digests do not, so a refactor
 that moves one float by one ulp fails here.  The digests were recorded
@@ -31,16 +34,21 @@ import vigil.cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGESTS = pathlib.Path(__file__).resolve().parent / "artifact_digests.json"
-CASES = [(name, seed) for name in ("crowd", "perimeter") for seed in (0, 1)]
+# the directories vigil writes into: the synthesized dumps, then the outputs
+WRITTEN = {"crowd": ("scene", "out"), "perimeter": ("scene", "out"),
+           "live": ("scene", "closed-out"), "curate": ("eval", "out")}
+CASES = [(name, seed) for name in WRITTEN for seed in (0, 1)]
 
 
-def _digests(workdir) -> dict:
+def _digests(name, workdir) -> dict:
     """sha256 of each file vigil wrote under *workdir*, by relative path."""
+    prefix = os.fsencode(workdir)
     out = {}
-    for sub in ("scene", "out"):
+    for sub in WRITTEN[name]:
         for path in sorted((pathlib.Path(workdir) / sub).iterdir()):
             if path.name != "run-manifest.json":
-                out[f"{sub}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                data = path.read_bytes().replace(prefix, b"$WORK")
+                out[f"{sub}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return out
 
 
@@ -50,7 +58,8 @@ def _run(name, seed, workdir):
     import record
 
     fp = record.fingerprint(vigil.cli.main, name, seed, str(workdir))
-    return checks.compare(fp, checks.load_reference(name)[str(seed)]), _digests(workdir)
+    return (checks.compare(fp, checks.load_reference(name)[str(seed)]),
+            _digests(name, str(workdir)))
 
 
 @pytest.mark.parametrize("name,seed", CASES)
