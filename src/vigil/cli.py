@@ -23,7 +23,18 @@ from .augment import (
     read_manifest_csv,
     write_manifest_csv,
 )
-from .config import as_int, check_keys, config_path, read_config
+from .config import (
+    REQUIRED,
+    boolean,
+    fields_of,
+    integer,
+    number,
+    parse,
+    pathname,
+    read_config,
+    record,
+    string,
+)
 from .errors import ConfigError, DataError, VigilError
 from .evaluation import EvalConfig, evaluate_detections
 from .pipeline import load_pipeline_config
@@ -52,11 +63,10 @@ from .summarize import (
 )
 
 
-def _job_config(args, allowed: set, what: str):
-    """The --config document, checked against *allowed*, and its directory."""
-    doc = read_config(args.config, "config")
-    check_keys(doc, allowed, what)
-    return doc, os.path.dirname(args.config)
+def _job_config(args, table: dict, what: str) -> dict:
+    """The fields of the --config document, checked against *table*."""
+    return parse(read_config(args.config, "config"), table, what,
+                 os.path.dirname(args.config))
 
 
 def _out_dir(args) -> str:
@@ -108,37 +118,33 @@ def _cmd_synth(args) -> None:
     _say(args, f"wrote {det_path}")
 
 
+_SUMMARIZE = {"signatures_csv": (pathname, None), "images_dir": (pathname, None),
+              "model": (string, "facility-location"), "alpha": (number, 0.5),
+              "budget": (integer, DEFAULT_BUDGET), "sampling_fps": (number, 1.0),
+              "algorithm": (string, "lazy"), "write_signatures": (boolean, False)}
+
+
 def _cmd_summarize(args) -> None:
-    doc, base_dir = _job_config(args, {"signatures_csv", "images_dir", "model", "alpha",
-                                        "budget", "sampling_fps", "algorithm",
-                                        "write_signatures"}, "summarize")
-    if ("signatures_csv" in doc) == ("images_dir" in doc):
+    doc = _job_config(args, _SUMMARIZE, "summarize")
+    if (doc["signatures_csv"] is None) == (doc["images_dir"] is None):
         raise ConfigError("give exactly one of 'signatures_csv' or 'images_dir'")
-
-    fps = doc.get("sampling_fps", 1.0)
-    if not isinstance(fps, (int, float)) or fps <= 0:
+    if doc["sampling_fps"] <= 0:
         raise ConfigError("sampling_fps must be a positive number")
-    if "signatures_csv" in doc:
-        ground = ground_set_from_csv(config_path(doc, "signatures_csv", base_dir), float(fps))
-    else:
-        ground = ground_set_from_images(config_path(doc, "images_dir", base_dir), float(fps))
-
-    kind = doc.get("model", "facility-location")
-    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+    if doc["model"] not in MODEL_KINDS:
         raise ConfigError(f"model must be one of {sorted(MODEL_KINDS)}")
-    alpha = doc.get("alpha", 0.5)
-    if not isinstance(alpha, (int, float)):
-        raise ConfigError("alpha must be a number")
-    budget = as_int(doc, "budget", DEFAULT_BUDGET, where="summarize")
-    if budget < 1:
+    if doc["budget"] < 1:
         raise ConfigError("budget must be a positive integer")
-    algorithm = doc.get("algorithm", "lazy")
-    if algorithm not in ("lazy", "naive"):
+    if doc["algorithm"] not in ("lazy", "naive"):
         raise ConfigError("algorithm must be 'lazy' or 'naive'")
 
-    model = build_model(kind, ground, alpha=float(alpha))
-    trace = lazy_greedy_trace if algorithm == "lazy" else greedy_trace
-    steps = trace(model, budget)
+    fps = float(doc["sampling_fps"])
+    if doc["signatures_csv"] is not None:
+        ground = ground_set_from_csv(doc["signatures_csv"], fps)
+    else:
+        ground = ground_set_from_images(doc["images_dir"], fps)
+    model = build_model(doc["model"], ground, alpha=float(doc["alpha"]))
+    trace = lazy_greedy_trace if doc["algorithm"] == "lazy" else greedy_trace
+    steps = trace(model, doc["budget"])
 
     out = _out_dir(args)
     sel_path = os.path.join(out, "selection.csv")
@@ -146,55 +152,47 @@ def _cmd_summarize(args) -> None:
     _say(args, f"selected {len(steps)} of {len(ground)} items "
                f"(f = {steps[-1].cumulative if steps else 0.0})")
     _say(args, f"wrote {sel_path}")
-    if doc.get("write_signatures"):
+    if doc["write_signatures"]:
         sig_path = os.path.join(out, "signatures.csv")
         write_signature_csv(sig_path, ground)
         _say(args, f"wrote {sig_path}")
 
 
+_AUGMENT = {"manifest_csv": (pathname, REQUIRED),
+            "bounds": (record(AugmentationBounds), {}),
+            "seed": (integer, 0), "materialize": (boolean, True)}
+
+
 def _cmd_augment(args) -> None:
-    doc, base_dir = _job_config(args, {"manifest_csv", "bounds", "seed", "materialize"},
-                                 "augment")
-    manifest = read_manifest_csv(config_path(doc, "manifest_csv", base_dir))
-
-    bounds_doc = doc.get("bounds", {})
-    if not isinstance(bounds_doc, dict):
-        raise ConfigError("bounds must be an object")
-    try:
-        bounds = AugmentationBounds(**{k: tuple(v) if isinstance(v, list) else v
-                                       for k, v in bounds_doc.items()})
-    except TypeError as exc:
-        raise ConfigError(f"bad bounds: {exc}") from exc
-
-    seed = args.seed if args.seed is not None else as_int(doc, "seed", 0, where="augment")
+    doc = _job_config(args, _AUGMENT, "augment")
+    manifest = read_manifest_csv(doc["manifest_csv"])
+    seed = args.seed if args.seed is not None else doc["seed"]
 
     out = _out_dir(args)
     rng = Rng(derive_seed(seed, "augment"))
-    balanced = balance(manifest, bounds, rng, out_dir=out)
+    balanced = balance(manifest, doc["bounds"], rng, out_dir=out)
 
     man_path = os.path.join(out, "balanced-manifest.csv")
     rep_path = os.path.join(out, "augment-report.json")
     write_manifest_csv(man_path, balanced)
     _write_json(rep_path, balance_report(manifest, balanced))
-    if doc.get("materialize", True):
+    if doc["materialize"]:
         n = materialize(balanced)
         _say(args, f"rendered {n} augmented images")
     _say(args, f"wrote {man_path}")
     _say(args, f"wrote {rep_path}")
 
 
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_HEAD = {"features_csv": (pathname, REQUIRED), **fields_of(TrainConfig)}
 
 
 def _cmd_train_head(args) -> None:
-    doc, base_dir = _job_config(args, {"features_csv"} | _TRAIN_FIELDS, "train-head")
-    ids, labels, X = load_features_csv(config_path(doc, "features_csv", base_dir))
-    try:
-        cfg = TrainConfig(**{k: doc[k] for k in _TRAIN_FIELDS if k in doc})
-    except TypeError as exc:
-        raise ConfigError(f"bad training config: {exc}") from exc
+    doc = _job_config(args, _TRAIN_HEAD, "train-head")
+    features_csv = doc.pop("features_csv")
+    cfg = TrainConfig(**doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    ids, labels, X = load_features_csv(features_csv)
 
     result = train(X, labels, cfg)
     out = _out_dir(args)
@@ -218,9 +216,10 @@ def _cmd_train_head(args) -> None:
 
 
 def _cmd_predict(args) -> None:
-    doc, base_dir = _job_config(args, {"model_json", "features_csv"}, "predict")
-    model = load_model(config_path(doc, "model_json", base_dir))
-    ids, labels, X = load_features_csv(config_path(doc, "features_csv", base_dir))
+    doc = _job_config(args, {"model_json": (pathname, REQUIRED),
+                             "features_csv": (pathname, REQUIRED)}, "predict")
+    model = load_model(doc["model_json"])
+    ids, labels, X = load_features_csv(doc["features_csv"])
     if X.shape[1] != model.d:
         raise DataError(f"feature dimension {X.shape[1]} does not match model ({model.d})")
 
@@ -248,25 +247,24 @@ def _read_flat_dump(path, width: int, height: int):
             for det in dets]
 
 
-def _cmd_eval(args) -> None:
-    doc, base_dir = _job_config(args, {"predictions", "ground_truth", "iou_threshold",
-                                        "width", "height"}, "eval")
-    width = as_int(doc, "width", 1920, where="eval")
-    height = as_int(doc, "height", 1080, where="eval")
-    if width <= 0 or height <= 0:
-        raise ConfigError("width and height must be positive")
-    threshold = doc.get("iou_threshold", 0.5)
-    if not isinstance(threshold, (int, float)):
-        raise ConfigError("iou_threshold must be a number")
+_EVAL = {"predictions": (pathname, REQUIRED), "ground_truth": (pathname, REQUIRED),
+         "width": (integer, 1920), "height": (integer, 1080), **fields_of(EvalConfig)}
 
-    preds = _read_flat_dump(config_path(doc, "predictions", base_dir), width, height)
-    gts = _read_flat_dump(config_path(doc, "ground_truth", base_dir), width, height)
-    report = evaluate_detections(preds, gts, EvalConfig(float(threshold)))
+
+def _cmd_eval(args) -> None:
+    doc = _job_config(args, _EVAL, "eval")
+    if doc["width"] <= 0 or doc["height"] <= 0:
+        raise ConfigError("width and height must be positive")
+    cfg = EvalConfig(doc["iou_threshold"])
+
+    preds = _read_flat_dump(doc["predictions"], doc["width"], doc["height"])
+    gts = _read_flat_dump(doc["ground_truth"], doc["width"], doc["height"])
+    report = evaluate_detections(preds, gts, cfg)
 
     out = _out_dir(args)
     path = os.path.join(out, "eval-report.json")
     _write_json(path, report)
-    _say(args, f"mAP@{float(threshold)} = {report['map']}  "
+    _say(args, f"mAP@{cfg.iou_threshold} = {report['map']}  "
                f"precision = {report['precision']}  recall = {report['recall']}")
     _say(args, f"wrote {path}")
 

@@ -27,7 +27,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ._version import __version__
-from .config import as_int, check_keys, config_path, read_config
+from .config import (
+    REQUIRED,
+    boolean,
+    integer,
+    json_object,
+    parse,
+    pathname,
+    read_config,
+    record,
+    string,
+)
 from .errors import ConfigError
 from .geometry import FrameMeta
 from .rng import derive_seed
@@ -45,11 +55,6 @@ from .tracker import SortTracker, Track, TrackerConfig, TrackStatus, track_recor
 # Label mixed into the pipeline seed to obtain the synthetic-scene seed, so a
 # run-level seed never collides with a scene seed used elsewhere.
 SCENE_SEED_LABEL = "synthetic-scene"
-
-_TOP_KEYS = {"source", "tracker", "grid", "rules_file", "rules", "stages",
-             "seed", "alert_sink", "out_dir"}
-_SOURCE_KEYS = {"dump": {"kind", "path", "width", "height"},
-                "synthetic": {"kind", "scene", "scene_file"}}
 
 
 @dataclass
@@ -72,76 +77,67 @@ class PipelineConfig:
     doc: dict = field(default_factory=dict)     # original document, echoed into the manifest
 
 
-def _parse_source(doc, base_dir, cfg: PipelineConfig) -> None:
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
-        raise ConfigError("source must be an object whose kind is 'dump' or 'synthetic'")
-    check_keys(doc, _SOURCE_KEYS[kind], "source")
-    cfg.source_kind = kind
-    if kind == "dump":
-        cfg.dump_path = config_path(doc, "path", base_dir)
-        cfg.frame_width = as_int(doc, "width", 1920, where="source")
-        cfg.frame_height = as_int(doc, "height", 1080, where="source")
+def _sink_address(host: str, port: int) -> tuple:
+    if not 0 < port < 65536:  # the socket layer would take the port modulo 65536
+        raise ConfigError("alert_sink.port must lie in [1, 65535]")
+    return host, port
+
+
+_SOURCES = {
+    "dump": {"kind": (string, REQUIRED), "path": (pathname, REQUIRED),
+             "width": (integer, 1920), "height": (integer, 1080)},
+    "synthetic": {"kind": (string, REQUIRED), "scene": (scene_config_from_dict, None),
+                  "scene_file": (pathname, None)},
+}
+_RUN = {
+    "source": (json_object, REQUIRED),
+    "tracker": (record(TrackerConfig), {}),
+    "grid": (record(GridSpec), {}),
+    "rules_file": (pathname, None),
+    "rules": (rules_from_doc, None),
+    "stages": (record(dict, {"stats": (boolean, True), "rules": (boolean, True)}), {}),
+    "seed": (integer, 0),
+    "alert_sink": (record(_sink_address, {"host": (string, REQUIRED),
+                                          "port": (integer, REQUIRED)}), None),
+    "out_dir": (pathname, None),
+}
+
+
+def _parse_source(doc: dict, base_dir, cfg: PipelineConfig) -> None:
+    if doc.get("kind") not in ("dump", "synthetic"):
+        raise ConfigError("run config.source.kind must be 'dump' or 'synthetic'")
+    source = parse(doc, _SOURCES[doc["kind"]], "run config.source", base_dir)
+    cfg.source_kind = source["kind"]
+    if cfg.source_kind == "dump":
+        cfg.dump_path = source["path"]
+        cfg.frame_width, cfg.frame_height = source["width"], source["height"]
         if cfg.frame_width <= 0 or cfg.frame_height <= 0:
             raise ConfigError("source width/height must be positive")
         return
-    if ("scene" in doc) == ("scene_file" in doc):
+    if (source["scene"] is None) == (source["scene_file"] is None):
         raise ConfigError("synthetic source requires exactly one of 'scene' or 'scene_file'")
-    if "scene" in doc:
-        cfg.scene = scene_config_from_dict(doc["scene"])
-    else:
-        cfg.scene = load_scene_config(config_path(doc, "scene_file", base_dir))
+    cfg.scene = source["scene"]
+    if cfg.scene is None:
+        cfg.scene = load_scene_config(source["scene_file"])
     cfg.frame_width = cfg.scene.width
     cfg.frame_height = cfg.scene.height
 
 
 def pipeline_config_from_dict(doc: dict, base_dir: Optional[str] = None) -> PipelineConfig:
     """Validate a run document.  Relative paths resolve against *base_dir*."""
-    check_keys(doc, _TOP_KEYS, "run config")
-    if "source" not in doc:
-        raise ConfigError("run config requires a 'source' object")
-
-    cfg = PipelineConfig(doc=doc)
-    _parse_source(doc["source"], base_dir, cfg)
-
-    tracker_doc = doc.get("tracker", {})
-    if not isinstance(tracker_doc, dict):
-        raise ConfigError("tracker must be an object")
-    try:
-        cfg.tracker = TrackerConfig(**tracker_doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad tracker config: {exc}") from exc
-
-    grid_doc = doc.get("grid", {})
-    check_keys(grid_doc, {"cell_size"}, "grid")
-    cfg.grid = GridSpec(cell_size=as_int(grid_doc, "cell_size", 10, where="grid"))
-
-    if "rules_file" in doc and "rules" in doc:
+    run_doc = parse(doc, _RUN, "run config", base_dir)
+    cfg = PipelineConfig(tracker=run_doc["tracker"], grid=run_doc["grid"],
+                         run_stats=run_doc["stages"]["stats"],
+                         run_rules=run_doc["stages"]["rules"], seed=run_doc["seed"],
+                         alert_sink=run_doc["alert_sink"], out_dir=run_doc["out_dir"],
+                         doc=doc)
+    _parse_source(run_doc["source"], base_dir, cfg)
+    if run_doc["rules_file"] is not None and run_doc["rules"] is not None:
         raise ConfigError("give either 'rules_file' or inline 'rules', not both")
-    if "rules_file" in doc:
-        cfg.rules = tuple(load_rules(config_path(doc, "rules_file", base_dir)))
-    elif "rules" in doc:
-        cfg.rules = tuple(rules_from_doc(doc["rules"]))
-
-    stages = doc.get("stages", {})
-    check_keys(stages, {"stats", "rules"}, "stages")
-    for key in ("stats", "rules"):
-        if key in stages and not isinstance(stages[key], bool):
-            raise ConfigError(f"stages.{key} must be a boolean")
-    cfg.run_stats = stages.get("stats", True)
-    cfg.run_rules = stages.get("rules", True)
-
-    cfg.seed = as_int(doc, "seed", 0, where="config")
-
-    sink = doc.get("alert_sink")
-    if sink is not None:
-        check_keys(sink, {"host", "port"}, "alert_sink")
-        if not isinstance(sink.get("host"), str):
-            raise ConfigError("alert_sink must be {'host': str, 'port': int}")
-        cfg.alert_sink = (sink["host"], as_int(sink, "port", None, where="alert_sink"))
-
-    if doc.get("out_dir") is not None:
-        cfg.out_dir = config_path(doc, "out_dir", base_dir)
+    if run_doc["rules_file"] is not None:
+        cfg.rules = tuple(load_rules(run_doc["rules_file"]))
+    elif run_doc["rules"] is not None:
+        cfg.rules = tuple(run_doc["rules"])
     return cfg
 
 

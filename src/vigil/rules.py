@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import check_keys, read_config
+from .config import REQUIRED, classes, fields_of, label, list_of, pair, parse, read_config
 from .errors import ConfigError, DataError
 from .geometry import (
     BoundingBox,
@@ -328,90 +328,40 @@ class RuleEngine:
 # config loading
 
 
-_RULE_KEYS = {"id", "kind", "zone", "line", "classes", "debounce_ms",
-              "threshold_ms", "min_count", "comparator"}
-_ZONE_KEYS = {"id", "polygon", "classes"}
-_LINE_KEYS = {"id", "p", "q", "direction"}
+def _zone(value, where) -> dict:
+    """A zone object, or its polygon alone ([[x, y], ...])."""
+    return parse({"polygon": value} if isinstance(value, list) else value, _ZONE, where)
 
 
-def _point(value, where: str) -> tuple:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       for c in value)):
-        raise ConfigError(f"{where}: a point must be [x, y] with numeric x and y")
-    return (value[0], value[1])
+def _line(value, where) -> dict:
+    """A line object, or its endpoints alone ([[x1, y1], [x2, y2]])."""
+    if isinstance(value, list):
+        if len(value) != 2:
+            raise ConfigError(f"{where} must be [[x1, y1], [x2, y2]] or an object")
+        value = {"p": value[0], "q": value[1]}
+    return parse(value, _LINE, where)
 
 
-def _id(doc: dict, default: str, where: str) -> str:
-    value = doc.get("id", default)
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where}: id must be a non-empty string")
-    return value
+# a zone's or line's id defaults to "<rule id>.zone" / "<rule id>.line"
+_ZONE = {"id": (label, None), "polygon": (list_of(pair), REQUIRED),
+         "classes": (classes, None)}
+_LINE = {**fields_of(TripLine), "id": (label, None)}
+_RULE = fields_of(Rule, id=label, zone=_zone, line=_line, class_filter=classes)
+_RULE["classes"] = _RULE.pop("class_filter")
 
 
-def _classes(value, where: str) -> Optional[frozenset]:
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(isinstance(c, str) and c for c in value):
-        raise ConfigError(f"{where}: classes must be a list of class labels")
-    return frozenset(value) or None
+def _rule(value, where) -> Rule:
+    fields = parse(value, _RULE, where)
+    rid, zone, line = fields["id"], fields.pop("zone"), fields.pop("line")
+    if zone is not None:
+        zone = Zone(zone["id"] or f"{rid}.zone", zone["polygon"], zone["classes"])
+    if line is not None:
+        line = TripLine(**dict(line, id=line["id"] or f"{rid}.line"))
+    return Rule(zone=zone, line=line, class_filter=fields.pop("classes"), **fields)
 
 
-def _parse_zone(doc, rule_id: str) -> Zone:
-    where = f"rule {rule_id!r} zone"
-    if isinstance(doc, dict):
-        check_keys(doc, _ZONE_KEYS, where)
-        zid = _id(doc, f"{rule_id}.zone", where)
-        poly = doc.get("polygon")
-        filt = _classes(doc.get("classes"), where)
-    else:
-        zid, poly, filt = f"{rule_id}.zone", doc, None
-    if not isinstance(poly, list):
-        raise ConfigError(f"{where}: polygon must be [[x,y],...]")
-    return Zone(zid, tuple(_point(p, where) for p in poly), filt)
-
-
-def _parse_line(doc, rule_id: str) -> TripLine:
-    """Either [[x1,y1],[x2,y2]] or {"p": [x,y], "q": [x,y], "direction", "id"}."""
-    where = f"rule {rule_id!r} line"
-    if isinstance(doc, list) and len(doc) == 2:
-        return TripLine(f"{rule_id}.line", _point(doc[0], where), _point(doc[1], where))
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: must be [[x1,y1],[x2,y2]] or an object with 'p' and 'q'")
-    check_keys(doc, _LINE_KEYS, where)
-    if "p" not in doc or "q" not in doc:
-        raise ConfigError(f"{where}: needs 'p' and 'q' endpoints")
-    return TripLine(_id(doc, f"{rule_id}.line", where), _point(doc["p"], where),
-                    _point(doc["q"], where), doc.get("direction", "any"))
-
-
-def rules_from_doc(doc) -> list[Rule]:
-    if not isinstance(doc, list):
-        raise ConfigError("rules config must be a JSON array")
-    rules = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"rule #{i}: must be a JSON object")
-        rid = entry.get("id")
-        if not isinstance(rid, str) or not rid:
-            raise ConfigError(f"rule #{i}: id must be a non-empty string")
-        check_keys(entry, _RULE_KEYS, f"rule {rid!r}")
-        zone = _parse_zone(entry["zone"], rid) if "zone" in entry else None
-        line = _parse_line(entry["line"], rid) if "line" in entry else None
-        try:
-            rules.append(Rule(
-                id=rid,
-                kind=entry.get("kind"),
-                zone=zone,
-                line=line,
-                class_filter=_classes(entry.get("classes"), f"rule {rid!r}"),
-                debounce_ms=entry.get("debounce_ms", DEFAULT_DEBOUNCE_MS),
-                threshold_ms=entry.get("threshold_ms"),
-                min_count=entry.get("min_count"),
-                comparator=entry.get("comparator", ">="),
-            ))
-        except TypeError as exc:  # a non-numeric threshold or unhashable field
-            raise ConfigError(f"rule {rid!r}: malformed: {exc}") from exc
+def rules_from_doc(doc, where: str = "rules") -> list[Rule]:
+    rules = list_of(_rule)(doc, where)
     _distinct_zones(rules)  # fail on a reused zone id before any run starts
     return rules
 

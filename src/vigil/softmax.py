@@ -181,14 +181,17 @@ def load_model(path) -> SoftmaxModel:
         b = np.array(doc["b"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise DataError(f"{path}: non-finite weights")
     return SoftmaxModel(classes, W, b)
 
 
 def load_features_csv(path):
-    """Feature file rows: id, label, v1..vd -> (ids, labels, X)."""
+    """Feature file rows: id, label, v1..vd -> (ids, labels, X); values must be finite."""
     ids: list[str] = []
     labels: list[str] = []
     rows: list[list[float]] = []
+    line_nos: list[int] = []
     with open_input(path, "r", encoding="utf-8", newline="") as fh:
         for ln, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -204,7 +207,11 @@ def load_features_csv(path):
             ids.append(row[0])
             labels.append(row[1])
             rows.append(vec)
+            line_nos.append(ln)
     X = np.array(rows) if rows else np.zeros((0, 0))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path} row {line_nos[bad[0]]}: non-finite value")
     return ids, labels, X
 
 

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .config import check_keys, read_config
+from .config import fields_of, list_of, parse, read_config, record
 from .errors import ConfigError, DumpFormatError, open_input
 from .geometry import BoundingBox, Detection, FrameMeta
 from .rng import Rng
@@ -208,48 +208,12 @@ class SyntheticSceneConfig:
                 raise ConfigError(f"object {i} must start fully inside the frame")
 
 
-def scene_config_from_dict(doc: dict) -> SyntheticSceneConfig:
+_SCENE = fields_of(SyntheticSceneConfig, objects=list_of(record(ObjectSpec)))
+
+
+def scene_config_from_dict(doc, where: str = "scene") -> SyntheticSceneConfig:
     """Build a config from a parsed JSON document (field names match)."""
-    check_keys(doc, {"width", "height", "fps", "duration_frames", "objects",
-                     "jitter_sigma", "miss_probability", "false_positives_per_frame",
-                     "seed", "source_id"}, "scene config")
-    entries = doc.get("objects", [])
-    if not isinstance(entries, list):
-        raise ConfigError("scene objects must be a list")
-    objects = []
-    for i, entry in enumerate(entries):
-        check_keys(entry, {"class_label", "center", "velocity", "size",
-                           "entry_frame", "exit_frame"}, f"objects[{i}]")
-        try:
-            objects.append(ObjectSpec(
-                class_label=entry["class_label"],
-                center=tuple(entry["center"]),
-                velocity=tuple(entry["velocity"]),
-                size=tuple(entry["size"]),
-                entry_frame=entry.get("entry_frame", 0),
-                exit_frame=entry.get("exit_frame"),
-            ))
-        except KeyError as exc:
-            raise ConfigError(f"objects[{i}] missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"objects[{i}]: {exc}") from exc
-    try:
-        return SyntheticSceneConfig(
-            width=doc["width"],
-            height=doc["height"],
-            fps=doc["fps"],
-            duration_frames=doc["duration_frames"],
-            objects=tuple(objects),
-            jitter_sigma=doc.get("jitter_sigma", 0.0),
-            miss_probability=doc.get("miss_probability", 0.0),
-            false_positives_per_frame=doc.get("false_positives_per_frame", 0.0),
-            seed=doc.get("seed", 0),
-            source_id=doc.get("source_id", "synthetic"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scene config missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return SyntheticSceneConfig(**parse(doc, _SCENE, where))
 
 
 def load_scene_config(path) -> SyntheticSceneConfig:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, open_input
+from .errors import ConfigError, DataError, open_input
 from .images import read_image
 
 SIGNATURE_DIM = 512                # 8 bins per RGB channel
@@ -243,9 +243,9 @@ class SaturatedCoverage(_SimilarityModel):
     kind = "SaturatedCoverage"
 
     def __init__(self, matrix=None, *, signatures=None, alpha: float = 0.5):
-        super().__init__(matrix, signatures=signatures)
         if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ConfigError("alpha must lie in (0, 1]")
+        super().__init__(matrix, signatures=signatures)
         self.alpha = alpha
         totals = np.array([self._row(v).sum() for v in range(self.n)]) \
             if self._S is None else self._S.sum(axis=1)

@@ -1,0 +1,294 @@
+"""Config checking: the field kinds, and bad config exits 2, never 4.
+
+The fuzz: small valid configs of every kind (run from a dump and from a synthetic
+scene, rules, scene, summarize, augment, train-head, predict and eval) are
+written once.  Then every field, down to two levels of object fields, is
+replaced in turn by each value of ``VALUES``: every item of a list of
+objects (a list counts as no level), the first item of any other list,
+and ``vigil.cli.main`` runs the command in-process.  No run may exit 4 and
+no exception may escape ``main``.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import numpy as np
+import pytest
+
+import vigil.cli
+from vigil.config import (
+    REQUIRED,
+    boolean,
+    classes,
+    fields_of,
+    integer,
+    list_of,
+    number,
+    pair,
+    parse,
+    pathname,
+    record,
+    string,
+)
+from vigil.errors import ConfigError
+from vigil.tracker import TrackerConfig
+
+VALUES = [None, True, 0, -1, 2.5, "x", "", [], {}, [[1, 2]], {"a": 1}]
+
+SCENE = {
+    "width": 320, "height": 240, "fps": 10.0, "duration_frames": 20,
+    "objects": [
+        {"class_label": "person", "center": [60.0, 120.0], "velocity": [3.0, 0.5],
+         "size": [18.0, 36.0]},
+        {"class_label": "car", "center": [250.0, 80.0], "velocity": [-2.0, 1.0],
+         "size": [40.0, 24.0], "entry_frame": 2, "exit_frame": 18},
+    ],
+    "jitter_sigma": 1.0, "miss_probability": 0.05, "false_positives_per_frame": 0.3,
+    "seed": 5, "source_id": "cam",
+}
+
+RULES = [
+    {"id": "door", "kind": "Intrusion", "debounce_ms": 1000,
+     "zone": {"id": "east", "polygon": [[160, 0], [320, 0], [320, 240]],
+              "classes": ["person"]}},
+    {"id": "linger", "kind": "Loiter", "threshold_ms": 500, "classes": ["person", "car"],
+     "zone": [[0, 0], [160, 0], [160, 240]]},
+    {"id": "crowd", "kind": "Occupancy", "min_count": 2, "comparator": ">=",
+     "zone": [[0, 0], [320, 0], [320, 240], [0, 240]]},
+    {"id": "gate", "kind": "LineCross",
+     "line": {"id": "g", "p": [160, 0], "q": [160, 240], "direction": "any"}},
+    {"id": "exit", "kind": "LineCross", "line": [[80, 0], [80, 240]]},
+]
+
+CONFIGS = {
+    "scene.json": SCENE,
+    "rules.json": RULES,
+    "run-dump.json": {
+        "source": {"kind": "dump", "path": "data/detections.jsonl",
+                   "width": 320, "height": 240},
+        "tracker": {"iou_min": 0.3, "max_age": 2, "min_hits": 2, "per_class": True},
+        "grid": {"cell_size": 16}, "rules_file": "rules.json",
+        "stages": {"stats": True, "rules": True}, "seed": 3, "out_dir": "o"},
+    "run-scene.json": {"source": {"kind": "synthetic", "scene_file": "scene.json"}},
+    "run-inline.json": {"source": {"kind": "synthetic", "scene": SCENE}},
+    "summarize.json": {"signatures_csv": "sig.csv", "model": "saturated-coverage",
+                       "alpha": 0.5, "budget": 4, "sampling_fps": 1.0,
+                       "algorithm": "lazy", "write_signatures": True},
+    "summarize-images.json": {"images_dir": "images", "budget": 2},
+    "augment.json": {"manifest_csv": "manifest.csv", "seed": 4, "materialize": True,
+                     "bounds": {"max_rotation_deg": 5.0, "flip_probability": 0.5,
+                                "max_shear": 0.1, "color_scale": [0.9, 1.1],
+                                "color_offset": [-5.0, 5.0]}},
+    "train-head.json": {"features_csv": "features.csv", "learning_rate": 0.5,
+                        "l2_lambda": 1e-4, "max_epochs": 20, "convergence_tol": 1e-6,
+                        "seed": 0},
+    "predict.json": {"model_json": "model/model.json", "features_csv": "features.csv"},
+    "eval.json": {"predictions": "data/detections.jsonl",
+                  "ground_truth": "data/ground-truth.jsonl", "iou_threshold": 0.5,
+                  "width": 320, "height": 240},
+}
+
+# (command, its --config, the file whose fields are replaced, object levels)
+CASES = [
+    ("synth", "scene.json", "scene.json", 2),
+    ("run", "run-dump.json", "run-dump.json", 2),
+    ("run", "run-dump.json", "rules.json", 2),
+    ("run", "run-scene.json", "run-scene.json", 2),
+    ("run", "run-inline.json", "run-inline.json", 2),
+    ("summarize", "summarize.json", "summarize.json", 2),
+    ("summarize", "summarize-images.json", "summarize-images.json", 2),
+    ("augment", "augment.json", "augment.json", 2),
+    ("train-head", "train-head.json", "train-head.json", 2),
+    ("predict", "predict.json", "predict.json", 2),
+    ("eval", "eval.json", "eval.json", 2),
+]
+
+
+def _paths(node, levels):
+    """Paths to the fields and list items of *node* that are replaced,
+    entering *levels* levels of objects."""
+    if isinstance(node, dict):
+        if levels == 0:
+            return
+        items, below = node.items(), levels - 1
+    elif isinstance(node, list):
+        objects = all(isinstance(item, dict) for item in node)
+        items, below = list(enumerate(node))[slice(None if objects else 1)], levels
+    else:
+        return
+    for key, child in items:
+        yield (key,)
+        for sub in _paths(child, below):
+            yield (key,) + sub
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _csv(path, rows):
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+
+
+def _main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = vigil.cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    gen = np.random.default_rng(11)
+    _csv(root / "sig.csv", [[f"f{i:02d}"] + [f"{v:.4f}" for v in gen.random(8)]
+                            for i in range(30)])
+    _csv(root / "features.csv", [[f"r{i:02d}", f"c{i % 2}"]
+                                 + [f"{v + i % 2:.4f}" for v in gen.normal(size=4)]
+                                 for i in range(40)])
+    (root / "images").mkdir()
+    manifest = ["path,class"]
+    for i in range(5):
+        name = f"images/im{i}.ppm"
+        pixels = gen.integers(0, 256, (16, 16, 3), dtype=np.uint8).tobytes()
+        (root / name).write_bytes(b"P6\n16 16\n255\n" + pixels)
+        manifest.append(f"{root / name},{'car' if i < 3 else 'bike'}")
+    (root / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    for name, doc in CONFIGS.items():
+        _write(root / name, doc)
+    for command, config, out in [("synth", "scene.json", "data"),
+                                 ("train-head", "train-head.json", "model")]:
+        assert _main([command, "--config", str(root / config),
+                      "--out", str(root / out), "--quiet"]) == (0, "")
+    return root
+
+
+def test_no_config_exits_4(workdir):
+    for command, config, _, _ in CASES:  # the unmutated configs run
+        code, err = _main([command, "--config", str(workdir / config),
+                           "--out", str(workdir / "out"), "--quiet"])
+        assert code == 0, (command, config, err)
+    runs, exits_4 = 0, []
+    for command, config, target, levels in CASES:
+        original = CONFIGS[target]
+        try:
+            for path in _paths(original, levels):
+                for value in VALUES:
+                    _write(workdir / target, _replaced(original, path, value))
+                    code, err = _main([command, "--config", str(workdir / config),
+                                       "--out", str(workdir / "out"), "--quiet"])
+                    runs += 1
+                    if code == 4:
+                        exits_4.append((command, target, path, value, err.strip()))
+        finally:
+            _write(workdir / target, original)
+    assert runs > 1000
+    assert exits_4 == [], f"{len(exits_4)} of {runs} runs exited 4"
+
+
+# each (config file, field path, value) once exited 0; the message names the field
+WRONG_KINDS = [
+    ("run-dump.json", ("tracker", "max_age"), True, "run config.tracker.max_age"),
+    ("run-dump.json", ("tracker", "min_hits"), 2.5, "run config.tracker.min_hits"),
+    ("run-dump.json", ("tracker", "per_class"), "x", "run config.tracker.per_class"),
+    ("run-dump.json", ("out_dir",), None, "run config.out_dir"),
+    ("run-dump.json", ("alert_sink",), None, "run config.alert_sink"),
+    ("rules.json", (0, "debounce_ms"), True, "rules[0].debounce_ms"),
+    ("rules.json", (0, "debounce_ms"), 2.5, "rules[0].debounce_ms"),
+    ("rules.json", (1, "threshold_ms"), 500.5, "rules[1].threshold_ms"),
+    ("rules.json", (2, "min_count"), 2.0, "rules[2].min_count"),
+    ("rules.json", (1, "classes"), None, "rules[1].classes"),
+    ("scene.json", ("fps",), True, "scene.fps"),
+    ("scene.json", ("source_id",), 0, "scene.source_id"),
+    ("scene.json", ("objects", 0, "size", 0), True, "scene.objects[0].size[0]"),
+    ("scene.json", ("objects", 1, "entry_frame"), 2.5, "scene.objects[1].entry_frame"),
+    ("scene.json", ("objects", 1, "exit_frame"), None, "scene.objects[1].exit_frame"),
+    ("summarize.json", ("alpha",), True, "summarize.alpha"),
+    ("summarize.json", ("write_signatures",), "x", "summarize.write_signatures"),
+    ("augment.json", ("materialize",), {"a": 1}, "augment.materialize"),
+    ("train-head.json", ("learning_rate",), True, "train-head.learning_rate"),
+]
+COMMANDS = {"run-dump.json": "run", "rules.json": "run", "scene.json": "synth",
+            "summarize.json": "summarize", "augment.json": "augment",
+            "train-head.json": "train-head"}
+
+
+@pytest.mark.parametrize("target,path,value,name", WRONG_KINDS)
+def test_wrong_kind_is_a_config_error(workdir, target, path, value, name):
+    config = "run-dump.json" if target == "rules.json" else target
+    _write(workdir / target, _replaced(CONFIGS[target], path, value))
+    try:
+        code, err = _main([COMMANDS[target], "--config", str(workdir / config),
+                           "--out", str(workdir / "out"), "--quiet"])
+    finally:
+        _write(workdir / target, CONFIGS[target])
+    assert code == 2 and err.startswith(f"config error: {name} "), err
+
+
+def test_non_finite_numbers_are_config_errors(workdir):
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        (workdir / "bad-scene.json").write_text(
+            json.dumps(SCENE).replace('"fps": 10.0', f'"fps": {literal}'), encoding="utf-8")
+        assert _main(["synth", "--config", str(workdir / "bad-scene.json"), "--out",
+                      str(workdir / "out"), "--quiet"]) == (
+            2, "config error: scene.fps must be a finite number\n"), literal
+
+
+def test_parse_checks_fields_against_the_table():
+    table = {"n": (integer, REQUIRED), "x": (number, 0.5), "tag": (string, None),
+             "p": (pair, (1, 2)), "f": (pathname, None)}
+    assert parse({"n": 3}, table, "cfg") == {"n": 3, "x": 0.5, "tag": None,
+                                             "p": (1, 2), "f": None}
+    got = parse({"n": 3, "x": 2, "p": [0, 1.5], "f": "a/b.csv"}, table, "cfg", "/base")
+    assert got == {"n": 3, "x": 2, "tag": None, "p": (0, 1.5), "f": "/base/a/b.csv"}
+    assert type(got["x"]) is int  # numbers reach the caller unconverted
+    assert parse({"n": 1, "f": "/abs.csv"}, table, "cfg", "/base")["f"] == "/abs.csv"
+    for doc, message in [
+            ([], "cfg must be a JSON object"),
+            ({"n": 1, "m": 2, "a": 3}, "cfg: unknown field(s) ['a', 'm']"),
+            ({}, "cfg.n is required"),
+            ({"n": None}, "cfg.n must be an integer"),      # null is no value
+            ({"n": True}, "cfg.n must be an integer"),
+            ({"n": 1.0}, "cfg.n must be an integer"),
+            ({"n": 1, "x": False}, "cfg.x must be a finite number"),
+            ({"n": 1, "x": "1"}, "cfg.x must be a finite number"),
+            ({"n": 1, "tag": 5}, "cfg.tag must be a string"),
+            ({"n": 1, "p": [1, 2, 3]}, "cfg.p must be a pair [x, y] of numbers"),
+            ({"n": 1, "p": [1, None]}, "cfg.p[1] must be a finite number"),
+            ({"n": 1, "f": ""}, "cfg.f must be a non-empty path string")]:
+        with pytest.raises(ConfigError) as err:
+            parse(doc, table, "cfg")
+        assert str(err.value) == message
+
+
+def test_kinds_of_lists_and_records():
+    assert classes(["car", "person", "car"], "c") == frozenset({"car", "person"})
+    assert classes([], "c") is None
+    for bad, message in (("car", "c must be a list"),
+                         (["car", ""], r"c\[1\] must be a non-empty string"),
+                         ([1], r"c\[0\] must be a non-empty string")):
+        with pytest.raises(ConfigError, match=message):
+            classes(bad, "c")
+    points = list_of(pair)
+    assert points([[0, 1], [2.5, 3]], "poly") == [(0, 1), (2.5, 3)]
+    with pytest.raises(ConfigError, match=r"poly\[1\]\[0\] must be a finite number"):
+        points([[0, 1], ["2", 3]], "poly")
+    tracker = record(TrackerConfig)
+    assert tracker({}, "tracker") == TrackerConfig()
+    assert tracker({"max_age": 4, "per_class": False}, "tracker") == TrackerConfig(
+        max_age=4, per_class=False)
+    with pytest.raises(ConfigError, match="tracker: unknown field"):
+        tracker({"warp": 1}, "tracker")
+    assert fields_of(TrackerConfig) == {"iou_min": (number, 0.3), "max_age": (integer, 1),
+                                        "min_hits": (integer, 3), "per_class": (boolean, True)}

@@ -129,6 +129,8 @@ def test_config_validation_errors():
          "alert_sink": {"host": "x"}},
         {"source": {"kind": "synthetic", "scene": SCENE},
          "alert_sink": {"host": "x", "port": 1, "tls": True}},
+        {"source": {"kind": "synthetic", "scene": SCENE},
+         "alert_sink": {"host": "x", "port": 70000}},     # once sent to port 4464
         {"source": {"kind": "synthetic", "scene": SCENE}, "out_dir": ""},
     ]
     for doc in bad_docs:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from vigil.cli import main
 from vigil.errors import ConfigError, DataError
 from vigil.softmax import (
     SoftmaxModel,
@@ -227,6 +228,38 @@ def test_load_features_csv_errors(tmp_path):
     ragged.write_text("r1,cat,1.0,2.0\nr2,dog,3.0\n", encoding="utf-8")
     with pytest.raises(DataError, match="inconsistent"):
         load_features_csv(ragged)
+
+
+def test_cli_rejects_non_finite_features_and_weights(tmp_path, capsys):
+    # a nan cell once trained a model with "W": [NaN, ...], which is not
+    # JSON, and predict then wrote nan probabilities; both exited 0
+    rows = [f"r{i},{'ab'[i % 2]},{i % 2 + 0.25 * i},{1.0 - i % 2}" for i in range(8)]
+    (tmp_path / "good.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "train.json").write_text(json.dumps({"features_csv": "good.csv"}))
+    assert main(["train-head", "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "model"), "--quiet"]) == 0
+    for i, cell in enumerate(("nan", "inf", "-inf", "1e400")):
+        bad = rows[:3] + [rows[3].rsplit(",", 1)[0] + "," + cell] + rows[4:]
+        (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+        for command, doc in [("train-head", {"features_csv": "bad.csv"}),
+                             ("predict", {"model_json": "model/model.json",
+                                          "features_csv": "bad.csv"})]:
+            (tmp_path / "job.json").write_text(json.dumps(doc))
+            assert main([command, "--config", str(tmp_path / "job.json"),
+                         "--out", str(tmp_path / f"out{i}"), "--quiet"]) == 3, (command, cell)
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "row 4" in err, err
+
+    model = json.loads((tmp_path / "model" / "model.json").read_text())
+    for weights, value in (("W", math.nan), ("b", math.inf)):
+        broken = dict(model, **{weights: [value] + model[weights][1:]})
+        (tmp_path / "broken.json").write_text(json.dumps(broken))
+        (tmp_path / "job.json").write_text(json.dumps(
+            {"model_json": "broken.json", "features_csv": "good.csv"}))
+        assert main(["predict", "--config", str(tmp_path / "job.json"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 3, weights
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err, err
 
 
 def test_evaluation_report_hand_case():
