@@ -43,13 +43,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-def bbox_to_z(box: BoundingBox) -> np.ndarray:
-    """Corner-format box -> measurement vector [u, v, s, r]."""
-    return np.array(measurement(box))
-
-
 def measurement(box: BoundingBox) -> tuple[float, float, float, float]:
-    """bbox_to_z as a tuple of Python floats."""
+    """Corner-format box -> measurement [u, v, s, r] as Python floats."""
     w = box.x2 - box.x1
     h = box.y2 - box.y1
     if w <= 0.0 or h <= 0.0:
@@ -57,14 +52,10 @@ def measurement(box: BoundingBox) -> tuple[float, float, float, float]:
     return (box.x1 + 0.5 * w, box.y1 + 0.5 * h, w * h, w / h)
 
 
-def z_to_bbox(z) -> BoundingBox:
-    """Inverse of bbox_to_z: w = sqrt(s * r), h = s / w."""
-    return BoundingBox(*corners(np.asarray(z, dtype=float)[None, :4])[0].tolist())
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def corners(x: np.ndarray) -> np.ndarray:
-    """Corner rows [x1, y1, x2, y2] (n, 4) of stacked states x (n, >= 4).
+    """Corner rows [x1, y1, x2, y2] (n, 4) of stacked states x (n, >= 4),
+    the inverse of measurement: w = sqrt(s * r), h = s / w.
 
     numpy's element-wise sqrt, *, / and +/- round exactly as Python's float
     operations do, so each row is bit for bit the box that the same formula
@@ -79,49 +70,20 @@ def corners(x: np.ndarray) -> np.ndarray:
     return np.stack([u - 0.5 * w, v - 0.5 * h, u + 0.5 * w, v + 0.5 * h], axis=1)
 
 
-class KalmanBoxFilter:
-    """Tracks one box through time: the one-filter case of the stacked steps.
-
-    predict() advances the state one frame and returns the predicted box;
-    update() folds in a measured box.  covariance stays symmetric because
-    every update re-symmetrizes it explicitly.  predict_all / update_all
-    do the same for a list of filters.
-    """
-
-    __slots__ = ("x", "P", "Q", "R")
-
-    def __init__(self, box: BoundingBox, q=None, r=None, p0=None):
-        self.x = np.zeros(7)
-        self.x[:4] = bbox_to_z(box)
-        self.Q = DEFAULT_Q.copy() if q is None else np.asarray(q, dtype=float).copy()
-        self.R = DEFAULT_R.copy() if r is None else np.asarray(r, dtype=float).copy()
-        self.P = DEFAULT_P0.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
-
-    def predict(self) -> BoundingBox:
-        return predict_all([self])[0]
-
-    def update(self, box: BoundingBox) -> None:
-        update_all([self], [box])
-
-    @property
-    def bbox(self) -> BoundingBox:
-        return z_to_bbox(self.x)
-
-
 # The Kalman steps work on stacked states: x (n, 7) and P (n, 7, 7), one
 # row per filter, so each step is one numpy call for all of them rather
 # than one per filter.  numpy applies element-wise steps per element and
 # matrix steps (product, solve) per stacked matrix with the same BLAS /
 # LAPACK call a lone matrix gets, so a row's result does not depend on
-# which rows it is stacked with.  SortTracker owns its stacks; the
-# functions below that take filters gather and scatter theirs.
+# which rows it is stacked with.  SortTracker owns its stacks, and
+# KalmanBoxFilter steps a stack of one row.
 
 
 def predict(x: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Advance stacked states one frame.
 
-    x is advanced in place; returns the predicted covariances.  Q is one
-    (7, 7) matrix for every row or a stack of one per row.
+    x is advanced in place; returns the predicted covariances.  Q (7, 7)
+    is shared by every row.
     """
     x[:, :3] += x[:, 4:]
     pinned = x[:, 2] <= 0.0
@@ -135,8 +97,8 @@ def predict(x: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Fold measurements z (n, 4) into stacked states.
 
-    x is corrected in place; returns the corrected covariances.  R is one
-    (4, 4) matrix for every row or a stack of one per row.
+    x is corrected in place; returns the corrected covariances.  R (4, 4)
+    is shared by every row.
     """
     innovation = z - x[:, :4]
     S = P[:, :4, :4] + R
@@ -149,30 +111,30 @@ def update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> np.nda
     return P
 
 
-def predict_all(filters: list[KalmanBoxFilter]) -> list[BoundingBox]:
-    """Advance each filter one frame; returns the predicted boxes.
+class KalmanBoxFilter:
+    """Tracks one box through time: a one-row view over the stacked steps.
 
-    Filters must be distinct.
+    predict() advances the state one frame and returns the predicted box;
+    update() folds in a measured box.  Both use the default noise model,
+    so a filter ends bit for bit where the same row of a tracker's stack
+    does.  x is updated in place and keeps its identity.
     """
-    if not filters:
-        return []
-    x = np.array([f.x for f in filters])
-    P = predict(x, np.array([f.P for f in filters]), np.array([f.Q for f in filters]))
-    _store(filters, x, P)
-    return [BoundingBox(*box) for box in corners(x).tolist()]
 
+    __slots__ = ("x", "P")
 
-def update_all(filters: list[KalmanBoxFilter], boxes: list[BoundingBox]) -> None:
-    """Fold boxes[i] into filters[i] for every i; filters must be distinct."""
-    if not filters:
-        return
-    z = np.array([measurement(box) for box in boxes])
-    x = np.array([f.x for f in filters])
-    P = update(x, np.array([f.P for f in filters]), z, np.array([f.R for f in filters]))
-    _store(filters, x, P)
+    def __init__(self, box: BoundingBox):
+        self.x = np.zeros(7)
+        self.x[:4] = measurement(box)
+        self.P = DEFAULT_P0.copy()
 
+    def predict(self) -> BoundingBox:
+        self.P = predict(self.x[None], self.P[None], DEFAULT_Q)[0]
+        return self.bbox
 
-def _store(filters, x: np.ndarray, P: np.ndarray) -> None:
-    for f, x_new, P_new in zip(filters, x, P):
-        f.x[:] = x_new  # in place: the state vector keeps its identity
-        f.P = P_new
+    def update(self, box: BoundingBox) -> None:
+        self.P = update(self.x[None], self.P[None], np.array([measurement(box)]),
+                        DEFAULT_R)[0]
+
+    @property
+    def bbox(self) -> BoundingBox:
+        return BoundingBox(*corners(self.x[None])[0].tolist())

@@ -222,6 +222,14 @@ class RuleEngine:
     as *placed* when the caller has already placed the frame's tracks over
     these zones (the pipeline shares it with :meth:`SceneStats.ingest`),
     and calls :func:`place` itself when *placed* is omitted.
+
+    Per-track state is one map, ``track_id -> (anchor, zone ids)`` as
+    :func:`place` gave it the last time the track was confirmed: Intrusion
+    reads from it whether the track was in its zone, LineCross its last
+    anchor.  All rules that apply to a track share the entry, so a track's
+    class (which decides those rules) must stay fixed for its whole life,
+    as :class:`~vigil.tracker.SortTracker` keeps it.  Loiter entry times and
+    debounce times are kept per (rule, track).
     """
 
     def __init__(self, rules: list[Rule]):
@@ -231,20 +239,11 @@ class RuleEngine:
         self.rules = list(rules)
         self.prepared_zones = _distinct_zones(self.rules)
         self._last_frame: Optional[int] = None
-        self._inside: dict = {}        # (rule_id, track_id) -> bool
-        self._prev_anchor: dict = {}   # (rule_id, track_id) -> last anchor
+        self._placed: dict = {}        # track_id -> (anchor, zone ids) when last confirmed
         self._loiter_start: dict = {}  # (rule_id, track_id) -> entry ts
         self._last_emit: dict = {}     # (rule_id, track_id|None) -> ts
         self._occupancy_on: dict = {r.id: False for r in rules
                                     if r.kind == "Occupancy"}
-
-    def zones(self) -> list[tuple[str, list]]:
-        """(zone_id, polygon) pairs for dwell attribution downstream."""
-        return [(zone.id, list(zone.polygon)) for zone in self.prepared_zones]
-
-    def _debounced(self, key, ts: int, debounce_ms: int) -> bool:
-        last = self._last_emit.get(key)
-        return last is not None and ts - last < debounce_ms
 
     def evaluate(self, frame: FrameMeta, tracks: list[Track],
                  placed: Optional[dict] = None) -> list[AlertEvent]:
@@ -256,6 +255,7 @@ class RuleEngine:
         confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
         if placed is None:
             placed = place(self.prepared_zones, confirmed)
+        before = self._placed
         events: list[AlertEvent] = []
 
         for rule in self.rules:
@@ -264,56 +264,36 @@ class RuleEngine:
                 self._occupancy(rule, frame, ts, relevant, placed, events)
                 continue
             for track in relevant:
-                anchor, zone_ids = placed[track.track_id]
-                key = (rule.id, track.track_id)
+                tid = track.track_id
+                anchor, zone_ids = placed[tid]
+                prev = before.get(tid)
                 if rule.kind == "LineCross":
-                    self._line_cross(rule, frame, ts, track, anchor, key, events)
+                    direction = crossing(prev[0], anchor, rule.line) if prev else None
+                    if direction and rule.line.direction in ("any", direction):
+                        self._emit(events, rule, frame, ts, tid, {"direction": direction})
+                elif rule.kind == "Intrusion":
+                    zid = rule.zone.id
+                    if zid in zone_ids and prev and zid not in prev[1]:
+                        self._emit(events, rule, frame, ts, tid,
+                                   {"anchor": [anchor[0], anchor[1]]})
+                elif rule.zone.id in zone_ids:  # Loiter: continuous in-zone time
+                    dwell = ts - self._loiter_start.setdefault((rule.id, tid), ts)
+                    if dwell >= rule.threshold_ms:
+                        self._emit(events, rule, frame, ts, tid, {"dwell_ms": dwell})
                 else:
-                    self._zone_rule(rule, frame, ts, track, anchor,
-                                    rule.zone.id in zone_ids, key, events)
+                    self._loiter_start.pop((rule.id, tid), None)
 
+        for track in confirmed:
+            before[track.track_id] = placed[track.track_id]
         for ev in events:
             self._last_emit[(ev.rule_id, ev.track_id)] = ev.timestamp_ms
         return events
 
     def _emit(self, events, rule, frame, ts, track_id, payload):
-        if self._debounced((rule.id, track_id), ts, rule.debounce_ms):
-            return
-        events.append(AlertEvent(rule.id, track_id, frame.frame_id, ts,
-                                 rule.kind, payload))
-
-    def _zone_rule(self, rule, frame, ts, track, anchor, inside, key, events):
-        was_inside = self._inside.get(key)
-        self._inside[key] = inside
-
-        if rule.kind == "Intrusion":
-            if inside and was_inside is False:
-                self._emit(events, rule, frame, ts, track.track_id,
-                           {"anchor": [anchor[0], anchor[1]]})
-            return
-
-        # Loiter: track continuous in-zone time
-        if inside:
-            start = self._loiter_start.setdefault(key, ts)
-            dwell = ts - start
-            if dwell >= rule.threshold_ms:
-                self._emit(events, rule, frame, ts, track.track_id,
-                           {"dwell_ms": dwell})
-        else:
-            self._loiter_start.pop(key, None)
-
-    def _line_cross(self, rule, frame, ts, track, anchor, key, events):
-        prev = self._prev_anchor.get(key)
-        self._prev_anchor[key] = anchor
-        if prev is None:
-            return
-        direction = crossing(prev, anchor, rule.line)
-        if direction is None:
-            return
-        if rule.line.direction != "any" and direction != rule.line.direction:
-            return
-        self._emit(events, rule, frame, ts, track.track_id,
-                   {"direction": direction})
+        last = self._last_emit.get((rule.id, track_id))
+        if last is None or ts - last >= rule.debounce_ms:
+            events.append(AlertEvent(rule.id, track_id, frame.frame_id, ts,
+                                     rule.kind, payload))
 
     def _occupancy(self, rule, frame, ts, tracks, placed, events):
         count = sum(1 for t in tracks if rule.zone.id in placed[t.track_id][1])

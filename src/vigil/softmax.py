@@ -100,7 +100,8 @@ class TrainResult:
 
 def train(X: np.ndarray, labels: list[str],
           config: TrainConfig | None = None) -> TrainResult:
-    """Fit a head on (X, labels); class vocabulary is sorted(set(labels))."""
+    """Fit a head on (X, labels); class vocabulary is sorted(set(labels)).
+    A loss that is not finite (training diverged) is a DataError."""
     cfg = config if config is not None else TrainConfig()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -122,7 +123,7 @@ def train(X: np.ndarray, labels: list[str],
     prev = None
     for _ in range(cfg.max_epochs):
         loss, dW, db = loss_and_grad(model, X, y, cfg.l2_lambda)
-        losses.append(loss)
+        losses.append(_finite(loss, len(losses), cfg))
         if prev is not None and abs(prev - loss) < cfg.convergence_tol:
             converged = True
             break
@@ -130,8 +131,15 @@ def train(X: np.ndarray, labels: list[str],
         model.b -= cfg.learning_rate * db
         prev = loss
     final, _, _ = loss_and_grad(model, X, y, cfg.l2_lambda)
-    losses.append(final)
+    losses.append(_finite(final, len(losses), cfg))
     return TrainResult(model, losses, converged)
+
+
+def _finite(loss: float, epochs: int, cfg: TrainConfig) -> float:
+    if not np.isfinite(loss):
+        raise DataError(f"training diverged: loss is {loss} after epoch {epochs} "
+                        f"(learning_rate {cfg.learning_rate})")
+    return loss
 
 
 def predict(model: SoftmaxModel, x: np.ndarray):

@@ -55,11 +55,10 @@ class DwellRecord:
 
 @dataclass
 class _TrackTrace:
-    class_label: str
+    record: DwellRecord  # the one record of the track; last ts is last_seen_ms
     timestamps: list  # observation ts_ms, ascending
     last_anchor: tuple[float, float]
     last_cell: Optional[tuple[int, int]]  # _cell(last_anchor)
-    last_ts: int
     last_zones: frozenset
 
 
@@ -92,7 +91,6 @@ class SceneStats:
         self.flow_n = np.zeros((gh, gw), dtype=np.int64)
         self.observations = 0          # in-bounds anchor samples
         self._traces: dict = {}        # track_id -> _TrackTrace
-        self._dwell: dict = {}         # track_id -> DwellRecord
         self._last_frame: Optional[int] = None
 
     # -- ingestion --------------------------------------------------------
@@ -133,26 +131,24 @@ class SceneStats:
 
             trace = self._traces.get(track.track_id)
             if trace is None:
+                record = DwellRecord(track.track_id, track.class_label, ts, ts,
+                                     {zone.id: 0 for zone in self.zones})
                 self._traces[track.track_id] = _TrackTrace(
-                    track.class_label, [ts], anchor, cell, ts, zones_now)
-                self._dwell[track.track_id] = DwellRecord(
-                    track.track_id, track.class_label, ts, ts,
-                    {zone.id: 0 for zone in self.zones})
+                    record, [ts], anchor, cell, zones_now)
             else:
                 prev_cell = trace.last_cell
                 if prev_cell is not None:
                     self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - trace.last_anchor[0]
                     self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - trace.last_anchor[1]
                     self.flow_n[prev_cell[1], prev_cell[0]] += 1
-                rec = self._dwell[track.track_id]
-                rec.last_seen_ms = ts
-                interval = ts - trace.last_ts
+                rec = trace.record
+                interval = ts - rec.last_seen_ms
                 for zid in trace.last_zones & zones_now:
                     rec.zone_ms[zid] = rec.zone_ms.get(zid, 0) + interval
+                rec.last_seen_ms = ts
                 trace.timestamps.append(ts)
                 trace.last_anchor = anchor
                 trace.last_cell = cell
-                trace.last_ts = ts
                 trace.last_zones = zones_now
 
     # -- queries ----------------------------------------------------------
@@ -163,7 +159,7 @@ class SceneStats:
             raise ValueError("window start must not exceed its end")
         count = 0
         for trace in self._traces.values():
-            if trace.class_label != class_label:
+            if trace.record.class_label != class_label:
                 continue
             i = bisect.bisect_left(trace.timestamps, t0)
             if i < len(trace.timestamps) and trace.timestamps[i] <= t1:
@@ -174,11 +170,12 @@ class SceneStats:
         """Whole-run distinct track counts per class, labels sorted."""
         counts: dict = {}
         for trace in self._traces.values():
-            counts[trace.class_label] = counts.get(trace.class_label, 0) + 1
+            label = trace.record.class_label
+            counts[label] = counts.get(label, 0) + 1
         return {k: counts[k] for k in sorted(counts)}
 
     def dwell_report(self) -> list[DwellRecord]:
-        return [self._dwell[tid] for tid in sorted(self._dwell)]
+        return [self._traces[tid].record for tid in sorted(self._traces)]
 
     def average_flow(self) -> tuple[np.ndarray, np.ndarray]:
         """(avg_dx, avg_dy) grids; cells without samples read 0."""

@@ -376,6 +376,94 @@ class ReferenceSortTracker:
 
 
 # ---------------------------------------------------------------------------
+# rules: the rule engine frozen as it was while it kept its track state per
+# (rule, track): whether the track was inside the rule's zone and its last
+# anchor, written for every rule that applies to the track on every frame
+# it is confirmed.  It tests each rule's zone itself with Zone.contains
+# (which has oracles above) and reuses vigil's crossing(), so that a
+# comparison tests the state handling alone.
+
+
+_REF_COMPARATORS = {">=": lambda a, b: a >= b, "<=": lambda a, b: a <= b,
+                    ">": lambda a, b: a > b, "<": lambda a, b: a < b,
+                    "==": lambda a, b: a == b}
+
+
+def _ref_applies(rule, class_label) -> bool:
+    if rule.class_filter is not None and class_label not in rule.class_filter:
+        return False
+    if rule.zone is not None and rule.zone.class_filter is not None:
+        return class_label in rule.zone.class_filter
+    return True
+
+
+class ReferenceRuleEngine:
+    """evaluate(frame, tracks) -> alert rows as vigil.rules.alert_record
+    gives them, for frames in order."""
+
+    def __init__(self, rules):
+        self.rules = list(rules)
+        self._inside = {}        # (rule_id, track_id) -> bool
+        self._prev_anchor = {}   # (rule_id, track_id) -> last anchor
+        self._loiter_start = {}  # (rule_id, track_id) -> entry ts
+        self._last_emit = {}     # (rule_id, track_id or None) -> ts
+        self._occupancy_on = {r.id: False for r in rules if r.kind == "Occupancy"}
+
+    def evaluate(self, frame, tracks):
+        from vigil.rules import crossing
+
+        ts = frame.timestamp_ms
+        confirmed = [t for t in tracks if t.status.value == "Confirmed"]
+        events = []
+
+        def emit(rule, track_id, payload):
+            last = self._last_emit.get((rule.id, track_id))
+            if last is None or ts - last >= rule.debounce_ms:
+                events.append({"rule_id": rule.id, "track_id": track_id,
+                               "frame_id": frame.frame_id, "timestamp_ms": ts,
+                               "kind": rule.kind, "payload": payload})
+
+        for rule in self.rules:
+            relevant = [t for t in confirmed if _ref_applies(rule, t.class_label)]
+            if rule.kind == "Occupancy":
+                count = sum(1 for t in relevant if rule.zone.contains(t.bbox.anchor))
+                holds = _REF_COMPARATORS[rule.comparator](count, rule.min_count)
+                armed = not self._occupancy_on[rule.id]
+                self._occupancy_on[rule.id] = holds
+                if holds and armed:
+                    emit(rule, None, {"count": count})
+                continue
+            for t in relevant:
+                key = (rule.id, t.track_id)
+                anchor = t.bbox.anchor
+                if rule.kind == "LineCross":
+                    prev = self._prev_anchor.get(key)
+                    self._prev_anchor[key] = anchor
+                    if prev is None:
+                        continue
+                    direction = crossing(prev, anchor, rule.line)
+                    if direction is not None and rule.line.direction in ("any", direction):
+                        emit(rule, t.track_id, {"direction": direction})
+                    continue
+                inside = rule.zone.contains(anchor)
+                was_inside = self._inside.get(key)
+                self._inside[key] = inside
+                if rule.kind == "Intrusion":
+                    if inside and was_inside is False:
+                        emit(rule, t.track_id, {"anchor": [anchor[0], anchor[1]]})
+                elif inside:
+                    dwell = ts - self._loiter_start.setdefault(key, ts)
+                    if dwell >= rule.threshold_ms:
+                        emit(rule, t.track_id, {"dwell_ms": dwell})
+                else:
+                    self._loiter_start.pop(key, None)
+
+        for ev in events:
+            self._last_emit[(ev["rule_id"], ev["track_id"])] = ev["timestamp_ms"]
+        return events
+
+
+# ---------------------------------------------------------------------------
 # scene statistics (brute-force recomputation from a raw track log)
 
 

@@ -605,7 +605,7 @@ def test_criterion_10_determinism_and_throughput(tmp_path):
     for _ in range(2):
         tracker = SortTracker(TrackerConfig(max_age=3))
         engine = RuleEngine(rules)
-        stats = SceneStats(1920, 1080, GridSpec(24), zones=engine.zones())
+        stats = SceneStats(1920, 1080, GridSpec(24), zones=engine.prepared_zones)
         t0 = time.perf_counter()
         for meta, dets in zip(scene.frames, scene.noisy):
             confirmed = tracker.step(meta, dets)

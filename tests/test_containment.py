@@ -172,7 +172,7 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     tracker = SortTracker(cfg.tracker)
     engine = RuleEngine(list(cfg.rules))
     stats = SceneStats(cfg.frame_width, cfg.frame_height, cfg.grid,
-                       zones=engine.zones())
+                       zones=engine.prepared_zones)
     alerts = []
     for meta, dets in zip(scene.frames, scene.noisy):
         confirmed = tracker.step(meta, dets)

@@ -12,10 +12,10 @@ from vigil.kalman import (
     DEFAULT_R,
     KalmanBoxFilter,
     _solve,
-    bbox_to_z,
-    predict_all,
-    update_all,
-    z_to_bbox,
+    corners,
+    measurement,
+    predict,
+    update,
 )
 
 from oracles import kalman_predict_reference, kalman_update_reference
@@ -29,23 +29,24 @@ def transition_matrix() -> np.ndarray:
 
 def test_measurement_round_trip():
     box = BoundingBox(10, 20, 50, 100)
-    z = bbox_to_z(box)
-    assert z == pytest.approx([30.0, 60.0, 3200.0, 0.5])
-    back = z_to_bbox(z)
-    assert back.as_tuple() == pytest.approx(box.as_tuple(), abs=1e-9)
+    z = measurement(box)
+    assert z == pytest.approx((30.0, 60.0, 3200.0, 0.5))
+    back = corners(np.array([z]))
+    assert back.shape == (1, 4)
+    assert tuple(back[0]) == pytest.approx(box.as_tuple(), abs=1e-9)
 
 
 def test_measurement_rejects_degenerate_boxes():
     with pytest.raises(ValueError):
-        bbox_to_z(BoundingBox(5, 5, 5, 9))
+        measurement(BoundingBox(5, 5, 5, 9))
     with pytest.raises(ValueError):
-        bbox_to_z(BoundingBox(1, 2, 8, 2))
+        measurement(BoundingBox(1, 2, 8, 2))
 
 
 def test_initial_state():
     box = BoundingBox(0, 0, 20, 10)
     kf = KalmanBoxFilter(box)
-    assert kf.x[:4] == pytest.approx(bbox_to_z(box))
+    assert tuple(kf.x[:4]) == pytest.approx(measurement(box))
     assert kf.x[4:] == pytest.approx([0.0, 0.0, 0.0])
     assert np.array_equal(kf.P, DEFAULT_P0)
     assert kf.bbox.as_tuple() == pytest.approx(box.as_tuple(), abs=1e-9)
@@ -59,7 +60,7 @@ def test_matches_reference_filter_on_random_sequences():
         w, h = rnd.uniform(10, 60), rnd.uniform(10, 60)
         first = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         kf = KalmanBoxFilter(first)
-        x_ref = np.concatenate([bbox_to_z(first), np.zeros(3)])
+        x_ref = np.concatenate([measurement(first), np.zeros(3)])
         P_ref = DEFAULT_P0.copy()
         for _ in range(12):
             kf.predict()
@@ -71,7 +72,7 @@ def test_matches_reference_filter_on_random_sequences():
             meas = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
             kf.update(meas)
             x_ref, P_ref = kalman_update_reference(x_ref, P_ref,
-                                                   bbox_to_z(meas), DEFAULT_R)
+                                                   measurement(meas), DEFAULT_R)
             assert kf.x == pytest.approx(x_ref, abs=1e-6)
             assert kf.P == pytest.approx(P_ref, abs=1e-6)
 
@@ -91,40 +92,44 @@ def test_solve_is_numpy_solve_bit_for_bit():
 
 
 def test_filters_stepped_together_match_filters_stepped_alone():
-    # the tracker steps all its filters at once; each must end bit for bit
-    # where stepping it on its own puts it, whatever it is stacked with
-    def bank():
-        rnd = random.Random(8)
-        filters = []
-        for k in range(7):
-            x1, y1 = rnd.uniform(0, 800), rnd.uniform(0, 600)
-            box = BoundingBox(x1, y1, x1 + rnd.uniform(5, 120), y1 + rnd.uniform(5, 120))
-            if k == 3:  # its own noise model
-                q = np.diag([rnd.uniform(1e-4, 1.0) for _ in range(7)])
-                r = np.diag([rnd.uniform(0.5, 20.0) for _ in range(4)])
-                filters.append(KalmanBoxFilter(box, q=q, r=r))
-            else:
-                filters.append(KalmanBoxFilter(box))
-        return filters
+    # the tracker keeps every track's state as a row of one (n, 7) stack:
+    # one predict over the stack, then one update over the matched rows,
+    # gathered by index in match order and written back.  Each row must end
+    # bit for bit where stepping it alone as a KalmanBoxFilter puts it,
+    # whatever it is stacked with
+    rnd = random.Random(8)
+    alone = []
+    for _ in range(7):
+        x1, y1 = rnd.uniform(0, 800), rnd.uniform(0, 600)
+        alone.append(KalmanBoxFilter(
+            BoundingBox(x1, y1, x1 + rnd.uniform(5, 120), y1 + rnd.uniform(5, 120))))
+    x = np.array([f.x for f in alone])
+    P = np.array([f.P for f in alone])
 
-    together, alone = bank(), bank()
     rnd = random.Random(9)
     for step in range(80):
         if step == 20:  # one area collapses, so one row of the stack is pinned
-            together[5].x[6] = alone[5].x[6] = -1e6
-        assert predict_all(together) == [f.predict() for f in alone]
-        picked = [i for i in range(len(alone)) if rnd.random() < 0.7]
+            x[5, 6] = alone[5].x[6] = -1e6
+        P = predict(x, P, DEFAULT_Q)
+        predicted = [BoundingBox(*box) for box in corners(x).tolist()]
+        assert predicted == [f.predict() for f in alone]
+        rows = [i for i in range(len(alone)) if rnd.random() < 0.7]
+        rnd.shuffle(rows)  # match order is not row order
         boxes = []
-        for i in picked:
-            cx, cy = alone[i].x[0] + rnd.uniform(-3, 3), alone[i].x[1] + rnd.uniform(-3, 3)
+        for i in rows:
+            cx, cy = x[i, 0] + rnd.uniform(-3, 3), x[i, 1] + rnd.uniform(-3, 3)
             w, h = rnd.uniform(5, 120), rnd.uniform(5, 120)
             boxes.append(BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-        update_all([together[i] for i in picked], boxes)
-        for i, box in zip(picked, boxes):
+        if rows:
+            matched = x[rows]
+            z = np.array([measurement(box) for box in boxes])
+            P[rows] = update(matched, P[rows], z, DEFAULT_R)
+            x[rows] = matched
+        for i, box in zip(rows, boxes):
             alone[i].update(box)
-        for a, b in zip(together, alone):
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.P, b.P)
-    assert together[5].x[2] >= 1e-4
+        for i, f in enumerate(alone):
+            assert np.array_equal(x[i], f.x) and np.array_equal(P[i], f.P)
+    assert x[5, 2] >= 1e-4 and alone[5].x[2] >= 1e-4
 
 
 def test_covariance_stays_symmetric():

@@ -3,6 +3,7 @@ occupancy, debouncing, config parsing, and the TCP alert mirror."""
 
 import json
 import logging
+import random
 import socket
 import threading
 from types import SimpleNamespace
@@ -22,9 +23,12 @@ from vigil.rules import (
     alert_record,
     crossing,
     load_rules,
+    place,
     rules_from_doc,
 )
 from vigil.tracker import TrackStatus
+
+from oracles import ReferenceRuleEngine
 
 SQUARE = ((0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0))
 
@@ -281,9 +285,81 @@ def test_engine_zones_deduplicates():
                   min_count=1),
              Rule(id="e", kind="Intrusion", zone=Zone("hall", SQUARE))]
     engine = RuleEngine(rules)
-    zones = engine.zones()
-    assert [zid for zid, _ in zones] == ["hall", "yard"]
-    assert zones[0][1] == list(SQUARE)
+    zones = engine.prepared_zones
+    assert [zone.id for zone in zones] == ["hall", "yard"]
+    assert zones[0].polygon == SQUARE
+
+
+def _random_rules(rnd):
+    """Every rule kind, with rule and zone class filters and a random
+    debounce (0 half the time) per rule."""
+    def debounce():
+        return rnd.choice([0, 0, 150, 600])
+    hall = Zone("hall", ((20.0, 10.0), (110.0, 10.0), (110.0, 80.0), (20.0, 80.0)))
+    yard = Zone("yard", ((80.0, 0.0), (190.0, 30.0), (150.0, 95.0), (70.0, 60.0)),
+                class_filter=frozenset({"person", "car"}))
+    return [
+        Rule(id="in-hall", kind="Intrusion", zone=hall, debounce_ms=debounce()),
+        Rule(id="in-yard", kind="Intrusion", zone=yard, debounce_ms=debounce(),
+             class_filter=frozenset({"car", "bike"})),
+        Rule(id="loiter", kind="Loiter", zone=hall, debounce_ms=debounce(),
+             threshold_ms=rnd.choice([100, 400]), class_filter=frozenset({"person"})),
+        Rule(id="loiter-yard", kind="Loiter", zone=yard, debounce_ms=debounce(),
+             threshold_ms=250),
+        Rule(id="gate", kind="LineCross", line=TripLine("gate", (100.0, 0.0), (100.0, 100.0)),
+             debounce_ms=debounce()),
+        Rule(id="gate-ltr", kind="LineCross", debounce_ms=debounce(),
+             line=TripLine("low", (0.0, 50.0), (200.0, 40.0), "left-to-right"),
+             class_filter=frozenset({"car"})),
+        Rule(id="crowd", kind="Occupancy", zone=yard, debounce_ms=debounce(),
+             min_count=rnd.choice([1, 2]), comparator=rnd.choice([">=", ">", "=="])),
+    ]
+
+
+def _random_stream(rnd, n_frames=150):
+    """Frames of tracks that walk about a 200 x 100 frame, each with a fixed
+    class; tracks are born and die, skip frames and come back, and are
+    sometimes tentative."""
+    alive = {}  # track_id -> [class_label, x, y]
+    next_id = 1
+    ts = 0
+    for f in range(n_frames):
+        if len(alive) < 7 and rnd.random() < 0.3:
+            alive[next_id] = [rnd.choice(["person", "car", "bike"]),
+                              rnd.uniform(0, 200), rnd.uniform(0, 100)]
+            next_id += 1
+        if alive and rnd.random() < 0.04:
+            del alive[rnd.choice(sorted(alive))]
+        ts += rnd.randint(20, 120)
+        tracks = []
+        for tid, state in alive.items():
+            state[1] = min(max(state[1] + rnd.uniform(-18, 18), 0.0), 200.0)
+            state[2] = min(max(state[2] + rnd.uniform(-12, 12), 0.0), 100.0)
+            if rnd.random() < 0.15:
+                continue  # not seen this frame
+            status = TrackStatus.CONFIRMED if rnd.random() < 0.85 else TrackStatus.TENTATIVE
+            tracks.append(_at(tid, state[1], state[2], state[0], status))
+        yield _frame(f, ts), tracks
+
+
+def test_engine_matches_per_rule_track_state_reference():
+    # one (anchor, zone ids) entry per track gives the alerts that the
+    # per-(rule, track) inside flags and anchors gave, since a track's
+    # class, and so the rules that apply to it, never changes
+    kinds = set()
+    for seed in range(12):
+        rnd = random.Random(seed)
+        rules = _random_rules(rnd)
+        engine, reference = RuleEngine(rules), ReferenceRuleEngine(rules)
+        for frame, tracks in _random_stream(rnd):
+            placed = None
+            if frame.frame_id % 2:  # the pipeline's path: placed by the caller
+                placed = place(engine.prepared_zones, tracks)
+            got = [alert_record(ev) for ev in engine.evaluate(frame, tracks, placed)]
+            assert got == reference.evaluate(frame, tracks), (seed, frame.frame_id)
+            kinds |= {row["rule_id"] for row in got}
+    assert kinds == {"in-hall", "in-yard", "loiter", "loiter-yard", "gate",
+                     "gate-ltr", "crowd"}
 
 
 def test_zone_id_names_one_zone():

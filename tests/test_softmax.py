@@ -262,6 +262,25 @@ def test_cli_rejects_non_finite_features_and_weights(tmp_path, capsys):
         assert err.startswith("data error:") and "non-finite" in err, err
 
 
+def test_diverging_training_is_a_data_error(tmp_path, capsys):
+    # a learning rate this large overflows the weights within an epoch or
+    # two; the weights of a diverged run are not a model, and nan is not JSON
+    rows = [f"r{i},{'ab'[i % 2]},{i % 2 + 0.25 * i},{1.0 - i % 2}" for i in range(8)]
+    X = np.array([[float(v) for v in row.split(",")[2:]] for row in rows])
+    labels = [row.split(",")[1] for row in rows]
+    with pytest.raises(DataError, match=r"diverged: loss is (nan|inf) after epoch \d+"):
+        train(X, labels, TrainConfig(learning_rate=1e300))
+
+    (tmp_path / "good.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "train.json").write_text(
+        json.dumps({"features_csv": "good.csv", "learning_rate": 1e300}))
+    assert main(["train-head", "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "model"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: training diverged"), err
+    assert not (tmp_path / "model" / "model.json").exists()
+
+
 def test_evaluation_report_hand_case():
     # W pushes positive x toward "a", negative toward "b"
     model = SoftmaxModel(["a", "b"], np.array([[1.0], [-1.0]]), np.zeros(2))
