@@ -1,8 +1,8 @@
 """Class-balancing image augmentation with bounded affine transforms.
 
-Transforms follow y = A x + B in coordinates relative to the image center
+Transforms follow y = A x in coordinates relative to the image center
 (pixel-center convention): an output pixel y takes the value sampled at
-x = A^-1 (y - B) in the source, bilinearly interpolated with black fill.
+x = A^-1 y in the source, bilinearly interpolated with black fill.
 Rotation is hard-capped at +/-10 degrees.  Balancing equalizes per-class
 sample counts to T = round(mean pre-augmentation count): below-T classes
 gain augmented copies of randomly chosen originals, above-T classes are
@@ -48,18 +48,6 @@ class AugmentationBounds:
                 raise ConfigError(f"{name} range is inverted")
 
 
-@dataclass
-class AffineTransform:
-    A: np.ndarray  # 2x2
-    B: np.ndarray  # translation, pixels
-
-
-@dataclass(frozen=True)
-class ColorJitter:
-    scale: float = 1.0
-    offset: float = 0.0
-
-
 @dataclass(frozen=True)
 class TransformParams:
     """The sampled parameters; enough to rebuild the exact transform."""
@@ -70,17 +58,14 @@ class TransformParams:
     color_scale: float = 1.0
     color_offset: float = 0.0
 
-    def affine(self) -> AffineTransform:
-        """Compose flip, then shear, then rotation into one A (B = 0)."""
+    def matrix(self) -> np.ndarray:
+        """A: flip, then shear, then rotation, composed into one 2x2 matrix."""
         th = math.radians(self.angle_deg)
         rot = np.array([[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]])
         shear = np.array([[1.0, self.shear], [0.0, 1.0]])
         flip = np.diag([-1.0, 1.0]) if self.flip else np.eye(2)
-        return AffineTransform(rot @ shear @ flip, np.zeros(2))
-
-    def jitter(self) -> ColorJitter:
-        return ColorJitter(self.color_scale, self.color_offset)
+        return rot @ shear @ flip
 
 
 def sample_transform(rng: Rng, bounds: AugmentationBounds) -> TransformParams:
@@ -98,22 +83,19 @@ def sample_transform(rng: Rng, bounds: AugmentationBounds) -> TransformParams:
     return TransformParams(angle, shear, flip, scale, offset)
 
 
-def apply_transform(img: np.ndarray, t: AffineTransform,
-                    jitter: Optional[ColorJitter] = None) -> np.ndarray:
-    """Warp an image; output has the source dimensions, black fill outside."""
+def apply_params(img: np.ndarray, params: TransformParams) -> np.ndarray:
+    """Warp an image by ``params.matrix()`` and apply its color jitter;
+    output has the source dimensions, black fill outside."""
     img = np.asarray(img)
     gray = img.ndim == 2
     h, w = img.shape[:2]
-    A = np.asarray(t.A, dtype=float)
-    B = np.asarray(t.B, dtype=float)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < 1e-12:
-        raise ValueError("transform matrix is singular")
+    A = params.matrix()
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]  # +/-1: rotation, shear, flip
     inv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
 
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    gx = (np.arange(w) - cx)[None, :] - B[0]
-    gy = (np.arange(h) - cy)[:, None] - B[1]
+    gx = (np.arange(w) - cx)[None, :]
+    gy = (np.arange(h) - cy)[:, None]
     sx = inv[0, 0] * gx + inv[0, 1] * gy + cx
     sy = inv[1, 0] * gx + inv[1, 1] * gy + cy
 
@@ -135,14 +117,9 @@ def apply_transform(img: np.ndarray, t: AffineTransform,
            + at(y0 + 1, x0) * (1 - wx) * wy
            + at(y0 + 1, x0 + 1) * wx * wy)
 
-    if jitter is not None:
-        out = out * jitter.scale + jitter.offset
+    out = out * params.color_scale + params.color_offset
     out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return out[..., 0] if gray else out
-
-
-def apply_params(img: np.ndarray, params: TransformParams) -> np.ndarray:
-    return apply_transform(img, params.affine(), params.jitter())
 
 
 # ---------------------------------------------------------------------------

@@ -114,16 +114,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def clip(b: BoundingBox, frame: FrameMeta) -> BoundingBox:
-    """Clamp a box to the frame extent [0, width] x [0, height]."""
-    return BoundingBox(
-        min(max(b.x1, 0.0), float(frame.width)),
-        min(max(b.y1, 0.0), float(frame.height)),
-        min(max(b.x2, 0.0), float(frame.width)),
-        min(max(b.y2, 0.0), float(frame.height)),
-    )
-
-
 EDGE_TOL = 1e-9  # on-edge tolerance of point_in_polygon
 
 

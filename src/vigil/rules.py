@@ -117,6 +117,12 @@ def crossing(prev, curr, line: TripLine) -> Optional[str]:
     return "left-to-right" if s_prev > 0 else "right-to-left"
 
 
+# the optional rule fields that each kind reads, and so needs; a field
+# its kind does not read is an error, not dropped silently
+_KIND_FIELDS = {"Intrusion": ("zone",), "LineCross": ("line",),
+                "Loiter": ("zone", "threshold_ms"), "Occupancy": ("zone", "min_count")}
+
+
 @dataclass(frozen=True)
 class Rule:
     id: str
@@ -130,20 +136,19 @@ class Rule:
     comparator: str = ">="                  # Occupancy
 
     def __post_init__(self):
-        if self.kind not in ("Intrusion", "LineCross", "Loiter", "Occupancy"):
+        if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"rule {self.id!r}: unknown kind {self.kind!r}")
-        if self.kind == "LineCross":
-            if self.line is None:
-                raise ConfigError(f"rule {self.id!r}: LineCross needs a line")
-        elif self.zone is None:
-            raise ConfigError(f"rule {self.id!r}: {self.kind} needs a zone")
+        for name in ("zone", "line", "threshold_ms", "min_count"):
+            given = getattr(self, name) is not None
+            if given != (name in _KIND_FIELDS[self.kind]):
+                raise ConfigError(f"rule {self.id!r}: {self.kind} "
+                                  f"{'takes no' if given else 'needs a'} {name}")
         if self.debounce_ms < 0:
             raise ConfigError(f"rule {self.id!r}: debounce_ms must be >= 0")
-        if self.kind == "Loiter" and (self.threshold_ms is None
-                                      or self.threshold_ms <= 0):
+        if self.kind == "Loiter" and self.threshold_ms <= 0:
             raise ConfigError(f"rule {self.id!r}: Loiter needs threshold_ms > 0")
         if self.kind == "Occupancy":
-            if self.min_count is None or self.min_count <= 0:
+            if self.min_count <= 0:
                 raise ConfigError(f"rule {self.id!r}: Occupancy needs min_count > 0")
             if self.comparator not in _COMPARATORS:
                 raise ConfigError(
@@ -181,18 +186,19 @@ def alert_record(event: AlertEvent) -> dict:
 
 
 def place(zones, tracks) -> dict:
-    """track_id -> (anchor, ids of the *zones* containing it) for each
-    confirmed track in *tracks*.
+    """track_id -> (class label, anchor, ids of the *zones* containing it)
+    for the confirmed tracks in *tracks*, in their order.
 
-    Each track's anchor is read once and tested once against each zone;
-    rules and statistics over the same frame and zones share the result.
+    Rules and statistics over the same frame and zones read the frame from
+    this record alone, so each anchor is read and tested once per zone.
     """
     placed = {}
     for track in tracks:
         if track.status is TrackStatus.CONFIRMED:
             anchor = track.bbox.anchor
             placed[track.track_id] = (
-                anchor, frozenset(z.id for z in zones if z.contains(anchor)))
+                track.class_label, anchor,
+                frozenset(z.id for z in zones if z.contains(anchor)))
     return placed
 
 
@@ -218,18 +224,18 @@ class RuleEngine:
     """Per-source rule state machine; evaluate() must see frames in order.
 
     ``prepared_zones`` holds the rules' distinct zones.  All rules of a
-    frame share one :func:`place` result over them: ``evaluate`` takes it
-    as *placed* when the caller has already placed the frame's tracks over
-    these zones (the pipeline shares it with :meth:`SceneStats.ingest`),
-    and calls :func:`place` itself when *placed* is omitted.
+    frame read it from one :func:`place` record over them: ``evaluate``
+    takes it as *placed* when the caller has already placed the frame's
+    tracks over these zones (the pipeline shares it with
+    :meth:`SceneStats.ingest`), and places *tracks* itself otherwise.
 
-    Per-track state is one map, ``track_id -> (anchor, zone ids)`` as
-    :func:`place` gave it the last time the track was confirmed: Intrusion
-    reads from it whether the track was in its zone, LineCross its last
-    anchor.  All rules that apply to a track share the entry, so a track's
-    class (which decides those rules) must stay fixed for its whole life,
-    as :class:`~vigil.tracker.SortTracker` keeps it.  Loiter entry times and
-    debounce times are kept per (rule, track).
+    Per-track state is one map, ``track_id -> (class label, anchor, zone
+    ids)`` as :func:`place` gave it the last time the track was confirmed:
+    Intrusion reads from it whether the track was in its zone, LineCross
+    its last anchor.  All rules that apply to a track share the entry, so
+    a track's class (which decides those rules) must stay fixed for its
+    whole life, as :class:`~vigil.tracker.SortTracker` keeps it.  Loiter
+    entry times and debounce times are kept per (rule, track).
     """
 
     def __init__(self, rules: list[Rule]):
@@ -239,7 +245,7 @@ class RuleEngine:
         self.rules = list(rules)
         self.prepared_zones = _distinct_zones(self.rules)
         self._last_frame: Optional[int] = None
-        self._placed: dict = {}        # track_id -> (anchor, zone ids) when last confirmed
+        self._placed: dict = {}        # track_id -> place() record when last confirmed
         self._loiter_start: dict = {}  # (rule_id, track_id) -> entry ts
         self._last_emit: dict = {}     # (rule_id, track_id|None) -> ts
         self._occupancy_on: dict = {r.id: False for r in rules
@@ -252,28 +258,27 @@ class RuleEngine:
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
         ts = frame.timestamp_ms
-        confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
         if placed is None:
-            placed = place(self.prepared_zones, confirmed)
+            placed = place(self.prepared_zones, tracks)
         before = self._placed
         events: list[AlertEvent] = []
 
         for rule in self.rules:
-            relevant = [t for t in confirmed if rule.applies_to(t.class_label)]
+            relevant = [(tid, anchor, zone_ids)
+                        for tid, (label, anchor, zone_ids) in placed.items()
+                        if rule.applies_to(label)]
             if rule.kind == "Occupancy":
-                self._occupancy(rule, frame, ts, relevant, placed, events)
+                self._occupancy(rule, frame, ts, relevant, events)
                 continue
-            for track in relevant:
-                tid = track.track_id
-                anchor, zone_ids = placed[tid]
+            for tid, anchor, zone_ids in relevant:
                 prev = before.get(tid)
                 if rule.kind == "LineCross":
-                    direction = crossing(prev[0], anchor, rule.line) if prev else None
+                    direction = crossing(prev[1], anchor, rule.line) if prev else None
                     if direction and rule.line.direction in ("any", direction):
                         self._emit(events, rule, frame, ts, tid, {"direction": direction})
                 elif rule.kind == "Intrusion":
                     zid = rule.zone.id
-                    if zid in zone_ids and prev and zid not in prev[1]:
+                    if zid in zone_ids and prev and zid not in prev[2]:
                         self._emit(events, rule, frame, ts, tid,
                                    {"anchor": [anchor[0], anchor[1]]})
                 elif rule.zone.id in zone_ids:  # Loiter: continuous in-zone time
@@ -283,8 +288,7 @@ class RuleEngine:
                 else:
                     self._loiter_start.pop((rule.id, tid), None)
 
-        for track in confirmed:
-            before[track.track_id] = placed[track.track_id]
+        before.update(placed)
         for ev in events:
             self._last_emit[(ev.rule_id, ev.track_id)] = ev.timestamp_ms
         return events
@@ -295,8 +299,8 @@ class RuleEngine:
             events.append(AlertEvent(rule.id, track_id, frame.frame_id, ts,
                                      rule.kind, payload))
 
-    def _occupancy(self, rule, frame, ts, tracks, placed, events):
-        count = sum(1 for t in tracks if rule.zone.id in placed[t.track_id][1])
+    def _occupancy(self, rule, frame, ts, relevant, events):
+        count = sum(1 for _, _, zone_ids in relevant if rule.zone.id in zone_ids)
         holds = _COMPARATORS[rule.comparator](count, rule.min_count)
         armed = not self._occupancy_on[rule.id]
         self._occupancy_on[rule.id] = holds

@@ -121,17 +121,19 @@ def train(X: np.ndarray, labels: list[str],
     losses: list[float] = []
     converged = False
     prev = None
-    for _ in range(cfg.max_epochs):
-        loss, dW, db = loss_and_grad(model, X, y, cfg.l2_lambda)
-        losses.append(_finite(loss, len(losses), cfg))
-        if prev is not None and abs(prev - loss) < cfg.convergence_tol:
-            converged = True
-            break
-        model.W -= cfg.learning_rate * dW
-        model.b -= cfg.learning_rate * db
-        prev = loss
-    final, _, _ = loss_and_grad(model, X, y, cfg.l2_lambda)
-    losses.append(_finite(final, len(losses), cfg))
+    # _finite reports a diverging run; numpy's overflow warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_epochs):
+            loss, dW, db = loss_and_grad(model, X, y, cfg.l2_lambda)
+            losses.append(_finite(loss, len(losses), cfg))
+            if prev is not None and abs(prev - loss) < cfg.convergence_tol:
+                converged = True
+                break
+            model.W -= cfg.learning_rate * dW
+            model.b -= cfg.learning_rate * db
+            prev = loss
+        final, _, _ = loss_and_grad(model, X, y, cfg.l2_lambda)
+        losses.append(_finite(final, len(losses), cfg))
     return TrainResult(model, losses, converged)
 
 

@@ -323,17 +323,3 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
 
     return SyntheticScene(config, frames, ground_truth, noisy, noisy_ids)
 
-
-def generate(config: SyntheticSceneConfig) -> tuple[Iterator[FrameGroup], Iterator[FrameGroup]]:
-    """(ground_truth, noisy) detection sources for a scene config.
-
-    The scene is materialized eagerly so that the two iterators stay
-    deterministic regardless of consumption order.
-    """
-    scene = simulate(config)
-
-    def over(per_frame):
-        for meta, dets in zip(scene.frames, per_frame):
-            yield meta, list(dets)
-
-    return over(scene.ground_truth), over(scene.noisy)

@@ -24,7 +24,7 @@ from .geometry import FrameMeta
 from .geometry import point_in_polygon  # noqa: F401
 from .images import write_image
 from .rules import Zone, place
-from .tracker import Track, TrackStatus
+from .tracker import Track
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ class SceneStats:
                placed: Optional[dict] = None) -> None:
         """Fold one frame's confirmed tracks into the statistics.
 
-        *placed* is :func:`vigil.rules.place` over this frame's tracks and
-        zones with the same ids and polygons as ``self.zones`` (the pipeline
-        passes the one it gave :meth:`RuleEngine.evaluate`); when omitted,
-        it is computed here.
+        The frame is read from *placed* alone, :func:`vigil.rules.place`
+        over this frame's tracks and zones with the same ids and polygons as
+        ``self.zones`` (the pipeline passes the one it gave
+        :meth:`RuleEngine.evaluate`); when omitted, it is computed here.
         """
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
@@ -120,20 +120,17 @@ class SceneStats:
         if placed is None:
             placed = place(self.zones, tracks)
 
-        for track in tracks:
-            if track.status is not TrackStatus.CONFIRMED:
-                continue
-            anchor, zones_now = placed[track.track_id]
+        for tid, (label, anchor, zones_now) in placed.items():
             cell = self._cell(anchor)
             if cell is not None:
                 self.heat[cell[1], cell[0]] += 1
                 self.observations += 1
 
-            trace = self._traces.get(track.track_id)
+            trace = self._traces.get(tid)
             if trace is None:
-                record = DwellRecord(track.track_id, track.class_label, ts, ts,
+                record = DwellRecord(tid, label, ts, ts,
                                      {zone.id: 0 for zone in self.zones})
-                self._traces[track.track_id] = _TrackTrace(
+                self._traces[tid] = _TrackTrace(
                     record, [ts], anchor, cell, zones_now)
             else:
                 prev_cell = trace.last_cell

@@ -195,10 +195,6 @@ class _SimilarityModel:
                 self._sig = sig
         self.gain_evals = 0
 
-    @classmethod
-    def from_ground_set(cls, ground: GroundSet, **kw):
-        return cls(signatures=ground.signatures, **kw)
-
     def _row(self, j: int) -> np.ndarray:
         if self._S is not None:
             return self._S[j]
@@ -279,13 +275,13 @@ MODEL_KINDS = {
 
 
 def build_model(kind: str, ground: GroundSet, alpha: float = 0.5):
-    key = kind.lower().replace("_", "-")
-    if key not in MODEL_KINDS:
+    """The model named *kind*, a key of MODEL_KINDS, over *ground*."""
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown diversity model {kind!r}; "
                          f"expected one of {sorted(MODEL_KINDS)}")
-    if key == "saturated-coverage":
-        return SaturatedCoverage.from_ground_set(ground, alpha=alpha)
-    return FacilityLocation.from_ground_set(ground)
+    if kind == "saturated-coverage":
+        return SaturatedCoverage(signatures=ground.signatures, alpha=alpha)
+    return FacilityLocation(signatures=ground.signatures)
 
 
 # ---------------------------------------------------------------------------

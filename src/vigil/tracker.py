@@ -155,38 +155,27 @@ class SortTracker:
 
     def _associate(self, predictions: np.ndarray, detections: list[Detection]):
         matches: list[tuple[int, int]] = []
-        matched_t: set[int] = set()
-        matched_d: set[int] = set()
-
         if len(predictions) and detections:
-            # IoU is computed pair by pair, so one matrix over every
-            # prediction and detection serves all class groups
+            # IoU is computed pair by pair, so one matrix over every prediction
+            # and detection serves all groups (one group, None, if not per_class)
             overlap = iou_matrix(predictions,
                                  np.array([d.bbox.as_tuple() for d in detections]))
-            if self.config.per_class:
-                t_by_label: dict[str, list[int]] = {}
-                for i, t in enumerate(self.tracks):
-                    t_by_label.setdefault(t.class_label, []).append(i)
-                d_by_label: dict[str, list[int]] = {}
-                for j, d in enumerate(detections):
-                    d_by_label.setdefault(d.class_label, []).append(j)
-                for label in sorted(t_by_label.keys() & d_by_label.keys()):
-                    t_idx, d_idx = t_by_label[label], d_by_label[label]
-                    self._match_group(overlap.take(t_idx, 0).take(d_idx, 1),
-                                      t_idx, d_idx, matches, matched_t, matched_d)
-            else:
-                self._match_group(overlap, list(range(len(self.tracks))),
-                                  list(range(len(detections))),
-                                  matches, matched_t, matched_d)
+            per_class = self.config.per_class
+            t_groups: dict = {}
+            for i, t in enumerate(self.tracks):
+                t_groups.setdefault(t.class_label if per_class else None, []).append(i)
+            d_groups: dict = {}
+            for j, d in enumerate(detections):
+                d_groups.setdefault(d.class_label if per_class else None, []).append(j)
+            for key in sorted(t_groups.keys() & d_groups.keys()):
+                t_idx, d_idx = t_groups[key], d_groups[key]
+                group = overlap.take(t_idx, 0).take(d_idx, 1)
+                for r, c in hungarian_assign(1.0 - group):
+                    if group[r, c] >= self.config.iou_min:
+                        matches.append((t_idx[r], d_idx[c]))
 
+        matched_t = {ti for ti, _ in matches}
+        matched_d = {dj for _, dj in matches}
         unmatched_tracks = [i for i in range(len(self.tracks)) if i not in matched_t]
         unmatched_dets = [j for j in range(len(detections)) if j not in matched_d]
         return matches, unmatched_tracks, unmatched_dets
-
-    def _match_group(self, overlap, t_idx, d_idx, matches, matched_t, matched_d):
-        for r, c in hungarian_assign(1.0 - overlap):
-            if overlap[r, c] >= self.config.iou_min:
-                ti, dj = t_idx[r], d_idx[c]
-                matches.append((ti, dj))
-                matched_t.add(ti)
-                matched_d.add(dj)

@@ -226,6 +226,65 @@ def average_precision_reference(tp_flags, n_gt: int):
 
 
 # ---------------------------------------------------------------------------
+# augmentation: the general affine warp y = A x + B with optional color
+# jitter, frozen as it was before the warp was cut down to the rotation,
+# shear and flip that TransformParams describes.
+
+
+def affine_reference(angle_deg, shear, flip):
+    """(A, B) composing flip, then shear, then rotation; B = 0."""
+    th = math.radians(angle_deg)
+    rot = np.array([[math.cos(th), -math.sin(th)],
+                    [math.sin(th), math.cos(th)]])
+    sh = np.array([[1.0, shear], [0.0, 1.0]])
+    fl = np.diag([-1.0, 1.0]) if flip else np.eye(2)
+    return rot @ sh @ fl, np.zeros(2)
+
+
+def warp_reference(img, A, B, jitter=None):
+    """Bilinear warp about the image center with black fill; *jitter* is
+    (scale, offset) applied before rounding and clipping to uint8."""
+    img = np.asarray(img)
+    gray = img.ndim == 2
+    h, w = img.shape[:2]
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if abs(det) < 1e-12:
+        raise ValueError("transform matrix is singular")
+    inv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    gx = (np.arange(w) - cx)[None, :] - B[0]
+    gy = (np.arange(h) - cy)[:, None] - B[1]
+    sx = inv[0, 0] * gx + inv[0, 1] * gy + cx
+    sy = inv[1, 0] * gx + inv[1, 1] * gy + cy
+
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+
+    data = (img if not gray else img[..., None]).astype(float)
+
+    def at(yy, xx):
+        inside = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
+        vals = data[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+        return vals * inside[..., None]
+
+    wx, wy = fx[..., None], fy[..., None]
+    out = (at(y0, x0) * (1 - wx) * (1 - wy)
+           + at(y0, x0 + 1) * wx * (1 - wy)
+           + at(y0 + 1, x0) * (1 - wx) * wy
+           + at(y0 + 1, x0 + 1) * wx * wy)
+
+    if jitter is not None:
+        out = out * jitter[0] + jitter[1]
+    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return out[..., 0] if gray else out
+
+
+# ---------------------------------------------------------------------------
 # Kalman reference (explicit-inverse textbook forms)
 
 

@@ -10,7 +10,6 @@ from vigil.augment import (
     ManifestRecord,
     TransformParams,
     apply_params,
-    apply_transform,
     balance,
     balance_report,
     balance_target,
@@ -22,6 +21,8 @@ from vigil.augment import (
 from vigil.errors import ConfigError, DataError
 from vigil.images import read_image, write_image
 from vigil.rng import Rng
+
+from oracles import affine_reference, warp_reference
 
 
 def gradient_image(size: int = 96, amplitude: int = 60) -> np.ndarray:
@@ -87,11 +88,27 @@ def test_color_jitter_and_clip():
     assert np.all(cold == 0)
 
 
-def test_singular_matrix_rejected():
-    from vigil.augment import AffineTransform
-    bad = AffineTransform(np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        apply_transform(np.zeros((4, 4), np.uint8), bad)
+def test_warp_matches_frozen_affine_warp_bit_for_bit():
+    # apply_params against the general y = A x + B warp with optional
+    # jitter that it replaced, on odd-sized gray and RGB images, with
+    # color scales and offsets that push values past both clip ends
+    rnd = np.random.default_rng(9)
+    for case in range(48):
+        h, w = (int(v) for v in 2 * rnd.integers(2, 20, size=2) + 1)
+        shape = (h, w) if case % 2 else (h, w, 3)
+        img = rnd.integers(0, 256, size=shape, dtype=np.uint8)
+        params = TransformParams(
+            angle_deg=float(rnd.uniform(-10.0, 10.0)),
+            shear=float(rnd.uniform(-0.3, 0.3)),
+            flip=bool(case % 4 < 2),
+            color_scale=float(rnd.uniform(0.5, 1.8)),
+            color_offset=float(rnd.uniform(-60.0, 60.0)))
+        A, B = affine_reference(params.angle_deg, params.shear, params.flip)
+        want = warp_reference(img, A, B,
+                              (params.color_scale, params.color_offset))
+        got = apply_params(img, params)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), params
 
 
 def test_shear_keeps_rows():

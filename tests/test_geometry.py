@@ -7,8 +7,6 @@ import pytest
 
 from vigil.geometry import (
     BoundingBox,
-    FrameMeta,
-    clip,
     iou,
     iou_matrix,
     point_in_polygon,
@@ -86,14 +84,6 @@ def test_iou_matrix_empty_sides():
     b = np.array([[0.0, 0.0, 5.0, 5.0]])
     assert iou_matrix(a, b).shape == (0, 1)
     assert iou_matrix(b, a).shape == (1, 0)
-
-
-def test_clip_to_frame():
-    frame = FrameMeta("cam", 0, 0, 100, 80)
-    b = clip(BoundingBox(-5, -3, 104, 90), frame)
-    assert b.as_tuple() == (0, 0, 100, 80)
-    inside = BoundingBox(4, 5, 6, 7)
-    assert clip(inside, frame).as_tuple() == inside.as_tuple()
 
 
 SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]

@@ -407,6 +407,24 @@ def test_rule_validation():
              min_count=2, comparator="!=")
     with pytest.raises(ConfigError):
         _zone_rule(debounce_ms=-1)
+    # a field that the rule's kind ignores is an error, not dropped silently
+    line = TripLine("l", (0.0, 0.0), (1.0, 0.0))
+    ignored = [
+        dict(kind="LineCross", line=line, zone=Zone("z", SQUARE)),
+        dict(kind="LineCross", line=line, threshold_ms=1000),
+        dict(kind="LineCross", line=line, min_count=1),
+        dict(kind="Intrusion", zone=Zone("z", SQUARE), line=line),
+        dict(kind="Intrusion", zone=Zone("z", SQUARE), threshold_ms=1000),
+        dict(kind="Intrusion", zone=Zone("z", SQUARE), min_count=1),
+        dict(kind="Loiter", zone=Zone("z", SQUARE), threshold_ms=1000, line=line),
+        dict(kind="Loiter", zone=Zone("z", SQUARE), threshold_ms=1000, min_count=1),
+        dict(kind="Occupancy", zone=Zone("z", SQUARE), min_count=1, line=line),
+        dict(kind="Occupancy", zone=Zone("z", SQUARE), min_count=1,
+             threshold_ms=1000),
+    ]
+    for fields in ignored:
+        with pytest.raises(ConfigError, match="takes no"):
+            Rule(id="x", **fields)
 
 
 def test_zone_and_line_validation():
@@ -480,6 +498,7 @@ def test_rules_from_doc_errors():
         {"id": "x", "kind": "Loiter", "zone": tri, "threshold_ms": "1s"},
         {"id": "x", "kind": "Occupancy", "zone": tri, "min_count": 1,
          "comparator": [">="]},
+        {"id": "x", "kind": "LineCross", "line": [[0, 0], [1, 1]], "zone": tri},
     ]
     for entry in malformed:
         with pytest.raises(ConfigError):

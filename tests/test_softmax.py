@@ -262,9 +262,11 @@ def test_cli_rejects_non_finite_features_and_weights(tmp_path, capsys):
         assert err.startswith("data error:") and "non-finite" in err, err
 
 
+@pytest.mark.filterwarnings("error")
 def test_diverging_training_is_a_data_error(tmp_path, capsys):
     # a learning rate this large overflows the weights within an epoch or
-    # two; the weights of a diverged run are not a model, and nan is not JSON
+    # two; the weights of a diverged run are not a model, and nan is not JSON.
+    # The DataError reports the divergence; numpy must not warn about it too.
     rows = [f"r{i},{'ab'[i % 2]},{i % 2 + 0.25 * i},{1.0 - i % 2}" for i in range(8)]
     X = np.array([[float(v) for v in row.split(",")[2:]] for row in rows])
     labels = [row.split(",")[1] for row in rows]

@@ -12,7 +12,6 @@ from vigil.sources import (
     DUMP_FIELDS,
     ObjectSpec,
     SyntheticSceneConfig,
-    generate,
     read_dump,
     scene_config_from_dict,
     simulate,
@@ -295,13 +294,3 @@ def test_jitter_is_rigid_shift():
             assert det.bbox.width == pytest.approx(g.bbox.width, abs=1e-9)
             assert det.bbox.height == pytest.approx(g.bbox.height, abs=1e-9)
 
-
-def test_generate_matches_simulate():
-    cfg = small_scene(jitter_sigma=1.0, false_positives_per_frame=0.4)
-    gt_stream, noisy_stream = generate(cfg)
-    scene = simulate(cfg)
-    for (m1, d1), m2, d2 in zip(noisy_stream, scene.frames, scene.noisy):
-        assert m1.frame_id == m2.frame_id
-        assert [d.bbox.as_tuple() for d in d1] == [d.bbox.as_tuple() for d in d2]
-    assert sum(len(d) for _, d in gt_stream) == \
-        sum(len(d) for d in scene.ground_truth)

@@ -382,5 +382,6 @@ def test_build_model_kinds():
     assert isinstance(build_model("facility-location", ground), FacilityLocation)
     assert isinstance(build_model("saturated-coverage", ground, alpha=0.7),
                       SaturatedCoverage)
-    with pytest.raises(ValueError):
-        build_model("coverage-maximal", ground)
+    for kind in ("coverage-maximal", "Facility_Location"):  # CLI names only
+        with pytest.raises(ValueError):
+            build_model(kind, ground)
