@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand reads one JSON config (--config), takes an optional --seed
-override and an output directory (--out, default "out"), and writes its
-artifacts there.  Exit codes: 0 success, 2 config error, 3 data error,
-4 internal error.
+Every subcommand reads one JSON config (--config) and an output directory
+(--out, default "out"), and writes its artifacts there; the commands that
+draw random numbers (run, synth, augment) also take a --seed override.
+Exit codes: 0 success, 2 config error, 3 data error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -36,7 +35,7 @@ from .config import (
     record,
     string,
 )
-from .errors import ConfigError, DataError, VigilError
+from .errors import ConfigError, DataError, VigilError, write_json
 from .evaluation import EvalConfig, evaluate_detections
 from .pipeline import load_pipeline_config
 from .pipeline import run as run_pipeline
@@ -74,12 +73,6 @@ def _out_dir(args) -> str:
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _say(args, message: str) -> None:
@@ -120,30 +113,30 @@ def _cmd_synth(args) -> None:
 
 
 _SUMMARIZE = {"signatures_csv": (pathname, None), "images_dir": (pathname, None),
-              "model": (string, "facility-location"), "alpha": (number, 0.5),
-              "budget": (integer, DEFAULT_BUDGET), "sampling_fps": (number, 1.0),
-              "algorithm": (string, "lazy"), "write_signatures": (boolean, False)}
+              "model": (string, "facility-location"), "alpha": (number, None),
+              "budget": (integer, DEFAULT_BUDGET), "algorithm": (string, "lazy"),
+              "write_signatures": (boolean, False)}
 
 
 def _cmd_summarize(args) -> None:
     doc = _job_config(args, _SUMMARIZE, "summarize")
     if (doc["signatures_csv"] is None) == (doc["images_dir"] is None):
         raise ConfigError("give exactly one of 'signatures_csv' or 'images_dir'")
-    if doc["sampling_fps"] <= 0:
-        raise ConfigError("sampling_fps must be a positive number")
     if doc["model"] not in MODEL_KINDS:
         raise ConfigError(f"model must be one of {sorted(MODEL_KINDS)}")
+    if doc["alpha"] is not None and doc["model"] != "saturated-coverage":
+        raise ConfigError("summarize.alpha applies only to model 'saturated-coverage'")
     if doc["budget"] < 1:
         raise ConfigError("budget must be a positive integer")
     if doc["algorithm"] not in ("lazy", "naive"):
         raise ConfigError("algorithm must be 'lazy' or 'naive'")
 
-    fps = float(doc["sampling_fps"])
     if doc["signatures_csv"] is not None:
-        ground = ground_set_from_csv(doc["signatures_csv"], fps)
+        ground = ground_set_from_csv(doc["signatures_csv"])
     else:
-        ground = ground_set_from_images(doc["images_dir"], fps)
-    model = build_model(doc["model"], ground, alpha=float(doc["alpha"]))
+        ground = ground_set_from_images(doc["images_dir"])
+    alpha = 0.5 if doc["alpha"] is None else float(doc["alpha"])
+    model = build_model(doc["model"], ground, alpha=alpha)
     trace = lazy_greedy_trace if doc["algorithm"] == "lazy" else greedy_trace
     steps = trace(model, doc["budget"])
 
@@ -176,7 +169,7 @@ def _cmd_augment(args) -> None:
     man_path = os.path.join(out, "balanced-manifest.csv")
     rep_path = os.path.join(out, "augment-report.json")
     write_manifest_csv(man_path, balanced)
-    _write_json(rep_path, balance_report(manifest, balanced))
+    write_json(rep_path, balance_report(manifest, balanced))
     if doc["materialize"]:
         n = materialize(balanced)
         _say(args, f"rendered {n} augmented images")
@@ -191,8 +184,6 @@ def _cmd_train_head(args) -> None:
     doc = _job_config(args, _TRAIN_HEAD, "train-head")
     features_csv = doc.pop("features_csv")
     cfg = TrainConfig(**doc)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     ids, labels, X = load_features_csv(features_csv)
 
     result = train(X, labels, cfg)
@@ -208,7 +199,7 @@ def _cmd_train_head(args) -> None:
         "final_loss": result.final_loss,
         "train_accuracy": evaluation_report(result.model, X, labels)["accuracy"],
     }
-    _write_json(report_path, report)
+    write_json(report_path, report)
     _say(args, f"trained on {len(ids)} rows, {len(result.model.classes)} classes; "
                f"final loss {result.final_loss:.6f}"
                + ("" if result.converged else " (epoch limit reached)"))
@@ -237,7 +228,7 @@ def _cmd_predict(args) -> None:
     known = set(model.classes)
     if labels and all(lab in known for lab in labels):
         eval_path = os.path.join(out, "head-eval.json")
-        _write_json(eval_path, evaluation_report(model, X, labels))
+        write_json(eval_path, evaluation_report(model, X, labels))
         _say(args, f"wrote {eval_path}")
     else:
         _say(args, "labels absent or outside the model vocabulary; no eval report")
@@ -264,7 +255,7 @@ def _cmd_eval(args) -> None:
 
     out = _out_dir(args)
     path = os.path.join(out, "eval-report.json")
-    _write_json(path, report)
+    write_json(path, report)
     _say(args, f"mAP@{cfg.iou_threshold} = {report['map']}  "
                f"precision = {report['precision']}  recall = {report['recall']}")
     _say(args, f"wrote {path}")
@@ -283,6 +274,7 @@ _COMMANDS = [
     ("eval", _cmd_eval, "score detections against ground truth"),
     ("synth", _cmd_synth, "simulate a scene and dump its detections"),
 ]
+_SEEDED = ("run", "synth", "augment")  # the commands that draw random numbers
 
 
 @functools.cache
@@ -297,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed from the config")
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the seed from the config")
         p.add_argument("--out", default=None, help="output directory (default: out)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         p.set_defaults(handler=handler)

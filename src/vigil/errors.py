@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its file helpers.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 anything else -> 4.
 """
+
+import json
 
 
 class VigilError(Exception):
@@ -31,3 +33,10 @@ def open_input(path, mode: str = "r", **kwargs):
         return open(path, mode, **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write *doc* to *path* as UTF-8 JSON, indented 2, with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

@@ -216,21 +216,17 @@ def polygon_is_simple(polygon: list[tuple[float, float]]) -> bool:
     return True
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def _segments_intersect(p1, q1, p2, q2) -> bool:
-    d1 = _orient(p2, q2, p1)
-    d2 = _orient(p2, q2, q1)
-    d3 = _orient(p1, q1, p2)
-    d4 = _orient(p1, q1, q2)
+    d1 = segment_side(p2, q2, p1)
+    d2 = segment_side(p2, q2, q1)
+    d3 = segment_side(p1, q1, p2)
+    d4 = segment_side(p1, q1, q2)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
         return True
 
     def on(a, b, c):
         return (
-            _orient(a, b, c) == 0
+            segment_side(a, b, c) == 0
             and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
         )

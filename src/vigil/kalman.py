@@ -9,8 +9,6 @@ with H = [I4 | 0].
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from numpy.linalg import _umath_linalg
 
 from .geometry import BoundingBox
 
@@ -25,22 +23,6 @@ DEFAULT_R = np.diag([1.0, 1.0, 10.0, 10.0])
 DEFAULT_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e3, 1e3, 1e3])
 
 _SIZE_FLOOR = 1e-4  # lower clamp for area and aspect ratio
-
-
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-@np.errstate(call=_raise_singular, invalid="call",
-             over="ignore", divide="ignore", under="ignore")
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for float64 matrices a (..., n, n), b (..., n, k).
-
-    Calls the same LAPACK gufunc with the same error handling, so the
-    result is bit for bit the same, minus the argument normalisation that
-    dominates the call at 4 x 4.
-    """
-    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def measurement(box: BoundingBox) -> tuple[float, float, float, float]:
@@ -103,7 +85,7 @@ def update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> np.nda
     innovation = z - x[:, :4]
     S = P[:, :4, :4] + R
     # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
-    K = _solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
+    K = np.linalg.solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
     x += (K @ innovation[:, :, None])[:, :, 0]
     P = P - K @ P[:, :4, :]
     P = (P + P.transpose(0, 2, 1)) * 0.5

@@ -38,7 +38,7 @@ from .config import (
     record,
     string,
 )
-from .errors import ConfigError
+from .errors import ConfigError, write_json
 from .geometry import FrameMeta
 from .rng import derive_seed
 from .rules import RuleEngine, TcpAlertSink, alert_record, load_rules, place, rules_from_doc
@@ -266,7 +266,5 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     }
     if scene_seed is not None:
         manifest["scene_seed"] = scene_seed
-    with open(os.path.join(out_dir, MANIFEST_JSON), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, MANIFEST_JSON), manifest)
     return manifest

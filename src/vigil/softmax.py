@@ -24,7 +24,6 @@ class TrainConfig:
     l2_lambda: float = 1e-4
     max_epochs: int = 200
     convergence_tol: float = 1e-6
-    seed: int = 0  # reserved; full-batch training draws no random numbers
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import bisect
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, write_json
 from .geometry import FrameMeta
 # Not called here (zones are rules.Zone), but perfbench/tracing.py wraps
 # vigil.stats.point_in_polygon, and its install() fails when the name is gone.
@@ -235,11 +234,7 @@ class SceneStats:
         }
 
     def write_dwell_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.dwell_report_doc(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.dwell_report_doc())
 
     def write_counts_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.counts_doc(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.counts_doc())

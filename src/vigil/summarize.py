@@ -105,7 +105,6 @@ class GroundSet:
 
     item_ids: list[str]
     signatures: np.ndarray
-    sampling_fps: float = 1.0
 
     def __post_init__(self):
         self.signatures = np.asarray(self.signatures, dtype=float)
@@ -118,7 +117,7 @@ class GroundSet:
         return len(self.item_ids)
 
 
-def ground_set_from_images(directory, sampling_fps: float = 1.0) -> GroundSet:
+def ground_set_from_images(directory) -> GroundSet:
     """Ground set from a directory of PPM/PGM frames, lexicographic order."""
     try:
         entries = os.listdir(directory)
@@ -130,10 +129,10 @@ def ground_set_from_images(directory, sampling_fps: float = 1.0) -> GroundSet:
         raise DataError(f"{directory}: no .ppm/.pgm images found")
     sigs = [signature_from_image(read_image(os.path.join(directory, f)))
             for f in names]
-    return GroundSet(names, np.array(sigs), sampling_fps)
+    return GroundSet(names, np.array(sigs))
 
 
-def ground_set_from_csv(path, sampling_fps: float = 1.0) -> GroundSet:
+def ground_set_from_csv(path) -> GroundSet:
     """Ground set from a signature file: item_id, then d values per row.
 
     Vectors are L1-normalized on load so precomputed features of any
@@ -157,7 +156,7 @@ def ground_set_from_csv(path, sampling_fps: float = 1.0) -> GroundSet:
             ids.append(row[0])
             rows.append(vec)
     sigs = np.array(rows) if rows else np.zeros((0, SIGNATURE_DIM))
-    return GroundSet(ids, sigs, sampling_fps)
+    return GroundSet(ids, sigs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,6 @@ class _SimilarityModel:
     stay within SIM_PRECOMPUTE_BYTES, else computed on demand).  gain_evals
     counts marginal-gain evaluations.
     """
-
-    kind = "?"
 
     def __init__(self, matrix=None, *, signatures=None):
         if (matrix is None) == (signatures is None):
@@ -211,8 +208,6 @@ class _SimilarityModel:
 class FacilityLocation(_SimilarityModel):
     """f(X) = sum over v of max over x in X of sim(v, x)."""
 
-    kind = "FacilityLocation"
-
     def evaluate(self, X) -> float:
         idx = self._check_subset(X)
         if not idx:
@@ -235,8 +230,6 @@ class FacilityLocation(_SimilarityModel):
 
 class SaturatedCoverage(_SimilarityModel):
     """f(X) = sum over v of min(sum over x in X of sim(v, x), alpha * total_v)."""
-
-    kind = "SaturatedCoverage"
 
     def __init__(self, matrix=None, *, signatures=None, alpha: float = 0.5):
         if not 0.0 < alpha <= 1.0:

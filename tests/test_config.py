@@ -74,16 +74,15 @@ CONFIGS = {
     "run-scene.json": {"source": {"kind": "synthetic", "scene_file": "scene.json"}},
     "run-inline.json": {"source": {"kind": "synthetic", "scene": SCENE}},
     "summarize.json": {"signatures_csv": "sig.csv", "model": "saturated-coverage",
-                       "alpha": 0.5, "budget": 4, "sampling_fps": 1.0,
-                       "algorithm": "lazy", "write_signatures": True},
+                       "alpha": 0.5, "budget": 4, "algorithm": "lazy",
+                       "write_signatures": True},
     "summarize-images.json": {"images_dir": "images", "budget": 2},
     "augment.json": {"manifest_csv": "manifest.csv", "seed": 4, "materialize": True,
                      "bounds": {"max_rotation_deg": 5.0, "flip_probability": 0.5,
                                 "max_shear": 0.1, "color_scale": [0.9, 1.1],
                                 "color_offset": [-5.0, 5.0]}},
     "train-head.json": {"features_csv": "features.csv", "learning_rate": 0.5,
-                        "l2_lambda": 1e-4, "max_epochs": 20, "convergence_tol": 1e-6,
-                        "seed": 0},
+                        "l2_lambda": 1e-4, "max_epochs": 20, "convergence_tol": 1e-6},
     "predict.json": {"model_json": "model/model.json", "features_csv": "features.csv"},
     "eval.json": {"predictions": "data/detections.jsonl",
                   "ground_truth": "data/ground-truth.jsonl", "iou_threshold": 0.5,
@@ -234,6 +233,49 @@ def test_wrong_kind_is_a_config_error(workdir, target, path, value, name):
     finally:
         _write(workdir / target, CONFIGS[target])
     assert code == 2 and err.startswith(f"config error: {name} "), err
+
+
+# settings that once changed no output: each is now an error (exit 2) that
+# names it.  (command, base config, fields added to it, extra flags, name)
+REMOVED = [
+    ("summarize", "summarize.json", {"sampling_fps": 7.0}, [], "sampling_fps"),
+    ("train-head", "train-head.json", {"seed": 123}, [], "seed"),
+    ("summarize", "summarize.json", {"model": "facility-location"}, [], "alpha"),
+    ("summarize", "summarize.json", {}, ["--seed", "3"], "--seed"),
+    ("train-head", "train-head.json", {}, ["--seed", "3"], "--seed"),
+    ("predict", "predict.json", {}, ["--seed", "3"], "--seed"),
+    ("eval", "eval.json", {}, ["--seed", "3"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("command,config,fields,flags,name", REMOVED,
+                         ids=[f"{case[0]}-{case[4]}" for case in REMOVED])
+def test_removed_settings_are_errors(workdir, command, config, fields, flags, name):
+    _write(workdir / "removed.json", {**CONFIGS[config], **fields})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = vigil.cli.main([command, "--config", str(workdir / "removed.json"),
+                                   "--out", str(workdir / "out"), "--quiet", *flags])
+        except SystemExit as exc:  # argparse rejects a flag the command lacks
+            code = exc.code
+    assert code == 2 and name in err.getvalue(), err.getvalue()
+
+
+def test_alpha_defaults_for_saturated_coverage(workdir):
+    doc = CONFIGS["summarize.json"]
+    assert doc["model"] == "saturated-coverage" and doc["alpha"] == 0.5
+    selections = []
+    for given in (doc, {k: v for k, v in doc.items() if k != "alpha"}):
+        _write(workdir / "alpha.json", given)
+        assert _main(["summarize", "--config", str(workdir / "alpha.json"),
+                      "--out", str(workdir / "alpha"), "--quiet"]) == (0, "")
+        selections.append((workdir / "alpha" / "selection.csv").read_bytes())
+    assert selections[0] == selections[1]
+    _write(workdir / "alpha.json", {**doc, "alpha": 0})  # a range error, not the default
+    assert _main(["summarize", "--config", str(workdir / "alpha.json"),
+                  "--out", str(workdir / "alpha"), "--quiet"]) == (
+        2, "config error: alpha must lie in (0, 1]\n")
 
 
 def test_non_finite_numbers_are_config_errors(workdir):

@@ -11,7 +11,6 @@ from vigil.kalman import (
     DEFAULT_Q,
     DEFAULT_R,
     KalmanBoxFilter,
-    _solve,
     corners,
     measurement,
     predict,
@@ -75,20 +74,6 @@ def test_matches_reference_filter_on_random_sequences():
                                                    measurement(meas), DEFAULT_R)
             assert kf.x == pytest.approx(x_ref, abs=1e-6)
             assert kf.P == pytest.approx(P_ref, abs=1e-6)
-
-
-def test_solve_is_numpy_solve_bit_for_bit():
-    # update() solves S K^T = (P Ht)^T through the LAPACK gufunc directly;
-    # the gain must not differ from np.linalg.solve in a single bit
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        a = rng.normal(size=(4, 4))
-        s = a @ a.T + np.diag(rng.uniform(0.1, 50.0, size=4))
-        p = rng.normal(size=(7, 7)) * 10.0 ** rng.uniform(-3, 3)
-        rhs = p[:, :4].T                      # strided, as in update()
-        assert np.array_equal(_solve(s, rhs), np.linalg.solve(s, rhs))
-    with pytest.raises(np.linalg.LinAlgError):
-        _solve(np.zeros((4, 4)), np.ones((4, 7)))
 
 
 def test_filters_stepped_together_match_filters_stepped_alone():

@@ -7,12 +7,15 @@ import math
 import os
 import pathlib
 import random
+import socket
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import vigil.pipeline
 from vigil._version import __version__
 from vigil.cli import main
 from vigil.errors import ConfigError
@@ -33,6 +36,7 @@ from vigil.pipeline import (
     track_line,
 )
 from vigil.rng import derive_seed
+from vigil.rules import TcpAlertSink
 from vigil.sources import read_dump, scene_config_from_dict, simulate, write_dump
 from vigil.tracker import Track, TrackStatus, track_record
 
@@ -254,6 +258,40 @@ def test_dump_source_run(tmp_path):
     assert manifest["frames"] == expected_frames
     assert "scene_seed" not in manifest
     assert (out / TRACKS_FILE).stat().st_size > 0
+
+
+def test_run_mirrors_alerts_to_the_sink(tmp_path, monkeypatch):
+    # alert_sink streams every alert line to a TCP listener, which reads
+    # until the run's sink.close() hangs up
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    server.settimeout(5.0)
+    received = []
+
+    def serve():
+        conn, _ = server.accept()
+        with conn:
+            conn.settimeout(5.0)
+            data = b""
+            while chunk := conn.recv(4096):
+                data += chunk
+        received.append(data)
+
+    sinks = []
+    monkeypatch.setattr(vigil.pipeline, "TcpAlertSink",
+                        lambda *address: sinks.append(TcpAlertSink(*address)) or sinks[-1])
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        doc = _run_doc(alert_sink={"host": "127.0.0.1", "port": server.getsockname()[1]})
+        manifest = run(pipeline_config_from_dict(doc), str(tmp_path))
+        thread.join(timeout=5.0)
+    finally:
+        server.close()
+    assert manifest["alerts"] > 0
+    assert received == [(tmp_path / ALERTS_FILE).read_bytes()]
+    assert len(sinks) == 1 and sinks[0].dropped == 0
 
 
 # -- CLI ---------------------------------------------------------------------
