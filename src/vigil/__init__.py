@@ -3,7 +3,8 @@
 The package is organized around a handful of small, independently usable
 pieces:
 
-- :mod:`vigil.geometry` — boxes, frames, detections, IoU, polygon tests
+- :mod:`vigil.geometry` — boxes, frames, detections and frame batches of
+  them, IoU, polygon tests
 - :mod:`vigil.sources` — detection-dump I/O and the synthetic scene simulator
 - :mod:`vigil.tracker` — IoU/Kalman multi-object tracker
 - :mod:`vigil.summarize` — submodular frame selection (greedy and lazy greedy)
@@ -17,7 +18,7 @@ pieces:
 
 from ._version import __version__
 from .errors import ConfigError, DataError, DumpFormatError, VigilError
-from .geometry import BoundingBox, Detection, FrameMeta, iou, iou_matrix
+from .geometry import BoundingBox, Detection, FrameDetections, FrameMeta, iou, iou_matrix
 from .rng import Rng, derive_seed
 from .sources import SyntheticSceneConfig, read_dump, simulate, write_dump
 from .tracker import SortTracker, TrackerConfig, TrackStatus
@@ -40,7 +41,7 @@ from .pipeline import PipelineConfig, load_pipeline_config, pipeline_config_from
 __all__ = [
     "__version__",
     "VigilError", "ConfigError", "DataError", "DumpFormatError",
-    "BoundingBox", "FrameMeta", "Detection", "iou", "iou_matrix",
+    "BoundingBox", "FrameMeta", "Detection", "FrameDetections", "iou", "iou_matrix",
     "Rng", "derive_seed",
     "SyntheticSceneConfig", "simulate", "read_dump", "write_dump",
     "SortTracker", "TrackerConfig", "TrackStatus",

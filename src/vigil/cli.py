@@ -235,8 +235,8 @@ def _cmd_predict(args) -> None:
 
 
 def _read_flat_dump(path, width: int, height: int):
-    return [det for _, dets in read_dump(path, width=width, height=height)
-            for det in dets]
+    return [det for meta, batch in read_dump(path, width=width, height=height)
+            for det in batch.detections(meta)]
 
 
 _EVAL = {"predictions": (pathname, REQUIRED), "ground_truth": (pathname, REQUIRED),

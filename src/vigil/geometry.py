@@ -3,7 +3,8 @@
 Boxes are corner-format with real-valued, closed-interval coordinates.
 Zero-area (degenerate) boxes are legal inputs everywhere; IoU involving an
 empty union is 0 by convention so a flaky detector cannot halt the pipeline.
-All types are immutable values and all functions are pure.
+All types but the FrameDetections batch are immutable values, and all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def corners_ordered(x1: float, y1: float, x2: float, y2: float) -> bool:
+    """The corner rule every BoundingBox keeps: no x1 > x2 and no y1 > y2."""
+    return not (x1 > x2 or y1 > y2)
+
+
+def confidence_in_range(confidence: float) -> bool:
+    """The confidence rule every Detection keeps: 0 <= confidence <= 1."""
+    return 0.0 <= confidence <= 1.0
+
+
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     x1: float
@@ -23,7 +34,7 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        if self.x1 > self.x2 or self.y1 > self.y2:
+        if not corners_ordered(self.x1, self.y1, self.x2, self.y2):
             raise ValueError(f"invalid box corners: {(self.x1, self.y1, self.x2, self.y2)}")
 
     @property
@@ -82,8 +93,42 @@ class Detection:
     def __post_init__(self):
         if not self.class_label:
             raise ValueError("class_label must be non-empty")
-        if not 0.0 <= self.confidence <= 1.0:
+        if not confidence_in_range(self.confidence):
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+
+
+class FrameDetections:
+    """One frame's detections as arrays: corner rows ``boxes`` (k, 4)
+    float64, ``labels`` (a list of k class labels) and ``confidences``
+    (k,) float64, row i holding the frame's i-th detection.
+
+    The values are those :class:`Detection` accepts (ordered corners,
+    non-empty labels, confidences in [0, 1]); whoever builds a batch
+    checks them.  ``len()`` is the detection count.
+    """
+
+    __slots__ = ("boxes", "labels", "confidences")
+
+    def __init__(self, boxes: np.ndarray, labels: list[str], confidences: np.ndarray):
+        self.boxes = boxes
+        self.labels = labels
+        self.confidences = confidences
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> FrameDetections:
+        """The batch of a list of detections, in list order."""
+        return cls(np.array([d.bbox.as_tuple() for d in detections], dtype=float).reshape(-1, 4),
+                   [d.class_label for d in detections],
+                   np.array([d.confidence for d in detections], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def detections(self, frame: FrameMeta) -> list[Detection]:
+        """The batch as Detection objects of *frame*, in row order."""
+        return [Detection(frame, BoundingBox(*box), label, conf)
+                for box, label, conf in zip(self.boxes.tolist(), self.labels,
+                                            self.confidences.tolist())]
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -25,13 +25,24 @@ DEFAULT_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e3, 1e3, 1e3])
 _SIZE_FLOOR = 1e-4  # lower clamp for area and aspect ratio
 
 
-def measurement(box: BoundingBox) -> tuple[float, float, float, float]:
-    """Corner-format box -> measurement [u, v, s, r] as Python floats."""
-    w = box.x2 - box.x1
-    h = box.y2 - box.y1
-    if w <= 0.0 or h <= 0.0:
-        raise ValueError(f"box must have positive area: {box.as_tuple()}")
-    return (box.x1 + 0.5 * w, box.y1 + 0.5 * h, w * h, w / h)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def measurement(boxes: np.ndarray) -> np.ndarray:
+    """Corner rows [x1, y1, x2, y2] (n, 4) -> measurement rows [u, v, s, r].
+
+    Each row is w = x2 - x1, h = y2 - y1, then [x1 + 0.5 * w, y1 + 0.5 * h,
+    w * h, w / h]: the operations, in their order, of the same formula on
+    Python floats, so bit for bit its result (see corners).  A row of zero
+    width or height, where that formula divides by zero, gets inf or nan
+    without a warning; callers use only rows of positive area.
+    """
+    corner = boxes[:, :2]
+    size = boxes[:, 2:] - corner  # w, h
+    w, h = size[:, 0], size[:, 1]
+    z = np.empty((len(boxes), 4))
+    z[:, :2] = corner + 0.5 * size
+    z[:, 2] = w * h
+    z[:, 3] = w / h
+    return z
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -43,13 +54,17 @@ def corners(x: np.ndarray) -> np.ndarray:
     operations do, so each row is bit for bit the box that the same formula
     gives on Python floats, which overflow to inf and nan without a warning.
     """
-    u, v, s, r = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    s, r = x[:, 2], x[:, 3]
     w = np.sqrt(np.maximum(s * r, 0.0))
     if (w <= 0.0).any():
         i = np.flatnonzero(w <= 0.0)[0]
         raise ValueError(f"non-positive size in state: s={s[i].item()}, r={r[i].item()}")
-    h = s / w
-    return np.stack([u - 0.5 * w, v - 0.5 * h, u + 0.5 * w, v + 0.5 * h], axis=1)
+    half = np.empty((len(x), 2))  # [0.5 * w, 0.5 * h]
+    half[:, 0] = w
+    half[:, 1] = s / w
+    half *= 0.5
+    center = x[:, :2]  # u, v
+    return np.concatenate([center - half, center + half], axis=1)
 
 
 # The Kalman steps work on stacked states: x (n, 7) and P (n, 7, 7), one
@@ -93,6 +108,13 @@ def update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> np.nda
     return P
 
 
+def _measure(box: BoundingBox) -> np.ndarray:
+    """The measurement row (1, 4) of one box of positive area."""
+    if box.width <= 0.0 or box.height <= 0.0:
+        raise ValueError(f"box must have positive area: {box.as_tuple()}")
+    return measurement(np.array([box.as_tuple()], dtype=float))
+
+
 class KalmanBoxFilter:
     """Tracks one box through time: a one-row view over the stacked steps.
 
@@ -106,7 +128,7 @@ class KalmanBoxFilter:
 
     def __init__(self, box: BoundingBox):
         self.x = np.zeros(7)
-        self.x[:4] = measurement(box)
+        self.x[:4] = _measure(box)[0]
         self.P = DEFAULT_P0.copy()
 
     def predict(self) -> BoundingBox:
@@ -114,8 +136,7 @@ class KalmanBoxFilter:
         return self.bbox
 
     def update(self, box: BoundingBox) -> None:
-        self.P = update(self.x[None], self.P[None], np.array([measurement(box)]),
-                        DEFAULT_R)[0]
+        self.P = update(self.x[None], self.P[None], _measure(box), DEFAULT_R)[0]
 
     @property
     def bbox(self) -> BoundingBox:

@@ -147,7 +147,12 @@ def load_pipeline_config(path) -> PipelineConfig:
 
 
 def _frame_stream(cfg: PipelineConfig):
-    """Yield (FrameMeta, [Detection]) pairs plus the derived scene seed (or None)."""
+    """The run's frames plus the derived scene seed (or None).
+
+    A dump yields (FrameMeta, FrameDetections) pairs, the frame's detections
+    as arrays, which SortTracker.step takes as they are; the simulator
+    yields (FrameMeta, [Detection]) pairs, which step turns into a batch.
+    """
     if cfg.source_kind == "dump":
         return read_dump(cfg.dump_path, width=cfg.frame_width, height=cfg.frame_height), None
     scene_seed = derive_seed(cfg.seed, SCENE_SEED_LABEL)

@@ -1,9 +1,11 @@
 """Detection streams: dump-file parsing and the synthetic scene simulator.
 
-A detection source is an iterator of (FrameMeta, list[Detection]) pairs,
-grouped by frame, with strictly increasing frame ids.  Streams come either
-from a JSONL detection dump written by an external detector, or from the
-seeded simulator below, which stands in for one.
+A dump is read as an iterator of (FrameMeta, FrameDetections) pairs, one
+per frame, with strictly increasing frame ids; the batch holds the frame's
+boxes (k, 4), labels and confidences as arrays, which the tracker steps on
+as they are.  The seeded simulator below, which stands in for a detector,
+gives (FrameMeta, list[Detection]) frames instead; write_dump writes
+frames of either kind as a dump.
 
 Dump format, one JSON object per line:
 
@@ -15,6 +17,11 @@ frame group, whose timestamp is its first line's "ts_ms" (later lines' values
 are ignored).  Frame timestamps must be non-decreasing: a frame whose "ts_ms"
 is below the previous frame's is a format error, since dwell times would go
 negative.  Ground-truth dumps use the same format with conf = 1.0.
+
+write_dump writes each line from one template (_dump_line), and read_dump
+parses lines of exactly that shape from a pattern next to it; every other
+line, and every line that fails a check, goes through json.loads, so any
+valid JSON layout reads the same, only slower.
 """
 
 from __future__ import annotations
@@ -22,15 +29,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .config import fields_of, list_of, parse, read_config, record
 from .errors import ConfigError, DumpFormatError, open_input
-from .geometry import BoundingBox, Detection, FrameMeta
+from .geometry import (BoundingBox, Detection, FrameDetections, FrameMeta, confidence_in_range,
+                       corners_ordered)
 from .rng import Rng
 
-FrameGroup = tuple[FrameMeta, list[Detection]]
+# what read_dump yields: a frame and its detections as arrays
+FrameGroup = tuple[FrameMeta, FrameDetections]
 
 DUMP_FIELDS = ("frame", "ts_ms", "class", "x1", "y1", "x2", "y2", "conf")
 
@@ -42,6 +54,48 @@ _TRUE_CONF_SCALE = 20.0  # conf = max(0.5, 1 - |jitter| / 20)
 
 # ---------------------------------------------------------------------------
 # dump I/O
+
+
+def _dump_line(meta: FrameMeta, det: Detection, labels: dict) -> str:
+    """``json.dumps`` of the detection's record and a newline, from a fixed
+    template (keys in DUMP_FIELDS order).
+
+    json.dumps writes an int and a finite float as their repr, so only the
+    label needs encoding; *labels* caches each label's JSON.  A record
+    holding any other value (inf, nan, an int coordinate, a subclass of
+    int, float or str such as numpy's scalars) goes through json.dumps.
+    """
+    box = det.bbox
+    frame, ts, label = meta.frame_id, meta.timestamp_ms, det.class_label
+    x1, y1, x2, y2, conf = box.x1, box.y1, box.x2, box.y2, det.confidence
+    if not (type(frame) is type(ts) is int and type(label) is str
+            and type(x1) is type(y1) is type(x2) is type(y2) is type(conf) is float
+            and math.isfinite(x1 + y1 + x2 + y2 + conf)):
+        return json.dumps({"frame": frame, "ts_ms": ts, "class": label, "x1": x1, "y1": y1,
+                           "x2": x2, "y2": y2, "conf": conf}) + "\n"
+    encoded = labels.get(label)
+    if encoded is None:
+        encoded = labels[label] = json.dumps(label)
+    return (f'{{"frame": {frame}, "ts_ms": {ts}, "class": {encoded}, '
+            f'"x1": {x1!r}, "y1": {y1!r}, "x2": {x2!r}, "y2": {y2!r}, "conf": {conf!r}}}\n')
+
+
+# A JSON number.  float() of the token is the float of what json.loads
+# gives: float() parses a token with a fraction or exponent in both, and an
+# integer token's float() equals float(int(token)), both correctly rounded,
+# except for "-0", the int 0, which float() makes -0.0.  The pattern leaves
+# "-0" out.
+_NUMBER = r"(-?(?:[1-9][0-9]*|0(?=[.eE]))(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|0)"
+
+# _dump_line's shape with a label free of escapes and control characters, so
+# the label is the text between the quotes.  Frame ids and timestamps of
+# more than 18 digits take the slow path, so int() here never meets its
+# digit limit.
+_DUMP_LINE = re.compile(
+    r'\{"frame": (0|[1-9][0-9]{0,17}), "ts_ms": (-?(?:0|[1-9][0-9]{0,17})), '
+    r'"class": "([^"\\\x00-\x1f]+)", '
+    rf'"x1": {_NUMBER}, "y1": {_NUMBER}, "x2": {_NUMBER}, "y2": {_NUMBER}, '
+    rf'"conf": {_NUMBER}\}}\n?')
 
 
 def _parse_record(line_no: int, line: str) -> dict:
@@ -65,7 +119,11 @@ def _parse_record(line_no: int, line: str) -> dict:
     for key in ("x1", "y1", "x2", "y2", "conf"):
         if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
             raise DumpFormatError(line_no, f'"{key}" must be a number')
-        if not math.isfinite(rec[key]):
+        try:
+            finite = math.isfinite(rec[key])
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise DumpFormatError(line_no, f'"{key}" must be finite')
     return rec
 
@@ -76,71 +134,92 @@ def read_dump(path, *, width: int = 1920, height: int = 1080,
 
     The dump format carries no frame geometry, so `width`/`height` set the
     FrameMeta extent; `source_id` defaults to the file's stem.
+
+    A line in _dump_line's shape with finite values is parsed from the
+    pattern's groups; every other line goes through json.loads and
+    _parse_record.  Both then take the same frame checks and the same
+    Detection rules, so the frames and errors are those of the slow path
+    alone.
     """
     if source_id is None:
         source_id = os.path.splitext(os.path.basename(str(path)))[0]
 
     def gen():
         meta = None
-        group: list[Detection] = []
+        boxes: list = []
+        labels: list = []
+        confs: list = []
         last_frame = None
         with open_input(path, "r", encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                rec = _parse_record(line_no, line)
-                fid = rec["frame"]
+                m = _DUMP_LINE.fullmatch(raw)
+                if m is not None:
+                    fid, ts, label, x1, y1, x2, y2, conf = m.groups()
+                    box = (float(x1), float(y1), float(x2), float(y2))
+                    conf = float(conf)
+                    if math.isfinite(sum(box) + conf):
+                        fid, ts = int(fid), int(ts)
+                    else:
+                        m = None  # _parse_record reports the value
+                if m is None:
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    rec = _parse_record(line_no, line)
+                    fid, ts, label = rec["frame"], rec["ts_ms"], rec["class"]
+                    box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
+                           float(rec["y2"]))
+                    conf = float(rec["conf"])
                 if last_frame is not None and fid < last_frame:
                     raise DumpFormatError(
                         line_no, f'"frame" {fid} decreases (previous {last_frame})')
                 if fid < 0:
                     raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
-                ts = rec["ts_ms"]
-                if meta is not None and fid != meta.frame_id and ts < meta.timestamp_ms:
+                new_frame = meta is None or fid != meta.frame_id
+                if meta is not None and new_frame and ts < meta.timestamp_ms:
                     raise DumpFormatError(
                         line_no, f'"ts_ms" {ts} decreases (previous frame {meta.timestamp_ms})')
                 try:
-                    det = Detection(
-                        frame=FrameMeta(source_id, fid, ts, width, height)
-                        if meta is None or fid != meta.frame_id else meta,
-                        bbox=BoundingBox(float(rec["x1"]), float(rec["y1"]),
-                                         float(rec["x2"]), float(rec["y2"])),
-                        class_label=rec["class"],
-                        confidence=float(rec["conf"]),
-                    )
+                    frame = FrameMeta(source_id, fid, ts, width, height) if new_frame else meta
+                    if not (label and corners_ordered(*box) and confidence_in_range(conf)):
+                        # a value Detection rejects: it raises the message
+                        Detection(frame, BoundingBox(*box), label, conf)
                 except ValueError as exc:
                     raise DumpFormatError(line_no, str(exc)) from exc
-                if meta is not None and fid != meta.frame_id:
-                    yield meta, group
-                    group = []
-                meta = det.frame
-                group.append(det)
+                if new_frame and meta is not None:
+                    yield meta, _batch(boxes, labels, confs)
+                    boxes, labels, confs = [], [], []
+                meta = frame
+                boxes.append(box)
+                labels.append(label)
+                confs.append(conf)
                 last_frame = fid
         if meta is not None:
-            yield meta, group
+            yield meta, _batch(boxes, labels, confs)
 
     return gen()
 
 
-def write_dump(path, stream: Iterator[FrameGroup]) -> int:
-    """Write frame groups back out in dump format; returns lines written."""
+def _batch(boxes: list, labels: list, confs: list) -> FrameDetections:
+    return FrameDetections(np.array(boxes, dtype=float), labels,
+                           np.array(confs, dtype=float))
+
+
+def write_dump(path, stream: Iterator[tuple[FrameMeta, list[Detection] | FrameDetections]]) -> int:
+    """Write frames out in dump format; returns lines written.
+
+    A frame's detections are a Detection list or a FrameDetections batch,
+    so ``write_dump(out, read_dump(src))`` copies a dump.
+    """
     n = 0
+    labels: dict = {}
     with open(path, "w", encoding="utf-8") as fh:
         for meta, dets in stream:
-            for det in dets:
-                rec = {
-                    "frame": meta.frame_id,
-                    "ts_ms": meta.timestamp_ms,
-                    "class": det.class_label,
-                    "x1": det.bbox.x1,
-                    "y1": det.bbox.y1,
-                    "x2": det.bbox.x2,
-                    "y2": det.bbox.y2,
-                    "conf": det.confidence,
-                }
-                fh.write(json.dumps(rec) + "\n")
-                n += 1
+            if isinstance(dets, FrameDetections):
+                dets = dets.detections(meta)
+            lines = [_dump_line(meta, det, labels) for det in dets]
+            fh.write("".join(lines))
+            n += len(lines)
     return n
 
 

@@ -1,10 +1,11 @@
 """SORT-style multi-object tracker.
 
 Each step predicts every live track one frame ahead with the constant
-velocity Kalman model, associates predictions to detections by Hungarian
-assignment on 1 - IoU cost (per class by default), then applies the
-lifecycle rules: matched tracks are corrected and accumulate hits,
-unmatched detections spawn Tentative tracks, and unmatched tracks age out.
+velocity Kalman model, associates predictions to the frame's detections (a
+FrameDetections batch of box rows and labels) by Hungarian assignment on
+1 - IoU cost (per class by default), then applies the lifecycle rules:
+matched tracks are corrected and accumulate hits, unmatched detections
+spawn Tentative tracks, and unmatched tracks age out.
 
 The tracker owns the Kalman state of all its tracks as two stacks, row i
 belonging to tracks[i].  A step makes one predict over all rows, one
@@ -22,7 +23,7 @@ import numpy as np
 
 from .assignment import hungarian_assign
 from .errors import ConfigError, DataError
-from .geometry import BoundingBox, Detection, FrameMeta, iou_matrix
+from .geometry import BoundingBox, Detection, FrameDetections, FrameMeta, iou_matrix
 from .kalman import DEFAULT_P0, DEFAULT_Q, DEFAULT_R, corners, measurement, predict, update
 
 
@@ -94,24 +95,35 @@ class SortTracker:
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def step(self, frame: FrameMeta, detections: list[Detection]) -> list[Track]:
-        """Advance one frame; returns the live Confirmed tracks."""
+    def step(self, frame: FrameMeta,
+             detections: FrameDetections | list[Detection]) -> list[Track]:
+        """Advance one frame; returns the live Confirmed tracks.
+
+        *detections* is the frame's batch, as read_dump yields it; a list
+        of Detection objects is turned into one first.
+        """
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
+        if not isinstance(detections, FrameDetections):
+            detections = FrameDetections.of(detections)
         cfg = self.config
         tracks = self.tracks
+        boxes = detections.boxes
 
         self._P = predict(self._x, self._P, DEFAULT_Q)
         matches, unmatched_tracks, unmatched_dets = self._associate(
             corners(self._x), detections)
 
+        # every row's measurement; a matched box overlaps its prediction and
+        # a seed is checked below, so only rows of positive area are used
+        z = measurement(boxes)
         rows = [ti for ti, _ in matches]
         if rows:
-            x = self._x[rows]
-            z = np.array([measurement(detections[di].bbox) for _, di in matches])
-            self._P[rows] = update(x, self._P[rows], z, DEFAULT_R)
+            x = self._x.take(rows, 0)
+            self._P[rows] = update(x, self._P.take(rows, 0),
+                                   z.take([di for _, di in matches], 0), DEFAULT_R)
             self._x[rows] = x
         for ti in rows:
             t = tracks[ti]
@@ -134,16 +146,17 @@ class SortTracker:
             self._P = self._P[live]
 
         # degenerate boxes cannot seed a Kalman state
-        seeds = [detections[di] for di in unmatched_dets
-                 if detections[di].bbox.width > 0.0 and detections[di].bbox.height > 0.0]
+        seeds = [di for di, (x1, y1, x2, y2) in zip(unmatched_dets,
+                                                    boxes.take(unmatched_dets, 0).tolist())
+                 if x2 - x1 > 0.0 and y2 - y1 > 0.0]
         if seeds:
             x0 = np.zeros((len(seeds), 7))
-            x0[:, :4] = [measurement(det.bbox) for det in seeds]
+            x0[:, :4] = z.take(seeds, 0)
             self._x = np.concatenate([self._x, x0])
             self._P = np.concatenate(
                 [self._P, np.broadcast_to(DEFAULT_P0, (len(seeds), 7, 7))])
-            for det in seeds:
-                tracks.append(Track(self._next_id, det.class_label))
+            for di in seeds:
+                tracks.append(Track(self._next_id, detections.labels[di]))
                 self._next_id += 1
 
         for t, box in zip(tracks, corners(self._x).tolist()):
@@ -153,20 +166,19 @@ class SortTracker:
 
     # -- association ------------------------------------------------------
 
-    def _associate(self, predictions: np.ndarray, detections: list[Detection]):
+    def _associate(self, predictions: np.ndarray, detections: FrameDetections):
         matches: list[tuple[int, int]] = []
-        if len(predictions) and detections:
+        if len(predictions) and len(detections):
             # IoU is computed pair by pair, so one matrix over every prediction
             # and detection serves all groups (one group, None, if not per_class)
-            overlap = iou_matrix(predictions,
-                                 np.array([d.bbox.as_tuple() for d in detections]))
+            overlap = iou_matrix(predictions, detections.boxes)
             per_class = self.config.per_class
             t_groups: dict = {}
             for i, t in enumerate(self.tracks):
                 t_groups.setdefault(t.class_label if per_class else None, []).append(i)
             d_groups: dict = {}
-            for j, d in enumerate(detections):
-                d_groups.setdefault(d.class_label if per_class else None, []).append(j)
+            for j, label in enumerate(detections.labels):
+                d_groups.setdefault(label if per_class else None, []).append(j)
             for key in sorted(t_groups.keys() & d_groups.keys()):
                 t_idx, d_idx = t_groups[key], d_groups[key]
                 group = overlap.take(t_idx, 0).take(d_idx, 1)

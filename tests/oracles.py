@@ -8,6 +8,7 @@ numbers — and shares no code with the package under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -323,7 +324,9 @@ _KF_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e3, 1e3, 1e3])
 _KF_FLOOR = 1e-4
 
 
-def _kf_measurement(box):
+def kalman_measurement_reference(box):
+    """Corner box (x1, y1, x2, y2) -> measurement (u, v, s, r), on Python
+    floats: the scalar formula vigil.kalman.measurement vectorises."""
     x1, y1, x2, y2 = box
     w, h = x2 - x1, y2 - y1
     return (x1 + 0.5 * w, y1 + 0.5 * h, w * h, w / h)
@@ -337,7 +340,7 @@ class ReferenceTrack:
         self.hits = 0
         self.time_since_update = 0
         self.x = np.zeros(7)
-        self.x[:4] = _kf_measurement(box)
+        self.x[:4] = kalman_measurement_reference(box)
         self.P = _KF_P0.copy()
 
     @property
@@ -396,7 +399,7 @@ class ReferenceSortTracker:
 
         if matches:
             filters = [tracks[ti] for ti, _ in matches]
-            z = np.array([_kf_measurement(detections[di][0]) for _, di in matches])
+            z = np.array([kalman_measurement_reference(detections[di][0]) for _, di in matches])
             x = np.array([t.x for t in filters])
             P = np.array([t.P for t in filters])
             innovation = z - x[:, :4]
@@ -432,6 +435,93 @@ class ReferenceSortTracker:
                 self._next_id += 1
         self.tracks = [t for t in tracks if t.status != "Deleted"] + spawned
         return [t for t in self.tracks if t.status == "Confirmed"]
+
+
+# ---------------------------------------------------------------------------
+# dump reading: read_dump frozen as it was before its fast path, every line
+# through json.loads, the field checks and the Detection checks, with the
+# finiteness check that also rejects an int beyond the float range.  It
+# reuses vigil's value types and DumpFormatError, whose messages it must
+# raise, so that a comparison tests the parsing alone.
+
+_REF_DUMP_FIELDS = ("frame", "ts_ms", "class", "x1", "y1", "x2", "y2", "conf")
+
+
+def _ref_dump_record(line_no, line):
+    from vigil.errors import DumpFormatError
+
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DumpFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(rec, dict):
+        raise DumpFormatError(line_no, "record is not a JSON object")
+    missing = [k for k in _REF_DUMP_FIELDS if k not in rec]
+    if missing:
+        raise DumpFormatError(line_no, f"missing fields: {', '.join(missing)}")
+    extra = [k for k in rec if k not in _REF_DUMP_FIELDS]
+    if extra:
+        raise DumpFormatError(line_no, f"unknown fields: {', '.join(extra)}")
+    for key in ("frame", "ts_ms"):
+        if not isinstance(rec[key], int) or isinstance(rec[key], bool):
+            raise DumpFormatError(line_no, f'"{key}" must be an integer')
+    if not isinstance(rec["class"], str):
+        raise DumpFormatError(line_no, '"class" must be a string')
+    for key in ("x1", "y1", "x2", "y2", "conf"):
+        if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
+            raise DumpFormatError(line_no, f'"{key}" must be a number')
+        try:
+            value = float(rec[key])
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DumpFormatError(line_no, f'"{key}" must be finite')
+    return rec
+
+
+def read_dump_reference(path, width, height, source_id):
+    """Yield (FrameMeta, [Detection]) frame groups of a detection dump."""
+    from vigil.errors import DumpFormatError
+    from vigil.geometry import BoundingBox, Detection, FrameMeta
+
+    meta = None
+    group = []
+    last_frame = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            rec = _ref_dump_record(line_no, line)
+            fid = rec["frame"]
+            if last_frame is not None and fid < last_frame:
+                raise DumpFormatError(
+                    line_no, f'"frame" {fid} decreases (previous {last_frame})')
+            if fid < 0:
+                raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
+            ts = rec["ts_ms"]
+            if meta is not None and fid != meta.frame_id and ts < meta.timestamp_ms:
+                raise DumpFormatError(
+                    line_no, f'"ts_ms" {ts} decreases (previous frame {meta.timestamp_ms})')
+            try:
+                det = Detection(
+                    frame=FrameMeta(source_id, fid, ts, width, height)
+                    if meta is None or fid != meta.frame_id else meta,
+                    bbox=BoundingBox(float(rec["x1"]), float(rec["y1"]),
+                                     float(rec["x2"]), float(rec["y2"])),
+                    class_label=rec["class"],
+                    confidence=float(rec["conf"]),
+                )
+            except ValueError as exc:
+                raise DumpFormatError(line_no, str(exc)) from exc
+            if meta is not None and fid != meta.frame_id:
+                yield meta, group
+                group = []
+            meta = det.frame
+            group.append(det)
+            last_frame = fid
+    if meta is not None:
+        yield meta, group
 
 
 # ---------------------------------------------------------------------------

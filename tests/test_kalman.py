@@ -1,5 +1,6 @@
 """Constant-velocity box filter vs. a textbook explicit-inverse reference."""
 
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,15 @@ from vigil.kalman import (
     update,
 )
 
-from oracles import kalman_predict_reference, kalman_update_reference
+from oracles import (
+    kalman_measurement_reference,
+    kalman_predict_reference,
+    kalman_update_reference,
+)
+
+
+def measure(*boxes: BoundingBox) -> np.ndarray:
+    return measurement(np.array([box.as_tuple() for box in boxes]))
 
 
 def transition_matrix() -> np.ndarray:
@@ -28,24 +37,58 @@ def transition_matrix() -> np.ndarray:
 
 def test_measurement_round_trip():
     box = BoundingBox(10, 20, 50, 100)
-    z = measurement(box)
-    assert z == pytest.approx((30.0, 60.0, 3200.0, 0.5))
-    back = corners(np.array([z]))
+    z = measure(box)
+    assert z.shape == (1, 4)
+    assert tuple(z[0]) == pytest.approx((30.0, 60.0, 3200.0, 0.5))
+    back = corners(z)
     assert back.shape == (1, 4)
     assert tuple(back[0]) == pytest.approx(box.as_tuple(), abs=1e-9)
 
 
+def test_measurement_matches_scalar_formula_bit_for_bit():
+    # the rows go through numpy's element-wise -, *, / and +, which round as
+    # Python's float operations do, so each row is bit for bit the scalar
+    # formula's tuple, down to sub-ulp widths and coordinates near 1e15
+    rnd = random.Random(61)
+    boxes = []
+    for _ in range(400):
+        x1, y1 = rnd.uniform(-2000, 2000), rnd.uniform(-2000, 2000)
+        boxes.append((x1, y1, x1 + rnd.uniform(1e-3, 500), y1 + rnd.uniform(1e-3, 500)))
+    for _ in range(100):
+        x1, y1 = rnd.uniform(-1e15, 1e15), rnd.uniform(-1e15, 1e15)
+        boxes.append((x1, y1, x1 + rnd.uniform(0.2, 9.0), y1 + rnd.uniform(0.2, 9.0)))
+    for _ in range(100):
+        x1, y1 = rnd.uniform(1, 100), rnd.uniform(1, 100)
+        # widths of one to a few ulps of the corner
+        boxes.append((x1, y1, x1 + rnd.randint(1, 4) * math.ulp(x1),
+                      y1 + rnd.randint(1, 4) * math.ulp(y1)))
+    while len(boxes) < 1000:
+        # corners from 1e-3 to 1e15 in size, widths from 1e-6 to 1e15, where
+        # rounding tells 0.5 * (x1 + x2) from x1 + 0.5 * w; a width below
+        # the corner's ulp makes a degenerate box, which is left out
+        x1, y1 = (rnd.uniform(-1, 1) * 10 ** rnd.uniform(-3, 15) for _ in range(2))
+        x2, y2 = x1 + 10 ** rnd.uniform(-6, 15), y1 + 10 ** rnd.uniform(-6, 15)
+        if x2 > x1 and y2 > y1:
+            boxes.append((x1, y1, x2, y2))
+    got = measurement(np.array(boxes))
+    want = np.array([kalman_measurement_reference(box) for box in boxes])
+    assert got.shape == (len(boxes), 4)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_measurement_rejects_degenerate_boxes():
-    with pytest.raises(ValueError):
-        measurement(BoundingBox(5, 5, 5, 9))
-    with pytest.raises(ValueError):
-        measurement(BoundingBox(1, 2, 8, 2))
+    # the row measurement leaves the check to its callers; the filter keeps it
+    with pytest.raises(ValueError, match="positive area"):
+        KalmanBoxFilter(BoundingBox(5, 5, 5, 9))
+    kf = KalmanBoxFilter(BoundingBox(0, 0, 4, 4))
+    with pytest.raises(ValueError, match="positive area"):
+        kf.update(BoundingBox(1, 2, 8, 2))
 
 
 def test_initial_state():
     box = BoundingBox(0, 0, 20, 10)
     kf = KalmanBoxFilter(box)
-    assert tuple(kf.x[:4]) == pytest.approx(measurement(box))
+    assert np.array_equal(kf.x[:4], measure(box)[0])
     assert kf.x[4:] == pytest.approx([0.0, 0.0, 0.0])
     assert np.array_equal(kf.P, DEFAULT_P0)
     assert kf.bbox.as_tuple() == pytest.approx(box.as_tuple(), abs=1e-9)
@@ -59,7 +102,8 @@ def test_matches_reference_filter_on_random_sequences():
         w, h = rnd.uniform(10, 60), rnd.uniform(10, 60)
         first = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         kf = KalmanBoxFilter(first)
-        x_ref = np.concatenate([measurement(first), np.zeros(3)])
+        x_ref = np.concatenate([kalman_measurement_reference(first.as_tuple()),
+                                np.zeros(3)])
         P_ref = DEFAULT_P0.copy()
         for _ in range(12):
             kf.predict()
@@ -71,7 +115,7 @@ def test_matches_reference_filter_on_random_sequences():
             meas = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
             kf.update(meas)
             x_ref, P_ref = kalman_update_reference(x_ref, P_ref,
-                                                   measurement(meas), DEFAULT_R)
+                                                   measure(meas)[0], DEFAULT_R)
             assert kf.x == pytest.approx(x_ref, abs=1e-6)
             assert kf.P == pytest.approx(P_ref, abs=1e-6)
 
@@ -107,7 +151,7 @@ def test_filters_stepped_together_match_filters_stepped_alone():
             boxes.append(BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
         if rows:
             matched = x[rows]
-            z = np.array([measurement(box) for box in boxes])
+            z = measure(*boxes)
             P[rows] = update(matched, P[rows], z, DEFAULT_R)
             x[rows] = matched
         for i, box in zip(rows, boxes):

@@ -429,6 +429,19 @@ def test_cli_rejects_timestamps_going_backwards(tmp_path, capsys):
     assert "line 6" in err and "ts_ms" in err
 
 
+def test_cli_rejects_a_number_too_big_for_a_float(tmp_path, capsys):
+    # an int coordinate beyond the float range once ended the run with
+    # "internal error: OverflowError" and exit code 4
+    line = json.dumps({"frame": 0, "ts_ms": 0, "class": "person", "x1": 10 ** 400,
+                       "y1": 100, "x2": 120, "y2": 140, "conf": 0.9})
+    (tmp_path / "big.jsonl").write_text(line + "\n", encoding="utf-8")
+    config = _write_config(tmp_path, "run.json", {
+        "source": {"kind": "dump", "path": "big.jsonl", "width": 320, "height": 240}})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == 'data error: line 1: "x1" must be finite\n'
+
+
 def test_cli_rule_config_exit_codes(tmp_path, capsys):
     # the README's list form of a trip line runs
     line_rule = {"id": "gate", "kind": "LineCross", "line": [[160, 0], [160, 240]]}

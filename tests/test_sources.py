@@ -4,19 +4,24 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from vigil.errors import ConfigError, DataError, DumpFormatError
 from vigil.geometry import BoundingBox, Detection, FrameMeta
 from vigil.sources import (
+    _DUMP_LINE,
     DUMP_FIELDS,
     ObjectSpec,
     SyntheticSceneConfig,
+    _dump_line,
     read_dump,
     scene_config_from_dict,
     simulate,
     write_dump,
 )
+
+from oracles import read_dump_reference
 
 
 def small_scene(**overrides) -> SyntheticSceneConfig:
@@ -51,7 +56,7 @@ def test_dump_round_trip(tmp_path):
         assert gm.width == 200 and gm.height == 150
         assert gm.source_id == "cam7"          # file stem by default
         assert len(gd) == len(wd)
-        for g, w in zip(gd, wd):
+        for g, w in zip(gd.detections(gm), wd):
             assert g.class_label == w.class_label
             assert g.confidence == pytest.approx(w.confidence, abs=1e-12)
             assert g.bbox.as_tuple() == pytest.approx(w.bbox.as_tuple(), abs=1e-9)
@@ -141,6 +146,177 @@ def test_decreasing_timestamp_rejected(tmp_path):
         next(groups)
     assert err.value.line_no == 5
     assert '"ts_ms" 50 decreases' in str(err.value)
+
+
+def test_dump_line_is_json_dumps_of_the_record():
+    meta = FrameMeta("s", 12, 3400, 100, 100)
+    labels: dict = {}
+    values = [0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.0 / 3.0, 123456789.0, 7, -3]
+    for label in ("person", 'a"b', "back\\slash", "é", "日本", "tab\tx", "\u2028"):
+        for x1, y1 in itertools.product(values, values[:4]):
+            det = Detection(meta, BoundingBox(x1, y1, x1 + 2.5, y1 + 1e16), label, 0.75)
+            rec = {"frame": 12, "ts_ms": 3400, "class": label, "x1": x1, "y1": y1,
+                   "x2": x1 + 2.5, "y2": y1 + 1e16, "conf": 0.75}
+            assert _dump_line(meta, det, labels) == json.dumps(rec) + "\n"
+    assert set(labels) == {"person", 'a"b', "back\\slash", "é", "日本", "tab\tx", "\u2028"}
+    # repr writes inf and nan; json.dumps writes Infinity and NaN
+    for box in [(-math.inf, 0.0, 1.0, 1.0), (0.0, 0.0, math.inf, 1.0),
+                (math.nan, 0.0, 1.0, 1.0)]:
+        det = Detection(meta, BoundingBox(*box), "person", 1.0)
+        rec = {"frame": 12, "ts_ms": 3400, "class": "person", "x1": box[0], "y1": box[1],
+               "x2": box[2], "y2": box[3], "conf": 1.0}
+        line = _dump_line(meta, det, labels)
+        assert line == json.dumps(rec) + "\n"
+        assert "Infinity" in line or "NaN" in line
+    # numpy scalars, whose repr is not json.dumps's: a float64 (a float
+    # subclass) is written as its value, a str_ label as a string
+    det = Detection(meta, BoundingBox(*np.array([1.5, 2.0, 3.25, 1e16])), np.str_("car"),
+                    np.float64(0.5))
+    rec = {"frame": 12, "ts_ms": 3400, "class": "car", "x1": 1.5, "y1": 2.0, "x2": 3.25,
+           "y2": 1e16, "conf": 0.5}
+    assert _dump_line(meta, det, labels) == json.dumps(rec) + "\n"
+    # ... and an int64 frame id or a float32 confidence is json.dumps's TypeError
+    for bad_meta, bad_conf in [(FrameMeta("s", np.int64(3), 0, 100, 100), 0.5),
+                               (meta, np.float32(0.5))]:
+        with pytest.raises(TypeError):
+            _dump_line(bad_meta, Detection(bad_meta, BoundingBox(1.0, 2.0, 3.0, 4.0), "car",
+                                           bad_conf), labels)
+
+
+def test_dump_copies_through_read_and_write(tmp_path):
+    # write_dump takes read_dump's batches, and a written dump copies to
+    # the same bytes
+    scene = simulate(small_scene(jitter_sigma=1.0, false_positives_per_frame=0.3))
+    src, out = tmp_path / "src.jsonl", tmp_path / "out.jsonl"
+    n = write_dump(src, zip(scene.frames, scene.noisy))
+    assert write_dump(out, read_dump(src)) == n
+    assert out.read_bytes() == src.read_bytes()
+    assert write_dump(out, ((m, (d for d in dets)) for m, dets in
+                            zip(scene.frames, scene.noisy))) == n
+
+
+def test_written_lines_take_the_fast_path():
+    # a finite record with an escape-free label is read back from the
+    # pattern's groups, not through json.loads
+    meta = FrameMeta("s", 3, 300, 100, 100)
+    for box, conf in [((1.0, 2.0, 3.0, 4.0), 0.9), ((-0.0, 5e-324, 1e16, 1e17), 1.0),
+                      ((0.1, 0.2, 0.30000000000000004, 1.5), 0.0)]:
+        line = _dump_line(meta, Detection(meta, BoundingBox(*box), "car", conf), {})
+        m = _DUMP_LINE.fullmatch(line)
+        assert m is not None
+        assert [float(g) for g in m.groups()[3:]] == [*box, conf]
+    escaped = _dump_line(meta, Detection(meta, BoundingBox(1, 2, 3, 4), "é", 0.5), {})
+    assert _DUMP_LINE.fullmatch(escaped) is None
+
+
+def _raw_line(frame="0", ts="0", cls='"person"', x1="1.5", y1="2", x2="3.5", y2="4",
+               conf="0.5"):
+    """A line in write_dump's shape from raw JSON tokens."""
+    return (f'{{"frame": {frame}, "ts_ms": {ts}, "class": {cls}, "x1": {x1}, '
+            f'"y1": {y1}, "x2": {x2}, "y2": {y2}, "conf": {conf}}}')
+
+
+BIG = "1" + "0" * 400
+EDGE_LINES = [
+    _raw_line(x1="-0"), _raw_line(y1="-0", y2="-0"), _raw_line(x1="-0.0"),
+    _raw_line(x1="-0e3", y1="0e0", x2="0.0", y2="0"),
+    _raw_line(x2="1e400"), _raw_line(y2="1E400"), _raw_line(x1="-1e400"),
+    _raw_line(x1="5e-324", y1="-5e-324"), _raw_line(x2="1e+16", y2="1E16"),
+    _raw_line(conf="NaN"), _raw_line(x2="Infinity"), _raw_line(x1="-Infinity"),
+    _raw_line(y1="true"), _raw_line(conf="false"), _raw_line(x1="null"),
+    _raw_line(x1="01"), _raw_line(x1="-01.5"), _raw_line(x1="1."), _raw_line(x1=".5"),
+    _raw_line(x1="+1"), _raw_line(conf="1e0"), _raw_line(conf="1"), _raw_line(conf="0"),
+    _raw_line(cls='"\\u00e9"'), _raw_line(cls='"é"'), _raw_line(cls='"日本 車"'),
+    _raw_line(cls='"a\\"b"'), _raw_line(cls='"a\\\\b"'), _raw_line(cls='""'),
+    _raw_line(cls='"\x7f"'), _raw_line(cls='"a\x01b"'), _raw_line(cls='"a\tb"'),
+    _raw_line(cls='"\u2028"'), _raw_line(cls="7"),
+    _raw_line().replace(", ", ",\t", 1), _raw_line().replace(", ", ",  ", 1),
+    _raw_line().replace(": ", ":", 1), "  " + _raw_line() + "\t",
+    json.dumps({"ts_ms": 0, "frame": 0, "class": "person", "x1": 1.5, "y1": 2,
+                "x2": 3.5, "y2": 4, "conf": 0.5}),
+    _raw_line()[:-1] + ', "conf": 0.7}', '{"frame": 5, ' + _raw_line()[1:],
+    _raw_line()[:-1] + ', "extra": 1}', _raw_line().replace(', "conf": 0.5', ""),
+    _raw_line(x1=BIG), _raw_line(y2="-" + BIG), _raw_line(conf=BIG),
+    _raw_line(x1=BIG + ".5"), _raw_line(frame=BIG), _raw_line(ts=BIG),
+    _raw_line(frame="1" + "0" * 17), _raw_line(frame="1" + "0" * 18),
+    _raw_line(frame="-0"), _raw_line(frame="-1"), _raw_line(ts="-7"), _raw_line(ts="-0"),
+    _raw_line(frame="1.0"), _raw_line(ts="1e2"),
+    _raw_line(x1="1" + "0" * 308, x2="1" + "0" * 308),
+    _raw_line(x1="1e308", y1="1e308", x2="1.7e308", y2="1.7e308"),
+    _raw_line(x1="179769313486231580793728971405303415079934132710037826936173778980444"
+                  "968292764750946649017977587207096330286416692887910946555547851940402"
+                  "630657488671505820681908902000708383676273854845817711531764475730270"
+                  "069855571366959622842914819860834936475292719074168444365510704342711"
+                  "559699508093042880177904174497791.5",
+               x2="1.7976931348623157e308"),
+    _raw_line(x2="0.5"), _raw_line(y2="1.9999999999999998"),
+    _raw_line(conf="1.0000000000000002"), _raw_line(conf="1.00000000000000001"),
+    _raw_line(conf="-0.0"), _raw_line(conf="-1e-320"),
+    "", "   ", "[1, 2]", "not json", _raw_line() + " x",
+]
+
+
+def _frames_until_error(reader):
+    """The frames a reader yields, as comparable values, and its error."""
+    frames = []
+    try:
+        for meta, dets in reader:
+            if not isinstance(dets, list):
+                boxes, labels, confs = dets.boxes, dets.labels, dets.confidences
+            else:
+                boxes = np.array([d.bbox.as_tuple() for d in dets], dtype=float)
+                labels = [d.class_label for d in dets]
+                confs = np.array([d.confidence for d in dets], dtype=float)
+            assert boxes.dtype == confs.dtype == np.float64
+            assert boxes.shape == (len(labels), 4) and confs.shape == (len(labels),)
+            frames.append((meta, boxes.view(np.uint64).tolist(), labels,
+                           confs.view(np.uint64).tolist()))
+    except DumpFormatError as err:
+        return frames, (err.line_no, str(err))
+    return frames, None
+
+
+def test_fast_path_reads_as_the_frozen_slow_path(tmp_path):
+    # each edge line between two plain ones, as frame 1 and as frame 0's
+    # second detection: frames, boxes and confidences bit for bit, labels,
+    # and the error message and line number
+    plain = _raw_line(x1="0.25", x2="9.75", conf="0.125")
+    path = tmp_path / "edge.jsonl"
+    for edge in EDGE_LINES:
+        for lines in ([plain, edge.replace('"frame": 0,', '"frame": 1,', 1),
+                       _raw_line(frame="2", ts="10")],
+                      [plain, edge, _raw_line(frame="1", ts="5")]):
+            write_lines(path, lines)
+            got = _frames_until_error(read_dump(path, width=64, height=48, source_id="cam"))
+            want = _frames_until_error(read_dump_reference(path, 64, 48, "cam"))
+            assert got == want, lines
+
+
+def test_number_too_big_for_a_float_is_not_finite(tmp_path):
+    path = tmp_path / "big.jsonl"
+    write_lines(path, [GOOD.replace('"x1": 1', '"x1": 1' + "0" * 400)])
+    with pytest.raises(DumpFormatError) as err:
+        list(read_dump(path))
+    assert err.value.line_no == 1
+    assert str(err.value) == 'line 1: "x1" must be finite'
+    # a frame id is an int, however long
+    write_lines(path, [GOOD.replace('"frame": 0', '"frame": 1' + "0" * 399)])
+    (meta, batch), = read_dump(path)
+    assert meta.frame_id == 10 ** 399 and len(batch) == 1
+
+
+def test_batch_detections_are_the_rows(tmp_path):
+    path = tmp_path / "cam.jsonl"
+    write_lines(path, [GOOD, GOOD.replace('"class": "person"', '"class": "car"')
+                       .replace('"conf": 0.5', '"conf": 1.0').replace('"x2": 3', '"x2": 7.5')])
+    (meta, batch), = read_dump(path, width=64, height=48)
+    assert len(batch) == 2
+    assert batch.labels == ["person", "car"]
+    assert batch.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 7.5, 4.0]]
+    assert batch.confidences.tolist() == [0.5, 1.0]
+    assert batch.detections(meta) == [
+        Detection(meta, BoundingBox(1.0, 2.0, 3.0, 4.0), "person", 0.5),
+        Detection(meta, BoundingBox(1.0, 2.0, 7.5, 4.0), "car", 1.0)]
 
 
 def test_missing_dump_is_data_error(tmp_path):

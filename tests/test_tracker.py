@@ -315,3 +315,17 @@ def test_trace_seam_reads_tracker_state(tmp_path, monkeypatch):
     assert layers["tracker.step_calls"] == CROSSING_FRAMES
     assert layers["tracker.live_tracks_mean"] > 0
     assert layers["tracker.spawned"] > 0
+
+
+def test_trace_seam_counts_dump_frames_and_lines(tmp_path, monkeypatch):
+    # the tracer rebinds vigil.pipeline.read_dump and times each next() on
+    # the frames it yields, the last one ending the stream, and counts
+    # sources.lines as len() of each frame's batch
+    tracer = _traced_crossing_run(tmp_path, monkeypatch)
+    lines = (tmp_path / "cross.jsonl").read_text(encoding="utf-8").splitlines()
+    assert tracer.calls["sources.read_dump"] == CROSSING_FRAMES + 1
+    assert tracer.counters["sources.lines"] == len(lines) == 2 * CROSSING_FRAMES
+    assert tracer.counters["sources.bytes_in"] == (tmp_path / "cross.jsonl").stat().st_size
+    layers = tracer.layer_metrics(1)
+    assert layers["sources.lines"] == 2 * CROSSING_FRAMES
+    assert layers["sources.read_dump_s"] > 0
