@@ -144,8 +144,13 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU for two (m, 4) / (n, 4) arrays of [x1, y1, x2, y2] rows."""
+    """Pairwise IoU for two (m, 4) / (n, 4) arrays of [x1, y1, x2, y2] rows.
+
+    A pair where a box's width or area overflows the float range has IoU 0:
+    its union is inf or nan, and numpy's warnings for those are silenced.
+    """
     a = np.asarray(a, dtype=float).reshape(-1, 4)
     b = np.asarray(b, dtype=float).reshape(-1, 4)
     ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import BoundingBox
-
 # dt = 1 frame: u += du, v += dv, s += ds, r unchanged.
 _F = np.eye(7)
 _F[0, 4] = _F[1, 5] = _F[2, 6] = 1.0
@@ -67,77 +65,63 @@ def corners(x: np.ndarray) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=1)
 
 
-# The Kalman steps work on stacked states: x (n, 7) and P (n, 7, 7), one
-# row per filter, so each step is one numpy call for all of them rather
-# than one per filter.  numpy applies element-wise steps per element and
-# matrix steps (product, solve) per stacked matrix with the same BLAS /
-# LAPACK call a lone matrix gets, so a row's result does not depend on
-# which rows it is stacked with.  SortTracker owns its stacks, and
-# KalmanBoxFilter steps a stack of one row.
-
-
-def predict(x: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Advance stacked states one frame.
-
-    x is advanced in place; returns the predicted covariances.  Q (7, 7)
-    is shared by every row.
-    """
-    x[:, :3] += x[:, 4:]
-    pinned = x[:, 2] <= 0.0
-    if pinned.any():
-        # area drifted non-positive: pin it and stop shrinking
-        x[pinned, 2] = _SIZE_FLOOR
-        x[pinned, 6] = 0.0
-    return _F @ P @ _FT + Q
-
-
-def update(x: np.ndarray, P: np.ndarray, z: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Fold measurements z (n, 4) into stacked states.
-
-    x is corrected in place; returns the corrected covariances.  R (4, 4)
-    is shared by every row.
-    """
-    innovation = z - x[:, :4]
-    S = P[:, :4, :4] + R
-    # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
-    K = np.linalg.solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
-    x += (K @ innovation[:, :, None])[:, :, 0]
-    P = P - K @ P[:, :4, :]
-    P = (P + P.transpose(0, 2, 1)) * 0.5
-    np.maximum(x[:, 2:4], _SIZE_FLOOR, out=x[:, 2:4])  # area, aspect >= floor
-    return P
-
-
-def _measure(box: BoundingBox) -> np.ndarray:
-    """The measurement row (1, 4) of one box of positive area."""
-    if box.width <= 0.0 or box.height <= 0.0:
-        raise ValueError(f"box must have positive area: {box.as_tuple()}")
-    return measurement(np.array([box.as_tuple()], dtype=float))
-
-
 class KalmanBoxFilter:
-    """Tracks one box through time: a one-row view over the stacked steps.
+    """A stack of box filters: states x (n, 7) and covariances P (n, 7, 7),
+    one row per filter, all under the default noise model.
 
-    predict() advances the state one frame and returns the predicted box;
-    update() folds in a measured box.  Both use the default noise model,
-    so a filter ends bit for bit where the same row of a tracker's stack
-    does.  x is updated in place and keeps its identity.
+    Each step is one numpy call for all rows rather than one per filter.
+    numpy applies element-wise steps per element and matrix steps (product,
+    solve) per stacked matrix with the same BLAS / LAPACK call a lone matrix
+    gets, so a row's result does not depend on which rows it is stacked
+    with.  Rows keep their order: add appends, keep compacts.
     """
 
     __slots__ = ("x", "P")
 
-    def __init__(self, box: BoundingBox):
-        self.x = np.zeros(7)
-        self.x[:4] = _measure(box)[0]
-        self.P = DEFAULT_P0.copy()
+    def __init__(self):
+        self.x = np.zeros((0, 7))
+        self.P = np.zeros((0, 7, 7))
 
-    def predict(self) -> BoundingBox:
-        self.P = predict(self.x[None], self.P[None], DEFAULT_Q)[0]
-        return self.bbox
+    def add(self, z: np.ndarray) -> None:
+        """Append one filter per measurement row of z (k, 4), at rest, with
+        covariance DEFAULT_P0.  corners needs s * r > 0 of every row."""
+        x0 = np.zeros((len(z), 7))
+        x0[:, :4] = z
+        self.x = np.concatenate([self.x, x0])
+        self.P = np.concatenate([self.P, np.broadcast_to(DEFAULT_P0, (len(z), 7, 7))])
 
-    def update(self, box: BoundingBox) -> None:
-        self.P = update(self.x[None], self.P[None], _measure(box), DEFAULT_R)[0]
+    def predict(self) -> None:
+        """Advance every row one frame."""
+        x = self.x
+        x[:, :3] += x[:, 4:]
+        pinned = x[:, 2] <= 0.0
+        if pinned.any():
+            # area drifted non-positive: pin it and stop shrinking
+            x[pinned, 2] = _SIZE_FLOOR
+            x[pinned, 6] = 0.0
+        self.P = _F @ self.P @ _FT + DEFAULT_Q
 
-    @property
-    def bbox(self) -> BoundingBox:
-        return BoundingBox(*corners(self.x[None])[0].tolist())
+    def update(self, rows: list[int], z: np.ndarray) -> None:
+        """Fold measurement z[i] (len(rows), 4) into row rows[i], for
+        distinct rows in any order."""
+        x = self.x.take(rows, 0)
+        P = self.P.take(rows, 0)
+        innovation = z - x[:, :4]
+        S = P[:, :4, :4] + DEFAULT_R
+        # K = P Ht S^-1; with H = [I4|0], P Ht is the first four columns of P
+        K = np.linalg.solve(S, P[:, :, :4].transpose(0, 2, 1)).transpose(0, 2, 1)
+        x += (K @ innovation[:, :, None])[:, :, 0]
+        P = P - K @ P[:, :4, :]
+        P = (P + P.transpose(0, 2, 1)) * 0.5
+        np.maximum(x[:, 2:4], _SIZE_FLOOR, out=x[:, 2:4])  # area, aspect >= floor
+        self.P[rows] = P
+        self.x[rows] = x
+
+    def keep(self, rows: list[int]) -> None:
+        """Compact the stack to the given rows, in their order."""
+        self.x = self.x[rows]
+        self.P = self.P[rows]
+
+    def boxes(self) -> np.ndarray:
+        """Corner rows (n, 4) of the states."""
+        return corners(self.x)

@@ -103,6 +103,10 @@ def _parse_record(line_no: int, line: str) -> dict:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DumpFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past int()'s digit limit, or arrays nested past the
+        # recursion limit
+        raise DumpFormatError(line_no, f"invalid JSON: {exc}") from exc
     if not isinstance(rec, dict):
         raise DumpFormatError(line_no, "record is not a JSON object")
     missing = [k for k in DUMP_FIELDS if k not in rec]

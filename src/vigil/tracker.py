@@ -7,11 +7,11 @@ FrameDetections batch of box rows and labels) by Hungarian assignment on
 matched tracks are corrected and accumulate hits, unmatched detections
 spawn Tentative tracks, and unmatched tracks age out.
 
-The tracker owns the Kalman state of all its tracks as two stacks, row i
-belonging to tracks[i].  A step makes one predict over all rows, one
-update over the matched rows and one compaction that drops the deleted
-rows, and computes all boxes at once: the predictions for association,
-then each live track's end-of-step box.
+The tracker owns one KalmanBoxFilter stack whose row i is the state of
+tracks[i].  A step makes one predict over all rows, one update over the
+matched rows, one compaction that drops the deleted rows and one add for
+the new tracks, and computes all boxes at once: the predictions for
+association, then each live track's end-of-step box.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .assignment import hungarian_assign
 from .errors import ConfigError, DataError
 from .geometry import BoundingBox, Detection, FrameDetections, FrameMeta, iou_matrix
-from .kalman import DEFAULT_P0, DEFAULT_Q, DEFAULT_R, corners, measurement, predict, update
+from .kalman import KalmanBoxFilter, measurement
 
 
 class TrackStatus(enum.Enum):
@@ -50,8 +50,9 @@ class TrackerConfig:
 
 
 class Track:
-    """A track's identity, lifecycle and box; its Kalman state is a row of
-    the owning tracker's stacks."""
+    """A track's identity, lifecycle and box; its Kalman state is the row of
+    the owning tracker's KalmanBoxFilter at the track's index in
+    SortTracker.tracks."""
 
     __slots__ = ("track_id", "class_label", "status", "hits", "misses", "_bbox")
 
@@ -90,8 +91,7 @@ class SortTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
         self.tracks: list[Track] = []
-        self._x = np.zeros((0, 7))      # Kalman states, row i for tracks[i]
-        self._P = np.zeros((0, 7, 7))   # their covariances
+        self._kf = KalmanBoxFilter()    # row i for tracks[i]
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -112,19 +112,16 @@ class SortTracker:
         tracks = self.tracks
         boxes = detections.boxes
 
-        self._P = predict(self._x, self._P, DEFAULT_Q)
-        matches, unmatched_tracks, unmatched_dets = self._associate(
-            corners(self._x), detections)
+        kf = self._kf
+        kf.predict()
+        matches, unmatched_tracks, unmatched_dets = self._associate(kf.boxes(), detections)
 
         # every row's measurement; a matched box overlaps its prediction and
         # a seed is checked below, so only rows of positive area are used
         z = measurement(boxes)
         rows = [ti for ti, _ in matches]
         if rows:
-            x = self._x.take(rows, 0)
-            self._P[rows] = update(x, self._P.take(rows, 0),
-                                   z.take([di for _, di in matches], 0), DEFAULT_R)
-            self._x[rows] = x
+            kf.update(rows, z.take([di for _, di in matches], 0))
         for ti in rows:
             t = tracks[ti]
             t.hits += 1
@@ -142,24 +139,21 @@ class SortTracker:
         live = [i for i, t in enumerate(tracks) if t.status is not TrackStatus.DELETED]
         tracks = [tracks[i] for i in live]
         if len(tracks) < len(self.tracks):
-            self._x = self._x[live]
-            self._P = self._P[live]
+            kf.keep(live)
 
-        # degenerate boxes cannot seed a Kalman state
-        seeds = [di for di, (x1, y1, x2, y2) in zip(unmatched_dets,
-                                                    boxes.take(unmatched_dets, 0).tolist())
-                 if x2 - x1 > 0.0 and y2 - y1 > 0.0]
+        # a seed's state must give its box back: positive width and height,
+        # and s * r, the squared width, must not underflow to 0
+        seeds = [di for di, (x1, y1, x2, y2), (_, _, s, r) in zip(
+                     unmatched_dets, boxes.take(unmatched_dets, 0).tolist(),
+                     z.take(unmatched_dets, 0).tolist())
+                 if x2 - x1 > 0.0 and y2 - y1 > 0.0 and s * r != 0.0]
         if seeds:
-            x0 = np.zeros((len(seeds), 7))
-            x0[:, :4] = z.take(seeds, 0)
-            self._x = np.concatenate([self._x, x0])
-            self._P = np.concatenate(
-                [self._P, np.broadcast_to(DEFAULT_P0, (len(seeds), 7, 7))])
+            kf.add(z.take(seeds, 0))
             for di in seeds:
                 tracks.append(Track(self._next_id, detections.labels[di]))
                 self._next_id += 1
 
-        for t, box in zip(tracks, corners(self._x).tolist()):
+        for t, box in zip(tracks, kf.boxes().tolist()):
             t._bbox = BoundingBox(*box)
         self.tracks = tracks
         return [t for t in tracks if t.status is TrackStatus.CONFIRMED]

@@ -7,16 +7,7 @@ import numpy as np
 import pytest
 
 from vigil.geometry import BoundingBox, iou
-from vigil.kalman import (
-    DEFAULT_P0,
-    DEFAULT_Q,
-    DEFAULT_R,
-    KalmanBoxFilter,
-    corners,
-    measurement,
-    predict,
-    update,
-)
+from vigil.kalman import DEFAULT_P0, DEFAULT_Q, DEFAULT_R, KalmanBoxFilter, corners, measurement
 
 from oracles import (
     kalman_measurement_reference,
@@ -27,6 +18,16 @@ from oracles import (
 
 def measure(*boxes: BoundingBox) -> np.ndarray:
     return measurement(np.array([box.as_tuple() for box in boxes]))
+
+
+def stack_of(*boxes: BoundingBox) -> KalmanBoxFilter:
+    kf = KalmanBoxFilter()
+    kf.add(measure(*boxes))
+    return kf
+
+
+def box_of(kf: KalmanBoxFilter, row: int = 0) -> BoundingBox:
+    return BoundingBox(*kf.boxes()[row].tolist())
 
 
 def transition_matrix() -> np.ndarray:
@@ -76,22 +77,14 @@ def test_measurement_matches_scalar_formula_bit_for_bit():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_measurement_rejects_degenerate_boxes():
-    # the row measurement leaves the check to its callers; the filter keeps it
-    with pytest.raises(ValueError, match="positive area"):
-        KalmanBoxFilter(BoundingBox(5, 5, 5, 9))
-    kf = KalmanBoxFilter(BoundingBox(0, 0, 4, 4))
-    with pytest.raises(ValueError, match="positive area"):
-        kf.update(BoundingBox(1, 2, 8, 2))
-
-
 def test_initial_state():
     box = BoundingBox(0, 0, 20, 10)
-    kf = KalmanBoxFilter(box)
-    assert np.array_equal(kf.x[:4], measure(box)[0])
-    assert kf.x[4:] == pytest.approx([0.0, 0.0, 0.0])
-    assert np.array_equal(kf.P, DEFAULT_P0)
-    assert kf.bbox.as_tuple() == pytest.approx(box.as_tuple(), abs=1e-9)
+    kf = stack_of(box)
+    assert kf.x.shape == (1, 7) and kf.P.shape == (1, 7, 7)
+    assert np.array_equal(kf.x[0, :4], measure(box)[0])
+    assert kf.x[0, 4:] == pytest.approx([0.0, 0.0, 0.0])
+    assert np.array_equal(kf.P[0], DEFAULT_P0)
+    assert box_of(kf).as_tuple() == pytest.approx(box.as_tuple(), abs=1e-9)
 
 
 def test_matches_reference_filter_on_random_sequences():
@@ -101,7 +94,7 @@ def test_matches_reference_filter_on_random_sequences():
         cx, cy = rnd.uniform(50, 500), rnd.uniform(50, 500)
         w, h = rnd.uniform(10, 60), rnd.uniform(10, 60)
         first = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        kf = KalmanBoxFilter(first)
+        kf = stack_of(first)
         x_ref = np.concatenate([kalman_measurement_reference(first.as_tuple()),
                                 np.zeros(3)])
         P_ref = DEFAULT_P0.copy()
@@ -113,103 +106,114 @@ def test_matches_reference_filter_on_random_sequences():
             cx += rnd.uniform(-4, 4)
             cy += rnd.uniform(-4, 4)
             meas = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            kf.update(meas)
+            kf.update([0], measure(meas))
             x_ref, P_ref = kalman_update_reference(x_ref, P_ref,
                                                    measure(meas)[0], DEFAULT_R)
-            assert kf.x == pytest.approx(x_ref, abs=1e-6)
-            assert kf.P == pytest.approx(P_ref, abs=1e-6)
+            assert kf.x[0] == pytest.approx(x_ref, abs=1e-6)
+            assert kf.P[0] == pytest.approx(P_ref, abs=1e-6)
 
 
 def test_filters_stepped_together_match_filters_stepped_alone():
-    # the tracker keeps every track's state as a row of one (n, 7) stack:
-    # one predict over the stack, then one update over the matched rows,
-    # gathered by index in match order and written back.  Each row must end
-    # bit for bit where stepping it alone as a KalmanBoxFilter puts it,
-    # whatever it is stacked with
+    # the tracker keeps every track's state as a row of one stack: one
+    # predict over the stack, then one update over the matched rows, given
+    # in match order, a compaction and an append.  Each row must end bit for
+    # bit where stepping it alone in a stack of one puts it, whatever it is
+    # stacked with
     rnd = random.Random(8)
-    alone = []
-    for _ in range(7):
+
+    def random_box():
         x1, y1 = rnd.uniform(0, 800), rnd.uniform(0, 600)
-        alone.append(KalmanBoxFilter(
-            BoundingBox(x1, y1, x1 + rnd.uniform(5, 120), y1 + rnd.uniform(5, 120))))
-    x = np.array([f.x for f in alone])
-    P = np.array([f.P for f in alone])
+        return BoundingBox(x1, y1, x1 + rnd.uniform(5, 120), y1 + rnd.uniform(5, 120))
+
+    first = [random_box() for _ in range(7)]
+    together = stack_of(*first)
+    alone = [stack_of(box) for box in first]
 
     rnd = random.Random(9)
     for step in range(80):
         if step == 20:  # one area collapses, so one row of the stack is pinned
-            x[5, 6] = alone[5].x[6] = -1e6
-        P = predict(x, P, DEFAULT_Q)
-        predicted = [BoundingBox(*box) for box in corners(x).tolist()]
-        assert predicted == [f.predict() for f in alone]
+            together.x[5, 6] = alone[5].x[0, 6] = -1e6
+        if step == 40:  # a filter leaves and a new one joins at the end
+            rows = [i for i in range(len(alone)) if i != 2]
+            together.keep(rows)
+            alone = [alone[i] for i in rows]
+            box = random_box()
+            together.add(measure(box))
+            alone.append(stack_of(box))
+        together.predict()
+        for f in alone:
+            f.predict()
+        assert together.boxes().tolist() == [f.boxes()[0].tolist() for f in alone]
         rows = [i for i in range(len(alone)) if rnd.random() < 0.7]
         rnd.shuffle(rows)  # match order is not row order
         boxes = []
         for i in rows:
-            cx, cy = x[i, 0] + rnd.uniform(-3, 3), x[i, 1] + rnd.uniform(-3, 3)
+            cx, cy = (together.x[i, 0] + rnd.uniform(-3, 3),
+                      together.x[i, 1] + rnd.uniform(-3, 3))
             w, h = rnd.uniform(5, 120), rnd.uniform(5, 120)
             boxes.append(BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
         if rows:
-            matched = x[rows]
-            z = measure(*boxes)
-            P[rows] = update(matched, P[rows], z, DEFAULT_R)
-            x[rows] = matched
+            together.update(rows, measure(*boxes))
         for i, box in zip(rows, boxes):
-            alone[i].update(box)
+            alone[i].update([0], measure(box))
+        assert len(together.x) == len(together.P) == len(alone)
         for i, f in enumerate(alone):
-            assert np.array_equal(x[i], f.x) and np.array_equal(P[i], f.P)
-    assert x[5, 2] >= 1e-4 and alone[5].x[2] >= 1e-4
+            assert np.array_equal(together.x[i], f.x[0]) and np.array_equal(together.P[i], f.P[0])
+    assert together.x[4, 2] >= 1e-4 and alone[4].x[0, 2] >= 1e-4  # the pinned row
 
 
 def test_covariance_stays_symmetric():
-    kf = KalmanBoxFilter(BoundingBox(0, 0, 30, 30))
+    kf = stack_of(BoundingBox(0, 0, 30, 30))
     rnd = random.Random(2)
     for i in range(30):
         kf.predict()
         d = rnd.uniform(-2, 2)
-        kf.update(BoundingBox(d + i, d, 30 + d + i, 30 + d))
-        assert np.array_equal(kf.P, kf.P.T)
-        assert np.all(np.diag(kf.P) > 0)
+        kf.update([0], measure(BoundingBox(d + i, d, 30 + d + i, 30 + d)))
+        P = kf.P[0]
+        assert np.array_equal(P, P.T)
+        assert np.all(np.diag(P) > 0)
 
 
 def test_converges_on_constant_velocity_track():
     vx, vy = 5.0, 3.0
     w, h = 24.0, 36.0
-    kf = KalmanBoxFilter(BoundingBox(0, 0, w, h))
+    kf = stack_of(BoundingBox(0, 0, w, h))
     box = None
     for f in range(1, 25):
         kf.predict()
         x1, y1 = vx * f, vy * f
         box = BoundingBox(x1, y1, x1 + w, y1 + h)
-        kf.update(box)
-    predicted = kf.predict()
+        kf.update([0], measure(box))
+    kf.predict()
+    predicted = box_of(kf)
     true_next = BoundingBox(box.x1 + vx, box.y1 + vy, box.x2 + vx, box.y2 + vy)
     px, py = predicted.center
     tx, ty = true_next.center
     assert abs(px - tx) < 0.5 and abs(py - ty) < 0.5
     assert iou(predicted, true_next) > 0.9
     # velocity estimate itself should be close
-    assert kf.x[4] == pytest.approx(vx, abs=0.3)
-    assert kf.x[5] == pytest.approx(vy, abs=0.3)
+    assert kf.x[0, 4] == pytest.approx(vx, abs=0.3)
+    assert kf.x[0, 5] == pytest.approx(vy, abs=0.3)
 
 
 def test_predict_clamps_collapsing_area():
-    kf = KalmanBoxFilter(BoundingBox(0, 0, 10, 10))
-    kf.x[6] = -1e6                      # force the area below zero next step
-    predicted = kf.predict()
-    assert kf.x[2] == pytest.approx(1e-4)
-    assert kf.x[6] == 0.0               # shrink rate reset with the clamp
+    kf = stack_of(BoundingBox(0, 0, 10, 10))
+    kf.x[0, 6] = -1e6                   # force the area below zero next step
+    kf.predict()
+    assert kf.x[0, 2] == pytest.approx(1e-4)
+    assert kf.x[0, 6] == 0.0            # shrink rate reset with the clamp
+    predicted = box_of(kf)
     assert predicted.width > 0 and predicted.height > 0
 
 
 def test_update_keeps_shape_positive():
-    kf = KalmanBoxFilter(BoundingBox(0, 0, 100, 100))
+    kf = stack_of(BoundingBox(0, 0, 100, 100))
     for _ in range(20):
         kf.predict()
-        kf.update(BoundingBox(0, 0, 0.02, 0.02))
-    assert kf.x[2] >= 1e-4
-    assert kf.x[3] >= 1e-4
-    assert kf.bbox.width > 0
+        kf.update([0], measure(BoundingBox(0, 0, 0.02, 0.02)))
+    assert kf.x[0, 2] >= 1e-4
+    assert kf.x[0, 3] >= 1e-4
+    assert box_of(kf).width > 0
 
 
 def test_deterministic_given_same_inputs():
@@ -217,12 +221,12 @@ def test_deterministic_given_same_inputs():
            for i in range(10)]
 
     def run():
-        kf = KalmanBoxFilter(seq[0])
+        kf = stack_of(seq[0])
         out = []
         for b in seq[1:]:
             kf.predict()
-            kf.update(b)
-            out.append(tuple(kf.x))
+            kf.update([0], measure(b))
+            out.append(tuple(kf.x[0]))
         return out
 
     assert run() == run()

@@ -442,6 +442,36 @@ def test_cli_rejects_a_number_too_big_for_a_float(tmp_path, capsys):
     assert capsys.readouterr().err == 'data error: line 1: "x1" must be finite\n'
 
 
+def test_cli_rejects_lines_past_the_json_decoders_limits(tmp_path, capsys):
+    # json.loads raises ValueError, not JSONDecodeError, past int()'s digit
+    # limit, and RecursionError past the nesting limit: both once ended the
+    # run with exit code 4
+    good = json.dumps({"frame": 0, "ts_ms": 0, "class": "person", "x1": 100,
+                       "y1": 100, "x2": 120, "y2": 140, "conf": 0.9})
+    config = _write_config(tmp_path, "run.json", {
+        "source": {"kind": "dump", "path": "bad.jsonl", "width": 320, "height": 240}})
+    for bad in (good.replace('"x1": 100', '"x1": 1' + "0" * 5000), "[" * 100_000):
+        (tmp_path / "bad.jsonl").write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("data error: line 2: invalid JSON: ")
+
+
+def test_run_on_a_box_wider_than_the_float_range(tmp_path):
+    # its width overflows to inf in iou_matrix, which once warned "overflow
+    # encountered in subtract"; its IoU with any box is 0, so it never matches
+    line = {"class": "person", "x1": -1.7e308, "y1": 10, "x2": 1.7e308, "y2": 50,
+            "conf": 0.9}
+    (tmp_path / "wide.jsonl").write_text(
+        "".join(json.dumps({"frame": f, "ts_ms": 100 * f, **line}) + "\n" for f in range(3)),
+        encoding="utf-8")
+    cfg = pipeline_config_from_dict({
+        "source": {"kind": "dump", "path": "wide.jsonl", "width": 320, "height": 240},
+        "tracker": {"min_hits": 1}}, base_dir=str(tmp_path))
+    manifest = run(cfg, str(tmp_path / "out"))
+    assert manifest["frames"] == 3 and manifest["track_rows"] == 0
+
+
 def test_cli_rule_config_exit_codes(tmp_path, capsys):
     # the README's list form of a trip line runs
     line_rule = {"id": "gate", "kind": "LineCross", "line": [[160, 0], [160, 240]]}

@@ -133,6 +133,43 @@ def test_degenerate_detection_does_not_spawn():
     assert out == [] and tracker.tracks == []
 
 
+THIN = (0.0, 10.0, 1e-170, 50.0)    # s * r = w ** 2 underflows to 0
+
+
+def test_seed_must_give_its_box_back():
+    # a seed's state must invert to a box: zero width or height, or a width
+    # whose square underflows to 0, cannot seed a track, and the other
+    # detections of the frame still do
+    tracker = SortTracker(TrackerConfig(min_hits=1, max_age=1))
+    for f in range(3):
+        feed(tracker, f, [(5, 5, 5, 9), (1, 2, 8, 2), THIN, BOX])
+        assert [t.bbox.as_tuple() for t in tracker.tracks] == [pytest.approx(BOX)]
+    assert [t.track_id for t in tracker.tracks] == [1]
+    # a width just above the underflow still seeds
+    _, out = feed(tracker, 3, [(0.0, 10.0, 1e-150, 50.0)])
+    assert [t.track_id for t in tracker.tracks] == [2]
+
+
+def test_cli_run_on_a_box_too_thin_for_its_state(tmp_path, capsys):
+    # this dump once ended the run with "internal error: ValueError:
+    # non-positive size in state" and exit code 4
+    x1, y1, x2, y2 = THIN
+    lines = [json.dumps({"frame": f, "ts_ms": 100 * f, "class": "person", "x1": x1,
+                         "y1": y1, "x2": x2, "y2": y2, "conf": 0.9}) for f in range(3)]
+    (tmp_path / "thin.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "source": {"kind": "dump", "path": "thin.jsonl", "width": 320, "height": 240},
+        "tracker": {"min_hits": 1}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert vigil.cli.main(["run", "--config", str(config), "--out", str(out),
+                           "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((out / "run-manifest.json").read_text(encoding="utf-8"))
+    assert manifest["frames"] == 3 and manifest["track_rows"] == 0
+    assert (out / "tracks.jsonl").read_text(encoding="utf-8") == ""
+
+
 def test_out_of_order_frames_rejected():
     tracker = SortTracker()
     feed(tracker, 0, [BOX])
@@ -315,6 +352,15 @@ def test_trace_seam_reads_tracker_state(tmp_path, monkeypatch):
     assert layers["tracker.step_calls"] == CROSSING_FRAMES
     assert layers["tracker.live_tracks_mean"] > 0
     assert layers["tracker.spawned"] > 0
+
+
+def test_trace_seam_times_the_kalman_steps(tmp_path, monkeypatch):
+    # the tracer wraps KalmanBoxFilter.predict and .update: the tracker
+    # predicts every step and updates on every step with a match, which is
+    # each one after the first
+    tracer = _traced_crossing_run(tmp_path, monkeypatch)
+    assert tracer.calls["kalman.predict"] == CROSSING_FRAMES
+    assert tracer.calls["kalman.update"] == CROSSING_FRAMES - 1
 
 
 def test_trace_seam_counts_dump_frames_and_lines(tmp_path, monkeypatch):
