@@ -62,11 +62,6 @@ class BoundingBox:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
-    def contains(self, point: tuple[float, float]) -> bool:
-        """Closed-interval test: points on the box's edges are inside."""
-        x, y = point
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
 
 @dataclass(frozen=True, slots=True)
 class FrameMeta:

@@ -41,7 +41,15 @@ from .config import (
 from .errors import ConfigError, write_json
 from .geometry import FrameMeta
 from .rng import derive_seed
-from .rules import RuleEngine, TcpAlertSink, alert_record, load_rules, place, rules_from_doc
+from .rules import (
+    RuleEngine,
+    TcpAlertSink,
+    ZoneSet,
+    alert_record,
+    load_rules,
+    place,
+    rules_from_doc,
+)
 from .sources import (
     SyntheticSceneConfig,
     load_scene_config,
@@ -208,7 +216,7 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     stream, scene_seed = _frame_stream(cfg)
     tracker = SortTracker(cfg.tracker)
     engine = RuleEngine(list(cfg.rules)) if cfg.run_rules else None
-    zones = engine.prepared_zones if engine is not None else []
+    zones = engine.prepared_zones if engine is not None else ZoneSet(())
     stats = None
     if cfg.run_stats:
         stats = SceneStats(cfg.frame_width, cfg.frame_height, grid=cfg.grid, zones=zones)
@@ -234,7 +242,7 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
             confirmed = tracker.step(meta, detections)
             tracks_fh.write("".join([track_line(meta, t, labels) for t in confirmed]))
             n_rows += len(confirmed)
-            # one zone test per track and zone, shared by rules and stats
+            # one placement of the frame's tracks, shared by rules and stats
             placed = (place(zones, confirmed)
                       if engine is not None or stats is not None else None)
             if engine is not None:

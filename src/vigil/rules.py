@@ -18,7 +18,10 @@ import logging
 import socket
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Optional
+
+import numpy as np
 
 from .config import REQUIRED, classes, fields_of, label, list_of, pair, parse, read_config
 from .errors import ConfigError, DataError
@@ -51,8 +54,8 @@ class Zone:
     id: str
     polygon: tuple  # ((x, y), ...) with >= 3 vertices
     class_filter: Optional[frozenset] = None
-    # box outside which contains() is False, and the edge table of the
-    # exact test, both prepared once (see polygon_reach, polygon_edges)
+    # box outside which point_in_polygon is False, and the edge table of
+    # the exact test, both prepared once (see polygon_reach, polygon_edges)
     reach: BoundingBox = field(init=False, repr=False, compare=False)
     edges: tuple = field(init=False, repr=False, compare=False)
 
@@ -70,10 +73,20 @@ class Zone:
         object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "edges", polygon_edges(self.polygon))
 
-    def contains(self, point) -> bool:
-        """Edge-inclusive test; points outside ``reach`` skip the ray cast."""
-        return (self.reach.contains(point)
-                and point_in_polygon(point, self.polygon, self.edges))
+
+class ZoneSet:
+    """Zones prepared to be placed together: ``zones`` in order, and their
+    ``reach`` boxes as one (z, 4) array of [x1, y1, x2, y2] rows, whose
+    halves :func:`place` compares anchors with are kept contiguous as
+    ``low`` ([x1, y1]) and ``high`` ([x2, y2])."""
+
+    __slots__ = ("zones", "reach", "low", "high")
+
+    def __init__(self, zones):
+        self.zones = tuple(zones)
+        self.reach = np.array([z.reach.as_tuple() for z in self.zones],
+                              dtype=float).reshape(-1, 4)
+        self.low, self.high = self.reach[:, :2].copy(), self.reach[:, 2:].copy()
 
 
 @dataclass(frozen=True)
@@ -185,21 +198,34 @@ def alert_record(event: AlertEvent) -> dict:
     }
 
 
-def place(zones, tracks) -> dict:
+def place(zones: ZoneSet, tracks) -> dict:
     """track_id -> (class label, anchor, ids of the *zones* containing it)
     for the confirmed tracks in *tracks*, in their order.
 
-    Rules and statistics over the same frame and zones read the frame from
-    this record alone, so each anchor is read and tested once per zone.
+    All anchors are compared with all reach boxes in one comparison
+    (edge-inclusive); only the (track, zone) pairs inside a box are ray
+    cast, in that order.  Rules and statistics over the same frame and
+    zones read the frame from this record alone, so each anchor is read
+    once and each candidate pair is cast once.
     """
-    placed = {}
-    for track in tracks:
-        if track.status is TrackStatus.CONFIRMED:
-            anchor = track.bbox.anchor
-            placed[track.track_id] = (
-                track.class_label, anchor,
-                frozenset(z.id for z in zones if z.contains(anchor)))
-    return placed
+    confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
+    anchors = [t.bbox.anchor for t in confirmed]
+    within = [frozenset()] * len(confirmed)
+    if anchors and zones.zones:
+        n = len(anchors)
+        xy = np.fromiter(chain.from_iterable(anchors), float, 2 * n).reshape(n, 1, 2)
+        # (track, zone, axis): x1 <= x <= x2 and y1 <= y <= y2
+        in_range = (zones.low <= xy) & (xy <= zones.high)
+        near = in_range[:, :, 0] & in_range[:, :, 1]
+        inside: dict = {}  # track index -> ids of the zones it is in
+        for i, j in zip(*(idx.tolist() for idx in np.nonzero(near))):
+            zone = zones.zones[j]
+            if point_in_polygon(anchors[i], zone.polygon, zone.edges):
+                inside.setdefault(i, []).append(zone.id)
+        for i, ids in inside.items():
+            within[i] = frozenset(ids)
+    return dict(zip([t.track_id for t in confirmed],
+                    zip([t.class_label for t in confirmed], anchors, within)))
 
 
 def _distinct_zones(rules: list[Rule]) -> list[Zone]:
@@ -223,11 +249,23 @@ def _distinct_zones(rules: list[Rule]) -> list[Zone]:
 class RuleEngine:
     """Per-source rule state machine; evaluate() must see frames in order.
 
-    ``prepared_zones`` holds the rules' distinct zones.  All rules of a
-    frame read it from one :func:`place` record over them: ``evaluate``
-    takes it as *placed* when the caller has already placed the frame's
-    tracks over these zones (the pipeline shares it with
+    ``prepared_zones`` is the :class:`ZoneSet` of the rules' distinct
+    zones.  All rules of a frame read it from one :func:`place` record over
+    them: ``evaluate`` takes it as *placed* when the caller has already
+    placed the frame's tracks over these zones (the pipeline shares it with
     :meth:`SceneStats.ingest`), and places *tracks* itself otherwise.
+
+    Each frame is indexed before any rule reads it:
+
+    * a per-label table holds, for each class label, whether each rule
+      applies to it; a label's row is filled the first time the label
+      appears, so ``applies_to`` runs once per (rule, label);
+    * per-zone member lists hold the frame's tracks in each zone id, in
+      track order, which Intrusion, Loiter and Occupancy read instead of
+      every track;
+    * LineCross works out the sides of a track's last and current anchors
+      as :func:`~vigil.geometry.segment_side` does and calls
+      :func:`crossing` only when their signs are strictly opposite.
 
     Per-track state is one map, ``track_id -> (class label, anchor, zone
     ids)`` as :func:`place` gave it the last time the track was confirmed:
@@ -235,7 +273,8 @@ class RuleEngine:
     its last anchor.  All rules that apply to a track share the entry, so
     a track's class (which decides those rules) must stay fixed for its
     whole life, as :class:`~vigil.tracker.SortTracker` keeps it.  Loiter
-    entry times and debounce times are kept per (rule, track).
+    entry times are kept per rule and track, debounce times per (rule,
+    track).  Events come in rule order, then track order.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -243,10 +282,12 @@ class RuleEngine:
         if len(set(ids)) != len(ids):
             raise ConfigError("rule ids must be unique")
         self.rules = list(rules)
-        self.prepared_zones = _distinct_zones(self.rules)
+        self.prepared_zones = ZoneSet(_distinct_zones(self.rules))
         self._last_frame: Optional[int] = None
         self._placed: dict = {}        # track_id -> place() record when last confirmed
-        self._loiter_start: dict = {}  # (rule_id, track_id) -> entry ts
+        self._applies: dict = {}       # class label -> applies_to per rule
+        self._loiter_start: dict = {r.id: {} for r in rules
+                                    if r.kind == "Loiter"}  # rule_id -> {track_id: entry ts}
         self._last_emit: dict = {}     # (rule_id, track_id|None) -> ts
         self._occupancy_on: dict = {r.id: False for r in rules
                                     if r.kind == "Occupancy"}
@@ -261,32 +302,63 @@ class RuleEngine:
         if placed is None:
             placed = place(self.prepared_zones, tracks)
         before = self._placed
+        table = self._applies
+        tids = list(placed)
+        labels, anchors, zone_sets = list(zip(*placed.values())) or ((), (), ())
+        for label in set(labels) - table.keys():  # labels seen for the first time
+            table[label] = tuple(r.applies_to(label) for r in self.rules)
+        applies = list(map(table.__getitem__, labels))  # per track: its label's row
+        members: dict = {}  # zone id -> indices of the tracks in it, in order
+        for i in compress(range(len(tids)), zone_sets):
+            for zid in zone_sets[i]:
+                members.setdefault(zid, []).append(i)
         events: list[AlertEvent] = []
 
-        for rule in self.rules:
-            relevant = [(tid, anchor, zone_ids)
-                        for tid, (label, anchor, zone_ids) in placed.items()
-                        if rule.applies_to(label)]
-            if rule.kind == "Occupancy":
-                self._occupancy(rule, frame, ts, relevant, events)
+        for k, rule in enumerate(self.rules):
+            kind = rule.kind
+            if kind == "LineCross":
+                line = rule.line
+                (px, py), (qx, qy) = line.p, line.q
+                dx, dy = qx - px, qy - py
+                for tid, anchor, row in zip(tids, anchors, applies):
+                    prev = before.get(tid)
+                    if not (prev and row[k]):
+                        continue
+                    # both sides as segment_side computes them, inlined (two
+                    # calls per rule and track cost more than the arithmetic);
+                    # only strictly opposite signs can cross, and a product
+                    # of two sides of 1e-200 would underflow to 0
+                    (x0, y0), (x1, y1) = prev[1], anchor
+                    s0 = dx * (y0 - py) - dy * (x0 - px)
+                    s1 = dx * (y1 - py) - dy * (x1 - px)
+                    if s0 < 0.0 < s1 or s1 < 0.0 < s0:
+                        direction = crossing(prev[1], anchor, line)
+                        if direction and line.direction in ("any", direction):
+                            self._emit(events, rule, frame, ts, tid,
+                                       {"direction": direction})
                 continue
-            for tid, anchor, zone_ids in relevant:
-                prev = before.get(tid)
-                if rule.kind == "LineCross":
-                    direction = crossing(prev[1], anchor, rule.line) if prev else None
-                    if direction and rule.line.direction in ("any", direction):
-                        self._emit(events, rule, frame, ts, tid, {"direction": direction})
-                elif rule.kind == "Intrusion":
-                    zid = rule.zone.id
-                    if zid in zone_ids and prev and zid not in prev[2]:
-                        self._emit(events, rule, frame, ts, tid,
+            zid = rule.zone.id
+            in_zone = members.get(zid)
+            inside = [i for i in in_zone if applies[i][k]] if in_zone else ()
+            if kind == "Occupancy":
+                self._occupancy(rule, frame, ts, len(inside), events)
+            elif kind == "Intrusion":
+                for i in inside:
+                    prev = before.get(tids[i])
+                    if prev and zid not in prev[2]:
+                        anchor = anchors[i]
+                        self._emit(events, rule, frame, ts, tids[i],
                                    {"anchor": [anchor[0], anchor[1]]})
-                elif rule.zone.id in zone_ids:  # Loiter: continuous in-zone time
-                    dwell = ts - self._loiter_start.setdefault((rule.id, tid), ts)
+            else:  # Loiter: continuous in-zone time
+                starts = self._loiter_start[rule.id]
+                for i in inside:
+                    dwell = ts - starts.setdefault(tids[i], ts)
                     if dwell >= rule.threshold_ms:
-                        self._emit(events, rule, frame, ts, tid, {"dwell_ms": dwell})
-                else:
-                    self._loiter_start.pop((rule.id, tid), None)
+                        self._emit(events, rule, frame, ts, tids[i], {"dwell_ms": dwell})
+                for tid in starts.keys() & placed.keys() if starts else ():
+                    label, _, zone_ids = placed[tid]
+                    if zid not in zone_ids and table[label][k]:
+                        del starts[tid]  # a relevant track seen outside has left
 
         before.update(placed)
         for ev in events:
@@ -299,8 +371,7 @@ class RuleEngine:
             events.append(AlertEvent(rule.id, track_id, frame.frame_id, ts,
                                      rule.kind, payload))
 
-    def _occupancy(self, rule, frame, ts, relevant, events):
-        count = sum(1 for _, _, zone_ids in relevant if rule.zone.id in zone_ids)
+    def _occupancy(self, rule, frame, ts, count, events):
         holds = _COMPARATORS[rule.comparator](count, rule.min_count)
         armed = not self._occupancy_on[rule.id]
         self._occupancy_on[rule.id] = holds

@@ -22,7 +22,7 @@ from .geometry import FrameMeta
 # vigil.stats.point_in_polygon, and its install() fails when the name is gone.
 from .geometry import point_in_polygon  # noqa: F401
 from .images import write_image
-from .rules import Zone, place
+from .rules import Zone, ZoneSet, place
 from .tracker import Track
 
 
@@ -64,12 +64,12 @@ class _TrackTrace:
 class SceneStats:
     """Single-writer accumulator for one source's confirmed tracks.
 
-    Zones (for dwell attribution) are :class:`vigil.rules.Zone` objects,
-    used as given, or (zone_id, polygon) pairs, made into Zones here, so a
-    polygon with fewer than 3 vertices or one that self-intersects is a
-    ConfigError.  An inter-frame interval counts toward a zone when the
-    anchors at both endpoints lie inside it (edge-inclusive,
-    :meth:`vigil.rules.Zone.contains`).
+    Zones (for dwell attribution) are a :class:`vigil.rules.ZoneSet`, kept
+    as given, or a list of :class:`vigil.rules.Zone` objects or (zone_id,
+    polygon) pairs, made into Zones here, so a polygon with fewer than 3
+    vertices or one that self-intersects is a ConfigError.  An inter-frame
+    interval counts toward a zone when the anchors at both endpoints lie
+    inside it (edge-inclusive, as :func:`vigil.rules.place` tests it).
     """
 
     def __init__(self, width: int, height: int,
@@ -80,9 +80,11 @@ class SceneStats:
         self.width = width
         self.height = height
         self.grid = grid if grid is not None else GridSpec()
-        # a Zone is used as given, so the pipeline's stats share the rule
+        # a ZoneSet is kept as given, so the pipeline's stats share the rule
         # engine's zones instead of preparing and checking each polygon again
-        self.zones = [z if isinstance(z, Zone) else Zone(*z) for z in zones or ()]
+        if not isinstance(zones, ZoneSet):
+            zones = ZoneSet(z if isinstance(z, Zone) else Zone(*z) for z in zones or ())
+        self.zones = zones
         gw, gh = self.grid.dims(width, height)
         self.heat = np.zeros((gh, gw), dtype=np.int64)
         self.flow_dx = np.zeros((gh, gw))
@@ -128,7 +130,7 @@ class SceneStats:
             trace = self._traces.get(tid)
             if trace is None:
                 record = DwellRecord(tid, label, ts, ts,
-                                     {zone.id: 0 for zone in self.zones})
+                                     {zone.id: 0 for zone in self.zones.zones})
                 self._traces[tid] = _TrackTrace(
                     record, [ts], anchor, cell, zones_now)
             else:

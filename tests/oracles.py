@@ -525,11 +525,42 @@ def read_dump_reference(path, width, height, source_id):
 
 
 # ---------------------------------------------------------------------------
+# zone containment: Zone.contains and rules.place frozen as they were before
+# place compared all anchors with all reach boxes at once, one closed-box
+# test and then one ray cast per (track, zone).  They reuse vigil's
+# point_in_polygon (which has oracles above) and the zone's prepared reach
+# box and edge table, so that a comparison tests the placement alone.
+
+
+def zone_contains_reference(zone, point) -> bool:
+    """Edge-inclusive test; points outside ``zone.reach`` skip the ray cast."""
+    from vigil.geometry import point_in_polygon
+
+    reach = zone.reach
+    x, y = point
+    return (reach.x1 <= x <= reach.x2 and reach.y1 <= y <= reach.y2
+            and point_in_polygon(point, zone.polygon, zone.edges))
+
+
+def reference_place(zones, tracks) -> dict:
+    """track_id -> (class label, anchor, ids of the *zones* containing it)
+    for the confirmed tracks in *tracks*, in their order; *zones* is a list."""
+    placed = {}
+    for track in tracks:
+        if track.status.value == "Confirmed":
+            anchor = track.bbox.anchor
+            placed[track.track_id] = (
+                track.class_label, anchor,
+                frozenset(z.id for z in zones if zone_contains_reference(z, anchor)))
+    return placed
+
+
+# ---------------------------------------------------------------------------
 # rules: the rule engine frozen as it was while it kept its track state per
 # (rule, track): whether the track was inside the rule's zone and its last
 # anchor, written for every rule that applies to the track on every frame
-# it is confirmed.  It tests each rule's zone itself with Zone.contains
-# (which has oracles above) and reuses vigil's crossing(), so that a
+# it is confirmed.  It tests each rule's zone itself with
+# zone_contains_reference and reuses vigil's crossing(), so that a
 # comparison tests the state handling alone.
 
 
@@ -575,7 +606,8 @@ class ReferenceRuleEngine:
         for rule in self.rules:
             relevant = [t for t in confirmed if _ref_applies(rule, t.class_label)]
             if rule.kind == "Occupancy":
-                count = sum(1 for t in relevant if rule.zone.contains(t.bbox.anchor))
+                count = sum(1 for t in relevant
+                            if zone_contains_reference(rule.zone, t.bbox.anchor))
                 holds = _REF_COMPARATORS[rule.comparator](count, rule.min_count)
                 armed = not self._occupancy_on[rule.id]
                 self._occupancy_on[rule.id] = holds
@@ -594,7 +626,7 @@ class ReferenceRuleEngine:
                     if direction is not None and rule.line.direction in ("any", direction):
                         emit(rule, t.track_id, {"direction": direction})
                     continue
-                inside = rule.zone.contains(anchor)
+                inside = zone_contains_reference(rule.zone, anchor)
                 was_inside = self._inside.get(key)
                 self._inside[key] = inside
                 if rule.kind == "Intrusion":

@@ -1,10 +1,11 @@
 """Zone containment prepared once per zone and shared by rules and stats.
 
-Prepared zones reject points outside a widened box before the ray cast;
-the answer must still equal point_in_polygon's for every point, including
-points that only its on-edge tolerance accepts.  The pipeline places
-each confirmed track in the zones once per frame (rules.place) and hands
-that one result to both the rules and the statistics.
+rules.place compares all anchors with the zones' widened reach boxes at
+once and ray casts only the pairs inside a box; the answer must still
+equal point_in_polygon's for every point, including points that only its
+on-edge tolerance accepts, and equal the frozen one-zone-at-a-time
+placement.  The pipeline places each confirmed track in the zones once
+per frame and hands that one result to both the rules and the statistics.
 """
 
 import dataclasses
@@ -16,10 +17,12 @@ from collections import Counter
 from types import SimpleNamespace
 
 import vigil.cli
+import vigil.rules
+from oracles import reference_place
 from vigil.geometry import EDGE_TOL, FrameMeta, point_in_polygon
 from vigil.pipeline import SCENE_SEED_LABEL, pipeline_config_from_dict, run
 from vigil.rng import derive_seed
-from vigil.rules import RuleEngine, Zone, alert_record
+from vigil.rules import RuleEngine, Zone, ZoneSet, alert_record, place
 from vigil.sources import simulate
 from vigil.stats import SceneStats
 from vigil.tracker import SortTracker, Track, TrackStatus
@@ -76,6 +79,11 @@ def _points(rng, poly):
     return pts
 
 
+def _track(track_id, anchor, label="person", status=TrackStatus.CONFIRMED):
+    return SimpleNamespace(track_id=track_id, class_label=label, status=status,
+                           bbox=SimpleNamespace(anchor=anchor))
+
+
 def test_prepared_containment_matches_point_in_polygon():
     rng = random.Random(2024)
     outside_raw_box = 0
@@ -85,16 +93,14 @@ def test_prepared_containment_matches_point_in_polygon():
         ys = [y for _, y in zone.polygon]
         points = _points(rng, zone.polygon)
         stats = SceneStats(100, 100, zones=[(name, poly)])
-        tracks = [SimpleNamespace(track_id=i, class_label="person",
-                                  status=TrackStatus.CONFIRMED,
-                                  bbox=SimpleNamespace(anchor=p))
-                  for i, p in enumerate(points)]
+        tracks = [_track(i, p) for i, p in enumerate(points)]
         stats.ingest(FrameMeta("cam", 0, 0, 100, 100), tracks)
         stats.ingest(FrameMeta("cam", 1, 1000, 100, 100), tracks)
         dwell = {rec.track_id: rec.zone_ms[name] for rec in stats.dwell_report()}
+        placed = place(ZoneSet([zone]), tracks)
         for i, p in enumerate(points):
             want = point_in_polygon(p, zone.polygon)
-            assert zone.contains(p) == want, (name, p)
+            assert (name in placed[i][2]) == want, (name, p)
             assert dwell[i] == (1000 if want else 0), (name, p)
             if want and not (min(xs) <= p[0] <= max(xs) and min(ys) <= p[1] <= max(ys)):
                 outside_raw_box += 1
@@ -107,8 +113,48 @@ def test_short_edge_reach_exceeds_tolerance():
     zone = Zone("z", POLYGONS["short-edge"])
     corner = (10.0 + 1e-3, 10.0 + 1e-3)  # 1.4e-3 px beyond the corner
     assert point_in_polygon(corner, zone.polygon)
-    assert zone.contains(corner)
+    assert place(ZoneSet([zone]), [_track(0, corner)])[0][2] == {"z"}
     assert zone.reach.x2 - 10.0 > 1e3 * EDGE_TOL
+
+
+def _same_placement(zones, tracks):
+    got = place(ZoneSet(zones), tracks)
+    want = reference_place(zones, tracks)
+    assert list(got.items()) == list(want.items())  # dict order included
+    return got
+
+
+def test_place_matches_reference_placement():
+    # one reach comparison for all (track, zone) pairs, then ray casts for
+    # the candidates, gives the record of one test per (track, zone)
+    rng = random.Random(11)
+    zones = [Zone(name, poly) for name, poly in POLYGONS.items()]
+    zones.append(Zone("square-cars", POLYGONS["square"], frozenset({"car"})))
+    zones.append(Zone("star-people", POLYGONS["star"], frozenset({"person"})))
+    points = [p for poly in POLYGONS.values() for p in _points(rng, poly)]
+    inf, nan = math.inf, math.nan
+    points += [(nan, 5.0), (5.0, nan), (nan, nan), (inf, 5.0), (5.0, -inf),
+               (inf, inf), (-inf, -inf), (inf, nan), (1e308, -1e308)]
+    ids = rng.sample(range(10 * len(points)), len(points))  # not in track order
+    tracks = [_track(tid, p, rng.choice(["person", "car", "bike"]))
+              for tid, p in zip(ids, points)]
+    placed = _same_placement(zones, tracks)
+    assert {z for rec in placed.values() for z in rec[2]} == {z.id for z in zones}
+    assert any(len(rec[2]) > 1 for rec in placed.values())
+
+    # tentative tracks mixed in, in frames of a few tracks each
+    for _ in range(200):
+        frame = [_track(tid, p, rng.choice(["person", "car"]),
+                        rng.choice([TrackStatus.CONFIRMED, TrackStatus.TENTATIVE]))
+                 for tid, p in zip(ids, rng.sample(points, rng.randint(0, 12)))]
+        _same_placement(rng.sample(zones, rng.randint(0, len(zones))), frame)
+    # no zones; no track; no confirmed track
+    unplaced = _same_placement([], tracks[:20])
+    assert unplaced == {t.track_id: (t.class_label, t.bbox.anchor, frozenset())
+                        for t in tracks[:20]}
+    assert _same_placement(zones, []) == {}
+    tentative = [_track(i, p, status=TrackStatus.TENTATIVE) for i, p in enumerate(points[:50])]
+    assert _same_placement(zones, tentative) == {}
 
 
 # -- rules and stats driven directly vs the pipeline ---------------------------
@@ -173,6 +219,7 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     engine = RuleEngine(list(cfg.rules))
     stats = SceneStats(cfg.frame_width, cfg.frame_height, cfg.grid,
                        zones=engine.prepared_zones)
+    assert stats.zones is engine.prepared_zones  # kept as given, not prepared again
     alerts = []
     for meta, dets in zip(scene.frames, scene.noisy):
         confirmed = tracker.step(meta, dets)
@@ -192,24 +239,46 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     assert in_both
 
 
+def _reach_pairs(tracks_jsonl, zones) -> Counter:
+    """zone id -> rows of confirmed tracks in *tracks_jsonl* whose anchor lies
+    in the zone's reach box: the (track, zone) pairs of the run to ray cast."""
+    pairs = Counter()
+    for line in tracks_jsonl.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        if row["status"] != "Confirmed":
+            continue
+        x, y = 0.5 * (row["x1"] + row["x2"]), row["y2"]
+        for zone in zones:
+            box = zone.reach
+            if box.x1 <= x <= box.x2 and box.y1 <= y <= box.y2:
+                pairs[zone.id] += 1
+    return pairs
+
+
 def test_pipeline_places_each_track_once_per_frame(tmp_path, monkeypatch):
-    # with rules and stats both on, each confirmed track meets each distinct
-    # zone once per frame; a stage that placed the tracks again would double it
-    calls = Counter()
-    real_contains = Zone.contains
-
-    def counted_contains(zone, point):
-        calls[zone.id] += 1
-        return real_contains(zone, point)
-
-    monkeypatch.setattr(Zone, "contains", counted_contains)
+    # with rules and stats both on, each (confirmed track, zone) pair whose
+    # anchor lies in the zone's reach box is ray cast once per frame; a stage
+    # that placed the tracks again would double the count
     cfg = pipeline_config_from_dict(PIPELINE_DOC)
     assert cfg.run_rules and cfg.run_stats
+    zones = RuleEngine(list(cfg.rules)).prepared_zones.zones
+    zone_of = {zone.polygon: zone.id for zone in zones}
+    calls = Counter()
+    real_point_in_polygon = vigil.rules.point_in_polygon
+
+    def counted(point, polygon, edges=None):
+        calls[zone_of[polygon]] += 1
+        return real_point_in_polygon(point, polygon, edges)
+
+    monkeypatch.setattr(vigil.rules, "point_in_polygon", counted)
     manifest = run(cfg, str(tmp_path))
     # track_rows is the sum over frames of the confirmed tracks
     assert manifest["track_rows"] > 0
-    assert calls == {zid: manifest["track_rows"]
-                     for zid in ("east", "middle", "west.zone")}
+    want = _reach_pairs(tmp_path / "tracks.jsonl", zones)
+    assert set(want) == {"east", "middle", "west.zone"}
+    assert calls == want
+    # the reach boxes do reject pairs before the ray cast
+    assert sum(want.values()) < len(zones) * manifest["track_rows"]
 
 
 def test_trace_seam_times_zone_layer(tmp_path, monkeypatch):
@@ -231,6 +300,8 @@ def test_trace_seam_times_zone_layer(tmp_path, monkeypatch):
         tracer.uninstall()
     assert code == 0
     frames = SCENE["duration_frames"]
-    assert tracer.calls["geometry.point_in_polygon"] > 0
+    zones = RuleEngine(pipeline_config_from_dict(PIPELINE_DOC).rules).prepared_zones
+    assert tracer.calls["geometry.point_in_polygon"] == sum(
+        _reach_pairs(tmp_path / "out" / "tracks.jsonl", zones.zones).values())
     assert tracer.calls["rules.evaluate"] == frames
     assert tracer.calls["stats.ingest"] == frames

@@ -3,6 +3,7 @@ occupancy, debouncing, config parsing, and the TCP alert mirror."""
 
 import json
 import logging
+import math
 import random
 import socket
 import threading
@@ -285,7 +286,7 @@ def test_engine_zones_deduplicates():
                   min_count=1),
              Rule(id="e", kind="Intrusion", zone=Zone("hall", SQUARE))]
     engine = RuleEngine(rules)
-    zones = engine.prepared_zones
+    zones = engine.prepared_zones.zones
     assert [zone.id for zone in zones] == ["hall", "yard"]
     assert zones[0].polygon == SQUARE
 
@@ -360,6 +361,61 @@ def test_engine_matches_per_rule_track_state_reference():
             kinds |= {row["rule_id"] for row in got}
     assert kinds == {"in-hall", "in-yard", "loiter", "loiter-yard", "gate",
                      "gate-ltr", "crowd"}
+
+
+def _anchored(tid, x, y, label, status=TrackStatus.CONFIRMED):
+    """A track whose anchor is (x, y) exactly, not as a box's midpoint."""
+    return SimpleNamespace(track_id=tid, class_label=label, status=status,
+                           bbox=SimpleNamespace(anchor=(x, y)))
+
+
+def test_line_cross_edge_cases_match_reference():
+    # the sign test's edge cases: sides of exactly 0.0, sides of 1e-200
+    # (a product of two underflows to 0), tracks back after frames away or
+    # tentative (the previous anchor is from their last confirmed frame),
+    # a class-filtered line and sides that overflow or are nan
+    tiny = 1e-202  # x = +-tiny is on side -+1e-200 of the gate: a product underflows
+    gate = TripLine("gate", (0.0, 0.0), (0.0, 100.0))
+    slant = TripLine("slant", (-50.0, 10.0), (60.0, 90.0), "left-to-right")  # (5, 50) on it
+    rules = [Rule(id="gate", kind="LineCross", line=gate, debounce_ms=0),
+             Rule(id="gate-cars", kind="LineCross", line=gate, debounce_ms=0,
+                  class_filter=frozenset({"car"})),
+             Rule(id="slant", kind="LineCross", line=slant, debounce_ms=0)]
+    tent = TrackStatus.TENTATIVE
+    # (track id, class, x, status) per frame, all at y = 50
+    frames = [
+        [(1, "person", tiny), (2, "car", tiny), (3, "car", 5.0), (4, "person", 8.0)],
+        [(1, "person", -tiny), (3, "car", 0.0), (4, "person", -8.0, tent)],
+        [(1, "person", tiny), (3, "car", -5.0), (4, "person", -8.0)],
+        [(2, "car", -tiny), (1, "person", -tiny), (3, "car", 0.0)],   # 2 is back
+        [(2, "car", tiny), (3, "car", 5.0), (4, "person", 8.0)],
+        [(4, "person", -0.0), (2, "car", -tiny)],                     # onto the gate
+        [(4, "person", tiny), (1, "person", tiny)],                   # off it again
+    ]
+    frames += [[(5, "car", x)] for x in (3.0, 1e308, -1e308, math.inf, -math.inf,
+                                          math.nan, -3.0, 3.0, math.nan, -3.0)]
+    engine, reference = RuleEngine(rules), ReferenceRuleEngine(rules)
+    fired = set()
+    for f, rows in enumerate(frames):
+        tracks = [_anchored(tid, x, 50.0, label, *status) for tid, label, x, *status in rows]
+        placed = place(engine.prepared_zones, tracks) if f % 2 else None
+        got = [alert_record(ev) for ev in engine.evaluate(_frame(f, 100 * f), tracks, placed)]
+        assert got == reference.evaluate(_frame(f, 100 * f), tracks), f
+        fired |= {(row["rule_id"], row["track_id"], row["frame_id"]) for row in got}
+    # 1e-200 sides cross every frame; 2 crosses against its frame-0 side when
+    # it returns; 4 crosses against frame 0 past its tentative frame, and
+    # stepping on and off the gate (side 0.0) fires nothing; people never
+    # fire gate-cars
+    assert {("gate", 1, 1), ("gate", 1, 2), ("gate", 1, 3), ("gate", 1, 6)} <= fired
+    assert {("gate", 2, 3), ("gate-cars", 2, 3), ("gate-cars", 2, 4),
+            ("gate-cars", 2, 5)} <= fired
+    assert {("gate", 4, 2), ("gate", 4, 4), ("slant", 4, 4)} <= fired
+    assert not {e for e in fired if e[1] == 3 or (e[1] == 4 and e[2] >= 5)}
+    assert not {e for e in fired if e[0] == "gate-cars" and e[1] in (1, 4)}
+    # 5 crosses the slant on its way out to x = 1e308 (a side of -inf) and the
+    # gate from -3 to 3; sides of -inf to inf and nan sides fire nothing
+    assert {e for e in fired if e[1] == 5} == {("slant", 5, 8), ("gate", 5, 14),
+                                                ("gate-cars", 5, 14)}
 
 
 def test_zone_id_names_one_zone():
