@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_input
+from .errors import ConfigError, DataError, open_input, write_csv
 from .images import read_image, write_image
 from .rng import Rng
 
@@ -175,11 +175,8 @@ def read_manifest_csv(path) -> DatasetManifest:
 
 
 def write_manifest_csv(path, manifest: DatasetManifest) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "class"])
-        for rec in manifest.records:
-            w.writerow([rec.path, rec.class_label])
+    write_csv(path, [["path", "class"],
+                     *([rec.path, rec.class_label] for rec in manifest.records)])
 
 
 def balance_target(counts: dict) -> int:

@@ -35,7 +35,7 @@ from .config import (
     record,
     string,
 )
-from .errors import ConfigError, DataError, VigilError, write_json
+from .errors import ConfigError, DataError, VigilError, write_csv, write_json
 from .evaluation import EvalConfig, evaluate_detections
 from .pipeline import load_pipeline_config
 from .pipeline import run as run_pipeline
@@ -218,10 +218,9 @@ def _cmd_predict(args) -> None:
     predicted, probs = predict_batch(model, X)
     out = _out_dir(args)
     pred_path = os.path.join(out, "predictions.csv")
-    with open(pred_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("id,predicted,prob\n")
-        for item_id, label, row in zip(ids, predicted, probs):
-            fh.write(f"{item_id},{label},{repr(float(row.max()))}\n")
+    write_csv(pred_path, [["id", "predicted", "prob"],
+                          *zip(ids, predicted, probs.max(axis=1).tolist())],
+              lineterminator="\n")
     _say(args, f"predicted {len(ids)} rows")
     _say(args, f"wrote {pred_path}")
 

@@ -1,7 +1,9 @@
 """Binary netpbm image I/O: PGM (P5, grayscale) and PPM (P6, RGB).
 
 Images are numpy uint8 arrays, shape (h, w) for grayscale and (h, w, 3)
-for RGB.  Only the binary variants with maxval <= 255 are supported.
+for RGB.  Only the binary variants with maxval <= 255 are supported; a
+sample s of an image with a smaller maxval is read as the nearest integer
+to s * 255 / maxval, and a sample above maxval is a DataError.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def read_image(path) -> np.ndarray:
     if data[pos + need:].strip(_WHITESPACE):
         raise DataError(f"{path}: trailing bytes after raster")
     arr = np.frombuffer(raster, dtype=np.uint8)
+    if maxval != 255:
+        if arr.max() > maxval:
+            raise DataError(f"{path}: sample {arr.max()} above maxval {maxval}")
+        # the nearest integer to s * 255 / maxval, halves up
+        arr = ((arr.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
     if channels == 1:
         return arr.reshape(height, width).copy()
     return arr.reshape(height, width, 3).copy()

@@ -75,18 +75,18 @@ class Zone:
 
 
 class ZoneSet:
-    """Zones prepared to be placed together: ``zones`` in order, and their
-    ``reach`` boxes as one (z, 4) array of [x1, y1, x2, y2] rows, whose
-    halves :func:`place` compares anchors with are kept contiguous as
-    ``low`` ([x1, y1]) and ``high`` ([x2, y2])."""
+    """Zones prepared to be placed together: ``zones`` in order, and the
+    corners of their ``reach`` boxes, which :func:`place` compares anchors
+    with, as two contiguous (z, 2) arrays: ``low`` ([x1, y1]) and ``high``
+    ([x2, y2])."""
 
-    __slots__ = ("zones", "reach", "low", "high")
+    __slots__ = ("zones", "low", "high")
 
     def __init__(self, zones):
         self.zones = tuple(zones)
-        self.reach = np.array([z.reach.as_tuple() for z in self.zones],
-                              dtype=float).reshape(-1, 4)
-        self.low, self.high = self.reach[:, :2].copy(), self.reach[:, 2:].copy()
+        reach = np.array([z.reach.as_tuple() for z in self.zones],
+                         dtype=float).reshape(-1, 4)
+        self.low, self.high = reach[:, :2].copy(), reach[:, 2:].copy()
 
 
 @dataclass(frozen=True)

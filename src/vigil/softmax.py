@@ -9,13 +9,12 @@ sequence monotone for small enough learning rates.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_input
+from .errors import ConfigError, DataError, open_input, read_numeric_csv
 
 
 @dataclass(frozen=True)
@@ -197,26 +196,7 @@ def load_model(path) -> SoftmaxModel:
 
 def load_features_csv(path):
     """Feature file rows: id, label, v1..vd -> (ids, labels, X); values must be finite."""
-    ids: list[str] = []
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    line_nos: list[int] = []
-    with open_input(path, "r", encoding="utf-8", newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise DataError(f"{path} row {ln}: expected id, label, values")
-            try:
-                vec = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path} row {ln}: {exc}") from exc
-            if rows and len(vec) != len(rows[0]):
-                raise DataError(f"{path} row {ln}: inconsistent dimension")
-            ids.append(row[0])
-            labels.append(row[1])
-            rows.append(vec)
-            line_nos.append(ln)
+    (ids, labels), rows, line_nos = read_numeric_csv(path, 2, "expected id, label, values")
     X = np.array(rows) if rows else np.zeros((0, 0))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:

@@ -10,13 +10,12 @@ Dwell uses frame timestamps, not frame counts.
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, write_json
+from .errors import ConfigError, DataError, write_csv, write_json
 from .geometry import FrameMeta
 # Not called here (zones are rules.Zone), but perfbench/tracing.py wraps
 # vigil.stats.point_in_polygon, and its install() fails when the name is gone.
@@ -186,10 +185,7 @@ class SceneStats:
     # -- exports ----------------------------------------------------------
 
     def write_heatmap_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            for row in self.heat:
-                w.writerow([int(v) for v in row])
+        write_csv(path, self.heat.tolist())
 
     def write_heatmap_pgm(self, path) -> None:
         """Max-normalized rendering: the hottest cell maps to 255."""
@@ -203,17 +199,10 @@ class SceneStats:
     def write_flowmap_csv(self, path) -> None:
         """Rows (cell_x, cell_y, avg_dx, avg_dy, samples) for sampled cells."""
         avg_dx, avg_dy = self.average_flow()
-        gh, gw = self.flow_n.shape
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell_x", "cell_y", "avg_dx", "avg_dy", "samples"])
-            for cy in range(gh):
-                for cx in range(gw):
-                    n = int(self.flow_n[cy, cx])
-                    if n == 0:
-                        continue
-                    w.writerow([cx, cy, repr(float(avg_dx[cy, cx])),
-                                repr(float(avg_dy[cy, cx])), n])
+        cy, cx = np.nonzero(self.flow_n)  # row-major: by cell_y, then cell_x
+        write_csv(path, [["cell_x", "cell_y", "avg_dx", "avg_dy", "samples"],
+                         *zip(cx.tolist(), cy.tolist(), avg_dx[cy, cx].tolist(),
+                              avg_dy[cy, cx].tolist(), self.flow_n[cy, cx].tolist())])
 
     def dwell_report_doc(self) -> dict:
         records = []

@@ -10,7 +10,6 @@ skips gain evaluations that submodularity proves redundant.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import os
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_input
+from .errors import ConfigError, DataError, read_numeric_csv, write_csv
 from .images import read_image
 
 SIGNATURE_DIM = 512                # 8 bins per RGB channel
@@ -41,18 +40,6 @@ def signature_from_image(img: np.ndarray) -> np.ndarray:
     bins = (flat[:, 0] << 6) + (flat[:, 1] << 3) + flat[:, 2]
     hist = np.bincount(bins, minlength=SIGNATURE_DIM).astype(float)
     return hist / hist.sum()
-
-
-def _check_signature(vec: np.ndarray, where: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1:
-        raise DataError(f"{where}: signature must be a flat vector")
-    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-        raise DataError(f"{where}: signature components must be finite and >= 0")
-    total = vec.sum()
-    if total == 0.0:
-        return vec  # all-zero frames keep a zero signature
-    return vec / total
 
 
 def similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -138,24 +125,16 @@ def ground_set_from_csv(path) -> GroundSet:
     Vectors are L1-normalized on load so precomputed features of any
     non-negative scale are accepted; all-zero rows stay zero.
     """
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    with open_input(path, "r", encoding="utf-8", newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path} row {ln}: need item_id and values")
-            try:
-                vec = np.array([float(x) for x in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path} row {ln}: {exc}") from exc
-            vec = _check_signature(vec, f"{path} row {ln}")
-            if rows and vec.shape != rows[0].shape:
-                raise DataError(f"{path} row {ln}: inconsistent dimension")
-            ids.append(row[0])
-            rows.append(vec)
-    sigs = np.array(rows) if rows else np.zeros((0, SIGNATURE_DIM))
+    (ids,), rows, line_nos = read_numeric_csv(path, 1, "need item_id and values")
+    if not rows:
+        return GroundSet(ids, np.zeros((0, SIGNATURE_DIM)))
+    sigs = np.array(rows)
+    bad = np.flatnonzero(~(np.isfinite(sigs) & (sigs >= 0)).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path} row {line_nos[bad[0]]}: "
+                        "signature components must be finite and >= 0")
+    totals = sigs.sum(axis=1, keepdims=True)
+    np.divide(sigs, totals, out=sigs, where=totals != 0.0)
     return GroundSet(ids, sigs)
 
 
@@ -360,16 +339,11 @@ def write_signature_csv(path, ground: GroundSet) -> None:
 
     Round-trips through ground_set_from_csv (vectors are already normalized).
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        for item_id, vec in zip(ground.item_ids, ground.signatures):
-            w.writerow([item_id] + [repr(float(v)) for v in vec])
+    write_csv(path, ([item_id, *vec]
+                     for item_id, vec in zip(ground.item_ids, ground.signatures.tolist())))
 
 
 def write_selection_csv(path, ground: GroundSet, steps: list[SelectionStep]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "item_id", "marginal_gain", "cumulative_f"])
-        for s in steps:
-            w.writerow([s.rank, ground.item_ids[s.item],
-                        repr(s.gain), repr(s.cumulative)])
+    write_csv(path, [["rank", "item_id", "marginal_gain", "cumulative_f"],
+                     *([s.rank, ground.item_ids[s.item], s.gain, s.cumulative]
+                       for s in steps)])

@@ -183,6 +183,17 @@ def saturated_coverage_value(sim, subset, alpha: float = 0.5) -> float:
     return float(np.sum(np.minimum(got, caps)))
 
 
+def signature_rows_reference(rows) -> np.ndarray:
+    """ground_set_from_csv's normalization, frozen as it was before the rows
+    were divided as one matrix: each row by its own sum, all-zero rows kept."""
+    out = []
+    for row in rows:
+        vec = np.array([float(x) for x in row])
+        total = vec.sum()
+        out.append(vec if total == 0.0 else vec / total)
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
 # calculus
 

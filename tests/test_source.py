@@ -32,3 +32,30 @@ def test_no_private_numpy_imports():
     assert len(files) > 10
     found = {f.name: _private_numpy_imports(f.read_text(encoding="utf-8")) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _csv_writer_calls(source: str) -> int:
+    """How many times *source* calls ``csv.writer``, under any import name."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "csv"
+             for alias in node.names if alias.name == "writer"}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "csv"}
+    return sum(1 for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "writer"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules))
+
+
+def test_only_errors_writes_csv():
+    # every CSV artifact goes through vigil.errors.write_csv, so its dialect,
+    # encoding and line ends are chosen in one place
+    assert _csv_writer_calls(
+        "import csv\nimport csv as c\nfrom csv import writer as w\n"
+        "csv.writer(f)\nc.writer(f)\nw(f)\ncsv.reader(f)\nother.writer(f)\n") == 3
+    found = {f.name: _csv_writer_calls(f.read_text(encoding="utf-8"))
+             for f in sorted(SRC.glob("*.py"))}
+    assert found.pop("errors.py") == 1
+    assert {name: n for name, n in found.items() if n} == {}

@@ -37,6 +37,7 @@ from oracles import (
     best_subset,
     facility_location_value,
     saturated_coverage_value,
+    signature_rows_reference,
 )
 
 
@@ -375,6 +376,21 @@ def test_csv_normalizes_and_validates(tmp_path):
     dim.write_text("a,1,2\nb,1,2,3\n")
     with pytest.raises(DataError):
         ground_set_from_csv(dim)
+
+
+def test_csv_normalization_matches_per_row_reference(tmp_path):
+    # the rows are checked and divided as one matrix; every quotient must
+    # still be the one the row's own division gives, bit for bit
+    rnd = np.random.default_rng(4)
+    rows = rnd.random((40, 37)) * rnd.choice([1e-300, 1e-8, 1.0, 1e8, 1e300], size=(40, 1))
+    rows[rnd.random(rows.shape) < 0.5] = 0.0
+    rows[5] = 0.0
+    rows[6, :2] = [5e-324, 1e308]
+    path = tmp_path / "sig.csv"
+    path.write_text("".join(f"i{i}," + ",".join(map(repr, row)) + "\n"
+                            for i, row in enumerate(rows.tolist())))
+    got = ground_set_from_csv(path).signatures
+    assert got.tobytes() == signature_rows_reference(rows).tobytes()
 
 
 def test_build_model_kinds():
