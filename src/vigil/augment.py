@@ -11,7 +11,6 @@ subsampled to T.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_input, write_csv
+from .errors import ConfigError, DataError, csv_rows, read_text, write_csv
 from .images import read_image, write_image
 from .rng import Rng
 
@@ -156,21 +155,20 @@ class DatasetManifest:
 def read_manifest_csv(path) -> DatasetManifest:
     records = []
     seen = set()
-    with open_input(path, "r", encoding="utf-8", newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if ln == 1 and [c.strip().lower() for c in row] == ["path", "class"]:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path} row {ln}: expected 'path,class'")
-            p, label = row[0].strip(), row[1].strip()
-            if not p or not label:
-                raise DataError(f"{path} row {ln}: empty path or class")
-            if p in seen:
-                raise DataError(f"{path} row {ln}: duplicate path {p!r}")
-            seen.add(p)
-            records.append(ManifestRecord(p, label))
+    for ln, row in csv_rows(path, read_text(path)):
+        if not row:
+            continue
+        if ln == 1 and [c.strip().lower() for c in row] == ["path", "class"]:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path} row {ln}: expected 'path,class'")
+        p, label = row[0].strip(), row[1].strip()
+        if not p or not label:
+            raise DataError(f"{path} row {ln}: empty path or class")
+        if p in seen:
+            raise DataError(f"{path} row {ln}: duplicate path {p!r}")
+        seen.add(p)
+        records.append(ManifestRecord(p, label))
     return DatasetManifest(records)
 
 

@@ -36,7 +36,7 @@ from .config import (
     string,
 )
 from .errors import ConfigError, DataError, VigilError, write_csv, write_json
-from .evaluation import EvalConfig, evaluate_detections
+from .evaluation import EvalConfig, EvalDetections, evaluate_detections
 from .pipeline import load_pipeline_config
 from .pipeline import run as run_pipeline
 from .rng import Rng, derive_seed
@@ -233,9 +233,8 @@ def _cmd_predict(args) -> None:
         _say(args, "labels absent or outside the model vocabulary; no eval report")
 
 
-def _read_flat_dump(path, width: int, height: int):
-    return [det for meta, batch in read_dump(path, width=width, height=height)
-            for det in batch.detections(meta)]
+def _read_flat_dump(path, width: int, height: int) -> EvalDetections:
+    return EvalDetections.of_frames(read_dump(path, width=width, height=height))
 
 
 _EVAL = {"predictions": (pathname, REQUIRED), "ground_truth": (pathname, REQUIRED),

@@ -5,7 +5,11 @@ anything else -> 4.
 """
 
 import csv
+import io
 import json
+import warnings
+
+import numpy as np
 
 
 class VigilError(Exception):
@@ -43,34 +47,122 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def read_text(path) -> str:
+    """The whole of an input file as UTF-8 text, line ends as they are.
+
+    A missing or unreadable file, or a byte that is not UTF-8, is a
+    DataError naming the file (and the byte's line).
+    """
+    with open_input(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line}: not UTF-8: {exc.reason}") from exc
+
+
+def csv_rows(path, text: str):
+    """csv.reader's (line number, row) pairs of *text*, the file at *path*.
+
+    Line numbers count rows from 1, blank rows included.  csv.reader's own
+    errors (a field longer than csv.field_size_limit()) are DataErrors.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from enumerate(reader, start=1)
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+
+
+# Characters after which a line's csv.reader row may differ from its
+# split(","): quotes and carriage returns; and the separators U+001C to
+# U+001F, which np.loadtxt skips as whitespace around a number and float()
+# does not.
+_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain_csv(text: str, text_fields: int):
+    """read_numeric_csv's result for plain text, by one np.loadtxt, or None.
+
+    None whenever the row loop might read the text otherwise: a character
+    of _NOT_PLAIN, a field over csv.field_size_limit(), a short row, rows
+    of different widths, or a loadtxt that raises, warns or returns another
+    shape than (rows, numbers of row 1).  loadtxt reads a number cell as
+    float() does or not at all:
+    it refuses "1_0" and non-ASCII digits, which float() accepts, and a
+    field over the limit, which float() may read as inf, is the row loop's
+    to refuse.
+    """
+    if any(ch in text for ch in _NOT_PLAIN):
+        return None
+    limit = csv.field_size_limit()
+    lines = text.split("\n")
+    if len(text) > limit and any(len(line) > limit and max(map(len, line.split(","))) > limit
+                                 for line in lines):
+        return None
+    line_nos = [ln for ln, line in enumerate(lines, start=1) if line]
+    if not line_nos:  # loadtxt would warn that there is no data
+        return [[] for _ in range(text_fields)], np.zeros((0, 0)), []
+    if len(line_nos) < len(lines):
+        lines = [line for line in lines if line]
+    width = lines[0].count(",") + 1  # cells of row 1
+    # loadtxt refuses a row narrower than row 1 and would drop the extra
+    # cells of a wider one; with as many commas as rows of row 1's width,
+    # a wider row comes with a narrower one
+    if width <= text_fields or text.count(",") != len(lines) * (width - 1):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                usecols=range(text_fields, width))
+    except (ValueError, Warning):  # a cell it cannot read, a narrower row
+        return None
+    if matrix.shape != (len(lines), width - text_fields):
+        return None
+    texts = [list(column) for column in
+             zip(*(line.split(",", text_fields)[:text_fields] for line in lines))]
+    return texts, matrix, line_nos
+
+
 def read_numeric_csv(path, text_fields: int, short: str):
     """Rows of a headerless CSV: *text_fields* text cells, then numbers.
 
-    Blank rows are skipped.  Returns one list per text field, the float
-    rows, and each row's 1-based line number.  A row with no number
-    (*short*), a cell float() rejects, or a row with a different count of
-    numbers than the first is a DataError naming the row.
+    Blank rows are skipped.  Returns one list per text field, the numbers
+    as a float (rows, numbers) matrix ((0, 0) when there is no row), and
+    each row's 1-based line number.  A row with no number (*short*), a cell
+    float() rejects, or a row with a different count of numbers than the
+    first is a DataError naming the row, as is text that is not UTF-8 or
+    a field over csv.field_size_limit().
+
+    Plain text is parsed in one np.loadtxt (_read_plain_csv); any other
+    text, and text with a fault, takes the row loop, whose float() reading
+    and messages are the ones that count.
     """
+    text = read_text(path)
+    plain = _read_plain_csv(text, text_fields)
+    if plain is not None:
+        return plain
     texts = [[] for _ in range(text_fields)]
     rows: list[list[float]] = []
     line_nos: list[int] = []
-    with open_input(path, "r", encoding="utf-8", newline="") as fh:
-        for ln, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) <= text_fields:
-                raise DataError(f"{path} row {ln}: {short}")
-            try:
-                values = list(map(float, row[text_fields:]))
-            except ValueError as exc:
-                raise DataError(f"{path} row {ln}: {exc}") from exc
-            if rows and len(values) != len(rows[0]):
-                raise DataError(f"{path} row {ln}: inconsistent dimension")
-            for column, cell in zip(texts, row):
-                column.append(cell)
-            rows.append(values)
-            line_nos.append(ln)
-    return texts, rows, line_nos
+    for ln, row in csv_rows(path, text):
+        if not row:
+            continue
+        if len(row) <= text_fields:
+            raise DataError(f"{path} row {ln}: {short}")
+        try:
+            values = list(map(float, row[text_fields:]))
+        except ValueError as exc:
+            raise DataError(f"{path} row {ln}: {exc}") from exc
+        if rows and len(values) != len(rows[0]):
+            raise DataError(f"{path} row {ln}: inconsistent dimension")
+        for column, cell in zip(texts, row):
+            column.append(cell)
+        rows.append(values)
+        line_nos.append(ln)
+    return texts, np.array(rows) if rows else np.zeros((0, 0)), line_nos
 
 
 def write_csv(path, rows, lineterminator: str = "\r\n") -> None:

@@ -12,13 +12,14 @@ choices are echoed in the report for auditability.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import BoundingBox, Detection, iou
+from .geometry import Detection, FrameDetections, FrameMeta, iou, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -49,34 +50,114 @@ class MatchResult:
     n_gt: dict                         # class -> ground-truth count
 
 
-def match(preds: list[Detection], gts: list[Detection],
-          cfg: EvalConfig | None = None) -> MatchResult:
-    cfg = cfg if cfg is not None else EvalConfig()
-    buckets: dict = {}  # (frame_id, class) -> list of gt input indices
-    n_gt: dict = {}
-    for gi, gt in enumerate(gts):
-        buckets.setdefault((gt.frame.frame_id, gt.class_label), []).append(gi)
-        n_gt[gt.class_label] = n_gt.get(gt.class_label, 0) + 1
+class EvalDetections:
+    """Detections of many frames as flat arrays, row i holding the i-th:
+    ``frame_ids`` (n,) integers, corner rows ``boxes`` (n, 4) float64,
+    ``labels`` (a list of n class labels) and ``confidences`` (n,) float64.
 
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i].confidence,
-                                  preds[i].frame.frame_id, i))
+    ``len()`` is the detection count.  :meth:`of` converts a Detection
+    list; :meth:`of_frames` joins ``read_dump``'s frame batches.
+    """
+
+    __slots__ = ("frame_ids", "boxes", "labels", "confidences")
+
+    def __init__(self, frame_ids: np.ndarray, boxes: np.ndarray, labels: list[str],
+                 confidences: np.ndarray):
+        self.frame_ids = frame_ids
+        self.boxes = boxes
+        self.labels = labels
+        self.confidences = confidences
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection] | EvalDetections) -> EvalDetections:
+        """The table of a Detection list, in list order (a table as it is)."""
+        if isinstance(detections, EvalDetections):
+            return detections
+        batch = FrameDetections.of(detections)
+        return cls(_frame_id_array([d.frame.frame_id for d in detections]),
+                   batch.boxes, batch.labels, batch.confidences)
+
+    @classmethod
+    def of_frames(cls, frames: Iterable[tuple[FrameMeta, FrameDetections]]) -> EvalDetections:
+        """The table of (FrameMeta, FrameDetections) pairs, in stream order."""
+        ids, batches = [], []
+        for meta, batch in frames:
+            ids.append(meta.frame_id)
+            batches.append(batch)
+        if not batches:
+            return cls.of([])
+        return cls(np.repeat(_frame_id_array(ids), [len(b) for b in batches]),
+                   np.concatenate([b.boxes for b in batches]),
+                   [label for b in batches for label in b.labels],
+                   np.concatenate([b.confidences for b in batches]))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _frame_id_array(ids: list[int]) -> np.ndarray:
+    # an id past int64 makes an object array, which np.unique still orders
+    return np.array(ids) if ids else np.zeros(0, dtype=np.int64)
+
+
+def match(preds: Sequence[Detection] | EvalDetections,
+          gts: Sequence[Detection] | EvalDetections,
+          cfg: EvalConfig | None = None) -> MatchResult:
+    """Greedy matching (module docstring) of *preds* against *gts*.
+
+    Each frame's predictions are scored against its ground truths in one
+    iou_matrix, in float64.  Where that differs from the scalar iou (a
+    -0.0 overlap for touching boxes, 0 for a nan from overflowing
+    coordinates), neither value beats the running best with ``>``.
+    """
+    cfg = cfg if cfg is not None else EvalConfig()
+    preds, gts = EvalDetections.of(preds), EvalDetections.of(gts)
+    n_pred = len(preds)
+    # each frame's rank among the frame ids; ranks sort as the ids do
+    ranks = np.unique(np.concatenate([preds.frame_ids, gts.frame_ids]), return_inverse=True)[1]
+    pred_rank, gt_rank = ranks[:n_pred], ranks[n_pred:]
+    n_frames = int(ranks.max()) + 1 if ranks.size else 0
+
+    def by_frame(rank):
+        """Input indices per frame rank, in input order."""
+        order = np.argsort(rank, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(rank, minlength=n_frames))[:-1])
+
+    rows: list = [None] * n_pred  # prediction -> IoUs with its frame's ground truths
+    buckets: dict = {}  # (frame rank, class) -> [(column in rows, gt input index)]
+    for f, (p_idx, g_idx) in enumerate(zip(by_frame(pred_rank), by_frame(gt_rank))):
+        if not g_idx.size:
+            continue
+        for col, gi in enumerate(g_idx.tolist()):
+            buckets.setdefault((f, gts.labels[gi]), []).append((col, gi))
+        if p_idx.size:
+            for pi, row in zip(p_idx.tolist(),
+                               iou_matrix(preds.boxes[p_idx], gts.boxes[g_idx]).tolist()):
+                rows[pi] = row
+    n_gt: dict = {}
+    for label in gts.labels:
+        n_gt[label] = n_gt.get(label, 0) + 1
+
+    # descending confidence, then frame id, then input order
+    order = np.lexsort((np.arange(n_pred), pred_rank, -preds.confidences))
+    frame_ids, labels = preds.frame_ids.tolist(), preds.labels
+    confidences, pred_rank = preds.confidences.tolist(), pred_rank.tolist()
     matched = [False] * len(gts)
     outcomes: list[PredictionOutcome] = []
-    for pi in order:
-        pred = preds[pi]
+    for pi in order.tolist():
         best_gi, best_iou = None, 0.0
-        for gi in buckets.get((pred.frame.frame_id, pred.class_label), ()):
+        row = rows[pi]
+        for col, gi in buckets.get((pred_rank[pi], labels[pi]), ()):
             if matched[gi]:
                 continue
-            overlap = iou(pred.bbox, gts[gi].bbox)
+            overlap = row[col]
             if overlap > best_iou:
                 best_gi, best_iou = gi, overlap
         is_tp = best_gi is not None and best_iou >= cfg.iou_threshold
         if is_tp:
             matched[best_gi] = True
         outcomes.append(PredictionOutcome(
-            pi, pred.frame.frame_id, pred.class_label, pred.confidence,
+            pi, frame_ids[pi], labels[pi], confidences[pi],
             is_tp, best_gi if is_tp else None))
     return MatchResult(outcomes, matched, n_gt)
 
@@ -115,7 +196,8 @@ def precision_recall(result: MatchResult) -> tuple[float, float]:
     return precision, recall
 
 
-def evaluate_detections(preds: list[Detection], gts: list[Detection],
+def evaluate_detections(preds: Sequence[Detection] | EvalDetections,
+                        gts: Sequence[Detection] | EvalDetections,
                         cfg: EvalConfig | None = None) -> dict:
     """Full report: per-class AP, mAP, precision, recall, config echo."""
     cfg = cfg if cfg is not None else EvalConfig()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_input, read_numeric_csv
+from .errors import ConfigError, DataError, read_numeric_csv, read_text
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,10 @@ def save_model(path, model: SoftmaxModel) -> None:
 
 
 def load_model(path) -> SoftmaxModel:
-    with open_input(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
     try:
         classes = list(doc["classes"])
         d = int(doc["d"])
@@ -196,8 +195,7 @@ def load_model(path) -> SoftmaxModel:
 
 def load_features_csv(path):
     """Feature file rows: id, label, v1..vd -> (ids, labels, X); values must be finite."""
-    (ids, labels), rows, line_nos = read_numeric_csv(path, 2, "expected id, label, values")
-    X = np.array(rows) if rows else np.zeros((0, 0))
+    (ids, labels), X, line_nos = read_numeric_csv(path, 2, "expected id, label, values")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise DataError(f"{path} row {line_nos[bad[0]]}: non-finite value")

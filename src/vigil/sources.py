@@ -36,7 +36,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import fields_of, list_of, parse, read_config, record
-from .errors import ConfigError, DumpFormatError, open_input
+from .errors import ConfigError, DataError, DumpFormatError, open_input
 from .geometry import (BoundingBox, Detection, FrameDetections, FrameMeta, confidence_in_range,
                        corners_ordered)
 from .rng import Rng
@@ -155,49 +155,53 @@ def read_dump(path, *, width: int = 1920, height: int = 1080,
         confs: list = []
         last_frame = None
         with open_input(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                m = _DUMP_LINE.fullmatch(raw)
-                if m is not None:
-                    fid, ts, label, x1, y1, x2, y2, conf = m.groups()
-                    box = (float(x1), float(y1), float(x2), float(y2))
-                    conf = float(conf)
-                    if math.isfinite(sum(box) + conf):
-                        fid, ts = int(fid), int(ts)
-                    else:
-                        m = None  # _parse_record reports the value
-                if m is None:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    rec = _parse_record(line_no, line)
-                    fid, ts, label = rec["frame"], rec["ts_ms"], rec["class"]
-                    box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
-                           float(rec["y2"]))
-                    conf = float(rec["conf"])
-                if last_frame is not None and fid < last_frame:
-                    raise DumpFormatError(
-                        line_no, f'"frame" {fid} decreases (previous {last_frame})')
-                if fid < 0:
-                    raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
-                new_frame = meta is None or fid != meta.frame_id
-                if meta is not None and new_frame and ts < meta.timestamp_ms:
-                    raise DumpFormatError(
-                        line_no, f'"ts_ms" {ts} decreases (previous frame {meta.timestamp_ms})')
-                try:
-                    frame = FrameMeta(source_id, fid, ts, width, height) if new_frame else meta
-                    if not (label and corners_ordered(*box) and confidence_in_range(conf)):
-                        # a value Detection rejects: it raises the message
-                        Detection(frame, BoundingBox(*box), label, conf)
-                except ValueError as exc:
-                    raise DumpFormatError(line_no, str(exc)) from exc
-                if new_frame and meta is not None:
-                    yield meta, _batch(boxes, labels, confs)
-                    boxes, labels, confs = [], [], []
-                meta = frame
-                boxes.append(box)
-                labels.append(label)
-                confs.append(conf)
-                last_frame = fid
+            try:
+                for line_no, raw in enumerate(fh, start=1):
+                    m = _DUMP_LINE.fullmatch(raw)
+                    if m is not None:
+                        fid, ts, label, x1, y1, x2, y2, conf = m.groups()
+                        box = (float(x1), float(y1), float(x2), float(y2))
+                        conf = float(conf)
+                        if math.isfinite(sum(box) + conf):
+                            fid, ts = int(fid), int(ts)
+                        else:
+                            m = None  # _parse_record reports the value
+                    if m is None:
+                        line = raw.strip()
+                        if not line:
+                            continue
+                        rec = _parse_record(line_no, line)
+                        fid, ts, label = rec["frame"], rec["ts_ms"], rec["class"]
+                        box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
+                               float(rec["y2"]))
+                        conf = float(rec["conf"])
+                    if last_frame is not None and fid < last_frame:
+                        raise DumpFormatError(
+                            line_no, f'"frame" {fid} decreases (previous {last_frame})')
+                    if fid < 0:
+                        raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
+                    new_frame = meta is None or fid != meta.frame_id
+                    if meta is not None and new_frame and ts < meta.timestamp_ms:
+                        raise DumpFormatError(line_no, f'"ts_ms" {ts} decreases '
+                                                       f'(previous frame {meta.timestamp_ms})')
+                    try:
+                        frame = FrameMeta(source_id, fid, ts, width, height) if new_frame else meta
+                        if not (label and corners_ordered(*box) and confidence_in_range(conf)):
+                            # a value Detection rejects: it raises the message
+                            Detection(frame, BoundingBox(*box), label, conf)
+                    except ValueError as exc:
+                        raise DumpFormatError(line_no, str(exc)) from exc
+                    if new_frame and meta is not None:
+                        yield meta, _batch(boxes, labels, confs)
+                        boxes, labels, confs = [], [], []
+                    meta = frame
+                    boxes.append(box)
+                    labels.append(label)
+                    confs.append(conf)
+                    last_frame = fid
+            except UnicodeDecodeError as exc:
+                # the loop decodes the file in chunks, so the line is not known
+                raise DataError(f"{path}: not UTF-8: {exc.reason}") from exc
         if meta is not None:
             yield meta, _batch(boxes, labels, confs)
 

@@ -125,10 +125,9 @@ def ground_set_from_csv(path) -> GroundSet:
     Vectors are L1-normalized on load so precomputed features of any
     non-negative scale are accepted; all-zero rows stay zero.
     """
-    (ids,), rows, line_nos = read_numeric_csv(path, 1, "need item_id and values")
-    if not rows:
+    (ids,), sigs, line_nos = read_numeric_csv(path, 1, "need item_id and values")
+    if not ids:
         return GroundSet(ids, np.zeros((0, SIGNATURE_DIM)))
-    sigs = np.array(rows)
     bad = np.flatnonzero(~(np.isfinite(sigs) & (sigs >= 0)).all(axis=1))
     if bad.size:
         raise DataError(f"{path} row {line_nos[bad[0]]}: "

@@ -703,3 +703,90 @@ def unique_count_recount(log, class_of, class_label, t0, t1) -> int:
         if class_of[track_id] == class_label and t0 <= ts <= t1:
             seen.add(track_id)
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# numeric CSVs: read_numeric_csv frozen as its row loop was before the bulk
+# parse, csv.reader and float() cell by cell.  It raises vigil's DataError,
+# whose messages it must match, and returns the numbers as lists.
+
+
+def read_numeric_csv_reference(path, text_fields, short):
+    """(text columns, float rows, line numbers) of a headerless numeric CSV."""
+    import csv
+
+    from vigil.errors import DataError
+
+    texts = [[] for _ in range(text_fields)]
+    rows = []
+    line_nos = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) <= text_fields:
+                raise DataError(f"{path} row {ln}: {short}")
+            try:
+                values = list(map(float, row[text_fields:]))
+            except ValueError as exc:
+                raise DataError(f"{path} row {ln}: {exc}") from exc
+            if rows and len(values) != len(rows[0]):
+                raise DataError(f"{path} row {ln}: inconsistent dimension")
+            for column, cell in zip(texts, row):
+                column.append(cell)
+            rows.append(values)
+            line_nos.append(ln)
+    return texts, rows, line_nos
+
+
+# ---------------------------------------------------------------------------
+# evaluation matching: match frozen as it was before the per-frame IoU
+# matrix, with one scalar IoU per (prediction, unmatched ground truth) pair
+# of a (frame, class) bucket.  Inputs are Detection lists.
+
+
+def iou_scalar_reference(a, b) -> float:
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def match_reference(preds, gts, iou_threshold):
+    """(outcome tuples in processing order, gt matched flags, class -> gt count).
+
+    An outcome is (input index, frame id, class, confidence, tp, gt index or
+    None).  Predictions go in descending confidence, then frame id, then
+    input order; each claims its best-IoU unmatched ground truth of its
+    frame and class (strictly best, first on ties) when that IoU reaches the
+    threshold.
+    """
+    buckets = {}
+    n_gt = {}
+    for gi, gt in enumerate(gts):
+        buckets.setdefault((gt.frame.frame_id, gt.class_label), []).append(gi)
+        n_gt[gt.class_label] = n_gt.get(gt.class_label, 0) + 1
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-preds[i].confidence, preds[i].frame.frame_id, i))
+    matched = [False] * len(gts)
+    outcomes = []
+    for pi in order:
+        pred = preds[pi]
+        best_gi, best_iou = None, 0.0
+        for gi in buckets.get((pred.frame.frame_id, pred.class_label), ()):
+            if matched[gi]:
+                continue
+            overlap = iou_scalar_reference(pred.bbox, gts[gi].bbox)
+            if overlap > best_iou:
+                best_gi, best_iou = gi, overlap
+        is_tp = best_gi is not None and best_iou >= iou_threshold
+        if is_tp:
+            matched[best_gi] = True
+        outcomes.append((pi, pred.frame.frame_id, pred.class_label, pred.confidence,
+                         is_tp, best_gi if is_tp else None))
+    return outcomes, matched, n_gt

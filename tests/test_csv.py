@@ -2,22 +2,27 @@
 
 import csv
 import json
+import random
 
+import numpy as np
 import pytest
 
 from vigil.cli import main
-from vigil.errors import DataError, read_numeric_csv, write_csv
+from vigil.errors import DataError, _read_plain_csv, read_numeric_csv, write_csv
+
+from oracles import read_numeric_csv_reference
 
 
 def test_read_numeric_csv_columns_rows_and_line_numbers(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,x,1,2.5\n\n"b,c",y,-3,4e1\n', encoding="utf-8")
-    texts, rows, line_nos = read_numeric_csv(path, 2, "too short")
+    texts, matrix, line_nos = read_numeric_csv(path, 2, "too short")
     assert texts == [["a", "b,c"], ["x", "y"]]
-    assert rows == [[1.0, 2.5], [-3.0, 40.0]]
+    assert matrix.dtype == np.float64 and matrix.tolist() == [[1.0, 2.5], [-3.0, 40.0]]
     assert line_nos == [1, 3]  # the blank row 2 is skipped, not renumbered
     path.write_text("\n\n", encoding="utf-8")
-    assert read_numeric_csv(path, 1, "too short") == ([[]], [], [])
+    texts, matrix, line_nos = read_numeric_csv(path, 1, "too short")
+    assert (texts, matrix.shape, line_nos) == ([[]], (0, 0), [])
     with pytest.raises(DataError, match="absent.csv"):
         read_numeric_csv(tmp_path / "absent.csv", 1, "too short")
 
@@ -102,3 +107,76 @@ def test_predictions_csv_quotes_ids_and_reads_back(tmp_path):
     # plain ids keep the bytes the f-string gave them
     plain = data.decode("utf-8").splitlines()[3]
     assert plain == f"plain,{back[3][1]},{back[3][2]}"
+
+
+# -- the bulk parse against the row loop --------------------------------------
+
+# (case, text with {t} for the text cells, whether the bulk parse reads it);
+# {q} is text cells whose first one is quoted
+BULK_CASES = [
+    ("underscore", "{t}1_0,2\n{t}3,4\n", False),  # float() reads 10.0, loadtxt refuses
+    ("arabic digits", "{t}١٢,2\n", False),          # float() reads 12.0, loadtxt refuses
+    ("space nan", "{t} nan,2\n{t}-nan,1\n", True),
+    ("-Infinity", "{t}-Infinity,inf\n", True),
+    ("1e400", "{t}1e400,-1e400\n", True),
+    ("subnormal", "{t}4.9e-324,2.5e-324\n", True),
+    ("-0", "{t}-0,0\n", True),
+    ("spaces around numbers", "{t} 1 ,\t2\xa0\n", True),
+    ("hash in a number cell", "{t}1,2#3\n", False),  # a comment to loadtxt by default
+    ("hash in a text cell", "#{t}1,2\n", True),
+    ("whitespace-only cell", "{t}1, \n", False),
+    ("trailing comma", "{t}1,2,\n", False),
+    ("ragged", "{t}1,2\n{t}3\n", False),
+    ("ragged, as many commas as even rows", "{t}1,2\n{t}3,4,5\n{t}6\n", False),
+    ("ragged, the wide row first", "{t}1,2,3\n{t}4,5\n{t}6,7\n{t}8,9,0\n", False),
+    ("ragged, a wider row later", "{t}1,2\n{t}3,4,5\n{t}6,7\n", False),  # loadtxt drops the 5
+    ("short row", "{t}1,2\nonly\n", False),
+    ("blank rows", "\n{t}1,2\n\n\n{t}3,4\n\n", True),
+    ("quoted id", "{q}1,2\n{t}3,4\n", False),
+    ("crlf", "{t}1,2\r\n{t}3,4\r\n", False),
+    ("empty file", "", True),
+    ("information separator", "{t}\x1c1,2\n", False),  # whitespace to loadtxt only
+    ("field at the size limit", "{t}1," + "1" * csv.field_size_limit() + "\n", True),
+]
+
+
+def _random_rows(rng):
+    cells = []
+    for _ in range(200):
+        x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+        cells.append(rng.choice([repr(x), f"{x:.6f}", f"{x:e}", str(int(x * 1e-290)),
+                                 f"{rng.random():.17g}"]))
+    return "".join("{t}" + ",".join(cells[i:i + 5]) + "\n" for i in range(0, 200, 5))
+
+
+def _reading(read, path, text_fields):
+    """What *read* makes of the file: its DataError message, or
+    (texts, matrix, line numbers) with the numbers as a float matrix."""
+    try:
+        texts, numbers, line_nos = read(path, text_fields, "too short")
+    except DataError as exc:
+        return str(exc)
+    matrix = np.array(numbers, dtype=float) if len(line_nos) else np.zeros((0, 0))
+    return texts, matrix, line_nos
+
+
+@pytest.mark.parametrize("text_fields", [1, 2])
+def test_bulk_parse_agrees_with_the_row_loop(tmp_path, text_fields):
+    cells = ["id", "label"][:text_fields]
+    cases = BULK_CASES + [("random numbers", _random_rows(random.Random(77)), True)]
+    for name, template, bulk in cases:
+        text = template.format(t="".join(c + "," for c in cells),
+                               q='"a,b",' + "".join(c + "," for c in cells[1:]))
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (_read_plain_csv(text, text_fields) is not None) == bulk, name
+        got = _reading(read_numeric_csv, path, text_fields)
+        want = _reading(read_numeric_csv_reference, path, text_fields)
+        if isinstance(want, str):
+            assert got == want, name
+            continue
+        assert not isinstance(got, str), (name, got)
+        (texts, matrix, line_nos), (want_texts, want_matrix, want_line_nos) = got, want
+        assert (texts, line_nos) == (want_texts, want_line_nos), name
+        assert matrix.dtype == np.float64 and matrix.shape == want_matrix.shape, name
+        assert np.array_equal(matrix.view(np.uint64), want_matrix.view(np.uint64)), name

@@ -1,12 +1,19 @@
 """Tests for detection/tracking evaluation: matching, AP, mAP, ID switches."""
 
+import itertools
+import json
+import math
+import pathlib
 import random
 
 import pytest
 
+import vigil.cli
+
 from vigil.errors import ConfigError, DataError
 from vigil.evaluation import (
     EvalConfig,
+    EvalDetections,
     average_precision,
     evaluate_detections,
     id_switches,
@@ -14,8 +21,9 @@ from vigil.evaluation import (
     precision_recall,
 )
 from vigil.geometry import BoundingBox, Detection, FrameMeta
+from vigil.sources import ObjectSpec, SyntheticSceneConfig, read_dump, simulate, write_dump
 
-from oracles import average_precision_reference
+from oracles import iou_scalar_reference, average_precision_reference, match_reference
 
 
 def _frame(i):
@@ -127,6 +135,119 @@ def test_frame_and_class_must_match():
     # perfect box, wrong class
     r2 = match([_det(3, (10, 10, 50, 50), "person", 0.9)], gt)
     assert not r2.outcomes[0].tp
+
+
+# -- the per-frame IoU matrix against the scalar matcher ---------------------
+
+
+def _random_box(rng, pool):
+    """A box on a small canvas, so that boxes overlap often; some are
+    repeats, zero-area, touching a pooled box (also at signed zeros), or so
+    large that their widths and areas overflow."""
+    kind = rng.random()
+    if pool and kind < 0.15:
+        return rng.choice(pool)
+    if pool and kind < 0.25:
+        b = rng.choice(pool)
+        w = rng.uniform(0.0, 30.0)
+        return BoundingBox(b.x2, b.y1, b.x2 + w, b.y2)  # touches b's right edge
+    if kind < 0.3:
+        return BoundingBox(-rng.uniform(1.0, 20.0), 0.0, -0.0, rng.uniform(1.0, 20.0))
+    if kind < 0.35:
+        return BoundingBox(0.0, 0.0, rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0))
+    if kind < 0.4:
+        x = rng.uniform(0.0, 60.0)
+        return BoundingBox(x, x, x, x + rng.uniform(0.0, 20.0))  # zero width
+    if kind < 0.45:
+        big = rng.choice([1e308, 1.7e308, 9e307])
+        return BoundingBox(-big, -rng.choice([big, 1.0]), big, rng.choice([big, 50.0]))
+    x, y = rng.uniform(-10.0, 60.0), rng.uniform(-10.0, 60.0)
+    return BoundingBox(x, y, x + rng.uniform(0.0, 40.0), y + rng.uniform(0.0, 40.0))
+
+
+def _jittered(rng, box):
+    d = [rng.choice([0.0, rng.uniform(-4.0, 4.0)]) for _ in range(4)]
+    x1, x2 = sorted((box.x1 + d[0], box.x2 + d[2]))
+    y1, y2 = sorted((box.y1 + d[1], box.y2 + d[3]))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def _random_frames(rng, frame_ids):
+    confs = [0.0, -0.0, 0.25, 0.5, 0.5, 0.9, 1.0]
+    gts, preds, pool = [], [], []
+    for fid in frame_ids:
+        meta = FrameMeta("cam", fid, 0, 640, 480)
+        for _ in range(rng.randint(0, 7)):
+            box = _random_box(rng, pool)
+            pool.append(box)
+            gts.append(Detection(meta, box, rng.choice("ab"), 1.0))
+        for _ in range(rng.randint(0, 9)):
+            box = _random_box(rng, pool)
+            if pool and rng.random() < 0.5:
+                box = _jittered(rng, rng.choice(pool))
+            conf = rng.choice(confs) if rng.random() < 0.6 else rng.random()
+            preds.append(Detection(meta, box, rng.choice("ab"), conf))
+    order = list(range(len(preds)))
+    rng.shuffle(order)  # predictions of a frame need not be adjacent
+    return [preds[i] for i in order], gts
+
+
+def _outcome_tuples(result):
+    return [(o.input_index, o.frame_id, o.class_label, o.confidence, o.tp, o.gt_index)
+            for o in result.outcomes]
+
+
+def test_array_matcher_equals_scalar_matcher_on_random_frames():
+    rng = random.Random(1507)
+    tps = negative_zeros = nan_pairs = 0
+    for case in range(300):
+        frame_ids = rng.sample(range(50), rng.randint(1, 6))
+        preds, gts = _random_frames(rng, frame_ids)
+        for threshold in (0.05, 0.3, 0.5, 0.9):
+            got = match(preds, gts, EvalConfig(threshold))
+            outcomes, matched, n_gt = match_reference(preds, gts, threshold)
+            assert _outcome_tuples(got) == outcomes, (case, threshold)
+            assert got.gt_matched == matched and got.n_gt == n_gt
+            assert match(EvalDetections.of(preds), EvalDetections.of(gts),
+                         EvalConfig(threshold)).outcomes == got.outcomes
+            tps += sum(o.tp for o in got.outcomes)
+        for p, g in itertools.product(preds, gts):
+            if (p.frame.frame_id, p.class_label) == (g.frame.frame_id, g.class_label):
+                overlap = min(p.bbox.x2, g.bbox.x2) - max(p.bbox.x1, g.bbox.x1)
+                negative_zeros += overlap == 0.0 and math.copysign(1.0, overlap) < 0.0
+                nan_pairs += math.isnan(iou_scalar_reference(p.bbox, g.bbox))
+    # the cases reach what they are for: matches, touching boxes whose
+    # overlap is -0.0, and pairs the scalar iou scores nan and the matrix 0
+    assert tps > 1000 and negative_zeros > 0 and nan_pairs > 0
+
+
+def test_array_matcher_takes_frame_ids_past_int64():
+    big = 10 ** 30
+    preds, gts = _random_frames(random.Random(7), [big + 1, 3, big, 2 ** 63])
+    for threshold in (0.1, 0.5):
+        outcomes, matched, n_gt = match_reference(preds, gts, threshold)
+        got = match(preds, gts, EvalConfig(threshold))
+        assert _outcome_tuples(got) == outcomes and got.gt_matched == matched
+    assert match([], gts).outcomes == [] and match(preds, []).gt_matched == []
+
+
+def test_eval_detections_of_frames_equals_the_detection_list(tmp_path):
+    scene = simulate(SyntheticSceneConfig(
+        width=320, height=240, fps=10, duration_frames=12, seed=4,
+        objects=(ObjectSpec("car", (60.0, 60.0), (4.0, 1.0), (30.0, 20.0)),),
+        jitter_sigma=2.0, false_positives_per_frame=1.5))
+    path = tmp_path / "det.jsonl"
+    write_dump(path, zip(scene.frames, scene.noisy))
+    table = EvalDetections.of_frames(read_dump(path, width=320, height=240))
+    flat = EvalDetections.of([d for dets in scene.noisy for d in dets])
+    assert len(table) == len(flat) == sum(map(len, scene.noisy))
+    assert table.frame_ids.tolist() == flat.frame_ids.tolist()
+    assert table.boxes.tobytes() == flat.boxes.tobytes() and table.boxes.shape == (len(flat), 4)
+    assert table.labels == flat.labels
+    assert table.confidences.tobytes() == flat.confidences.tobytes()
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert len(EvalDetections.of_frames(read_dump(empty))) == 0
 
 
 def test_ap_matches_reference_on_random_flag_sequences():
@@ -245,3 +366,49 @@ def test_low_iou_associations_are_ignored():
               1: [(5, _box(300))],         # far away: below iou_min
               2: [(1, _box(2))]}
     assert id_switches(tracks, gt, iou_min=0.3) == 0
+
+
+# -- the tracer's seams in the curate jobs -------------------------------------
+
+
+def test_trace_seams_time_the_curate_jobs(tmp_path, monkeypatch):
+    # perfbench/tracing.py times curate's layers by rebinding names in
+    # vigil.cli; if one moved, its layer metric would silently read 0
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer
+
+    scene = simulate(SyntheticSceneConfig(
+        width=320, height=240, fps=10, duration_frames=20, seed=9,
+        objects=(ObjectSpec("car", (60.0, 60.0), (4.0, 1.0), (30.0, 20.0)),
+                 ObjectSpec("person", (200.0, 150.0), (-2.0, 1.0), (12.0, 30.0))),
+        jitter_sigma=2.0, false_positives_per_frame=1.0))
+    n_preds = write_dump(tmp_path / "det.jsonl", zip(scene.frames, scene.noisy))
+    write_dump(tmp_path / "gt.jsonl", zip(scene.frames, scene.ground_truth))
+    rng = random.Random(3)
+    (tmp_path / "sig.csv").write_text("".join(
+        f"f{i},{rng.random()},{rng.random()},{rng.random()}\n" for i in range(12)))
+    (tmp_path / "features.csv").write_text("".join(
+        f"r{i},{'ab'[i % 2]},{i % 2 + rng.random()},{rng.random()}\n" for i in range(20)))
+    jobs = {
+        "summarize": {"signatures_csv": "sig.csv", "budget": 3},
+        "train-head": {"features_csv": "features.csv", "max_epochs": 5},
+        "predict": {"model_json": "out/model.json", "features_csv": "features.csv"},
+        "eval": {"predictions": "det.jsonl", "ground_truth": "gt.jsonl",
+                 "width": 320, "height": 240},
+    }
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for job, doc in jobs.items():
+            (tmp_path / f"{job}.json").write_text(json.dumps(doc))
+            assert vigil.cli.main([job, "--config", str(tmp_path / f"{job}.json"),
+                                   "--out", str(tmp_path / "out"), "--quiet"]) == 0, job
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics(1)
+    with open(tmp_path / "det.jsonl", encoding="utf-8") as fh:
+        assert layers["evaluation.predictions"] == sum(1 for _ in fh) == n_preds
+    for name in ("sources.read_dump_s", "evaluation.evaluate_s", "summarize.ground_set_s",
+                 "softmax.train_s"):
+        assert layers[name] > 0.0, name
