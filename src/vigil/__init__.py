@@ -12,7 +12,7 @@ pieces:
 - :mod:`vigil.softmax` — linear softmax head: training, inference, reports
 - :mod:`vigil.stats` — heat maps, flow maps, dwell times, unique counts
 - :mod:`vigil.rules` — zone/line alert rules with debouncing
-- :mod:`vigil.evaluation` — detection mAP/precision/recall, id switches
+- :mod:`vigil.evaluation` — detection mAP/precision/recall
 - :mod:`vigil.pipeline` — config-driven end-to-end runs (also via the CLI)
 """
 

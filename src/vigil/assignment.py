@@ -74,15 +74,6 @@ def _strict_row_minima(a: np.ndarray):
     return cols
 
 
-def assignment_cost(cost, pairs) -> float:
-    """Total cost of a matching, summed in row order (deterministic)."""
-    a = np.asarray(cost, dtype=float)
-    total = 0.0
-    for i, j in sorted(pairs):
-        total += float(a[i, j])
-    return total
-
-
 def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Shortest-augmenting-path solve of a square matrix.
 

@@ -35,7 +35,7 @@ from .config import (
     record,
     string,
 )
-from .errors import ConfigError, DataError, VigilError, write_csv, write_json
+from .errors import ConfigError, DataError, VigilError, make_out_dir, write_csv, write_json
 from .evaluation import EvalConfig, EvalDetections, evaluate_detections
 from .pipeline import load_pipeline_config
 from .pipeline import run as run_pipeline
@@ -70,9 +70,7 @@ def _job_config(args, table: dict, what: str) -> dict:
 
 
 def _out_dir(args) -> str:
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    return make_out_dir(args.out or "out")
 
 
 def _say(args, message: str) -> None:

@@ -14,11 +14,10 @@ into, or with the one place that uses the field.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_json
 
 REQUIRED = object()  # the default of a field that must be given
 
@@ -26,18 +25,18 @@ REQUIRED = object()  # the default of a field that must be given
 def read_config(path, what: str):
     """The JSON document in the *what* file at *path*.
 
-    A file that is missing, is a directory, is not UTF-8 or is not JSON is
-    a ConfigError.
+    A file that is missing, is a directory, is not UTF-8 or is not JSON
+    (decode_json) is a ConfigError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"{what} file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not UTF-8: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    return decode_json(
+        text, lambda reason: ConfigError(f"{what} file {path} is not valid JSON: {reason}"))
 
 
 def parse(doc, table: dict, where: str, base_dir=None) -> dict:
@@ -80,7 +79,8 @@ number = _kind("a finite number", lambda v: isinstance(v, (int, float))
 boolean = _kind("true or false", lambda v: isinstance(v, bool))
 string = _kind("a string", lambda v: isinstance(v, str))
 label = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")  # ids, classes
-pathname = _kind("a non-empty path string", lambda v: isinstance(v, str) and v != "")
+pathname = _kind("a non-empty path string without NUL",
+                 lambda v: isinstance(v, str) and v != "" and "\x00" not in v)
 json_object = _kind("a JSON object", lambda v: isinstance(v, dict))
 
 

@@ -7,6 +7,7 @@ anything else -> 4.
 import csv
 import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -33,11 +34,41 @@ class DumpFormatError(DataError):
 
 
 def open_input(path, mode: str = "r", **kwargs):
-    """Open an input data file; a missing/unreadable file is a DataError."""
+    """Open an input data file; a missing/unreadable file, or a path holding
+    a NUL, is a DataError."""
     try:
         return open(path, mode, **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # embedded null byte
+        raise DataError(f"{path!r}: {exc}") from exc
+
+
+def make_out_dir(path) -> str:
+    """*path*, made as a directory if it is not one yet; a path that cannot
+    be one (an existing file, a path under a file) is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def decode_json(text: str, error):
+    """The JSON document in *text*; text the decoder refuses raises
+    error(reason) from the decoder's exception.
+
+    The decoder refuses a syntax error, an integer past int()'s digit limit
+    and arrays nested past the recursion limit.  A syntax error's reason
+    names its line and column only where *text* holds a line end: a dump
+    record is one line, whose number is the caller's to give.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(str(exc) if "\n" in text else exc.msg) from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(str(exc)) from exc
 
 
 def write_json(path, doc) -> None:
@@ -65,12 +96,17 @@ def read_text(path) -> str:
 def csv_rows(path, text: str):
     """csv.reader's (line number, row) pairs of *text*, the file at *path*.
 
-    Line numbers count rows from 1, blank rows included.  csv.reader's own
-    errors (a field longer than csv.field_size_limit()) are DataErrors.
+    A row's line number is the 1-based physical line it starts on, so a
+    quoted field that spans lines moves the numbers of the rows after it.
+    csv.reader's own errors (a field longer than csv.field_size_limit())
+    are DataErrors.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
+    start = 1
     try:
-        yield from enumerate(reader, start=1)
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
 

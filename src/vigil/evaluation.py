@@ -1,13 +1,13 @@
-"""Detection and tracking evaluation: PASCAL-style mAP, precision/recall,
-and ID-switch counting.
+"""Detection evaluation: PASCAL VOC-style mAP, precision and recall.
 
 Matching is per frame and per class with single-use ground truths:
 predictions are processed in descending confidence (ties: lower frame_id,
 then input order) and claim their best-IoU unmatched ground truth when
-that IoU reaches the threshold.  Average precision uses all-point
-interpolation (the precision envelope), and classes with zero ground
-truths are excluded from the mAP mean rather than scored zero; both
-choices are echoed in the report for auditability.
+that IoU reaches the threshold.  Each class's average precision needs only
+its predictions' TP flags in that order.  It uses all-point interpolation
+(the precision envelope), and classes with zero ground truths are excluded
+from the mAP mean rather than scored zero; both choices are echoed in the
+report for auditability.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import Detection, FrameDetections, FrameMeta, iou, iou_matrix
+from .geometry import Detection, FrameDetections, FrameMeta, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -31,23 +31,13 @@ class EvalConfig:
             raise ConfigError("iou_threshold must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class PredictionOutcome:
-    """One prediction's fate after matching."""
-
-    input_index: int
-    frame_id: int
-    class_label: str
-    confidence: float
-    tp: bool
-    gt_index: Optional[int]  # index into the ground-truth input list
-
-
 @dataclass
 class MatchResult:
-    outcomes: list[PredictionOutcome]  # in processing order (conf desc)
-    gt_matched: list[bool]             # aligned with the ground-truth input
-    n_gt: dict                         # class -> ground-truth count
+    order: list[int]        # prediction input indices in processing order (conf desc)
+    tp: list[bool]          # per processed prediction: did it match?
+    gt_index: list[int]     # per processed prediction: ground truth it claimed, or -1
+    gt_matched: list[bool]  # aligned with the ground-truth input
+    n_gt: dict              # class -> ground-truth count
 
 
 class EvalDetections:
@@ -139,13 +129,13 @@ def match(preds: Sequence[Detection] | EvalDetections,
         n_gt[label] = n_gt.get(label, 0) + 1
 
     # descending confidence, then frame id, then input order
-    order = np.lexsort((np.arange(n_pred), pred_rank, -preds.confidences))
-    frame_ids, labels = preds.frame_ids.tolist(), preds.labels
-    confidences, pred_rank = preds.confidences.tolist(), pred_rank.tolist()
+    order = np.lexsort((np.arange(n_pred), pred_rank, -preds.confidences)).tolist()
+    labels, pred_rank = preds.labels, pred_rank.tolist()
     matched = [False] * len(gts)
-    outcomes: list[PredictionOutcome] = []
-    for pi in order.tolist():
-        best_gi, best_iou = None, 0.0
+    tp: list[bool] = []
+    gt_index: list[int] = []
+    for pi in order:
+        best_gi, best_iou = -1, 0.0
         row = rows[pi]
         for col, gi in buckets.get((pred_rank[pi], labels[pi]), ()):
             if matched[gi]:
@@ -153,13 +143,12 @@ def match(preds: Sequence[Detection] | EvalDetections,
             overlap = row[col]
             if overlap > best_iou:
                 best_gi, best_iou = gi, overlap
-        is_tp = best_gi is not None and best_iou >= cfg.iou_threshold
+        is_tp = best_gi >= 0 and best_iou >= cfg.iou_threshold
         if is_tp:
             matched[best_gi] = True
-        outcomes.append(PredictionOutcome(
-            pi, frame_ids[pi], labels[pi], confidences[pi],
-            is_tp, best_gi if is_tp else None))
-    return MatchResult(outcomes, matched, n_gt)
+        tp.append(is_tp)
+        gt_index.append(best_gi if is_tp else -1)
+    return MatchResult(order, tp, gt_index, matched, n_gt)
 
 
 def average_precision(tp_flags, n_gt: int) -> Optional[float]:
@@ -187,25 +176,17 @@ def average_precision(tp_flags, n_gt: int) -> Optional[float]:
     return float(ap)
 
 
-def precision_recall(result: MatchResult) -> tuple[float, float]:
-    tp = sum(1 for o in result.outcomes if o.tp)
-    fp = len(result.outcomes) - tp
-    total_gt = sum(result.n_gt.values())
-    precision = tp / (tp + fp) if (tp + fp) else 0.0
-    recall = tp / total_gt if total_gt else 0.0
-    return precision, recall
-
-
 def evaluate_detections(preds: Sequence[Detection] | EvalDetections,
                         gts: Sequence[Detection] | EvalDetections,
                         cfg: EvalConfig | None = None) -> dict:
     """Full report: per-class AP, mAP, precision, recall, config echo."""
     cfg = cfg if cfg is not None else EvalConfig()
+    preds = EvalDetections.of(preds)
     result = match(preds, gts, cfg)
 
     per_class_flags: dict = {}
-    for o in result.outcomes:  # already confidence-ordered
-        per_class_flags.setdefault(o.class_label, []).append(o.tp)
+    for pi, is_tp in zip(result.order, result.tp):  # already confidence-ordered
+        per_class_flags.setdefault(preds.labels[pi], []).append(is_tp)
 
     labels = sorted(set(per_class_flags) | set(result.n_gt))
     per_class = {}
@@ -224,11 +205,11 @@ def evaluate_detections(preds: Sequence[Detection] | EvalDetections,
         }
     if not defined:
         raise DataError("no class has ground truth; mAP undefined")
-    precision, recall = precision_recall(result)
+    n_tp, total_gt = sum(result.tp), sum(result.n_gt.values())
     return {
         "map": float(np.mean(defined)),
-        "precision": precision,
-        "recall": recall,
+        "precision": n_tp / len(result.tp) if result.tp else 0.0,
+        "recall": n_tp / total_gt if total_gt else 0.0,
         "per_class": per_class,
         "config": {
             "iou_threshold": cfg.iou_threshold,
@@ -237,32 +218,3 @@ def evaluate_detections(preds: Sequence[Detection] | EvalDetections,
         },
     }
 
-
-def id_switches(tracks_by_frame: dict, gt_by_frame: dict,
-                iou_min: float = 0.3) -> int:
-    """Count identity changes against ground-truth objects.
-
-    tracks_by_frame: frame_id -> [(track_id, BoundingBox), ...]
-    gt_by_frame:     frame_id -> [(gt_identity, BoundingBox), ...]
-
-    Each frame, every ground-truth object is associated with the track of
-    best IoU >= iou_min (no exclusivity); a switch is a frame where the
-    associated track id differs from that object's previous association.
-    Frames without an association neither count nor reset.
-    """
-    last: dict = {}
-    switches = 0
-    for frame_id in sorted(gt_by_frame):
-        tracks = tracks_by_frame.get(frame_id, [])
-        for identity, gt_box in gt_by_frame[frame_id]:
-            best_tid, best = None, -1.0
-            for tid, box in tracks:
-                overlap = iou(box, gt_box)
-                if overlap > best:
-                    best_tid, best = tid, overlap
-            if best_tid is None or best < iou_min:
-                continue
-            if identity in last and last[identity] != best_tid:
-                switches += 1
-            last[identity] = best_tid
-    return switches

@@ -119,12 +119,6 @@ class FrameDetections:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def detections(self, frame: FrameMeta) -> list[Detection]:
-        """The batch as Detection objects of *frame*, in row order."""
-        return [Detection(frame, BoundingBox(*box), label, conf)
-                for box, label, conf in zip(self.boxes.tolist(), self.labels,
-                                            self.confidences.tolist())]
-
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; 0 when the union has zero area."""

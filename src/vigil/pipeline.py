@@ -38,7 +38,7 @@ from .config import (
     record,
     string,
 )
-from .errors import ConfigError, write_json
+from .errors import ConfigError, make_out_dir, write_json
 from .geometry import FrameMeta
 from .rng import derive_seed
 from .rules import (
@@ -210,8 +210,7 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     manifest echoes the original config document so a run can be reproduced
     from its own output directory.
     """
-    out_dir = out_dir or cfg.out_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = make_out_dir(out_dir or cfg.out_dir or "out")
 
     stream, scene_seed = _frame_stream(cfg)
     tracker = SortTracker(cfg.tracker)

@@ -114,12 +114,6 @@ class Rng:
                 return k
             k += 1
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by randint."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), in selection order."""
         if k > n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_numeric_csv, read_text
+from .errors import ConfigError, DataError, decode_json, read_numeric_csv, read_text
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,7 @@ def save_model(path, model: SoftmaxModel) -> None:
 
 
 def load_model(path) -> SoftmaxModel:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+    doc = decode_json(read_text(path), lambda reason: DataError(f"{path}: invalid JSON: {reason}"))
     try:
         classes = list(doc["classes"])
         d = int(doc["d"])

@@ -4,8 +4,8 @@ A dump is read as an iterator of (FrameMeta, FrameDetections) pairs, one
 per frame, with strictly increasing frame ids; the batch holds the frame's
 boxes (k, 4), labels and confidences as arrays, which the tracker steps on
 as they are.  The seeded simulator below, which stands in for a detector,
-gives (FrameMeta, list[Detection]) frames instead; write_dump writes
-frames of either kind as a dump.
+gives (FrameMeta, list[Detection]) frames instead, and write_dump writes
+frames of that kind as a dump.
 
 Dump format, one JSON object per line:
 
@@ -36,7 +36,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import fields_of, list_of, parse, read_config, record
-from .errors import ConfigError, DataError, DumpFormatError, open_input
+from .errors import ConfigError, DataError, DumpFormatError, decode_json, open_input
 from .geometry import (BoundingBox, Detection, FrameDetections, FrameMeta, confidence_in_range,
                        corners_ordered)
 from .rng import Rng
@@ -99,14 +99,7 @@ _DUMP_LINE = re.compile(
 
 
 def _parse_record(line_no: int, line: str) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DumpFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
-        # an integer past int()'s digit limit, or arrays nested past the
-        # recursion limit
-        raise DumpFormatError(line_no, f"invalid JSON: {exc}") from exc
+    rec = decode_json(line, lambda reason: DumpFormatError(line_no, f"invalid JSON: {reason}"))
     if not isinstance(rec, dict):
         raise DumpFormatError(line_no, "record is not a JSON object")
     missing = [k for k in DUMP_FIELDS if k not in rec]
@@ -213,18 +206,13 @@ def _batch(boxes: list, labels: list, confs: list) -> FrameDetections:
                            np.array(confs, dtype=float))
 
 
-def write_dump(path, stream: Iterator[tuple[FrameMeta, list[Detection] | FrameDetections]]) -> int:
-    """Write frames out in dump format; returns lines written.
-
-    A frame's detections are a Detection list or a FrameDetections batch,
-    so ``write_dump(out, read_dump(src))`` copies a dump.
-    """
+def write_dump(path, stream: Iterator[tuple[FrameMeta, list[Detection]]]) -> int:
+    """Write (FrameMeta, Detection list) frames out in dump format; returns
+    lines written."""
     n = 0
     labels: dict = {}
     with open(path, "w", encoding="utf-8") as fh:
         for meta, dets in stream:
-            if isinstance(dets, FrameDetections):
-                dets = dets.detections(meta)
             lines = [_dump_line(meta, det, labels) for det in dets]
             fh.write("".join(lines))
             n += len(lines)

@@ -42,15 +42,6 @@ def signature_from_image(img: np.ndarray) -> np.ndarray:
     return hist / hist.sum()
 
 
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - 0.5 * L1 distance; equals histogram intersection on normalized input."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"signature dimensions differ: {a.shape} vs {b.shape}")
-    return float(1.0 - 0.5 * np.abs(a - b).sum())
-
-
 def similarity_matrix(signatures: np.ndarray) -> np.ndarray:
     """Pairwise similarity; beyond the n x n result it holds one small tile.
 

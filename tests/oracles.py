@@ -61,6 +61,15 @@ def point_in_polygon_winding(point, poly) -> bool:
 # assignment
 
 
+def assignment_cost(cost, pairs) -> float:
+    """Total cost of a matching, summed in row order (deterministic)."""
+    a = np.asarray(cost, dtype=float)
+    total = 0.0
+    for i, j in sorted(pairs):
+        total += float(a[i, j])
+    return total
+
+
 def assignment_bruteforce(cost, tie_eps: float = 1e-9):
     """(minimum total, lexicographically smallest optimal pair list).
 
@@ -154,6 +163,15 @@ def solve_square_numpy_scalars(a: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # submodular functions
+
+
+def similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - 0.5 * L1 distance; equals histogram intersection on normalized input."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"signature dimensions differ: {a.shape} vs {b.shape}")
+    return float(1.0 - 0.5 * np.abs(a - b).sum())
 
 
 def best_subset(evaluate, n: int, k: int):
@@ -790,3 +808,37 @@ def match_reference(preds, gts, iou_threshold):
         outcomes.append((pi, pred.frame.frame_id, pred.class_label, pred.confidence,
                          is_tp, best_gi if is_tp else None))
     return outcomes, matched, n_gt
+
+
+# ---------------------------------------------------------------------------
+# tracking evaluation
+
+
+def id_switches(tracks_by_frame: dict, gt_by_frame: dict,
+                iou_min: float = 0.3) -> int:
+    """Count identity changes against ground-truth objects.
+
+    tracks_by_frame: frame_id -> [(track_id, BoundingBox), ...]
+    gt_by_frame:     frame_id -> [(gt_identity, BoundingBox), ...]
+
+    Each frame, every ground-truth object is associated with the track of
+    best IoU >= iou_min (no exclusivity); a switch is a frame where the
+    associated track id differs from that object's previous association.
+    Frames without an association neither count nor reset.
+    """
+    last: dict = {}
+    switches = 0
+    for frame_id in sorted(gt_by_frame):
+        tracks = tracks_by_frame.get(frame_id, [])
+        for identity, gt_box in gt_by_frame[frame_id]:
+            best_tid, best = None, -1.0
+            for tid, box in tracks:
+                overlap = iou_scalar_reference(box, gt_box)
+                if overlap > best:
+                    best_tid, best = tid, overlap
+            if best_tid is None or best < iou_min:
+                continue
+            if identity in last and last[identity] != best_tid:
+                switches += 1
+            last[identity] = best_tid
+    return switches

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from vigil.assignment import assignment_cost, hungarian_assign
+from vigil.assignment import hungarian_assign
 from vigil.augment import (
     AugmentationBounds,
     DatasetManifest,
@@ -25,7 +25,7 @@ from vigil.augment import (
     sample_transform,
 )
 from vigil.errors import DataError
-from vigil.evaluation import EvalConfig, evaluate_detections, id_switches
+from vigil.evaluation import EvalConfig, evaluate_detections
 from vigil.geometry import BoundingBox, Detection, FrameMeta, iou, point_in_polygon
 from vigil.pipeline import pipeline_config_from_dict, run
 from vigil.rng import Rng, derive_seed
@@ -38,11 +38,13 @@ from vigil.tracker import SortTracker, TrackerConfig
 
 from oracles import (
     assignment_bruteforce,
+    assignment_cost,
     best_subset,
     dwell_recount,
     facility_location_value,
     finite_difference_gradient,
     heat_recount,
+    id_switches,
     point_in_polygon_winding,
     unique_count_recount,
 )

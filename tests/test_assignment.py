@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import vigil.assignment
-from vigil.assignment import assignment_cost, hungarian_assign
+from vigil.assignment import hungarian_assign
 from vigil.geometry import iou_matrix
 
-from oracles import assignment_bruteforce, solve_square_numpy_scalars
+from oracles import assignment_bruteforce, assignment_cost, solve_square_numpy_scalars
 
 
 def test_known_square_instance():

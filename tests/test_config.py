@@ -287,6 +287,42 @@ def test_non_finite_numbers_are_config_errors(workdir):
             2, "config error: scene.fps must be a finite number\n"), literal
 
 
+def test_config_the_decoder_refuses_is_a_config_error(workdir):
+    # arrays nested past the recursion limit once exited 4 (RecursionError)
+    (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for command in sorted({case[0] for case in CASES}):
+        code, err = _main([command, "--config", str(workdir / "deep.json"),
+                           "--out", str(workdir / "out"), "--quiet"])
+        assert code == 2 and err.startswith("config error: ") and (
+            f" file {workdir / 'deep.json'} is not valid JSON: maximum recursion depth exceeded"
+            in err), (command, err)
+
+
+def test_a_nul_in_a_config_path_is_a_config_error(workdir):
+    # the path once reached open(), which raised ValueError (exit 4)
+    doc = _replaced(CONFIGS["run-dump.json"], ("source", "path"), "a\x00b")
+    _write(workdir / "nul.json", doc)
+    assert _main(["run", "--config", str(workdir / "nul.json"), "--out", str(workdir / "out"),
+                  "--quiet"]) == (
+        2, "config error: run config.source.path must be a non-empty path string without NUL\n")
+
+
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(workdir):
+    # synth and run once exited 4 (FileExistsError) on a file named by --out
+    (workdir / "a-file").write_text("", encoding="utf-8")
+    commands = {}
+    for command, config, _, _ in CASES:
+        commands.setdefault(command, config)
+    assert len(commands) == 7
+    for out, reason in [(workdir / "a-file", "File exists"),
+                        (workdir / "a-file" / "sub", "Not a directory")]:
+        for command, config in commands.items():
+            assert _main([command, "--config", str(workdir / config), "--out", str(out),
+                          "--quiet"]) == (
+                2, f"config error: output directory {out}: {reason}\n"), command
+    assert (workdir / "a-file").read_text(encoding="utf-8") == ""
+
+
 def test_parse_checks_fields_against_the_table():
     table = {"n": (integer, REQUIRED), "x": (number, 0.5), "tag": (string, None),
              "p": (pair, (1, 2)), "f": (pathname, None)}
@@ -308,7 +344,8 @@ def test_parse_checks_fields_against_the_table():
             ({"n": 1, "tag": 5}, "cfg.tag must be a string"),
             ({"n": 1, "p": [1, 2, 3]}, "cfg.p must be a pair [x, y] of numbers"),
             ({"n": 1, "p": [1, None]}, "cfg.p[1] must be a finite number"),
-            ({"n": 1, "f": ""}, "cfg.f must be a non-empty path string")]:
+            ({"n": 1, "f": ""}, "cfg.f must be a non-empty path string without NUL"),
+            ({"n": 1, "f": "a\x00b"}, "cfg.f must be a non-empty path string without NUL")]:
         with pytest.raises(ConfigError) as err:
             parse(doc, table, "cfg")
         assert str(err.value) == message

@@ -80,6 +80,31 @@ def test_loaders_report_shape_faults_before_value_faults(
         assert err == f"data error: {tmp_path / 'in.csv'} {message}\n", (lines, err)
 
 
+# (command, config key, file text whose row 2 starts on line 3, the message)
+SPANNING = [
+    pytest.param("train-head", "features_csv", '"a\nb",x,1\nc,y,oops\n',
+                 "row 3: could not convert string to float: 'oops'", id="features-float"),
+    pytest.param("train-head", "features_csv", '"a\nb",x,1\nc,y,nan\n',
+                 "row 3: non-finite value", id="features-value"),
+    pytest.param("summarize", "signatures_csv", '"a\nb",1\nc,-1\n',
+                 "row 3: signature components must be finite and >= 0", id="signatures"),
+    pytest.param("augment", "manifest_csv", '"a\nb.ppm",cat\nc.ppm\n',
+                 "row 3: expected 'path,class'", id="manifest"),
+]
+
+
+@pytest.mark.parametrize("command, key, text, message", SPANNING)
+def test_rows_are_numbered_by_the_line_they_start_on(tmp_path, capsys, command, key, text,
+                                                     message):
+    # a quoted field that spans lines 1-2 puts the next row on line 3, as
+    # the UTF-8 and field-size messages count; csv records once called it row 2
+    (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "job.json").write_text(json.dumps({key: "in.csv"}), encoding="utf-8")
+    assert main([command, "--config", str(tmp_path / "job.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'in.csv'} {message}\n"
+
+
 def test_predictions_csv_quotes_ids_and_reads_back(tmp_path):
     # predictions.csv was written with an f-string: an id read from the
     # quoted field "a,b" went out as a,b, so the row had 4 fields

@@ -1,4 +1,5 @@
-"""Tests for detection/tracking evaluation: matching, AP, mAP, ID switches."""
+"""Tests for detection evaluation (matching, AP, mAP) and for the ID-switch
+reference the tracking acceptance test counts with."""
 
 import itertools
 import json
@@ -16,14 +17,17 @@ from vigil.evaluation import (
     EvalDetections,
     average_precision,
     evaluate_detections,
-    id_switches,
     match,
-    precision_recall,
 )
 from vigil.geometry import BoundingBox, Detection, FrameMeta
 from vigil.sources import ObjectSpec, SyntheticSceneConfig, read_dump, simulate, write_dump
 
-from oracles import iou_scalar_reference, average_precision_reference, match_reference
+from oracles import (
+    average_precision_reference,
+    id_switches,
+    iou_scalar_reference,
+    match_reference,
+)
 
 
 def _frame(i):
@@ -85,10 +89,10 @@ def test_confidence_ties_break_by_frame_then_input_order():
         _det(1, (10, 10, 50, 50), conf=0.8),
     ]
     result = match(preds, gt)
-    assert [o.input_index for o in result.outcomes] == [1, 0]
-    assert [o.tp for o in result.outcomes] == [True, False]
-    assert average_precision([o.tp for o in result.outcomes
-                              if o.class_label == "person"], 1) == 1.0
+    assert result.order == [1, 0]
+    assert result.tp == [True, False]
+    assert average_precision([tp for pi, tp in zip(result.order, result.tp)
+                              if preds[pi].class_label == "person"], 1) == 1.0
 
     # same frame and confidence: input order decides
     gt2 = [_det(0, (10, 10, 50, 50), conf=1.0)]
@@ -97,8 +101,8 @@ def test_confidence_ties_break_by_frame_then_input_order():
         _det(0, (10, 10, 50, 50), conf=0.8),   # exact -> TP
     ]
     result2 = match(preds2, gt2)
-    assert [o.input_index for o in result2.outcomes] == [0, 1]
-    assert [o.tp for o in result2.outcomes] == [False, True]
+    assert result2.order == [0, 1]
+    assert result2.tp == [False, True]
 
 
 def test_ground_truth_is_single_use():
@@ -108,11 +112,11 @@ def test_ground_truth_is_single_use():
         _det(0, (102, 102, 162, 162), conf=0.8),  # same object, re-detected
     ]
     result = match(preds, gt)
-    assert [o.tp for o in result.outcomes] == [True, False]
-    assert [o.gt_index for o in result.outcomes] == [0, None]
+    assert result.tp == [True, False]
+    assert result.gt_index == [0, -1]
     assert result.gt_matched == [True]
-    precision, recall = precision_recall(result)
-    assert precision == 0.5 and recall == 1.0
+    report = evaluate_detections(preds, gt)
+    assert report["precision"] == 0.5 and report["recall"] == 1.0
 
 
 def test_prediction_claims_best_iou_ground_truth():
@@ -122,8 +126,8 @@ def test_prediction_claims_best_iou_ground_truth():
     ]
     preds = [_det(0, (28, 0, 68, 40), conf=0.9)]  # overlaps both, closer to #1
     result = match(preds, gt, EvalConfig(0.3))
-    assert result.outcomes[0].tp
-    assert result.outcomes[0].gt_index == 1
+    assert result.tp == [True]
+    assert result.gt_index == [1]
     assert result.gt_matched == [False, True]
 
 
@@ -131,10 +135,10 @@ def test_frame_and_class_must_match():
     gt = [_det(3, (10, 10, 50, 50), "car", 1.0)]
     # perfect box, wrong frame
     r1 = match([_det(4, (10, 10, 50, 50), "car", 0.9)], gt)
-    assert not r1.outcomes[0].tp
+    assert r1.tp == [False]
     # perfect box, wrong class
     r2 = match([_det(3, (10, 10, 50, 50), "person", 0.9)], gt)
-    assert not r2.outcomes[0].tp
+    assert r2.tp == [False]
 
 
 # -- the per-frame IoU matrix against the scalar matcher ---------------------
@@ -192,9 +196,20 @@ def _random_frames(rng, frame_ids):
     return [preds[i] for i in order], gts
 
 
-def _outcome_tuples(result):
-    return [(o.input_index, o.frame_id, o.class_label, o.confidence, o.tp, o.gt_index)
-            for o in result.outcomes]
+def _outcome_tuples(result, preds):
+    """match_reference's outcome tuples, from match's lists and the
+    prediction table: (input index, frame id, class, confidence, tp, gt index
+    or None)."""
+    table = EvalDetections.of(preds)
+    frame_ids, confidences = table.frame_ids.tolist(), table.confidences.tolist()
+    assert len(result.order) == len(result.tp) == len(result.gt_index) == len(table)
+    return [(pi, frame_ids[pi], table.labels[pi], confidences[pi], tp,
+             None if gi == -1 else gi)
+            for pi, tp, gi in zip(result.order, result.tp, result.gt_index)]
+
+
+def _lists(result):
+    return result.order, result.tp, result.gt_index, result.gt_matched, result.n_gt
 
 
 def test_array_matcher_equals_scalar_matcher_on_random_frames():
@@ -206,11 +221,11 @@ def test_array_matcher_equals_scalar_matcher_on_random_frames():
         for threshold in (0.05, 0.3, 0.5, 0.9):
             got = match(preds, gts, EvalConfig(threshold))
             outcomes, matched, n_gt = match_reference(preds, gts, threshold)
-            assert _outcome_tuples(got) == outcomes, (case, threshold)
+            assert _outcome_tuples(got, preds) == outcomes, (case, threshold)
             assert got.gt_matched == matched and got.n_gt == n_gt
-            assert match(EvalDetections.of(preds), EvalDetections.of(gts),
-                         EvalConfig(threshold)).outcomes == got.outcomes
-            tps += sum(o.tp for o in got.outcomes)
+            assert _lists(match(EvalDetections.of(preds), EvalDetections.of(gts),
+                                EvalConfig(threshold))) == _lists(got)
+            tps += sum(got.tp)
         for p, g in itertools.product(preds, gts):
             if (p.frame.frame_id, p.class_label) == (g.frame.frame_id, g.class_label):
                 overlap = min(p.bbox.x2, g.bbox.x2) - max(p.bbox.x1, g.bbox.x1)
@@ -227,8 +242,9 @@ def test_array_matcher_takes_frame_ids_past_int64():
     for threshold in (0.1, 0.5):
         outcomes, matched, n_gt = match_reference(preds, gts, threshold)
         got = match(preds, gts, EvalConfig(threshold))
-        assert _outcome_tuples(got) == outcomes and got.gt_matched == matched
-    assert match([], gts).outcomes == [] and match(preds, []).gt_matched == []
+        assert _outcome_tuples(got, preds) == outcomes and got.gt_matched == matched
+        assert got.n_gt == n_gt
+    assert match([], gts).order == [] and match(preds, []).gt_matched == []
 
 
 def test_eval_detections_of_frames_equals_the_detection_list(tmp_path):
@@ -320,7 +336,7 @@ def test_eval_config_validation():
     EvalConfig(0.5)
 
 
-# -- identity switches -------------------------------------------------------
+# -- identity switches (the reference in oracles.py) -------------------------
 
 
 def _box(x, y=0.0, size=20.0):

@@ -1,8 +1,10 @@
-"""Input files vigil cannot read as text: a byte that is not UTF-8, or a CSV
-field longer than csv.field_size_limit().  Every command exits 3 with a
-message naming the file, where these once ended in exit 4 ("internal error:
-UnicodeDecodeError" or "internal error: Error: field larger than field
-limit")."""
+"""Input files vigil cannot read: a byte that is not UTF-8, a CSV field
+longer than csv.field_size_limit(), JSON the decoder refuses, or a path
+holding a NUL.  Every command exits 3 with a message naming the file, where
+these once ended in exit 4 ("internal error: UnicodeDecodeError",
+"internal error: Error: field larger than field limit", "internal error:
+ValueError: Exceeds the limit (4300 digits) ..." or "internal error:
+ValueError: embedded null byte")."""
 
 import csv
 import json
@@ -70,3 +72,21 @@ def test_a_field_over_the_csv_size_limit_is_a_data_error(tmp_path, capsys, comma
     assert _run(tmp_path, command, doc) == 3
     assert capsys.readouterr().err == (
         f"data error: {tmp_path / name} line 2: field larger than field limit ({LIMIT})\n")
+
+
+def test_an_integer_past_the_digit_limit_in_a_model_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "model.json").write_text(
+        '{"classes": ["a"], "d": 1, "W": [1' + "0" * 5000 + '], "b": [0]}\n',
+        encoding="utf-8")
+    (tmp_path / "in.csv").write_text("r1,a,1\n", encoding="utf-8")
+    assert _run(tmp_path, "predict", {"model_json": "model.json", "features_csv": "in.csv"}) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {tmp_path / 'model.json'}: invalid JSON: Exceeds the limit (4300 digits)")
+
+
+def test_a_nul_in_an_image_path_is_a_data_error(tmp_path, capsys):
+    # the cat image is read to render the copy that balances the classes
+    (tmp_path / "manifest.csv").write_text(
+        "path,class\na\x00b.ppm,cat\nc.ppm,dog\nd.ppm,dog\ne.ppm,dog\n", encoding="utf-8")
+    assert _run(tmp_path, "augment", {"manifest_csv": "manifest.csv"}) == 3
+    assert capsys.readouterr().err == "data error: 'a\\x00b.ppm': embedded null byte\n"

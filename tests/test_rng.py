@@ -12,7 +12,6 @@ GOLDEN_UNIFORM = [0.08386297105988216, 0.3789802506626686, 0.6800434110281394]
 GOLDEN_NORMAL = [-0.303263064678738, 1.3438117634372806]
 GOLDEN_RANDINT10 = [0, 3, 6, 9, 9, 7, 7, 8]
 GOLDEN_POISSON3 = [1, 9, 7, 1, 3, 3]
-GOLDEN_SHUFFLE8 = [7, 1, 6, 3, 5, 4, 2, 0]
 
 
 def test_golden_streams():
@@ -27,9 +26,6 @@ def test_golden_streams():
     assert [r.randint(10) for _ in range(8)] == GOLDEN_RANDINT10
     r = Rng(42)
     assert [r.poisson(3.0) for _ in range(6)] == GOLDEN_POISSON3
-    xs = list(range(8))
-    Rng(42).shuffle(xs)
-    assert xs == GOLDEN_SHUFFLE8
     assert derive_seed(42, "synthetic-scene") == 2678328037359348001
     assert derive_seed(42, "augment") == 10473606327886031568
 
@@ -126,25 +122,6 @@ def test_randint_range_and_coverage():
     assert seen == set(range(7))
     with pytest.raises(ValueError):
         r.randint(0)
-
-
-def test_shuffle_is_permutation():
-    r = Rng(303)
-    for n in (1, 2, 5, 33):
-        xs = list(range(n))
-        r.shuffle(xs)
-        assert sorted(xs) == list(range(n))
-
-
-def test_shuffle_distribution_not_degenerate():
-    # over many shuffles of [0,1,2], every arrangement should appear
-    r = Rng(1000)
-    seen = set()
-    for _ in range(500):
-        xs = [0, 1, 2]
-        r.shuffle(xs)
-        seen.add(tuple(xs))
-    assert len(seen) == 6
 
 
 def test_sample_without_replacement():

@@ -59,3 +59,45 @@ def test_only_errors_writes_csv():
              for f in sorted(SRC.glob("*.py"))}
     assert found.pop("errors.py") == 1
     assert {name: n for name, n in found.items() if n} == {}
+
+
+ROOT = SRC.parent.parent
+
+
+def _top_level_names(source: str) -> list[str]:
+    """The functions and classes that *source* defines at its top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _names_used(source: str) -> set[str]:
+    """Every name *source* loads or stores, and every attribute it reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _unused_top_level_names(root: pathlib.Path) -> list[str]:
+    """The top-level functions and classes of *root*'s src/vigil that no
+    code in src/, perfbench/ or demos/ names and vigil.__all__ leaves out."""
+    src = root / "src" / "vigil"
+    used: set[str] = set()
+    for directory in (src, root / "perfbench", root / "demos"):
+        for path in sorted(directory.glob("*.py")):
+            used |= _names_used(path.read_text(encoding="utf-8"))
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    exported, = (ast.literal_eval(node.value) for node in init.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+    return sorted(name for path in sorted(src.glob("*.py"))
+                  for name in _top_level_names(path.read_text(encoding="utf-8"))
+                  if name not in used and name not in exported)
+
+
+def test_no_top_level_name_only_tests_use():
+    # a function or class that no command, demo or benchmark reaches is code
+    # kept for tests alone; a test's reference implementation lives in
+    # tests/oracles.py instead
+    assert _top_level_names("def f():\n    def g(): pass\nclass C: pass\nx = 1\n") == ["f", "C"]
+    assert _names_used("a.b(c)\nd = 1\n") == {"a", "b", "c", "d"}
+    assert _unused_top_level_names(ROOT) == []

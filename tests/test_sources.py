@@ -56,10 +56,11 @@ def test_dump_round_trip(tmp_path):
         assert gm.width == 200 and gm.height == 150
         assert gm.source_id == "cam7"          # file stem by default
         assert len(gd) == len(wd)
-        for g, w in zip(gd.detections(gm), wd):
-            assert g.class_label == w.class_label
-            assert g.confidence == pytest.approx(w.confidence, abs=1e-12)
-            assert g.bbox.as_tuple() == pytest.approx(w.bbox.as_tuple(), abs=1e-9)
+        for box, label, conf, w in zip(gd.boxes.tolist(), gd.labels,
+                                       gd.confidences.tolist(), wd):
+            assert label == w.class_label
+            assert conf == pytest.approx(w.confidence, abs=1e-12)
+            assert box == pytest.approx(w.bbox.as_tuple(), abs=1e-9)
 
 
 def test_dump_line_key_order(tmp_path):
@@ -184,15 +185,13 @@ def test_dump_line_is_json_dumps_of_the_record():
 
 
 def test_dump_copies_through_read_and_write(tmp_path):
-    # write_dump takes read_dump's batches, and a written dump copies to
-    # the same bytes
+    # write_dump takes each frame's detections as any iterable of Detections
     scene = simulate(small_scene(jitter_sigma=1.0, false_positives_per_frame=0.3))
     src, out = tmp_path / "src.jsonl", tmp_path / "out.jsonl"
     n = write_dump(src, zip(scene.frames, scene.noisy))
-    assert write_dump(out, read_dump(src)) == n
-    assert out.read_bytes() == src.read_bytes()
     assert write_dump(out, ((m, (d for d in dets)) for m, dets in
                             zip(scene.frames, scene.noisy))) == n
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_written_lines_take_the_fast_path():
@@ -314,9 +313,7 @@ def test_batch_detections_are_the_rows(tmp_path):
     assert batch.labels == ["person", "car"]
     assert batch.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 7.5, 4.0]]
     assert batch.confidences.tolist() == [0.5, 1.0]
-    assert batch.detections(meta) == [
-        Detection(meta, BoundingBox(1.0, 2.0, 3.0, 4.0), "person", 0.5),
-        Detection(meta, BoundingBox(1.0, 2.0, 7.5, 4.0), "car", 1.0)]
+    assert (meta.frame_id, meta.width, meta.height) == (0, 64, 48)
 
 
 def test_missing_dump_is_data_error(tmp_path):

@@ -27,7 +27,6 @@ from vigil.summarize import (
     lazy_greedy_select,
     lazy_greedy_trace,
     signature_from_image,
-    similarity,
     similarity_matrix,
     write_selection_csv,
     write_signature_csv,
@@ -38,6 +37,7 @@ from oracles import (
     facility_location_value,
     saturated_coverage_value,
     signature_rows_reference,
+    similarity,
 )
 
 
