@@ -1,19 +1,14 @@
 """Pick a diverse subset of frames with lazy greedy selection.
 
 Generates synthetic frame signatures (three visual "phases" plus noise),
-runs naive and lazy greedy under a facility-location objective, and shows
-that both return the same picks while the lazy variant evaluates far
-fewer marginal gains.
+runs lazy greedy under a facility-location objective, and compares the
+marginal gains it evaluated with the n + (n - 1) + ... that naive greedy
+evaluates over the same rounds.
 """
 
 import numpy as np
 
-from vigil.summarize import (
-    FacilityLocation,
-    greedy_trace,
-    lazy_greedy_trace,
-    similarity_matrix,
-)
+from vigil.summarize import FacilityLocation, lazy_greedy_trace, similarity_matrix
 
 N_FRAMES = 90
 BUDGET = 6
@@ -34,22 +29,19 @@ def main() -> None:
     rng = np.random.default_rng(7)
     S = similarity_matrix(phased_signatures(rng))
 
-    naive_model = FacilityLocation(S)
-    naive = greedy_trace(naive_model, BUDGET)
-    lazy_model = FacilityLocation(S)
-    lazy = lazy_greedy_trace(lazy_model, BUDGET)
+    model = FacilityLocation(S)
+    lazy = lazy_greedy_trace(model, BUDGET)
 
     print(f"{'rank':>4}  {'frame':>5}  {'gain':>8}  {'objective':>9}")
     for step in lazy:
         print(f"{step.rank:>4}  {step.item:>5}  {step.gain:>8.3f}  "
               f"{step.cumulative:>9.3f}")
 
-    same = [s.item for s in naive] == [s.item for s in lazy]
+    # naive greedy evaluates every unpicked frame in every round
+    naive_evals = sum(N_FRAMES - r for r in range(len(lazy)))
     print()
-    print(f"naive and lazy picked the same frames: {same}")
-    print(f"gain evaluations: naive {naive_model.gain_evals}, "
-          f"lazy {lazy_model.gain_evals} "
-          f"({naive_model.gain_evals / lazy_model.gain_evals:.1f}x fewer)")
+    print(f"gain evaluations: lazy {model.gain_evals}, naive would make "
+          f"{naive_evals} ({naive_evals / model.gain_evals:.1f}x more)")
 
     # the first three picks should land one per phase
     phases = sorted({s.item * 3 // N_FRAMES for s in lazy[:3]})

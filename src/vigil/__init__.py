@@ -7,7 +7,7 @@ pieces:
   them, IoU, polygon tests
 - :mod:`vigil.sources` — detection-dump I/O and the synthetic scene simulator
 - :mod:`vigil.tracker` — IoU/Kalman multi-object tracker
-- :mod:`vigil.summarize` — submodular frame selection (greedy and lazy greedy)
+- :mod:`vigil.summarize` — submodular frame selection by lazy greedy
 - :mod:`vigil.augment` — affine/color augmentation and dataset balancing
 - :mod:`vigil.softmax` — linear softmax head: training, inference, reports
 - :mod:`vigil.stats` — heat maps, flow maps, dwell times, unique counts
@@ -27,8 +27,7 @@ from .summarize import (
     GroundSet,
     SaturatedCoverage,
     build_model,
-    greedy_select,
-    lazy_greedy_select,
+    lazy_greedy_trace,
     signature_from_image,
 )
 from .augment import AugmentationBounds, DatasetManifest, balance, sample_transform
@@ -46,7 +45,7 @@ __all__ = [
     "SyntheticSceneConfig", "simulate", "read_dump", "write_dump",
     "SortTracker", "TrackerConfig", "TrackStatus",
     "GroundSet", "FacilityLocation", "SaturatedCoverage", "build_model",
-    "greedy_select", "lazy_greedy_select", "signature_from_image",
+    "lazy_greedy_trace", "signature_from_image",
     "AugmentationBounds", "DatasetManifest", "balance", "sample_transform",
     "SoftmaxModel", "TrainConfig", "train", "predict",
     "GridSpec", "SceneStats",

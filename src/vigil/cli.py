@@ -56,7 +56,6 @@ from .summarize import (
     build_model,
     ground_set_from_csv,
     ground_set_from_images,
-    greedy_trace,
     lazy_greedy_trace,
     write_selection_csv,
     write_signature_csv,
@@ -126,8 +125,8 @@ def _cmd_summarize(args) -> None:
         raise ConfigError("summarize.alpha applies only to model 'saturated-coverage'")
     if doc["budget"] < 1:
         raise ConfigError("budget must be a positive integer")
-    if doc["algorithm"] not in ("lazy", "naive"):
-        raise ConfigError("algorithm must be 'lazy' or 'naive'")
+    if doc["algorithm"] != "lazy":
+        raise ConfigError("summarize.algorithm must be 'lazy', the one selector")
 
     if doc["signatures_csv"] is not None:
         ground = ground_set_from_csv(doc["signatures_csv"])
@@ -135,8 +134,7 @@ def _cmd_summarize(args) -> None:
         ground = ground_set_from_images(doc["images_dir"])
     alpha = 0.5 if doc["alpha"] is None else float(doc["alpha"])
     model = build_model(doc["model"], ground, alpha=alpha)
-    trace = lazy_greedy_trace if doc["algorithm"] == "lazy" else greedy_trace
-    steps = trace(model, doc["budget"])
+    steps = lazy_greedy_trace(model, doc["budget"])
 
     out = _out_dir(args)
     sel_path = os.path.join(out, "selection.csv")

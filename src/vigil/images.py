@@ -32,7 +32,10 @@ def _next_int(data: bytes, pos: int, path) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise DataError(f"{path}: malformed netpbm header")
-    return int(data[start:pos]), pos
+    try:
+        return int(data[start:pos]), pos
+    except ValueError:  # past int()'s digit limit
+        raise DataError(f"{path}: netpbm header number of {pos - start} digits") from None
 
 
 def read_image(path) -> np.ndarray:

@@ -75,15 +75,24 @@ class Zone:
 
 
 class ZoneSet:
-    """Zones prepared to be placed together: ``zones`` in order, and the
-    corners of their ``reach`` boxes, which :func:`place` compares anchors
-    with, as two contiguous (z, 2) arrays: ``low`` ([x1, y1]) and ``high``
-    ([x2, y2])."""
+    """Zones prepared to be placed together: ``zones``, one per id in
+    first-use order, and the corners of their ``reach`` boxes, which
+    :func:`place` compares anchors with, as two contiguous (z, 2) arrays:
+    ``low`` ([x1, y1]) and ``high`` ([x2, y2]).
+
+    Containment is keyed by zone id, so an id naming two different zones
+    (polygon or class filter) is a ConfigError.
+    """
 
     __slots__ = ("zones", "low", "high")
 
     def __init__(self, zones):
-        self.zones = tuple(zones)
+        by_id: dict = {}
+        for zone in zones:
+            if by_id.setdefault(zone.id, zone) != zone:
+                raise ConfigError(f"zone id {zone.id!r} names two different zones "
+                                  f"(polygon or classes differ)")
+        self.zones = tuple(by_id.values())
         reach = np.array([z.reach.as_tuple() for z in self.zones],
                          dtype=float).reshape(-1, 4)
         self.low, self.high = reach[:, :2].copy(), reach[:, 2:].copy()
@@ -228,30 +237,12 @@ def place(zones: ZoneSet, tracks) -> dict:
                     zip([t.class_label for t in confirmed], anchors, within)))
 
 
-def _distinct_zones(rules: list[Rule]) -> list[Zone]:
-    """The rules' zones, one per id, in first-use order.
-
-    Containment is keyed by zone id, so an id naming two different zones
-    (polygon or class filter) is a ConfigError.
-    """
-    by_id: dict = {}
-    for rule in rules:
-        if rule.zone is None:
-            continue
-        known = by_id.setdefault(rule.zone.id, rule.zone)
-        if known != rule.zone:
-            raise ConfigError(
-                f"rule {rule.id!r}: zone id {rule.zone.id!r} already names a "
-                f"different zone (polygon or classes differ)")
-    return list(by_id.values())
-
-
 class RuleEngine:
     """Per-source rule state machine; evaluate() must see frames in order.
 
-    ``prepared_zones`` is the :class:`ZoneSet` of the rules' distinct
-    zones.  All rules of a frame read it from one :func:`place` record over
-    them: ``evaluate`` takes it as *placed* when the caller has already
+    ``prepared_zones`` is the :class:`ZoneSet` of the rules' zones.  All
+    rules of a frame read it from one :func:`place` record over them:
+    ``evaluate`` takes it as *placed* when the caller has already
     placed the frame's tracks over these zones (the pipeline shares it with
     :meth:`SceneStats.ingest`), and places *tracks* itself otherwise.
 
@@ -282,7 +273,7 @@ class RuleEngine:
         if len(set(ids)) != len(ids):
             raise ConfigError("rule ids must be unique")
         self.rules = list(rules)
-        self.prepared_zones = ZoneSet(_distinct_zones(self.rules))
+        self.prepared_zones = ZoneSet(r.zone for r in rules if r.zone is not None)
         self._last_frame: Optional[int] = None
         self._placed: dict = {}        # track_id -> place() record when last confirmed
         self._applies: dict = {}       # class label -> applies_to per rule
@@ -417,7 +408,7 @@ def _rule(value, where) -> Rule:
 
 def rules_from_doc(doc, where: str = "rules") -> list[Rule]:
     rules = list_of(_rule)(doc, where)
-    _distinct_zones(rules)  # fail on a reused zone id before any run starts
+    ZoneSet(r.zone for r in rules if r.zone is not None)  # fails on a reused zone id
     return rules
 
 

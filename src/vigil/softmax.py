@@ -183,11 +183,14 @@ def load_model(path) -> SoftmaxModel:
         d = int(doc["d"])
         W = np.array(doc["W"], dtype=float).reshape(len(classes), d)
         b = np.array(doc["b"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
     if not (np.isfinite(W).all() and np.isfinite(b).all()):
         raise DataError(f"{path}: non-finite weights")
-    return SoftmaxModel(classes, W, b)
+    try:
+        return SoftmaxModel(classes, W, b)
+    except ConfigError as exc:  # the file, not the job's config, is at fault
+        raise DataError(f"{path}: malformed model file: {exc}") from exc
 
 
 def load_features_csv(path):

@@ -3,9 +3,9 @@
 A ground set of frames is described by L1-normalized signature vectors
 (by default 8x8x8 RGB color histograms, d = 512).  Two monotone submodular
 diversity models are provided -- facility location and saturated coverage
--- and maximized under a cardinality budget by naive or lazy greedy.
-Both selectors return the same picks in the same order; lazy greedy just
-skips gain evaluations that submodularity proves redundant.
+-- and maximized under a cardinality budget by lazy greedy (Minoux 1978),
+which skips gain evaluations that submodularity proves redundant; see
+lazy_greedy_trace for when its picks equal naive greedy's.
 """
 
 from __future__ import annotations
@@ -166,25 +166,9 @@ class _SimilarityModel:
             return self._S[j]
         return 1.0 - 0.5 * np.abs(self._sig - self._sig[j]).sum(axis=1)
 
-    def _check_subset(self, X) -> list[int]:
-        idx = [int(j) for j in X]
-        for j in idx:
-            if not 0 <= j < self.n:
-                raise ValueError(f"item {j} outside the ground set (n={self.n})")
-        return idx
-
 
 class FacilityLocation(_SimilarityModel):
     """f(X) = sum over v of max over x in X of sim(v, x)."""
-
-    def evaluate(self, X) -> float:
-        idx = self._check_subset(X)
-        if not idx:
-            return 0.0
-        best = np.zeros(self.n)
-        for j in set(idx):
-            np.maximum(best, self._row(j), out=best)
-        return float(best.sum())
 
     def new_state(self) -> np.ndarray:
         return np.zeros(self.n)  # best similarity reached so far, per item
@@ -204,19 +188,9 @@ class SaturatedCoverage(_SimilarityModel):
         if not 0.0 < alpha <= 1.0:
             raise ConfigError("alpha must lie in (0, 1]")
         super().__init__(matrix, signatures=signatures)
-        self.alpha = alpha
         totals = np.array([self._row(v).sum() for v in range(self.n)]) \
             if self._S is None else self._S.sum(axis=1)
         self._cap = alpha * totals
-
-    def evaluate(self, X) -> float:
-        idx = self._check_subset(X)
-        if not idx:
-            return 0.0
-        covered = np.zeros(self.n)
-        for j in set(idx):
-            covered += self._row(j)
-        return float(np.minimum(covered, self._cap).sum())
 
     def new_state(self) -> np.ndarray:
         return np.zeros(self.n)  # accumulated coverage per item
@@ -258,37 +232,16 @@ class SelectionStep:
     cumulative: float  # running objective value
 
 
-def greedy_trace(model, budget: int) -> list[SelectionStep]:
-    """Naive greedy: re-evaluate every candidate each round, ties to lowest index."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    k = min(budget, model.n)
-    state = model.new_state()
-    selected = np.zeros(model.n, dtype=bool)
-    steps: list[SelectionStep] = []
-    total = 0.0
-    for rank in range(1, k + 1):
-        best_j, best_gain = -1, -np.inf
-        for j in range(model.n):
-            if selected[j]:
-                continue
-            g = model.gain(state, j)
-            if g > best_gain:
-                best_j, best_gain = j, g
-        model.add(state, best_j)
-        selected[best_j] = True
-        total += best_gain
-        steps.append(SelectionStep(rank, best_j, best_gain, total))
-    return steps
-
-
 def lazy_greedy_trace(model, budget: int) -> list[SelectionStep]:
     """Lazy greedy: a max-heap of possibly stale gains, revalidated on pop.
 
-    Valid because submodular gains only shrink as the selection grows; a
-    fresh entry at the top of the heap is therefore the true argmax.  Heap
-    keys are (-gain, item), so equal gains resolve to the lowest index,
-    matching greedy_trace exactly.
+    Heap keys are (-gain, item).  A fresh entry on top is the argmax while
+    no computed gain grows as the selection grows.  Facility location's
+    terms max(row - state, 0) never grow, and rounding keeps their order,
+    so its picks and gains equal naive greedy's (ties to the lowest index)
+    bit for bit.  Saturated coverage's min(state + row, cap) - min(state,
+    cap) can grow by rounding; where two of its gains tie, lazy greedy may
+    pick an item other than the lowest index.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -312,16 +265,6 @@ def lazy_greedy_trace(model, budget: int) -> list[SelectionStep]:
         else:
             heapq.heappush(heap, (-model.gain(state, j), j, len(steps)))
     return steps
-
-
-def greedy_select(model, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Budgeted greedy selection; returns item indices in pick order."""
-    return [s.item for s in greedy_trace(model, budget)]
-
-
-def lazy_greedy_select(model, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Same picks as greedy_select, via the lazy heap."""
-    return [s.item for s in lazy_greedy_trace(model, budget)]
 
 
 def write_signature_csv(path, ground: GroundSet) -> None:

@@ -201,6 +201,35 @@ def saturated_coverage_value(sim, subset, alpha: float = 0.5) -> float:
     return float(np.sum(np.minimum(got, caps)))
 
 
+# naive greedy over a model's own new_state / gain / add, the reference for
+# vigil's lazy greedy; it returns vigil's SelectionStep so that whole traces
+# compare with ==
+def greedy_trace(model, budget: int):
+    """Naive greedy: re-evaluate every candidate each round, ties to lowest index."""
+    from vigil.summarize import SelectionStep
+
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    k = min(budget, model.n)
+    state = model.new_state()
+    selected = np.zeros(model.n, dtype=bool)
+    steps = []
+    total = 0.0
+    for rank in range(1, k + 1):
+        best_j, best_gain = -1, -np.inf
+        for j in range(model.n):
+            if selected[j]:
+                continue
+            g = model.gain(state, j)
+            if g > best_gain:
+                best_j, best_gain = j, g
+        model.add(state, best_j)
+        selected[best_j] = True
+        total += best_gain
+        steps.append(SelectionStep(rank, best_j, best_gain, total))
+    return steps
+
+
 def signature_rows_reference(rows) -> np.ndarray:
     """ground_set_from_csv's normalization, frozen as it was before the rows
     were divided as one matrix: each row by its own sum, all-zero rows kept."""

@@ -33,7 +33,7 @@ from vigil.rules import Rule, RuleEngine, TripLine, Zone
 from vigil.softmax import SoftmaxModel, TrainConfig, loss_and_grad, predict_batch, train
 from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
 from vigil.stats import GridSpec, SceneStats
-from vigil.summarize import FacilityLocation, greedy_select, greedy_trace, lazy_greedy_trace
+from vigil.summarize import FacilityLocation, SaturatedCoverage, lazy_greedy_trace
 from vigil.tracker import SortTracker, TrackerConfig
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     dwell_recount,
     facility_location_value,
     finite_difference_gradient,
+    greedy_trace,
     heat_recount,
     id_switches,
     point_in_polygon_winding,
@@ -111,7 +112,7 @@ def test_criterion_02_greedy_near_optimal_and_submodular():
     bound_ok = 0
     instances = _selection_instances()
     for S, k in instances:
-        picks = greedy_select(FacilityLocation(S), k)
+        picks = [s.item for s in lazy_greedy_trace(FacilityLocation(S), k)]
         f_greedy = facility_location_value(S, picks)
         opt, _ = best_subset(lambda sub: facility_location_value(S, sub),
                              S.shape[0], k)
@@ -119,23 +120,29 @@ def test_criterion_02_greedy_near_optimal_and_submodular():
                 and f_greedy <= opt + 1e-12):
             bound_ok += 1
 
-    # 500 randomized structure checks on the objective implementation:
+    # 500 randomized structure checks on each model's own gain and add:
     # monotone growth and diminishing returns along random chains X ⊆ Y.
     rng = random.Random(0xBEE5)
     prop_ok = 0
     for _ in range(500):
         n = rng.randint(3, 12)
-        model = FacilityLocation(_random_similarity(rng, n))
+        S = _random_similarity(rng, n)
         items = list(range(n))
         rng.shuffle(items)
         v, rest = items[0], items[1:]
         cut_hi = rng.randint(0, len(rest))
         cut_lo = rng.randint(0, cut_hi)
-        small, large = rest[:cut_lo], rest[:cut_hi]
-        monotone = model.evaluate(large + [v]) >= model.evaluate(large) - 1e-12
-        gain_small = model.evaluate(small + [v]) - model.evaluate(small)
-        gain_large = model.evaluate(large + [v]) - model.evaluate(large)
-        if monotone and gain_small >= gain_large - 1e-12:
+        ok_here = True
+        for model in (FacilityLocation(S), SaturatedCoverage(S)):
+            state = model.new_state()
+            for j in rest[:cut_lo]:
+                model.add(state, j)
+            gain_small = model.gain(state, v)
+            for j in rest[cut_lo:cut_hi]:
+                model.add(state, j)
+            gain_large = model.gain(state, v)
+            ok_here &= gain_large >= -1e-12 and gain_small >= gain_large - 1e-12
+        if ok_here:
             prop_ok += 1
     elapsed = time.perf_counter() - t0
     ok = bound_ok == len(instances) and prop_ok == 500 and elapsed < 30.0

@@ -278,6 +278,25 @@ def test_alpha_defaults_for_saturated_coverage(workdir):
         2, "config error: alpha must lie in (0, 1]\n")
 
 
+def test_lazy_is_the_one_algorithm(workdir):
+    # "naive" once ran a slower selector that picked the same frames for
+    # facility location, and could break ties otherwise for saturated coverage
+    doc = CONFIGS["summarize.json"]
+    assert doc["algorithm"] == "lazy"
+    selections = []
+    for given in (doc, {k: v for k, v in doc.items() if k != "algorithm"}):
+        _write(workdir / "algorithm.json", given)
+        assert _main(["summarize", "--config", str(workdir / "algorithm.json"),
+                      "--out", str(workdir / "algorithm"), "--quiet"]) == (0, "")
+        selections.append((workdir / "algorithm" / "selection.csv").read_bytes())
+    assert selections[0] == selections[1]
+    for value in ("naive", "Lazy", ""):
+        _write(workdir / "algorithm.json", {**doc, "algorithm": value})
+        assert _main(["summarize", "--config", str(workdir / "algorithm.json"),
+                      "--out", str(workdir / "algorithm"), "--quiet"]) == (
+            2, "config error: summarize.algorithm must be 'lazy', the one selector\n"), value
+
+
 def test_non_finite_numbers_are_config_errors(workdir):
     for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
         (workdir / "bad-scene.json").write_text(

@@ -44,3 +44,14 @@ def test_sample_above_maxval_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "above maxval 15" in err, err
+
+
+def test_a_header_number_past_the_digit_limit_is_a_data_error(tmp_path, capsys):
+    # int() of 5,000 digits once raised ValueError (exit 4)
+    (tmp_path / "images").mkdir()
+    (tmp_path / "images" / "a.ppm").write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n\0\0\0")
+    (tmp_path / "job.json").write_text(json.dumps({"images_dir": "images", "budget": 1}))
+    assert main(["summarize", "--config", str(tmp_path / "job.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'images' / 'a.ppm'}: netpbm header number of 5000 digits\n")

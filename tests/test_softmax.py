@@ -203,6 +203,27 @@ def test_load_model_errors(tmp_path):
         load_model(partial)
 
 
+def test_a_model_file_that_cannot_be_a_model_is_a_data_error(tmp_path, capsys):
+    # "d": 1e400 once raised OverflowError (exit 4); a model the file's own
+    # classes and weights cannot make was a config error (exit 2)
+    (tmp_path / "in.csv").write_text("r1,a,1\n", encoding="utf-8")
+    (tmp_path / "job.json").write_text(json.dumps({"model_json": "model.json",
+                                                   "features_csv": "in.csv"}))
+    for doc, reason in [('{"classes": ["a", "b"], "d": 1e400, "W": [1, 2], "b": [0, 0]}',
+                         "cannot convert float infinity to integer"),
+                        ('{"classes": ["a"], "d": 1, "W": [1], "b": [0]}',
+                         "need at least two classes"),
+                        ('{"classes": ["a", "a"], "d": 1, "W": [1, 2], "b": [0, 0]}',
+                         "duplicate class labels"),
+                        ('{"classes": ["a", "b"], "d": 1, "W": [1, 2], "b": [0]}',
+                         "inconsistent W/b/classes shapes")]:
+        (tmp_path / "model.json").write_text(doc, encoding="utf-8")
+        assert main(["predict", "--config", str(tmp_path / "job.json"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 3, doc
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'model.json'}: malformed model file: {reason}\n")
+
+
 def test_load_features_csv(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("r1,cat,0.5,1.25\nr2,dog,-1.0,2.0\n\nr3,cat,3.0,4.5\n",

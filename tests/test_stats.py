@@ -151,6 +151,20 @@ def test_bad_zone_polygons_rejected():
             SceneStats(200, 100, zones=[("bad", poly)])
 
 
+def test_one_zone_id_names_one_zone():
+    # dwell is keyed by zone id; one id for two disjoint squares once added
+    # a 1,000 ms interval that no single zone held at both ends
+    moved = [(x + 100.0, y) for x, y in ZONE_SQUARE]
+    with pytest.raises(ConfigError, match="'a'"):
+        SceneStats(200, 100, zones=[("a", ZONE_SQUARE), ("a", moved)])
+    stats = SceneStats(200, 100, zones=[("a", ZONE_SQUARE), ("b", moved),
+                                        ("a", list(ZONE_SQUARE))])  # a repeat is one zone
+    assert [z.id for z in stats.zones.zones] == ["a", "b"]
+    stats.ingest(_frame(0, 0), [_at(1, 25.0, 25.0)])
+    stats.ingest(_frame(1, 1000), [_at(1, 125.0, 25.0)])
+    assert stats.dwell_report()[0].zone_ms == {"a": 0, "b": 0}
+
+
 def test_dwell_matches_recount_on_random_paths():
     rng = random.Random(911)
     zones = [("a", ZONE_SQUARE),

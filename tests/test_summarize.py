@@ -21,10 +21,7 @@ from vigil.summarize import (
     GroundSet,
     SaturatedCoverage,
     build_model,
-    greedy_select,
-    greedy_trace,
     ground_set_from_csv,
-    lazy_greedy_select,
     lazy_greedy_trace,
     signature_from_image,
     similarity_matrix,
@@ -35,6 +32,7 @@ from vigil.summarize import (
 from oracles import (
     best_subset,
     facility_location_value,
+    greedy_trace,
     saturated_coverage_value,
     signature_rows_reference,
     similarity,
@@ -195,18 +193,25 @@ HAND_S = np.array([[1.0, 0.9, 0.1],
                    [0.1, 0.2, 1.0]])
 
 
+def _gains_after(model, picked) -> list:
+    """Each item's marginal gain once *picked* are added, in item order."""
+    state = model.new_state()
+    for j in picked:
+        model.add(state, j)
+    return [model.gain(state, j) for j in range(model.n)]
+
+
 def test_facility_location_hand_values():
     model = FacilityLocation(HAND_S)
-    assert model.evaluate([]) == 0.0
-    assert model.evaluate([1]) == pytest.approx(2.1)   # 0.9 + 1.0 + 0.2
-    assert model.evaluate([0]) == pytest.approx(2.0)
-    assert model.evaluate([2]) == pytest.approx(1.3)
-    assert model.evaluate([1, 2]) == pytest.approx(0.9 + 1.0 + 1.0)
+    # f({1}) = 0.9 + 1.0 + 0.2, f({0}) = 2.0, f({2}) = 1.3
+    assert _gains_after(model, []) == pytest.approx([2.0, 2.1, 1.3])
+    # f({1, 2}) = 0.9 + 1.0 + 1.0; item 1 adds nothing to itself
+    assert _gains_after(model, [1]) == pytest.approx([0.1, 0.0, 0.8])
 
 
 def test_greedy_picks_on_hand_instance():
     model = FacilityLocation(HAND_S)
-    steps = greedy_trace(model, 2)
+    steps = lazy_greedy_trace(model, 2)
     assert [s.item for s in steps] == [1, 2]
     assert steps[0].gain == pytest.approx(2.1)
     assert steps[0].cumulative == pytest.approx(2.1)
@@ -217,7 +222,7 @@ def test_greedy_picks_on_hand_instance():
 
 def test_tie_breaks_to_lowest_index():
     S = np.ones((4, 4))                      # all items identical
-    steps = greedy_trace(FacilityLocation(S), 3)
+    steps = lazy_greedy_trace(FacilityLocation(S), 3)
     assert [s.item for s in steps] == [0, 1, 2]
     assert steps[1].gain == 0.0
 
@@ -233,7 +238,7 @@ def test_greedy_against_exhaustive_optimum():
         k = rnd.randint(1, 3)
         S = random_similarity(rnd, n)
         model = FacilityLocation(S)
-        picks = greedy_select(model, k)
+        picks = [s.item for s in lazy_greedy_trace(model, k)]
         got = facility_location_value(S, picks)
         opt, _ = best_subset(lambda X: facility_location_value(S, X), n, k)
         assert got >= (1.0 - 1.0 / math.e) * opt - 1e-12, trial
@@ -254,12 +259,10 @@ def test_monotone_and_diminishing_returns():
                                              if j not in A and j != extra] or [extra])})
             e = rnd.choice([j for j in range(n) if j not in B] or
                            [j for j in range(n) if j not in A])
-            fA, fB = model.evaluate(A), model.evaluate(B)
-            assert fB >= fA - 1e-12                       # monotone
+            gains_A, gains_B = _gains_after(model, A), _gains_after(model, B)
+            assert min(gains_A + gains_B) >= -1e-12       # monotone
             if e not in A and e not in B and set(A) <= set(B):
-                gain_A = model.evaluate(sorted(set(A) | {e})) - fA
-                gain_B = model.evaluate(sorted(set(B) | {e})) - fB
-                assert gain_A >= gain_B - 1e-12           # diminishing returns
+                assert gains_A[e] >= gains_B[e] - 1e-12   # diminishing returns
 
 
 def test_saturated_coverage_caps():
@@ -268,12 +271,10 @@ def test_saturated_coverage_caps():
                   [0.0, 0.0, 1.0]])
     model = SaturatedCoverage(S, alpha=0.5)
     # item totals: 2, 2, 1 -> caps 1, 1, 0.5
-    assert model.evaluate([0]) == pytest.approx(2.0)     # min(1,1)+min(1,1)+0
+    assert _gains_after(model, [])[0] == pytest.approx(2.0)  # min(1,1)+min(1,1)+0
     # adding the twin brings nothing: both rows already saturated
-    assert model.evaluate([0, 1]) == pytest.approx(2.0)
-    assert model.evaluate([0, 2]) == pytest.approx(2.5)
-    want = saturated_coverage_value(S, [0, 2], alpha=0.5)
-    assert model.evaluate([0, 2]) == pytest.approx(want)
+    assert _gains_after(model, [0]) == pytest.approx([0.0, 0.0, 0.5])
+    assert 2.0 + 0.5 == pytest.approx(saturated_coverage_value(S, [0, 2], alpha=0.5))
 
 
 def test_saturated_coverage_matches_oracle():
@@ -283,8 +284,15 @@ def test_saturated_coverage_matches_oracle():
         S = random_similarity(rnd, n)
         model = SaturatedCoverage(S, alpha=0.5)
         X = rnd.sample(range(n), rnd.randint(1, n))
-        assert model.evaluate(X) == pytest.approx(
-            saturated_coverage_value(S, X), abs=1e-12)
+        # each gain adds one item to the prefix before it
+        state, total = model.new_state(), 0.0
+        for i, j in enumerate(X):
+            gain = model.gain(state, j)
+            assert gain == pytest.approx(saturated_coverage_value(S, X[:i + 1])
+                                         - saturated_coverage_value(S, X[:i]), abs=1e-12)
+            model.add(state, j)
+            total += gain
+        assert total == pytest.approx(saturated_coverage_value(S, X), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +314,31 @@ def test_lazy_equals_naive_everywhere():
                 assert a.cumulative == pytest.approx(b.cumulative, abs=1e-12)
 
 
+@pytest.mark.parametrize("on_demand", [False, True])
+def test_lazy_equals_naive_bitwise_on_facility_location_ties(monkeypatch, on_demand):
+    # facility location's computed gains never grow as the selection grows,
+    # so lazy greedy must give naive greedy's whole trace, ties included
+    if on_demand:
+        monkeypatch.setattr(summarize, "SIM_PRECOMPUTE_BYTES", 0)
+    rng = np.random.default_rng(65)
+    instances, tied = [], 0
+    for _ in range(100):
+        n, d = int(rng.integers(2, 25)), int(rng.integers(1, 5))
+        sigs = rng.random((n, d))
+        sigs = np.round(sigs / sigs.sum(axis=1, keepdims=True), 1)
+        tied += len(np.unique(sigs, axis=0)) < n
+        instances += [{"signatures": sigs},
+                      {"signatures": np.tile(sigs[0], (n, 1))}]  # all similarities 1
+        if not on_demand:  # an explicit matrix is always cached
+            instances.append({"matrix": np.full((n, n), round(rng.random(), 1))})
+    assert tied > 50
+    for given in instances:
+        lazy_model = FacilityLocation(**given)
+        assert (lazy_model._S is None) == on_demand
+        k = int(rng.integers(1, lazy_model.n + 1))
+        assert lazy_greedy_trace(lazy_model, k) == greedy_trace(FacilityLocation(**given), k)
+
+
 def test_lazy_does_fewer_gain_evaluations():
     rnd = random.Random(64)
     total_naive = total_lazy = 0
@@ -313,9 +346,9 @@ def test_lazy_does_fewer_gain_evaluations():
         n = rnd.randint(8, 14)
         S = random_similarity(rnd, n)
         m1 = FacilityLocation(S)
-        greedy_select(m1, 4)
+        greedy_trace(m1, 4)
         m2 = FacilityLocation(S)
-        lazy_greedy_select(m2, 4)
+        lazy_greedy_trace(m2, 4)
         assert m2.gain_evals <= m1.gain_evals
         total_naive += m1.gain_evals
         total_lazy += m2.gain_evals
@@ -324,7 +357,7 @@ def test_lazy_does_fewer_gain_evaluations():
 
 def test_budget_beyond_ground_set_truncates():
     S = random_similarity(random.Random(1), 5)
-    steps = greedy_trace(FacilityLocation(S), 50)
+    steps = lazy_greedy_trace(FacilityLocation(S), 50)
     assert len(steps) == 5
     assert sorted(s.item for s in steps) == list(range(5))
     assert DEFAULT_BUDGET == 500
@@ -336,7 +369,7 @@ def test_budget_beyond_ground_set_truncates():
 
 def test_selection_csv_format(tmp_path):
     ground = GroundSet([f"f{i}.ppm" for i in range(3)], np.eye(3))
-    steps = greedy_trace(FacilityLocation(np.eye(3)), 2)
+    steps = lazy_greedy_trace(FacilityLocation(np.eye(3)), 2)
     path = tmp_path / "selection.csv"
     write_selection_csv(path, ground, steps)
     lines = path.read_text().strip().splitlines()
