@@ -37,7 +37,7 @@ def run_walk() -> list:
     engine = RuleEngine(RULES)
     events = []
     for frame in range(40):
-        meta = FrameMeta("lobby-cam", frame, frame * 250, 400, 200)
+        meta = FrameMeta(frame, frame * 250)
         events += engine.evaluate(meta, [walker(frame)])
     return events
 

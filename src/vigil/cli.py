@@ -2,7 +2,9 @@
 
 Every subcommand reads one JSON config (--config) and an output directory
 (--out, default "out"), and writes its artifacts there; the commands that
-draw random numbers (run, synth, augment) also take a --seed override.
+may draw random numbers (run, synth, augment) also take a --seed override.
+run draws them only for a synthetic source: on a dump source the seed
+changes nothing but its echo in run-manifest.json.
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal error.
 """
 
@@ -229,11 +231,8 @@ def _cmd_predict(args) -> None:
         _say(args, "labels absent or outside the model vocabulary; no eval report")
 
 
-def _read_flat_dump(path, width: int, height: int) -> EvalDetections:
-    return EvalDetections.of_frames(read_dump(path, width=width, height=height))
-
-
 _EVAL = {"predictions": (pathname, REQUIRED), "ground_truth": (pathname, REQUIRED),
+         # width and height reach no output; kept for configs (ROADMAP item 6)
          "width": (integer, 1920), "height": (integer, 1080), **fields_of(EvalConfig)}
 
 
@@ -243,8 +242,8 @@ def _cmd_eval(args) -> None:
         raise ConfigError("width and height must be positive")
     cfg = EvalConfig(doc["iou_threshold"])
 
-    preds = _read_flat_dump(doc["predictions"], doc["width"], doc["height"])
-    gts = _read_flat_dump(doc["ground_truth"], doc["width"], doc["height"])
+    preds = EvalDetections.of_frames(read_dump(doc["predictions"]))
+    gts = EvalDetections.of_frames(read_dump(doc["ground_truth"]))
     report = evaluate_detections(preds, gts, cfg)
 
     out = _out_dir(args)

@@ -26,10 +26,10 @@ class DataError(VigilError):
 
 
 class DumpFormatError(DataError):
-    """Malformed detection dump record; carries the offending line number."""
+    """Malformed detection dump record; names the file and carries the line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path} line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -3,6 +3,7 @@
 Boxes are corner-format with real-valued, closed-interval coordinates.
 Zero-area (degenerate) boxes are legal inputs everywhere; IoU involving an
 empty union is 0 by convention so a flaky detector cannot halt the pipeline.
+A frame (FrameMeta) is its id and its timestamp, all that a dump carries.
 All types but the FrameDetections batch are immutable values, and all
 functions are pure.
 """
@@ -65,15 +66,10 @@ class BoundingBox:
 
 @dataclass(frozen=True, slots=True)
 class FrameMeta:
-    source_id: str
     frame_id: int
     timestamp_ms: int
-    width: int
-    height: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("frame dimensions must be positive")
         if self.frame_id < 0:
             raise ValueError("frame_id must be non-negative")
 

@@ -162,12 +162,10 @@ def _frame_stream(cfg: PipelineConfig):
     yields (FrameMeta, [Detection]) pairs, which step turns into a batch.
     """
     if cfg.source_kind == "dump":
-        return read_dump(cfg.dump_path, width=cfg.frame_width, height=cfg.frame_height), None
+        return read_dump(cfg.dump_path), None
     scene_seed = derive_seed(cfg.seed, SCENE_SEED_LABEL)
-    scene_cfg = dataclasses.replace(cfg.scene, seed=scene_seed)
-    scene = simulate(scene_cfg)
-    stream = ((meta, dets) for meta, dets in zip(scene.frames, scene.noisy))
-    return stream, scene_seed
+    scene = simulate(dataclasses.replace(cfg.scene, seed=scene_seed))
+    return zip(scene.frames, scene.noisy), scene_seed
 
 
 TRACKS_FILE = "tracks.jsonl"

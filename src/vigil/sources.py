@@ -1,11 +1,12 @@
 """Detection streams: dump-file parsing and the synthetic scene simulator.
 
 A dump is read as an iterator of (FrameMeta, FrameDetections) pairs, one
-per frame, with strictly increasing frame ids; the batch holds the frame's
-boxes (k, 4), labels and confidences as arrays, which the tracker steps on
-as they are.  The seeded simulator below, which stands in for a detector,
-gives (FrameMeta, list[Detection]) frames instead, and write_dump writes
-frames of that kind as a dump.
+per frame, with strictly increasing frame ids.  The FrameMeta is the frame's
+id and timestamp, all a dump carries (no frame size, no source name); the
+batch holds the frame's boxes (k, 4), labels and confidences as arrays,
+which the tracker steps on as they are.  The seeded simulator below, which
+stands in for a detector, gives (FrameMeta, list[Detection]) frames
+instead, and write_dump writes frames of that kind as a dump.
 
 Dump format, one JSON object per line:
 
@@ -16,7 +17,8 @@ Lines must be non-decreasing in "frame"; lines sharing a frame id form one
 frame group, whose timestamp is its first line's "ts_ms" (later lines' values
 are ignored).  Frame timestamps must be non-decreasing: a frame whose "ts_ms"
 is below the previous frame's is a format error, since dwell times would go
-negative.  Ground-truth dumps use the same format with conf = 1.0.
+negative.  Ground-truth dumps use the same format with conf = 1.0.  A
+format error names the file and the line.
 
 write_dump writes each line from one template (_dump_line), and read_dump
 parses lines of exactly that shape from a pattern next to it; every other
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -98,48 +99,43 @@ _DUMP_LINE = re.compile(
     rf'"conf": {_NUMBER}\}}\n?')
 
 
-def _parse_record(line_no: int, line: str) -> dict:
-    rec = decode_json(line, lambda reason: DumpFormatError(line_no, f"invalid JSON: {reason}"))
+def _parse_record(path, line_no: int, line: str) -> dict:
+    rec = decode_json(line,
+                      lambda reason: DumpFormatError(path, line_no, f"invalid JSON: {reason}"))
     if not isinstance(rec, dict):
-        raise DumpFormatError(line_no, "record is not a JSON object")
+        raise DumpFormatError(path, line_no, "record is not a JSON object")
     missing = [k for k in DUMP_FIELDS if k not in rec]
     if missing:
-        raise DumpFormatError(line_no, f"missing fields: {', '.join(missing)}")
+        raise DumpFormatError(path, line_no, f"missing fields: {', '.join(missing)}")
     extra = [k for k in rec if k not in DUMP_FIELDS]
     if extra:
-        raise DumpFormatError(line_no, f"unknown fields: {', '.join(extra)}")
+        raise DumpFormatError(path, line_no, f"unknown fields: {', '.join(extra)}")
     for key in ("frame", "ts_ms"):
         if not isinstance(rec[key], int) or isinstance(rec[key], bool):
-            raise DumpFormatError(line_no, f'"{key}" must be an integer')
+            raise DumpFormatError(path, line_no, f'"{key}" must be an integer')
     if not isinstance(rec["class"], str):
-        raise DumpFormatError(line_no, '"class" must be a string')
+        raise DumpFormatError(path, line_no, '"class" must be a string')
     for key in ("x1", "y1", "x2", "y2", "conf"):
         if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
-            raise DumpFormatError(line_no, f'"{key}" must be a number')
+            raise DumpFormatError(path, line_no, f'"{key}" must be a number')
         try:
             finite = math.isfinite(rec[key])
         except OverflowError:  # an int beyond the float range
             finite = False
         if not finite:
-            raise DumpFormatError(line_no, f'"{key}" must be finite')
+            raise DumpFormatError(path, line_no, f'"{key}" must be finite')
     return rec
 
 
-def read_dump(path, *, width: int = 1920, height: int = 1080,
-              source_id: Optional[str] = None) -> Iterator[FrameGroup]:
+def read_dump(path) -> Iterator[FrameGroup]:
     """Stream frame groups from a detection dump.
-
-    The dump format carries no frame geometry, so `width`/`height` set the
-    FrameMeta extent; `source_id` defaults to the file's stem.
 
     A line in _dump_line's shape with finite values is parsed from the
     pattern's groups; every other line goes through json.loads and
     _parse_record.  Both then take the same frame checks and the same
     Detection rules, so the frames and errors are those of the slow path
-    alone.
+    alone.  A format error names *path* and the line.
     """
-    if source_id is None:
-        source_id = os.path.splitext(os.path.basename(str(path)))[0]
 
     def gen():
         meta = None
@@ -163,27 +159,26 @@ def read_dump(path, *, width: int = 1920, height: int = 1080,
                         line = raw.strip()
                         if not line:
                             continue
-                        rec = _parse_record(line_no, line)
+                        rec = _parse_record(path, line_no, line)
                         fid, ts, label = rec["frame"], rec["ts_ms"], rec["class"]
                         box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
                                float(rec["y2"]))
                         conf = float(rec["conf"])
                     if last_frame is not None and fid < last_frame:
                         raise DumpFormatError(
-                            line_no, f'"frame" {fid} decreases (previous {last_frame})')
+                            path, line_no, f'"frame" {fid} decreases (previous {last_frame})')
                     if fid < 0:
-                        raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
+                        raise DumpFormatError(path, line_no, f'"frame" must be >= 0, got {fid}')
                     new_frame = meta is None or fid != meta.frame_id
                     if meta is not None and new_frame and ts < meta.timestamp_ms:
-                        raise DumpFormatError(line_no, f'"ts_ms" {ts} decreases '
-                                                       f'(previous frame {meta.timestamp_ms})')
-                    try:
-                        frame = FrameMeta(source_id, fid, ts, width, height) if new_frame else meta
-                        if not (label and corners_ordered(*box) and confidence_in_range(conf)):
-                            # a value Detection rejects: it raises the message
+                        raise DumpFormatError(path, line_no, f'"ts_ms" {ts} decreases (previous '
+                                                             f'frame {meta.timestamp_ms})')
+                    frame = FrameMeta(fid, ts) if new_frame else meta
+                    if not (label and corners_ordered(*box) and confidence_in_range(conf)):
+                        try:  # a value Detection rejects: it raises the message
                             Detection(frame, BoundingBox(*box), label, conf)
-                    except ValueError as exc:
-                        raise DumpFormatError(line_no, str(exc)) from exc
+                        except ValueError as exc:
+                            raise DumpFormatError(path, line_no, str(exc)) from exc
                     if new_frame and meta is not None:
                         yield meta, _batch(boxes, labels, confs)
                         boxes, labels, confs = [], [], []
@@ -257,7 +252,7 @@ class SyntheticSceneConfig:
     miss_probability: float = 0.0
     false_positives_per_frame: float = 0.0
     seed: int = 0
-    source_id: str = "synthetic"
+    source_id: str = "synthetic"  # reaches no output; kept for configs (ROADMAP item 6)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -349,7 +344,7 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
 
     for f in range(config.duration_frames):
         ts = int(round(f * 1000.0 / config.fps))
-        meta = FrameMeta(config.source_id, f, ts, config.width, config.height)
+        meta = FrameMeta(f, ts)
         gt_frame: list[Detection] = []
         noisy_frame: list[Detection] = []
         ids_frame: list[Optional[int]] = []

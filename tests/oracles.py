@@ -505,39 +505,39 @@ class ReferenceSortTracker:
 _REF_DUMP_FIELDS = ("frame", "ts_ms", "class", "x1", "y1", "x2", "y2", "conf")
 
 
-def _ref_dump_record(line_no, line):
+def _ref_dump_record(path, line_no, line):
     from vigil.errors import DumpFormatError
 
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise DumpFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
+        raise DumpFormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(rec, dict):
-        raise DumpFormatError(line_no, "record is not a JSON object")
+        raise DumpFormatError(path, line_no, "record is not a JSON object")
     missing = [k for k in _REF_DUMP_FIELDS if k not in rec]
     if missing:
-        raise DumpFormatError(line_no, f"missing fields: {', '.join(missing)}")
+        raise DumpFormatError(path, line_no, f"missing fields: {', '.join(missing)}")
     extra = [k for k in rec if k not in _REF_DUMP_FIELDS]
     if extra:
-        raise DumpFormatError(line_no, f"unknown fields: {', '.join(extra)}")
+        raise DumpFormatError(path, line_no, f"unknown fields: {', '.join(extra)}")
     for key in ("frame", "ts_ms"):
         if not isinstance(rec[key], int) or isinstance(rec[key], bool):
-            raise DumpFormatError(line_no, f'"{key}" must be an integer')
+            raise DumpFormatError(path, line_no, f'"{key}" must be an integer')
     if not isinstance(rec["class"], str):
-        raise DumpFormatError(line_no, '"class" must be a string')
+        raise DumpFormatError(path, line_no, '"class" must be a string')
     for key in ("x1", "y1", "x2", "y2", "conf"):
         if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
-            raise DumpFormatError(line_no, f'"{key}" must be a number')
+            raise DumpFormatError(path, line_no, f'"{key}" must be a number')
         try:
             value = float(rec[key])
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise DumpFormatError(line_no, f'"{key}" must be finite')
+            raise DumpFormatError(path, line_no, f'"{key}" must be finite')
     return rec
 
 
-def read_dump_reference(path, width, height, source_id):
+def read_dump_reference(path):
     """Yield (FrameMeta, [Detection]) frame groups of a detection dump."""
     from vigil.errors import DumpFormatError
     from vigil.geometry import BoundingBox, Detection, FrameMeta
@@ -550,20 +550,20 @@ def read_dump_reference(path, width, height, source_id):
             line = raw.strip()
             if not line:
                 continue
-            rec = _ref_dump_record(line_no, line)
+            rec = _ref_dump_record(path, line_no, line)
             fid = rec["frame"]
             if last_frame is not None and fid < last_frame:
                 raise DumpFormatError(
-                    line_no, f'"frame" {fid} decreases (previous {last_frame})')
+                    path, line_no, f'"frame" {fid} decreases (previous {last_frame})')
             if fid < 0:
-                raise DumpFormatError(line_no, f'"frame" must be >= 0, got {fid}')
+                raise DumpFormatError(path, line_no, f'"frame" must be >= 0, got {fid}')
             ts = rec["ts_ms"]
             if meta is not None and fid != meta.frame_id and ts < meta.timestamp_ms:
                 raise DumpFormatError(
-                    line_no, f'"ts_ms" {ts} decreases (previous frame {meta.timestamp_ms})')
+                    path, line_no, f'"ts_ms" {ts} decreases (previous frame {meta.timestamp_ms})')
             try:
                 det = Detection(
-                    frame=FrameMeta(source_id, fid, ts, width, height)
+                    frame=FrameMeta(fid, ts)
                     if meta is None or fid != meta.frame_id else meta,
                     bbox=BoundingBox(float(rec["x1"]), float(rec["y1"]),
                                      float(rec["x2"]), float(rec["y2"])),
@@ -571,7 +571,7 @@ def read_dump_reference(path, width, height, source_id):
                     confidence=float(rec["conf"]),
                 )
             except ValueError as exc:
-                raise DumpFormatError(line_no, str(exc)) from exc
+                raise DumpFormatError(path, line_no, str(exc)) from exc
             if meta is not None and fid != meta.frame_id:
                 yield meta, group
                 group = []

@@ -290,7 +290,7 @@ def test_criterion_05_evaluator_self_consistency():
 
 
 def _mk_det(frame_id, box, conf, label="person"):
-    return Detection(FrameMeta("cam", frame_id, frame_id * 100, 640, 480),
+    return Detection(FrameMeta(frame_id, frame_id * 100),
                      BoundingBox(*box), label, conf)
 
 
@@ -427,7 +427,7 @@ def test_criterion_08_rules_determinism():
     entry_alerts = []
     xs = [90.0, 75.0, 60.0, 45.0, 30.0, 20.0, 10.0]  # inside from frame 3
     for f, x in enumerate(xs):
-        for ev in engine.evaluate(FrameMeta("cam", f, f * 100, 200, 100),
+        for ev in engine.evaluate(FrameMeta(f, f * 100),
                                   [_walking_track(1, x, 25.0)]):
             entry_alerts.append(ev.frame_id)
     intrusion_ok = entry_alerts == [3]
@@ -437,7 +437,7 @@ def test_criterion_08_rules_determinism():
     stamps = []
     for f in range(40):  # in the zone on odd frames only: entry every 500 ms
         x = 25.0 if f % 2 == 1 else 90.0
-        for ev in engine.evaluate(FrameMeta("cam", f, f * 250, 200, 100),
+        for ev in engine.evaluate(FrameMeta(f, f * 250),
                                   [_walking_track(1, x, 25.0)]):
             stamps.append(ev.timestamp_ms)
     gaps = [b - a for a, b in zip(stamps, stamps[1:])]

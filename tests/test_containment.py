@@ -94,8 +94,8 @@ def test_prepared_containment_matches_point_in_polygon():
         points = _points(rng, zone.polygon)
         stats = SceneStats(100, 100, zones=[(name, poly)])
         tracks = [_track(i, p) for i, p in enumerate(points)]
-        stats.ingest(FrameMeta("cam", 0, 0, 100, 100), tracks)
-        stats.ingest(FrameMeta("cam", 1, 1000, 100, 100), tracks)
+        stats.ingest(FrameMeta(0, 0), tracks)
+        stats.ingest(FrameMeta(1, 1000), tracks)
         dwell = {rec.track_id: rec.zone_ms[name] for rec in stats.dwell_report()}
         placed = place(ZoneSet([zone]), tracks)
         for i, p in enumerate(points):

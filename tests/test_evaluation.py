@@ -31,7 +31,7 @@ from oracles import (
 
 
 def _frame(i):
-    return FrameMeta("cam", i, i * 100, 640, 480)
+    return FrameMeta(i, i * 100)
 
 
 def _det(frame_id, box, label="person", conf=0.9):
@@ -180,7 +180,7 @@ def _random_frames(rng, frame_ids):
     confs = [0.0, -0.0, 0.25, 0.5, 0.5, 0.9, 1.0]
     gts, preds, pool = [], [], []
     for fid in frame_ids:
-        meta = FrameMeta("cam", fid, 0, 640, 480)
+        meta = FrameMeta(fid, 0)
         for _ in range(rng.randint(0, 7)):
             box = _random_box(rng, pool)
             pool.append(box)
@@ -254,7 +254,7 @@ def test_eval_detections_of_frames_equals_the_detection_list(tmp_path):
         jitter_sigma=2.0, false_positives_per_frame=1.5))
     path = tmp_path / "det.jsonl"
     write_dump(path, zip(scene.frames, scene.noisy))
-    table = EvalDetections.of_frames(read_dump(path, width=320, height=240))
+    table = EvalDetections.of_frames(read_dump(path))
     flat = EvalDetections.of([d for dets in scene.noisy for d in dets])
     assert len(table) == len(flat) == sum(map(len, scene.noisy))
     assert table.frame_ids.tolist() == flat.frame_ids.tolist()

@@ -254,7 +254,7 @@ def test_dump_source_run(tmp_path):
     out = tmp_path / "out"
     manifest = run(cfg, str(out))
     # dumps only list frames that produced detections
-    expected_frames = sum(1 for _ in read_dump(dump_path, width=320, height=240))
+    expected_frames = sum(1 for _ in read_dump(dump_path))
     assert manifest["frames"] == expected_frames
     assert "scene_seed" not in manifest
     assert (out / TRACKS_FILE).stat().st_size > 0
@@ -439,7 +439,8 @@ def test_cli_rejects_a_number_too_big_for_a_float(tmp_path, capsys):
         "source": {"kind": "dump", "path": "big.jsonl", "width": 320, "height": 240}})
     assert main(["run", "--config", config, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 3
-    assert capsys.readouterr().err == 'data error: line 1: "x1" must be finite\n'
+    assert capsys.readouterr().err == (f'data error: {tmp_path / "big.jsonl"} line 1: '
+                                       '"x1" must be finite\n')
 
 
 def test_cli_rejects_lines_past_the_json_decoders_limits(tmp_path, capsys):
@@ -454,7 +455,32 @@ def test_cli_rejects_lines_past_the_json_decoders_limits(tmp_path, capsys):
         (tmp_path / "bad.jsonl").write_text(good + "\n" + bad + "\n", encoding="utf-8")
         assert main(["run", "--config", config, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 3
-        assert capsys.readouterr().err.startswith("data error: line 2: invalid JSON: ")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {tmp_path / 'bad.jsonl'} line 2: invalid JSON: ")
+
+
+def test_a_dump_format_error_names_its_file(tmp_path, capsys):
+    # with two dumps in one eval, a message naming only the line cannot say
+    # which dump is at fault; a line lacking "conf" takes json.loads's path,
+    # a confidence of 1.5 in write_dump's layout takes the pattern's
+    good = json.dumps({"frame": 0, "ts_ms": 0, "class": "person", "x1": 100.0,
+                       "y1": 100.0, "x2": 120.0, "y2": 140.0, "conf": 0.9})
+    (tmp_path / "good.jsonl").write_text(good + "\n", encoding="utf-8")
+    bad_path = str(tmp_path / "bad.jsonl")
+    for bad, why in ((good.replace(', "conf": 0.9', ""), "missing fields: conf"),
+                     (good.replace('"conf": 0.9', '"conf": 1.5'), "confidence 1.5")):
+        (tmp_path / "bad.jsonl").write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        for command, doc in [
+                ("eval", {"predictions": "bad.jsonl", "ground_truth": "good.jsonl"}),
+                ("eval", {"predictions": "good.jsonl", "ground_truth": "bad.jsonl"}),
+                ("run", {"source": {"kind": "dump", "path": "bad.jsonl",
+                                    "width": 320, "height": 240}})]:
+            config = _write_config(tmp_path, "job.json", doc)
+            assert main([command, "--config", config, "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {bad_path} line 2: "), (command, doc, err)
+            assert why in err
 
 
 def test_run_on_a_box_wider_than_the_float_range(tmp_path):
@@ -542,7 +568,7 @@ def test_track_line_equals_json_dumps_of_track_record():
     rnd = random.Random(77)
     labels = {}
     for i in range(4000):
-        meta = FrameMeta("cam", rnd.choice((0, 7, rnd.getrandbits(70))), 0, 640, 480)
+        meta = FrameMeta(rnd.choice((0, 7, rnd.getrandbits(70))), 0)
         x1, x2 = sorted((_odd_float(rnd), _odd_float(rnd)))
         y1, y2 = sorted((_odd_float(rnd), _odd_float(rnd)))
         track = Track(rnd.randint(1, 10 ** 9), _odd_label(rnd), BoundingBox(x1, y1, x2, y2))
@@ -550,7 +576,7 @@ def test_track_line_equals_json_dumps_of_track_record():
         want = json.dumps(track_record(meta, track)) + "\n"
         assert track_line(meta, track, labels) == want, (x1, y1, x2, y2, track.class_label)
     # non-finite coordinates: repr writes inf / nan, json.dumps Infinity / NaN
-    meta = FrameMeta("cam", 3, 0, 640, 480)
+    meta = FrameMeta(3, 0)
     for box in [(-math.inf, 0.0, 1.0, 2.0), (0.0, 0.0, math.inf, 2.0),
                 (0.0, -math.inf, 1.0, math.inf), (math.nan, 0.0, 1.0, 2.0),
                 (0.0, 0.0, 1.0, math.nan), (1.7976931348623157e308,) * 4]:

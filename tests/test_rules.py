@@ -35,7 +35,7 @@ SQUARE = ((0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0))
 
 
 def _frame(i, ts):
-    return FrameMeta("cam", i, ts, 200, 100)
+    return FrameMeta(i, ts)
 
 
 def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):

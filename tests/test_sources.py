@@ -47,14 +47,12 @@ def test_dump_round_trip(tmp_path):
     n = write_dump(path, zip(scene.frames, scene.noisy))
     assert n == sum(len(dets) for dets in scene.noisy)
 
-    got = list(read_dump(path, width=200, height=150))
+    got = list(read_dump(path))
     want = [(m, d) for m, d in zip(scene.frames, scene.noisy) if d]
     assert len(got) == len(want)
     for (gm, gd), (wm, wd) in zip(got, want):
         assert gm.frame_id == wm.frame_id
         assert gm.timestamp_ms == wm.timestamp_ms
-        assert gm.width == 200 and gm.height == 150
-        assert gm.source_id == "cam7"          # file stem by default
         assert len(gd) == len(wd)
         for box, label, conf, w in zip(gd.boxes.tolist(), gd.labels,
                                        gd.confidences.tolist(), wd):
@@ -64,7 +62,7 @@ def test_dump_round_trip(tmp_path):
 
 
 def test_dump_line_key_order(tmp_path):
-    meta = FrameMeta("s", 0, 0, 100, 100)
+    meta = FrameMeta(0, 0)
     det = Detection(meta, BoundingBox(1, 2, 3, 4), "person", 0.9)
     path = tmp_path / "one.jsonl"
     write_dump(path, [(meta, [det])])
@@ -150,7 +148,7 @@ def test_decreasing_timestamp_rejected(tmp_path):
 
 
 def test_dump_line_is_json_dumps_of_the_record():
-    meta = FrameMeta("s", 12, 3400, 100, 100)
+    meta = FrameMeta(12, 3400)
     labels: dict = {}
     values = [0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.0 / 3.0, 123456789.0, 7, -3]
     for label in ("person", 'a"b', "back\\slash", "é", "日本", "tab\tx", "\u2028"):
@@ -177,7 +175,7 @@ def test_dump_line_is_json_dumps_of_the_record():
            "y2": 1e16, "conf": 0.5}
     assert _dump_line(meta, det, labels) == json.dumps(rec) + "\n"
     # ... and an int64 frame id or a float32 confidence is json.dumps's TypeError
-    for bad_meta, bad_conf in [(FrameMeta("s", np.int64(3), 0, 100, 100), 0.5),
+    for bad_meta, bad_conf in [(FrameMeta(np.int64(3), 0), 0.5),
                                (meta, np.float32(0.5))]:
         with pytest.raises(TypeError):
             _dump_line(bad_meta, Detection(bad_meta, BoundingBox(1.0, 2.0, 3.0, 4.0), "car",
@@ -197,7 +195,7 @@ def test_dump_copies_through_read_and_write(tmp_path):
 def test_written_lines_take_the_fast_path():
     # a finite record with an escape-free label is read back from the
     # pattern's groups, not through json.loads
-    meta = FrameMeta("s", 3, 300, 100, 100)
+    meta = FrameMeta(3, 300)
     for box, conf in [((1.0, 2.0, 3.0, 4.0), 0.9), ((-0.0, 5e-324, 1e16, 1e17), 1.0),
                       ((0.1, 0.2, 0.30000000000000004, 1.5), 0.0)]:
         line = _dump_line(meta, Detection(meta, BoundingBox(*box), "car", conf), {})
@@ -286,8 +284,8 @@ def test_fast_path_reads_as_the_frozen_slow_path(tmp_path):
                        _raw_line(frame="2", ts="10")],
                       [plain, edge, _raw_line(frame="1", ts="5")]):
             write_lines(path, lines)
-            got = _frames_until_error(read_dump(path, width=64, height=48, source_id="cam"))
-            want = _frames_until_error(read_dump_reference(path, 64, 48, "cam"))
+            got = _frames_until_error(read_dump(path))
+            want = _frames_until_error(read_dump_reference(path))
             assert got == want, lines
 
 
@@ -297,7 +295,7 @@ def test_number_too_big_for_a_float_is_not_finite(tmp_path):
     with pytest.raises(DumpFormatError) as err:
         list(read_dump(path))
     assert err.value.line_no == 1
-    assert str(err.value) == 'line 1: "x1" must be finite'
+    assert str(err.value) == f'{path} line 1: "x1" must be finite'
     # a frame id is an int, however long
     write_lines(path, [GOOD.replace('"frame": 0', '"frame": 1' + "0" * 399)])
     (meta, batch), = read_dump(path)
@@ -308,12 +306,12 @@ def test_batch_detections_are_the_rows(tmp_path):
     path = tmp_path / "cam.jsonl"
     write_lines(path, [GOOD, GOOD.replace('"class": "person"', '"class": "car"')
                        .replace('"conf": 0.5', '"conf": 1.0').replace('"x2": 3', '"x2": 7.5')])
-    (meta, batch), = read_dump(path, width=64, height=48)
+    (meta, batch), = read_dump(path)
     assert len(batch) == 2
     assert batch.labels == ["person", "car"]
     assert batch.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 7.5, 4.0]]
     assert batch.confidences.tolist() == [0.5, 1.0]
-    assert (meta.frame_id, meta.width, meta.height) == (0, 64, 48)
+    assert meta.frame_id == 0
 
 
 def test_missing_dump_is_data_error(tmp_path):

@@ -18,8 +18,8 @@ from oracles import dwell_recount, heat_recount, unique_count_recount
 ZONE_SQUARE = [(0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0)]
 
 
-def _frame(i, ts, w=200, h=100):
-    return FrameMeta("cam", i, ts, w, h)
+def _frame(i, ts):
+    return FrameMeta(i, ts)
 
 
 def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
@@ -50,7 +50,7 @@ def test_heat_counts_match_recount():
             ay = rng.uniform(-20.0, 117.0)
             anchors.append((ax, ay))
             tracks.append(_at(tid + 1, ax, ay))
-        stats.ingest(_frame(f, f * 100, 173, 97), tracks)
+        stats.ingest(_frame(f, f * 100), tracks)
     expected = heat_recount(anchors, 173, 97, 10)
     assert stats.observations == sum(expected.values())
     assert int(stats.heat.sum()) == stats.observations
@@ -180,7 +180,7 @@ def test_dwell_matches_recount_on_random_paths():
             ay = rng.uniform(0.0, 100.0)
             tracks.append(_at(tid, ax, ay))
             log.append((tid, f * 250, (ax, ay)))
-        stats.ingest(_frame(f, f * 250, 160, 100), tracks)
+        stats.ingest(_frame(f, f * 250), tracks)
     oracle = dwell_recount(
         log, [(zid, lambda p, poly=poly: point_in_polygon(p, poly))
               for zid, poly in zones])
@@ -230,7 +230,7 @@ def test_unique_count_matches_recount():
                 continue
             tracks.append(_at(tid, 50.0 + tid, 60.0, label=lab))
             log.append((tid, f * 40, None))
-        stats.ingest(_frame(f, f * 40, 400, 400), tracks)
+        stats.ingest(_frame(f, f * 40), tracks)
     for _ in range(30):
         t0 = rng.randrange(0, 2000)
         t1 = t0 + rng.randrange(0, 1200)
@@ -289,7 +289,7 @@ def test_out_of_order_frames_rejected():
 def test_heatmap_csv_round_trip(tmp_path):
     stats = SceneStats(30, 20, GridSpec(10))
     for f, (ax, ay) in enumerate([(5, 5), (5, 6), (25, 15)]):
-        stats.ingest(_frame(f, f * 100, 30, 20), [_at(1, ax, ay)])
+        stats.ingest(_frame(f, f * 100), [_at(1, ax, ay)])
     path = tmp_path / "heatmap.csv"
     stats.write_heatmap_csv(path)
     with open(path, newline="") as fh:
@@ -301,7 +301,7 @@ def test_heatmap_pgm_normalizes_peak_to_255(tmp_path):
     stats = SceneStats(30, 20, GridSpec(10))
     hits = [(5, 5), (6, 5), (7, 5), (8, 5), (25, 15)]
     for f, (ax, ay) in enumerate(hits):
-        stats.ingest(_frame(f, f * 100, 30, 20), [_at(1, float(ax), float(ay))])
+        stats.ingest(_frame(f, f * 100), [_at(1, float(ax), float(ay))])
     path = tmp_path / "heatmap.pgm"
     stats.write_heatmap_pgm(path)
     img = read_image(path)

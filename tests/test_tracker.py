@@ -18,7 +18,7 @@ from oracles import ReferenceSortTracker
 
 
 def frame(fid: int, fps: float = 10.0) -> FrameMeta:
-    return FrameMeta("cam", fid, int(round(fid * 1000.0 / fps)), 640, 480)
+    return FrameMeta(fid, int(round(fid * 1000.0 / fps)))
 
 
 def det(meta, x1, y1, x2, y2, label="person", conf=0.9) -> Detection:
