@@ -3,10 +3,10 @@
 Transforms follow y = A x in coordinates relative to the image center
 (pixel-center convention): an output pixel y takes the value sampled at
 x = A^-1 y in the source, bilinearly interpolated with black fill.
-Rotation is hard-capped at +/-10 degrees.  Balancing equalizes per-class
-sample counts to T = round(mean pre-augmentation count): below-T classes
-gain augmented copies of randomly chosen originals, above-T classes are
-subsampled to T.
+Rotation is hard-capped at +/-10 degrees and shear at +/-1.  Balancing
+equalizes per-class sample counts to T = round(mean pre-augmentation
+count): below-T classes gain augmented copies of randomly chosen
+originals, above-T classes are subsampled to T.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .images import read_image, write_image
 from .rng import Rng
 
 ROTATION_HARD_CAP_DEG = 10.0
+SHEAR_HARD_CAP = 1.0  # a 45-degree slant; far larger shears leave A's determinant to rounding
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class AugmentationBounds:
                 f"max_rotation_deg must lie in [0, {ROTATION_HARD_CAP_DEG}]")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ConfigError("flip_probability must lie in [0, 1]")
-        if self.max_shear < 0.0:
-            raise ConfigError("max_shear must be >= 0")
+        if not 0.0 <= self.max_shear <= SHEAR_HARD_CAP:
+            raise ConfigError(f"max_shear must lie in [0, {SHEAR_HARD_CAP}]")
         for name in ("color_scale", "color_offset"):
             lo, hi = getattr(self, name)
             if lo > hi:

@@ -6,9 +6,10 @@ field table, mapping each field's name to (kind, default), and
 read, has an unknown or missing field, or gives a field a value of the
 wrong kind is a ConfigError (exit 2) that names the field.  A kind checks
 a value's type and returns it unconverted (pairs as tuples).  Booleans are
-never numbers, an integer field takes no float, numbers are finite, and
-null is no value.  Range checks stay with the dataclass the values go
-into, or with the one place that uses the field.
+never numbers, an integer field takes no float, numbers are finite (an
+integer too large for a float is not), and null is no value.  Range
+checks stay with the dataclass the values go into, or with the one place
+that uses the field.
 """
 
 from __future__ import annotations
@@ -73,9 +74,16 @@ def _kind(noun: str, test):
     return check
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 integer = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 number = _kind("a finite number", lambda v: isinstance(v, (int, float))
-               and not isinstance(v, bool) and abs(v) < math.inf)
+               and not isinstance(v, bool) and _finite(v))
 boolean = _kind("true or false", lambda v: isinstance(v, bool))
 string = _kind("a string", lambda v: isinstance(v, str))
 label = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")  # ids, classes

@@ -70,8 +70,12 @@ class Zone:
             raise ConfigError(f"zone {self.id!r}: {exc}") from None
         if not polygon_is_simple(list(self.polygon)):
             raise ConfigError(f"zone {self.id!r}: polygon self-intersects")
+        try:
+            edges = polygon_edges(self.polygon)
+        except OverflowError:  # an edge's squared length
+            raise ConfigError(f"zone {self.id!r}: polygon is too large") from None
         object.__setattr__(self, "reach", reach)
-        object.__setattr__(self, "edges", polygon_edges(self.polygon))
+        object.__setattr__(self, "edges", edges)
 
 
 class ZoneSet:

@@ -262,6 +262,11 @@ class SyntheticSceneConfig:
             raise ConfigError("fps must be positive")
         if self.duration_frames < 0:
             raise ConfigError("duration_frames must be >= 0")
+        try:  # the last frame's timestamp, as simulate computes it
+            int(round(max(self.duration_frames - 1, 0) * 1000.0 / self.fps))
+        except OverflowError:
+            raise ConfigError("fps is too small for duration_frames: "
+                              "the last frame's timestamp overflows") from None
         if self.jitter_sigma < 0:
             raise ConfigError("jitter_sigma must be >= 0")
         if not 0.0 <= self.miss_probability <= 1.0:
@@ -276,6 +281,12 @@ class SyntheticSceneConfig:
             if not (w / 2 <= cx <= self.width - w / 2
                     and h / 2 <= cy <= self.height - h / 2):
                 raise ConfigError(f"object {i} must start fully inside the frame")
+            # _reflect then bounces at most once per step
+            for axis, v, span in (("x", spec.velocity[0], (self.width - w / 2) - w / 2),
+                                  ("y", spec.velocity[1], (self.height - h / 2) - h / 2)):
+                if span > 0 and abs(v) > span:
+                    raise ConfigError(f"object {i} velocity on {axis} must not exceed "
+                                      f"its free span of {span:g} px")
 
 
 _SCENE = fields_of(SyntheticSceneConfig, objects=list_of(record(ObjectSpec)))

@@ -11,7 +11,6 @@ lazy_greedy_trace for when its picks equal naive greedy's.
 from __future__ import annotations
 
 import heapq
-import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from .images import read_image
 
 SIGNATURE_DIM = 512                # 8 bins per RGB channel
 DEFAULT_BUDGET = 500               # frames selected when no budget is given
-SIM_TILE_BYTES = 2 << 20           # largest temporary similarity_matrix makes
 SIM_PRECOMPUTE_BYTES = 512 << 20   # larger n x n matrices are not cached
 
 
@@ -42,38 +40,35 @@ def signature_from_image(img: np.ndarray) -> np.ndarray:
     return hist / hist.sum()
 
 
-def similarity_matrix(signatures: np.ndarray) -> np.ndarray:
-    """Pairwise similarity; beyond the n x n result it holds one small tile.
+def _similarity_row(sig: np.ndarray, j: int, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Write 1 - 0.5 * |sig - sig[j]|.sum(axis=1) into *out* and return it.
 
-    Square tiles of t x t pairs are computed through one reused
-    (t, t, d) difference buffer of at most SIM_TILE_BYTES (t >= 1, so a
-    single pair may exceed it).  Only tiles on or above the diagonal are
-    computed; each is mirrored into its lower counterpart.  The result
-    equals 1 - 0.5 * |s_i - s_j|.sum() bit for bit: fl(a - b) = -fl(b - a),
-    and each entry sums its own contiguous d-vector in numpy's pairwise
-    order whatever the tile shape.
+    *buf* is a C-ordered (len(sig), d) scratch buffer, so each entry sums
+    its own contiguous d-vector in numpy's pairwise order.
+    """
+    np.subtract(sig, sig[j], out=buf)
+    np.abs(buf, out=buf)
+    buf.sum(axis=1, out=out)
+    out *= -0.5
+    out += 1.0
+    return out
+
+
+def similarity_matrix(signatures: np.ndarray) -> np.ndarray:
+    """Pairwise similarity; beyond the n x n result it holds one buffer the
+    size of the signatures.
+
+    Row i is computed from item i on (_similarity_row) and mirrored into
+    column i.  The result equals 1 - 0.5 * |s_i - s_j|.sum() bit for bit,
+    and each row equals an on-demand row: fl(a - b) = -fl(b - a).
     """
     sig = np.asarray(signatures, dtype=float)
     n = sig.shape[0]
     out = np.empty((n, n))
-    if n == 0:
-        return out
-    d = sig.shape[1]
-    t = min(n, max(1, math.isqrt(SIM_TILE_BYTES // (8 * d))))
-    buf = np.empty((t, t, d))
-    for i0 in range(0, n, t):
-        i1 = min(i0 + t, n)
-        for j0 in range(i0, n, t):
-            j1 = min(j0 + t, n)
-            diff = buf[:i1 - i0, :j1 - j0]
-            np.subtract(sig[i0:i1, None, :], sig[None, j0:j1, :], out=diff)
-            np.abs(diff, out=diff)
-            tile = out[i0:i1, j0:j1]
-            diff.sum(axis=2, out=tile)
-            tile *= -0.5
-            tile += 1.0
-            if j0 != i0:
-                out[j0:j1, i0:i1] = tile.T
+    buf = np.empty(sig.shape)
+    for i in range(n):
+        row = _similarity_row(sig[i:], 0, out[i, i:], buf[:n - i])
+        out[i + 1:, i] = row[1:]
     return out
 
 
@@ -137,14 +132,14 @@ class _SimilarityModel:
 
     Construct from an explicit similarity matrix, or from signatures (rows
     are then derived; cached as a full matrix while its n * n * 8 bytes
-    stay within SIM_PRECOMPUTE_BYTES, else computed on demand).  gain_evals
-    counts marginal-gain evaluations.
+    stay within SIM_PRECOMPUTE_BYTES, else computed on demand through one
+    scratch buffer the size of the signatures).  gain_evals counts
+    marginal-gain evaluations.
     """
 
     def __init__(self, matrix=None, *, signatures=None):
         if (matrix is None) == (signatures is None):
             raise ValueError("provide exactly one of matrix or signatures")
-        self._sig = None
         if matrix is not None:
             m = np.asarray(matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -159,12 +154,13 @@ class _SimilarityModel:
             else:
                 self._S = None
                 self._sig = sig
+                self._buf = np.empty(sig.shape)
         self.gain_evals = 0
 
     def _row(self, j: int) -> np.ndarray:
         if self._S is not None:
             return self._S[j]
-        return 1.0 - 0.5 * np.abs(self._sig - self._sig[j]).sum(axis=1)
+        return _similarity_row(self._sig, j, np.empty(self.n), self._buf)
 
 
 class FacilityLocation(_SimilarityModel):
@@ -188,9 +184,7 @@ class SaturatedCoverage(_SimilarityModel):
         if not 0.0 < alpha <= 1.0:
             raise ConfigError("alpha must lie in (0, 1]")
         super().__init__(matrix, signatures=signatures)
-        totals = np.array([self._row(v).sum() for v in range(self.n)]) \
-            if self._S is None else self._S.sum(axis=1)
-        self._cap = alpha * totals
+        self._cap = alpha * np.array([self._row(v).sum() for v in range(self.n)])
 
     def new_state(self) -> np.ndarray:
         return np.zeros(self.n)  # accumulated coverage per item

@@ -132,6 +132,12 @@ def test_bounds_validation():
         AugmentationBounds(flip_probability=1.5)
     with pytest.raises(ConfigError):
         AugmentationBounds(max_shear=-0.2)
+    # shears this large once left apply_params' determinant to rounding:
+    # a division by zero, or garbage images
+    for shear in (1.0 + 1e-9, 1e100, 1e200, 1e300):
+        with pytest.raises(ConfigError, match=r"max_shear must lie in \[0, 1.0\]"):
+            AugmentationBounds(max_shear=shear)
+    assert AugmentationBounds(max_shear=1.0).max_shear == 1.0  # a 45-degree slant
     with pytest.raises(ConfigError):
         AugmentationBounds(color_scale=(1.1, 0.9))
     assert AugmentationBounds().max_rotation_deg == 10.0

@@ -35,7 +35,7 @@ from vigil.config import (
 from vigil.errors import ConfigError
 from vigil.tracker import TrackerConfig
 
-VALUES = [None, True, 0, -1, 2.5, "x", "", [], {}, [[1, 2]], {"a": 1}]
+VALUES = [None, True, 0, -1, 2.5, 1e-306, 1e300, -1e300, "x", "", [], {}, [[1, 2]], {"a": 1}]
 
 SCENE = {
     "width": 320, "height": 240, "fps": 10.0, "duration_frames": 20,
@@ -304,6 +304,43 @@ def test_non_finite_numbers_are_config_errors(workdir):
         assert _main(["synth", "--config", str(workdir / "bad-scene.json"), "--out",
                       str(workdir / "out"), "--quiet"]) == (
             2, "config error: scene.fps must be a finite number\n"), literal
+
+
+# one path into each number field of every config kind (integer fields
+# refuse 10**400 by kind already, and large values there count work)
+NUMBER_FIELDS = [
+    ("scene.json", ("fps",)), ("scene.json", ("jitter_sigma",)),
+    ("scene.json", ("miss_probability",)), ("scene.json", ("false_positives_per_frame",)),
+    ("scene.json", ("objects", 0, "center", 0)), ("scene.json", ("objects", 0, "velocity", 1)),
+    ("scene.json", ("objects", 1, "size", 0)),
+    ("rules.json", (0, "zone", "polygon", 1, 0)), ("rules.json", (1, "zone", 2, 1)),
+    ("rules.json", (3, "line", "p", 0)), ("rules.json", (4, "line", 1, 1)),
+    ("run-dump.json", ("tracker", "iou_min")),
+    ("summarize.json", ("alpha",)),
+    ("augment.json", ("bounds", "max_rotation_deg")),
+    ("augment.json", ("bounds", "flip_probability")), ("augment.json", ("bounds", "max_shear")),
+    ("augment.json", ("bounds", "color_scale", 1)), ("augment.json", ("bounds", "color_offset", 0)),
+    ("train-head.json", ("learning_rate",)), ("train-head.json", ("l2_lambda",)),
+    ("train-head.json", ("convergence_tol",)),
+    ("eval.json", ("iou_threshold",)),
+]
+
+
+@pytest.mark.parametrize("target,path", NUMBER_FIELDS,
+                         ids=[f"{t}-{'.'.join(map(str, p))}" for t, p in NUMBER_FIELDS])
+def test_an_integer_too_large_for_a_float_is_a_config_error(workdir, target, path):
+    # a 400-digit integer passed the finite check; in 14 of these fields it
+    # then overflowed (OverflowError, exit 4), in the rest a range check caught it
+    config = "run-dump.json" if target == "rules.json" else target
+    command = {"scene.json": "synth", "eval.json": "eval"}.get(target) or COMMANDS[target]
+    _write(workdir / target, _replaced(CONFIGS[target], path, 10 ** 400))
+    try:
+        code, err = _main([command, "--config", str(workdir / config),
+                           "--out", str(workdir / "out"), "--quiet"])
+    finally:
+        _write(workdir / target, CONFIGS[target])
+    assert code == 2 and err.startswith("config error: ") and err.endswith(
+        " must be a finite number\n"), err
 
 
 def test_config_the_decoder_refuses_is_a_config_error(workdir):

@@ -491,6 +491,9 @@ def test_zone_and_line_validation():
         Zone("z", bowtie)
     with pytest.raises(ConfigError, match="finite"):
         Zone("z", ((0.0, 0.0), (1.0, float("nan")), (1.0, 1.0)))
+    # an edge's squared length once overflowed (OverflowError, exit 4)
+    with pytest.raises(ConfigError, match="zone 'z': polygon is too large"):
+        Zone("z", ((-1e300, -1e300), (1e300, -1e300), (1e300, 1e300)))
     with pytest.raises(ConfigError):
         TripLine("l", (1.0, 2.0), (1.0, 2.0))
     with pytest.raises(ConfigError):

@@ -342,6 +342,27 @@ def test_scene_config_rejects_bad_values():
         small_scene(objects=(ObjectSpec("p", (100.0, 75.0), (0, 0), (300.0, 40.0)),))
 
 
+def test_scene_config_rejects_what_the_simulator_cannot_run():
+    # fps 1e-306 once overflowed the frame timestamps (exit 4)
+    with pytest.raises(ConfigError, match="fps is too small"):
+        small_scene(fps=1e-306)
+    assert simulate(small_scene(fps=1e-306, duration_frames=1)).frames[0].timestamp_ms == 0
+    # a speed of 1e300 px per frame once made _reflect loop forever; the free
+    # span is the frame less the object's size on that axis
+    spec = ObjectSpec("p", (40.0, 75.0), (0.0, 0.0), (20.0, 40.0))
+    for velocity, axis in [((1e300, 0.0), "x"), ((0.0, -1e300), "y"),
+                           ((180.5, 0.0), "x"), ((0.0, 110.5), "y")]:
+        with pytest.raises(ConfigError, match=f"object 0 velocity on {axis} must not exceed"):
+            small_scene(objects=(ObjectSpec("p", spec.center, velocity, spec.size),))
+    at_span = small_scene(duration_frames=50,
+                          objects=(ObjectSpec("p", spec.center, (-180.0, 110.0), spec.size),))
+    for (det,) in simulate(at_span).ground_truth:
+        b = det.bbox
+        assert 0.0 <= b.x1 and b.x2 <= 200.0 and 0.0 <= b.y1 and b.y2 <= 150.0
+    # an object as wide as the frame never moves on that axis, whatever its speed
+    simulate(small_scene(objects=(ObjectSpec("p", (100.0, 75.0), (1e300, 0.0), (200.0, 40.0)),)))
+
+
 def test_object_spec_validation():
     with pytest.raises(ConfigError):
         ObjectSpec("", (10, 10), (0, 0), (5, 5))

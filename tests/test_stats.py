@@ -146,7 +146,8 @@ def test_zone_boundary_counts_as_inside():
 def test_bad_zone_polygons_rejected():
     # zones are rules.Zone, so stats reject what rule zones reject
     for poly in ([(0, 0), (10, 0)],                      # under 3 vertices
-                 [(0, 0), (10, 10), (10, 0), (0, 10)]):  # a bow tie
+                 [(0, 0), (10, 10), (10, 0), (0, 10)],   # a bow tie
+                 [(0, -1e300), (1e300, 1e300), (-1e300, 1e300)]):  # edges overflow
         with pytest.raises(ConfigError):
             SceneStats(200, 100, zones=[("bad", poly)])
 

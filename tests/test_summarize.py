@@ -15,7 +15,6 @@ from vigil.errors import DataError
 from vigil.summarize import (
     DEFAULT_BUDGET,
     SIGNATURE_DIM,
-    SIM_TILE_BYTES,
     MODEL_KINDS,
     FacilityLocation,
     GroundSet,
@@ -115,10 +114,8 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n, d", [(0, 5), (1, 1), (2, 3), (7, 1), (7, 17),
                                   (13, 129), (13, 512)])
-@pytest.mark.parametrize("side", [1, 3, None])       # None: one tile for all
-def test_similarity_matrix_tiles_match_full_broadcast_bits(monkeypatch, n, d, side):
+def test_similarity_matrix_rows_match_full_broadcast_bits(n, d):
     sigs = _signatures(np.random.default_rng(100 * n + d), n, d)
-    monkeypatch.setattr(summarize, "SIM_TILE_BYTES", 8 * d * (side or n) ** 2)
     S = similarity_matrix(sigs)
     want = 1 - 0.5 * np.abs(sigs[:, None] - sigs[None]).sum(2)
     assert S.shape == (n, n)
@@ -135,7 +132,7 @@ def test_similarity_matrix_of_empty_ground_set():
         assert lazy_greedy_trace(model, 3) == []
 
 
-def test_similarity_matrix_memory_is_output_plus_one_tile():
+def test_similarity_matrix_memory_is_output_plus_one_signatures_buffer():
     n, d = 400, 512
     sigs = _signatures(np.random.default_rng(8), n, d)
     tracemalloc.start()
@@ -144,7 +141,7 @@ def test_similarity_matrix_memory_is_output_plus_one_tile():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < S.nbytes + SIM_TILE_BYTES + (256 << 10)
+    assert peak < S.nbytes + sigs.nbytes + (256 << 10)
 
 
 @pytest.mark.parametrize("model_cls", [FacilityLocation, SaturatedCoverage])
