@@ -37,7 +37,7 @@ from .config import (
     record,
     string,
 )
-from .errors import ConfigError, DataError, VigilError, make_out_dir, write_csv, write_json
+from .errors import ConfigError, DataError, make_out_dir, write_csv, write_json
 from .evaluation import EvalConfig, EvalDetections, evaluate_detections
 from .pipeline import load_pipeline_config
 from .pipeline import run as run_pipeline
@@ -301,9 +301,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except VigilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to exit 4
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

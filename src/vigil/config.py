@@ -74,7 +74,7 @@ def _kind(noun: str, test):
     return check
 
 
-def _finite(v) -> bool:
+def finite(v) -> bool:
     try:
         return math.isfinite(v)
     except OverflowError:  # an int beyond the float range
@@ -83,7 +83,7 @@ def _finite(v) -> bool:
 
 integer = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 number = _kind("a finite number", lambda v: isinstance(v, (int, float))
-               and not isinstance(v, bool) and _finite(v))
+               and not isinstance(v, bool) and finite(v))
 boolean = _kind("true or false", lambda v: isinstance(v, bool))
 string = _kind("a string", lambda v: isinstance(v, str))
 label = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")  # ids, classes

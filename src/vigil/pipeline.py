@@ -30,6 +30,7 @@ from ._version import __version__
 from .config import (
     REQUIRED,
     boolean,
+    finite,
     integer,
     json_object,
     parse,
@@ -121,6 +122,9 @@ def _parse_source(doc: dict, base_dir, cfg: PipelineConfig) -> None:
         cfg.frame_width, cfg.frame_height = source["width"], source["height"]
         if cfg.frame_width <= 0 or cfg.frame_height <= 0:
             raise ConfigError("source width/height must be positive")
+        for name in ("width", "height"):
+            if not finite(source[name]):
+                raise ConfigError(f"run config.source.{name} is too large for a float")
         return
     if (source["scene"] is None) == (source["scene_file"] is None):
         raise ConfigError("synthetic source requires exactly one of 'scene' or 'scene_file'")

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import REQUIRED, classes, fields_of, label, list_of, pair, parse, read_config
+from .config import (REQUIRED, classes, fields_of, label, list_of, pair, parse, read_config,
+                     string)
 from .errors import ConfigError, DataError
 from .geometry import (
     BoundingBox,
@@ -159,7 +160,7 @@ class Rule:
     debounce_ms: int = DEFAULT_DEBOUNCE_MS
     threshold_ms: Optional[int] = None      # Loiter
     min_count: Optional[int] = None         # Occupancy
-    comparator: str = ">="                  # Occupancy
+    comparator: Optional[str] = None        # Occupancy; ">=" when not given
 
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
@@ -169,6 +170,8 @@ class Rule:
             if given != (name in _KIND_FIELDS[self.kind]):
                 raise ConfigError(f"rule {self.id!r}: {self.kind} "
                                   f"{'takes no' if given else 'needs a'} {name}")
+        if self.comparator is not None and self.kind != "Occupancy":
+            raise ConfigError(f"rule {self.id!r}: {self.kind} takes no comparator")
         if self.debounce_ms < 0:
             raise ConfigError(f"rule {self.id!r}: debounce_ms must be >= 0")
         if self.kind == "Loiter" and self.threshold_ms <= 0:
@@ -176,6 +179,8 @@ class Rule:
         if self.kind == "Occupancy":
             if self.min_count <= 0:
                 raise ConfigError(f"rule {self.id!r}: Occupancy needs min_count > 0")
+            if self.comparator is None:
+                object.__setattr__(self, "comparator", ">=")
             if self.comparator not in _COMPARATORS:
                 raise ConfigError(
                     f"rule {self.id!r}: comparator must be one of "
@@ -356,15 +361,17 @@ class RuleEngine:
                         del starts[tid]  # a relevant track seen outside has left
 
         before.update(placed)
-        for ev in events:
-            self._last_emit[(ev.rule_id, ev.track_id)] = ev.timestamp_ms
         return events
 
     def _emit(self, events, rule, frame, ts, track_id, payload):
-        last = self._last_emit.get((rule.id, track_id))
+        # a (rule, track) emits at most once per frame, so no later check
+        # in this frame reads the time stored here
+        key = (rule.id, track_id)
+        last = self._last_emit.get(key)
         if last is None or ts - last >= rule.debounce_ms:
             events.append(AlertEvent(rule.id, track_id, frame.frame_id, ts,
                                      rule.kind, payload))
+            self._last_emit[key] = ts
 
     def _occupancy(self, rule, frame, ts, count, events):
         holds = _COMPARATORS[rule.comparator](count, rule.min_count)
@@ -396,7 +403,8 @@ def _line(value, where) -> dict:
 _ZONE = {"id": (label, None), "polygon": (list_of(pair), REQUIRED),
          "classes": (classes, None)}
 _LINE = {**fields_of(TripLine), "id": (label, None)}
-_RULE = fields_of(Rule, id=label, zone=_zone, line=_line, class_filter=classes)
+_RULE = fields_of(Rule, id=label, zone=_zone, line=_line, class_filter=classes,
+                  comparator=string)
 _RULE["classes"] = _RULE.pop("class_filter")
 
 

@@ -36,7 +36,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .config import fields_of, list_of, parse, read_config, record
+from .config import fields_of, finite, list_of, parse, read_config, record
 from .errors import ConfigError, DataError, DumpFormatError, decode_json, open_input
 from .geometry import (BoundingBox, Detection, FrameDetections, FrameMeta, confidence_in_range,
                        corners_ordered)
@@ -136,64 +136,60 @@ def read_dump(path) -> Iterator[FrameGroup]:
     Detection rules, so the frames and errors are those of the slow path
     alone.  A format error names *path* and the line.
     """
-
-    def gen():
-        meta = None
-        boxes: list = []
-        labels: list = []
-        confs: list = []
-        last_frame = None
-        with open_input(path, "r", encoding="utf-8") as fh:
-            try:
-                for line_no, raw in enumerate(fh, start=1):
-                    m = _DUMP_LINE.fullmatch(raw)
-                    if m is not None:
-                        fid, ts, label, x1, y1, x2, y2, conf = m.groups()
-                        box = (float(x1), float(y1), float(x2), float(y2))
-                        conf = float(conf)
-                        if math.isfinite(sum(box) + conf):
-                            fid, ts = int(fid), int(ts)
-                        else:
-                            m = None  # _parse_record reports the value
-                    if m is None:
-                        line = raw.strip()
-                        if not line:
-                            continue
-                        rec = _parse_record(path, line_no, line)
-                        fid, ts, label = rec["frame"], rec["ts_ms"], rec["class"]
-                        box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
-                               float(rec["y2"]))
-                        conf = float(rec["conf"])
-                    if last_frame is not None and fid < last_frame:
-                        raise DumpFormatError(
-                            path, line_no, f'"frame" {fid} decreases (previous {last_frame})')
-                    if fid < 0:
-                        raise DumpFormatError(path, line_no, f'"frame" must be >= 0, got {fid}')
-                    new_frame = meta is None or fid != meta.frame_id
-                    if meta is not None and new_frame and ts < meta.timestamp_ms:
-                        raise DumpFormatError(path, line_no, f'"ts_ms" {ts} decreases (previous '
-                                                             f'frame {meta.timestamp_ms})')
-                    frame = FrameMeta(fid, ts) if new_frame else meta
-                    if not (label and corners_ordered(*box) and confidence_in_range(conf)):
-                        try:  # a value Detection rejects: it raises the message
-                            Detection(frame, BoundingBox(*box), label, conf)
-                        except ValueError as exc:
-                            raise DumpFormatError(path, line_no, str(exc)) from exc
-                    if new_frame and meta is not None:
-                        yield meta, _batch(boxes, labels, confs)
-                        boxes, labels, confs = [], [], []
-                    meta = frame
-                    boxes.append(box)
-                    labels.append(label)
-                    confs.append(conf)
-                    last_frame = fid
-            except UnicodeDecodeError as exc:
-                # the loop decodes the file in chunks, so the line is not known
-                raise DataError(f"{path}: not UTF-8: {exc.reason}") from exc
-        if meta is not None:
-            yield meta, _batch(boxes, labels, confs)
-
-    return gen()
+    meta = None
+    boxes: list = []
+    labels: list = []
+    confs: list = []
+    last_frame = None
+    with open_input(path, "r", encoding="utf-8") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                m = _DUMP_LINE.fullmatch(raw)
+                if m is not None:
+                    fid, ts, label, x1, y1, x2, y2, conf = m.groups()
+                    box = (float(x1), float(y1), float(x2), float(y2))
+                    conf = float(conf)
+                    if math.isfinite(sum(box) + conf):
+                        fid, ts = int(fid), int(ts)
+                    else:
+                        m = None  # _parse_record reports the value
+                if m is None:
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    rec = _parse_record(path, line_no, line)
+                    fid, ts, label = rec["frame"], rec["ts_ms"], rec["class"]
+                    box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
+                           float(rec["y2"]))
+                    conf = float(rec["conf"])
+                if last_frame is not None and fid < last_frame:
+                    raise DumpFormatError(
+                        path, line_no, f'"frame" {fid} decreases (previous {last_frame})')
+                if fid < 0:
+                    raise DumpFormatError(path, line_no, f'"frame" must be >= 0, got {fid}')
+                new_frame = meta is None or fid != meta.frame_id
+                if meta is not None and new_frame and ts < meta.timestamp_ms:
+                    raise DumpFormatError(path, line_no, f'"ts_ms" {ts} decreases (previous '
+                                                         f'frame {meta.timestamp_ms})')
+                frame = FrameMeta(fid, ts) if new_frame else meta
+                if not (label and corners_ordered(*box) and confidence_in_range(conf)):
+                    try:  # a value Detection rejects: it raises the message
+                        Detection(frame, BoundingBox(*box), label, conf)
+                    except ValueError as exc:
+                        raise DumpFormatError(path, line_no, str(exc)) from exc
+                if new_frame and meta is not None:
+                    yield meta, _batch(boxes, labels, confs)
+                    boxes, labels, confs = [], [], []
+                meta = frame
+                boxes.append(box)
+                labels.append(label)
+                confs.append(conf)
+                last_frame = fid
+        except UnicodeDecodeError as exc:
+            # the loop decodes the file in chunks, so the line is not known
+            raise DataError(f"{path}: not UTF-8: {exc.reason}") from exc
+    if meta is not None:
+        yield meta, _batch(boxes, labels, confs)
 
 
 def _batch(boxes: list, labels: list, confs: list) -> FrameDetections:
@@ -258,6 +254,9 @@ class SyntheticSceneConfig:
         object.__setattr__(self, "objects", tuple(self.objects))
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("frame dimensions must be positive")
+        for name in ("width", "height"):  # the fit checks and simulate use floats
+            if not finite(getattr(self, name)):
+                raise ConfigError(f"{name} is too large for a float")
         if self.fps <= 0:
             raise ConfigError("fps must be positive")
         if self.duration_frames < 0:

@@ -4,17 +4,20 @@ All spatial statistics use the track's anchor point -- the bottom-center
 of its box (the foot point for ground-plane analytics).  The frame extent
 is divided into square cells; anchors on the far frame edge land in the
 last cell.  Flow displacements accrue to the cell of the previous anchor.
-Dwell uses frame timestamps, not frame counts.
+Dwell uses frame timestamps, not frame counts.  Each confirmed track has
+one record; the dwell and count reports are built from these records when
+written, first and last seen being its first and last observation.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import finite
 from .errors import ConfigError, DataError, write_csv, write_json
 from .geometry import FrameMeta
 # Not called here (zones are rules.Zone), but perfbench/tracing.py wraps
@@ -32,32 +35,26 @@ class GridSpec:
     def __post_init__(self):
         if self.cell_size < 1:
             raise ConfigError("cell_size must be >= 1")
+        if not finite(self.cell_size):  # _cell divides float anchors by it
+            raise ConfigError("cell_size is too large for a float")
 
     def dims(self, width: int, height: int) -> tuple[int, int]:
         """(cells_x, cells_y) covering a width x height frame."""
         return (-(-width // self.cell_size), -(-height // self.cell_size))
 
 
-@dataclass
-class DwellRecord:
-    track_id: int
-    class_label: str
-    first_seen_ms: int
-    last_seen_ms: int
-    zone_ms: dict = field(default_factory=dict)
+@dataclass(slots=True)
+class _Track:
+    """One confirmed track: its class, its observation timestamps (ascending,
+    so first and last seen are the ends), its dwell per zone id, and the
+    anchor, cell (``_cell(anchor)``) and zone ids of its last frame."""
 
-    @property
-    def total_ms(self) -> int:
-        return self.last_seen_ms - self.first_seen_ms
-
-
-@dataclass
-class _TrackTrace:
-    record: DwellRecord  # the one record of the track; last ts is last_seen_ms
-    timestamps: list  # observation ts_ms, ascending
-    last_anchor: tuple[float, float]
-    last_cell: Optional[tuple[int, int]]  # _cell(last_anchor)
-    last_zones: frozenset
+    label: str
+    timestamps: list
+    zone_ms: dict
+    anchor: tuple[float, float]
+    cell: Optional[tuple[int, int]]
+    zones: frozenset
 
 
 class SceneStats:
@@ -85,12 +82,16 @@ class SceneStats:
             zones = ZoneSet(z if isinstance(z, Zone) else Zone(*z) for z in zones or ())
         self.zones = zones
         gw, gh = self.grid.dims(width, height)
-        self.heat = np.zeros((gh, gw), dtype=np.int64)
-        self.flow_dx = np.zeros((gh, gw))
-        self.flow_dy = np.zeros((gh, gw))
-        self.flow_n = np.zeros((gh, gw), dtype=np.int64)
+        try:
+            self.heat = np.zeros((gh, gw), dtype=np.int64)
+            self.flow_dx = np.zeros((gh, gw))
+            self.flow_dy = np.zeros((gh, gw))
+            self.flow_n = np.zeros((gh, gw), dtype=np.int64)
+        except (ValueError, MemoryError) as exc:  # numpy refuses the grid
+            raise ConfigError(f"cell_size {self.grid.cell_size} gives a {gw} x {gh} cell "
+                              f"grid, which cannot be allocated: {exc}") from None
         self.observations = 0          # in-bounds anchor samples
-        self._traces: dict = {}        # track_id -> _TrackTrace
+        self._tracks: dict = {}        # track_id -> _Track
         self._last_frame: Optional[int] = None
 
     # -- ingestion --------------------------------------------------------
@@ -126,27 +127,23 @@ class SceneStats:
                 self.heat[cell[1], cell[0]] += 1
                 self.observations += 1
 
-            trace = self._traces.get(tid)
-            if trace is None:
-                record = DwellRecord(tid, label, ts, ts,
-                                     {zone.id: 0 for zone in self.zones.zones})
-                self._traces[tid] = _TrackTrace(
-                    record, [ts], anchor, cell, zones_now)
+            track = self._tracks.get(tid)
+            if track is None:
+                self._tracks[tid] = _Track(label, [ts], {zone.id: 0 for zone in self.zones.zones},
+                                           anchor, cell, zones_now)
             else:
-                prev_cell = trace.last_cell
+                prev_cell = track.cell
                 if prev_cell is not None:
-                    self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - trace.last_anchor[0]
-                    self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - trace.last_anchor[1]
+                    self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - track.anchor[0]
+                    self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - track.anchor[1]
                     self.flow_n[prev_cell[1], prev_cell[0]] += 1
-                rec = trace.record
-                interval = ts - rec.last_seen_ms
-                for zid in trace.last_zones & zones_now:
-                    rec.zone_ms[zid] = rec.zone_ms.get(zid, 0) + interval
-                rec.last_seen_ms = ts
-                trace.timestamps.append(ts)
-                trace.last_anchor = anchor
-                trace.last_cell = cell
-                trace.last_zones = zones_now
+                interval = ts - track.timestamps[-1]
+                for zid in track.zones & zones_now:
+                    track.zone_ms[zid] = track.zone_ms.get(zid, 0) + interval
+                track.timestamps.append(ts)
+                track.anchor = anchor
+                track.cell = cell
+                track.zones = zones_now
 
     # -- queries ----------------------------------------------------------
 
@@ -155,24 +152,13 @@ class SceneStats:
         if t0 > t1:
             raise ValueError("window start must not exceed its end")
         count = 0
-        for trace in self._traces.values():
-            if trace.record.class_label != class_label:
+        for track in self._tracks.values():
+            if track.label != class_label:
                 continue
-            i = bisect.bisect_left(trace.timestamps, t0)
-            if i < len(trace.timestamps) and trace.timestamps[i] <= t1:
+            i = bisect.bisect_left(track.timestamps, t0)
+            if i < len(track.timestamps) and track.timestamps[i] <= t1:
                 count += 1
         return count
-
-    def unique_counts_by_class(self) -> dict:
-        """Whole-run distinct track counts per class, labels sorted."""
-        counts: dict = {}
-        for trace in self._traces.values():
-            label = trace.record.class_label
-            counts[label] = counts.get(label, 0) + 1
-        return {k: counts[k] for k in sorted(counts)}
-
-    def dwell_report(self) -> list[DwellRecord]:
-        return [self._traces[tid].record for tid in sorted(self._traces)]
 
     def average_flow(self) -> tuple[np.ndarray, np.ndarray]:
         """(avg_dx, avg_dy) grids; cells without samples read 0."""
@@ -205,22 +191,31 @@ class SceneStats:
                               avg_dy[cy, cx].tolist(), self.flow_n[cy, cx].tolist())])
 
     def dwell_report_doc(self) -> dict:
+        """Each track's class, first, last and total seen ms and dwell per
+        zone id (ids sorted), by track id."""
         records = []
-        for rec in self.dwell_report():
+        for tid in sorted(self._tracks):
+            track = self._tracks[tid]
+            first, last = track.timestamps[0], track.timestamps[-1]
             records.append({
-                "track_id": rec.track_id,
-                "class": rec.class_label,
-                "first_seen_ms": rec.first_seen_ms,
-                "last_seen_ms": rec.last_seen_ms,
-                "total_ms": rec.total_ms,
-                "zone_ms": {k: rec.zone_ms[k] for k in sorted(rec.zone_ms)},
+                "track_id": tid,
+                "class": track.label,
+                "first_seen_ms": first,
+                "last_seen_ms": last,
+                "total_ms": last - first,
+                "zone_ms": {k: track.zone_ms[k] for k in sorted(track.zone_ms)},
             })
         return {"tracks": records}
 
     def counts_doc(self) -> dict:
+        """Whole-run distinct track counts per class (labels sorted), the
+        track total and the in-bounds anchor samples."""
+        per_class: dict = {}
+        for track in self._tracks.values():
+            per_class[track.label] = per_class.get(track.label, 0) + 1
         return {
-            "per_class": self.unique_counts_by_class(),
-            "total_tracks": len(self._traces),
+            "per_class": {k: per_class[k] for k in sorted(per_class)},
+            "total_tracks": len(self._tracks),
             "observations": int(self.observations),
         }
 

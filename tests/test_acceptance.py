@@ -506,17 +506,17 @@ def test_criterion_09_statistics_conservation():
         dwell_want = dwell_recount(
             log, [(zid, lambda p, poly=poly: point_in_polygon(p, poly))
                   for zid, poly in zones])
-        report = {rec.track_id: rec for rec in stats.dwell_report()}
+        report = {rec["track_id"]: rec for rec in stats.dwell_report_doc()["tracks"]}
         dwell_ok = set(report) == set(dwell_want) and all(
-            report[tid].first_seen_ms == w["first"]
-            and report[tid].last_seen_ms == w["last"]
-            and report[tid].total_ms == w["total"]
-            and report[tid].zone_ms == w["zones"]
+            report[tid]["first_seen_ms"] == w["first"]
+            and report[tid]["last_seen_ms"] == w["last"]
+            and report[tid]["total_ms"] == w["total"]
+            and report[tid]["zone_ms"] == w["zones"]
             for tid, w in dwell_want.items())
 
         last_ts = scene.frames[-1].timestamp_ms
         labels = sorted(set(class_of.values()))
-        counts_ok = stats.unique_counts_by_class() == {
+        counts_ok = stats.counts_doc()["per_class"] == {
             lab: unique_count_recount(log, class_of, lab, 0, last_ts)
             for lab in labels
             if unique_count_recount(log, class_of, lab, 0, last_ts)}

@@ -307,7 +307,8 @@ def test_non_finite_numbers_are_config_errors(workdir):
 
 
 # one path into each number field of every config kind (integer fields
-# refuse 10**400 by kind already, and large values there count work)
+# take 10**400 by kind: where they count work a large value is work, and
+# those that size a frame or grid are range-checked, in SIZE_FIELDS below)
 NUMBER_FIELDS = [
     ("scene.json", ("fps",)), ("scene.json", ("jitter_sigma",)),
     ("scene.json", ("miss_probability",)), ("scene.json", ("false_positives_per_frame",)),
@@ -341,6 +342,50 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(workdir, target, pat
         _write(workdir / target, CONFIGS[target])
     assert code == 2 and err.startswith("config error: ") and err.endswith(
         " must be a finite number\n"), err
+
+
+# the integer fields that size a frame or its grid count no work; 10**400
+# there once overflowed a float conversion or numpy's grid allocation (exit
+# 4).  (command, its --config, the file changed, field path, name in message)
+SIZE_FIELDS = [
+    ("synth", "scene.json", "scene.json", ("width",), "width"),
+    ("synth", "scene.json", "scene.json", ("height",), "height"),
+    ("run", "run-scene.json", "scene.json", ("width",), "width"),
+    ("run", "run-scene.json", "scene.json", ("height",), "height"),
+    ("run", "run-inline.json", "run-inline.json", ("source", "scene", "width"), "width"),
+    ("run", "run-dump.json", "run-dump.json", ("source", "width"), "run config.source.width"),
+    ("run", "run-dump.json", "run-dump.json", ("source", "height"), "run config.source.height"),
+    # its tracks confirm, so stats place anchors in cells
+    ("run", "run-dump.json", "run-dump.json", ("grid", "cell_size"), "cell_size"),
+]
+
+
+@pytest.mark.parametrize("command,config,target,path,name", SIZE_FIELDS,
+                         ids=[f"{c[0]}-{c[1]}-{'.'.join(c[3])}" for c in SIZE_FIELDS])
+def test_a_frame_or_grid_size_too_large_for_a_float_is_a_config_error(
+        workdir, command, config, target, path, name):
+    _write(workdir / target, _replaced(CONFIGS[target], path, 10 ** 400))
+    try:
+        code, err = _main([command, "--config", str(workdir / config),
+                           "--out", str(workdir / "out"), "--quiet"])
+    finally:
+        _write(workdir / target, CONFIGS[target])
+    assert (code, err) == (2, f"config error: {name} is too large for a float\n")
+
+
+def test_a_grid_numpy_refuses_is_a_config_error(workdir):
+    # 2**40 x 2**40 one-pixel cells: numpy refuses the shape itself, on any
+    # host and before allocating, where the run once exited 4
+    side = 2 ** 40
+    doc = copy.deepcopy(CONFIGS["run-dump.json"])
+    doc["source"].update(width=side, height=side)
+    doc["grid"] = {"cell_size": 1}
+    _write(workdir / "big-grid.json", doc)
+    code, err = _main(["run", "--config", str(workdir / "big-grid.json"),
+                       "--out", str(workdir / "out"), "--quiet"])
+    assert code == 2 and err.startswith(
+        f"config error: cell_size 1 gives a {side} x {side} cell grid, "
+        "which cannot be allocated: "), err
 
 
 def test_config_the_decoder_refuses_is_a_config_error(workdir):

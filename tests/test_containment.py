@@ -96,7 +96,8 @@ def test_prepared_containment_matches_point_in_polygon():
         tracks = [_track(i, p) for i, p in enumerate(points)]
         stats.ingest(FrameMeta(0, 0), tracks)
         stats.ingest(FrameMeta(1, 1000), tracks)
-        dwell = {rec.track_id: rec.zone_ms[name] for rec in stats.dwell_report()}
+        dwell = {rec["track_id"]: rec["zone_ms"][name]
+                 for rec in stats.dwell_report_doc()["tracks"]}
         placed = place(ZoneSet([zone]), tracks)
         for i, p in enumerate(points):
             want = point_in_polygon(p, zone.polygon)

@@ -477,6 +477,10 @@ def test_rule_validation():
         dict(kind="Occupancy", zone=Zone("z", SQUARE), min_count=1, line=line),
         dict(kind="Occupancy", zone=Zone("z", SQUARE), min_count=1,
              threshold_ms=1000),
+        # only Occupancy reads a comparator; the others once kept it silently
+        dict(kind="Intrusion", zone=Zone("z", SQUARE), comparator="<"),
+        dict(kind="Loiter", zone=Zone("z", SQUARE), threshold_ms=1000, comparator=">="),
+        dict(kind="LineCross", line=line, comparator="=="),
     ]
     for fields in ignored:
         with pytest.raises(ConfigError, match="takes no"):
@@ -529,6 +533,10 @@ def test_rules_from_doc():
     assert rules[2].zone.id == "linger.zone"
     assert rules[2].class_filter == frozenset({"person", "car"})
     assert rules[3].comparator == "<="
+    # an Occupancy without a comparator means >=
+    occupancy = dict(doc[3], id="crowd-default")
+    del occupancy["comparator"]
+    assert rules_from_doc([occupancy])[0].comparator == ">="
 
 
 def test_rules_from_doc_errors():

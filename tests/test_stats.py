@@ -75,10 +75,10 @@ def test_out_of_bounds_anchors_still_feed_dwell():
     stats.ingest(_frame(1, 700), [_at(4, 300.0, 40.0)])
     assert stats.observations == 0
     assert int(stats.heat.sum()) == 0
-    report = stats.dwell_report()
+    report = stats.dwell_report_doc()["tracks"]
     assert len(report) == 1
-    assert report[0].track_id == 4
-    assert report[0].total_ms == 700
+    assert report[0]["track_id"] == 4
+    assert report[0]["total_ms"] == 700
 
 
 def test_flow_accrues_to_previous_cell():
@@ -115,13 +115,13 @@ def test_dwell_hand_case():
     stats = SceneStats(200, 100)
     for f, ts in enumerate([0, 500, 1000, 1500, 2000]):
         stats.ingest(_frame(f, ts), [_at(9, 10.0, 10.0, label="car")])
-    rec = stats.dwell_report()[0]
-    assert rec.track_id == 9
-    assert rec.class_label == "car"
-    assert rec.first_seen_ms == 0
-    assert rec.last_seen_ms == 2000
-    assert rec.total_ms == 2000
-    assert rec.zone_ms == {}
+    rec = stats.dwell_report_doc()["tracks"][0]
+    assert rec["track_id"] == 9
+    assert rec["class"] == "car"
+    assert rec["first_seen_ms"] == 0
+    assert rec["last_seen_ms"] == 2000
+    assert rec["total_ms"] == 2000
+    assert rec["zone_ms"] == {}
 
 
 def test_zone_dwell_requires_both_endpoints_inside():
@@ -130,17 +130,17 @@ def test_zone_dwell_requires_both_endpoints_inside():
             (40.0, 40.0)]
     for f, (ax, ay) in enumerate(path):
         stats.ingest(_frame(f, f * 1000), [_at(2, ax, ay)])
-    rec = stats.dwell_report()[0]
+    rec = stats.dwell_report_doc()["tracks"][0]
     # inside->inside, inside->out, out->inside, inside->inside
-    assert rec.zone_ms == {"lobby": 2000}
-    assert rec.total_ms == 4000
+    assert rec["zone_ms"] == {"lobby": 2000}
+    assert rec["total_ms"] == 4000
 
 
 def test_zone_boundary_counts_as_inside():
     stats = SceneStats(200, 100, zones=[("lobby", ZONE_SQUARE)])
     stats.ingest(_frame(0, 0), [_at(3, 50.0, 25.0)])    # on the edge
     stats.ingest(_frame(1, 800), [_at(3, 50.0, 30.0)])  # still on it
-    assert stats.dwell_report()[0].zone_ms == {"lobby": 800}
+    assert stats.dwell_report_doc()["tracks"][0]["zone_ms"] == {"lobby": 800}
 
 
 def test_bad_zone_polygons_rejected():
@@ -163,7 +163,7 @@ def test_one_zone_id_names_one_zone():
     assert [z.id for z in stats.zones.zones] == ["a", "b"]
     stats.ingest(_frame(0, 0), [_at(1, 25.0, 25.0)])
     stats.ingest(_frame(1, 1000), [_at(1, 125.0, 25.0)])
-    assert stats.dwell_report()[0].zone_ms == {"a": 0, "b": 0}
+    assert stats.dwell_report_doc()["tracks"][0]["zone_ms"] == {"a": 0, "b": 0}
 
 
 def test_dwell_matches_recount_on_random_paths():
@@ -185,14 +185,14 @@ def test_dwell_matches_recount_on_random_paths():
     oracle = dwell_recount(
         log, [(zid, lambda p, poly=poly: point_in_polygon(p, poly))
               for zid, poly in zones])
-    report = {rec.track_id: rec for rec in stats.dwell_report()}
+    report = {rec["track_id"]: rec for rec in stats.dwell_report_doc()["tracks"]}
     assert set(report) == set(oracle)
     for tid, want in oracle.items():
         rec = report[tid]
-        assert rec.first_seen_ms == want["first"]
-        assert rec.last_seen_ms == want["last"]
-        assert rec.total_ms == want["total"]
-        assert rec.zone_ms == want["zones"]
+        assert rec["first_seen_ms"] == want["first"]
+        assert rec["last_seen_ms"] == want["last"]
+        assert rec["total_ms"] == want["total"]
+        assert rec["zone_ms"] == want["zones"]
 
 
 def test_unique_count_window():
@@ -257,8 +257,8 @@ def test_dwell_report_sorted_and_doc_shape():
                                         ("z1", ZONE_SQUARE)])
     for f, tid in enumerate((7, 3, 5)):
         stats.ingest(_frame(f, f * 100), [_at(tid, 10.0, 10.0)])
-    assert [rec.track_id for rec in stats.dwell_report()] == [3, 5, 7]
     doc = stats.dwell_report_doc()
+    assert [rec["track_id"] for rec in doc["tracks"]] == [3, 5, 7]
     assert list(doc) == ["tracks"]
     first = doc["tracks"][0]
     assert list(first) == ["track_id", "class", "first_seen_ms",
@@ -273,7 +273,7 @@ def test_only_confirmed_tracks_are_ingested():
         _at(2, 20.0, 20.0, status=TrackStatus.DELETED),
     ])
     assert stats.observations == 0
-    assert stats.dwell_report() == []
+    assert stats.dwell_report_doc() == {"tracks": []}
     assert stats.counts_doc()["total_tracks"] == 0
 
 
