@@ -89,6 +89,10 @@ class PipelineConfig:
 def _sink_address(host: str, port: int) -> tuple:
     if not 0 < port < 65536:  # the socket layer would take the port modulo 65536
         raise ConfigError("alert_sink.port must lie in [1, 65535]")
+    try:  # the resolver's IDNA step, which would raise at the first alert
+        host.encode("idna")
+    except UnicodeError as exc:
+        raise ConfigError(f"alert_sink.host {host!r} is not a valid host name: {exc}") from None
     return host, port
 
 

@@ -113,8 +113,9 @@ class TripLine:
     def __post_init__(self):
         object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
         object.__setattr__(self, "q", (float(self.q[0]), float(self.q[1])))
-        if self.p == self.q:
-            raise ConfigError(f"line {self.id!r}: endpoints coincide")
+        dx, dy = self.q[0] - self.p[0], self.q[1] - self.p[1]
+        if dx * dx + dy * dy == 0.0:  # crossing() divides by it
+            raise ConfigError(f"line {self.id!r}: endpoints coincide or are too close")
         if self.direction not in ("any", "left-to-right", "right-to-left"):
             raise ConfigError(f"line {self.id!r}: bad direction {self.direction!r}")
 
@@ -161,8 +162,16 @@ class Rule:
     threshold_ms: Optional[int] = None      # Loiter
     min_count: Optional[int] = None         # Occupancy
     comparator: Optional[str] = None        # Occupancy; ">=" when not given
+    # the class labels the rule applies to, its own filter intersected with
+    # its zone's, or None for all labels; worked out once here
+    classes: Optional[frozenset] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        classes = self.class_filter
+        zone_classes = self.zone.class_filter if self.zone is not None else None
+        if zone_classes is not None:
+            classes = zone_classes if classes is None else classes & zone_classes
+        object.__setattr__(self, "classes", classes)
         if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"rule {self.id!r}: unknown kind {self.kind!r}")
         for name in ("zone", "line", "threshold_ms", "min_count"):
@@ -185,13 +194,6 @@ class Rule:
                 raise ConfigError(
                     f"rule {self.id!r}: comparator must be one of "
                     f"{sorted(_COMPARATORS)}")
-
-    def applies_to(self, class_label: str) -> bool:
-        if self.class_filter is not None and class_label not in self.class_filter:
-            return False
-        if self.zone is not None and self.zone.class_filter is not None:
-            return class_label in self.zone.class_filter
-        return True
 
 
 @dataclass(frozen=True)
@@ -255,17 +257,13 @@ class RuleEngine:
     placed the frame's tracks over these zones (the pipeline shares it with
     :meth:`SceneStats.ingest`), and places *tracks* itself otherwise.
 
-    Each frame is indexed before any rule reads it:
-
-    * a per-label table holds, for each class label, whether each rule
-      applies to it; a label's row is filled the first time the label
-      appears, so ``applies_to`` runs once per (rule, label);
-    * per-zone member lists hold the frame's tracks in each zone id, in
-      track order, which Intrusion, Loiter and Occupancy read instead of
-      every track;
-    * LineCross works out the sides of a track's last and current anchors
-      as :func:`~vigil.geometry.segment_side` does and calls
-      :func:`crossing` only when their signs are strictly opposite.
+    A rule reads only the tracks whose class label is in its ``classes``
+    (every track when that is None).  Each frame is indexed once into
+    per-zone member lists, the frame's tracks in each zone id in track
+    order, which Intrusion, Loiter and Occupancy read instead of every
+    track.  LineCross works out the sides of a track's last and current
+    anchors as :func:`~vigil.geometry.segment_side` does and calls
+    :func:`crossing` only when their signs are strictly opposite.
 
     Per-track state is one map, ``track_id -> (class label, anchor, zone
     ids)`` as :func:`place` gave it the last time the track was confirmed:
@@ -285,7 +283,6 @@ class RuleEngine:
         self.prepared_zones = ZoneSet(r.zone for r in rules if r.zone is not None)
         self._last_frame: Optional[int] = None
         self._placed: dict = {}        # track_id -> place() record when last confirmed
-        self._applies: dict = {}       # class label -> applies_to per rule
         self._loiter_start: dict = {r.id: {} for r in rules
                                     if r.kind == "Loiter"}  # rule_id -> {track_id: entry ts}
         self._last_emit: dict = {}     # (rule_id, track_id|None) -> ts
@@ -302,27 +299,23 @@ class RuleEngine:
         if placed is None:
             placed = place(self.prepared_zones, tracks)
         before = self._placed
-        table = self._applies
         tids = list(placed)
         labels, anchors, zone_sets = list(zip(*placed.values())) or ((), (), ())
-        for label in set(labels) - table.keys():  # labels seen for the first time
-            table[label] = tuple(r.applies_to(label) for r in self.rules)
-        applies = list(map(table.__getitem__, labels))  # per track: its label's row
         members: dict = {}  # zone id -> indices of the tracks in it, in order
         for i in compress(range(len(tids)), zone_sets):
             for zid in zone_sets[i]:
                 members.setdefault(zid, []).append(i)
         events: list[AlertEvent] = []
 
-        for k, rule in enumerate(self.rules):
-            kind = rule.kind
+        for rule in self.rules:
+            kind, classes = rule.kind, rule.classes
             if kind == "LineCross":
                 line = rule.line
                 (px, py), (qx, qy) = line.p, line.q
                 dx, dy = qx - px, qy - py
-                for tid, anchor, row in zip(tids, anchors, applies):
+                for tid, label, anchor in zip(tids, labels, anchors):
                     prev = before.get(tid)
-                    if not (prev and row[k]):
+                    if not prev or (classes is not None and label not in classes):
                         continue
                     # both sides as segment_side computes them, inlined (two
                     # calls per rule and track cost more than the arithmetic);
@@ -338,8 +331,9 @@ class RuleEngine:
                                        {"direction": direction})
                 continue
             zid = rule.zone.id
-            in_zone = members.get(zid)
-            inside = [i for i in in_zone if applies[i][k]] if in_zone else ()
+            inside = members.get(zid, ())
+            if classes is not None:
+                inside = [i for i in inside if labels[i] in classes]
             if kind == "Occupancy":
                 self._occupancy(rule, frame, ts, len(inside), events)
             elif kind == "Intrusion":
@@ -357,7 +351,7 @@ class RuleEngine:
                         self._emit(events, rule, frame, ts, tids[i], {"dwell_ms": dwell})
                 for tid in starts.keys() & placed.keys() if starts else ():
                     label, _, zone_ids = placed[tid]
-                    if zid not in zone_ids and table[label][k]:
+                    if zid not in zone_ids and (classes is None or label in classes):
                         del starts[tid]  # a relevant track seen outside has left
 
         before.update(placed)

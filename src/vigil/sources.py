@@ -365,11 +365,10 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
             if not (spec.entry_frame <= f < last):
                 continue
             st = state[i]
+            w2, h2 = spec.size[0] / 2.0, spec.size[1] / 2.0
             if f > spec.entry_frame:
-                w2, h2 = spec.size[0] / 2.0, spec.size[1] / 2.0
                 st["cx"], st["vx"] = _reflect(st["cx"], st["vx"], w2, W - w2)
                 st["cy"], st["vy"] = _reflect(st["cy"], st["vy"], h2, H - h2)
-            w2, h2 = spec.size[0] / 2.0, spec.size[1] / 2.0
             box = BoundingBox(st["cx"] - w2, st["cy"] - h2, st["cx"] + w2, st["cy"] + h2)
             gt_frame.append(Detection(meta, box, spec.class_label, 1.0))
             active.append((i, box))

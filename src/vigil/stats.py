@@ -5,8 +5,9 @@ of its box (the foot point for ground-plane analytics).  The frame extent
 is divided into square cells; anchors on the far frame edge land in the
 last cell.  Flow displacements accrue to the cell of the previous anchor.
 Dwell uses frame timestamps, not frame counts.  Each confirmed track has
-one record; the dwell and count reports are built from these records when
-written, first and last seen being its first and last observation.
+one record, which keeps the :func:`vigil.rules.place` record of its last
+frame as it is; the dwell and count reports are built from these records
+when written, first and last seen being its first and last observation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .geometry import FrameMeta
 # vigil.stats.point_in_polygon, and its install() fails when the name is gone.
 from .geometry import point_in_polygon  # noqa: F401
 from .images import write_image
-from .rules import Zone, ZoneSet, place
+from .rules import ZoneSet, place
 from .tracker import Track
 
 
@@ -45,42 +46,37 @@ class GridSpec:
 
 @dataclass(slots=True)
 class _Track:
-    """One confirmed track: its class, its observation timestamps (ascending,
-    so first and last seen are the ends), its dwell per zone id, and the
-    anchor, cell (``_cell(anchor)``) and zone ids of its last frame."""
+    """One confirmed track: the ``(class label, anchor, zone ids)`` record
+    :func:`vigil.rules.place` gave its last frame, that frame's cell
+    (``_cell(anchor)``), its observation timestamps (ascending, so first
+    and last seen are the ends) and its dwell per zone id, holding only
+    the zones it has dwelt in."""
 
-    label: str
+    placed: tuple
+    cell: Optional[tuple[int, int]]
     timestamps: list
     zone_ms: dict
-    anchor: tuple[float, float]
-    cell: Optional[tuple[int, int]]
-    zones: frozenset
 
 
 class SceneStats:
     """Single-writer accumulator for one source's confirmed tracks.
 
-    Zones (for dwell attribution) are a :class:`vigil.rules.ZoneSet`, kept
-    as given, or a list of :class:`vigil.rules.Zone` objects or (zone_id,
-    polygon) pairs, made into Zones here, so a polygon with fewer than 3
-    vertices or one that self-intersects is a ConfigError.  An inter-frame
-    interval counts toward a zone when the anchors at both endpoints lie
-    inside it (edge-inclusive, as :func:`vigil.rules.place` tests it).
+    *zones* (for dwell attribution) is the :class:`vigil.rules.ZoneSet`
+    the tracks are placed over, kept as given (the pipeline passes the rule
+    engine's), or None for no zones.  An inter-frame interval counts toward
+    a zone when the anchors at both endpoints lie inside it (edge-inclusive,
+    as :func:`vigil.rules.place` tests it).
     """
 
     def __init__(self, width: int, height: int,
                  grid: Optional[GridSpec] = None,
-                 zones: Optional[list] = None):
+                 zones: Optional[ZoneSet] = None):
         if width <= 0 or height <= 0:
             raise ConfigError("frame dimensions must be positive")
         self.width = width
         self.height = height
         self.grid = grid if grid is not None else GridSpec()
-        # a ZoneSet is kept as given, so the pipeline's stats share the rule
-        # engine's zones instead of preparing and checking each polygon again
-        if not isinstance(zones, ZoneSet):
-            zones = ZoneSet(z if isinstance(z, Zone) else Zone(*z) for z in zones or ())
-        self.zones = zones
+        self.zones = zones if zones is not None else ZoneSet(())
         gw, gh = self.grid.dims(width, height)
         try:
             self.heat = np.zeros((gh, gw), dtype=np.int64)
@@ -121,7 +117,8 @@ class SceneStats:
         if placed is None:
             placed = place(self.zones, tracks)
 
-        for tid, (label, anchor, zones_now) in placed.items():
+        for tid, rec in placed.items():
+            _, anchor, zones_now = rec
             cell = self._cell(anchor)
             if cell is not None:
                 self.heat[cell[1], cell[0]] += 1
@@ -129,21 +126,20 @@ class SceneStats:
 
             track = self._tracks.get(tid)
             if track is None:
-                self._tracks[tid] = _Track(label, [ts], {zone.id: 0 for zone in self.zones.zones},
-                                           anchor, cell, zones_now)
+                self._tracks[tid] = _Track(rec, cell, [ts], {})
             else:
+                _, prev_anchor, prev_zones = track.placed
                 prev_cell = track.cell
                 if prev_cell is not None:
-                    self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - track.anchor[0]
-                    self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - track.anchor[1]
+                    self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - prev_anchor[0]
+                    self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - prev_anchor[1]
                     self.flow_n[prev_cell[1], prev_cell[0]] += 1
                 interval = ts - track.timestamps[-1]
-                for zid in track.zones & zones_now:
+                for zid in prev_zones & zones_now:
                     track.zone_ms[zid] = track.zone_ms.get(zid, 0) + interval
                 track.timestamps.append(ts)
-                track.anchor = anchor
+                track.placed = rec
                 track.cell = cell
-                track.zones = zones_now
 
     # -- queries ----------------------------------------------------------
 
@@ -153,7 +149,7 @@ class SceneStats:
             raise ValueError("window start must not exceed its end")
         count = 0
         for track in self._tracks.values():
-            if track.label != class_label:
+            if track.placed[0] != class_label:
                 continue
             i = bisect.bisect_left(track.timestamps, t0)
             if i < len(track.timestamps) and track.timestamps[i] <= t1:
@@ -191,19 +187,21 @@ class SceneStats:
                               avg_dy[cy, cx].tolist(), self.flow_n[cy, cx].tolist())])
 
     def dwell_report_doc(self) -> dict:
-        """Each track's class, first, last and total seen ms and dwell per
-        zone id (ids sorted), by track id."""
+        """Each track's class, first, last and total seen ms and dwell in
+        every zone of ``self.zones`` (ids sorted, 0 where it never dwelt),
+        by track id."""
+        zone_ids = sorted(zone.id for zone in self.zones.zones)
         records = []
         for tid in sorted(self._tracks):
             track = self._tracks[tid]
             first, last = track.timestamps[0], track.timestamps[-1]
             records.append({
                 "track_id": tid,
-                "class": track.label,
+                "class": track.placed[0],
                 "first_seen_ms": first,
                 "last_seen_ms": last,
                 "total_ms": last - first,
-                "zone_ms": {k: track.zone_ms[k] for k in sorted(track.zone_ms)},
+                "zone_ms": {k: track.zone_ms.get(k, 0) for k in zone_ids},
             })
         return {"tracks": records}
 
@@ -212,7 +210,7 @@ class SceneStats:
         track total and the in-bounds anchor samples."""
         per_class: dict = {}
         for track in self._tracks.values():
-            per_class[track.label] = per_class.get(track.label, 0) + 1
+            per_class[track.placed[0]] = per_class.get(track.placed[0], 0) + 1
         return {
             "per_class": {k: per_class[k] for k in sorted(per_class)},
             "total_tracks": len(self._tracks),

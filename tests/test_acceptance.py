@@ -29,7 +29,7 @@ from vigil.evaluation import EvalConfig, evaluate_detections
 from vigil.geometry import BoundingBox, Detection, FrameMeta, iou, point_in_polygon
 from vigil.pipeline import pipeline_config_from_dict, run
 from vigil.rng import Rng, derive_seed
-from vigil.rules import Rule, RuleEngine, TripLine, Zone
+from vigil.rules import Rule, RuleEngine, TripLine, Zone, ZoneSet
 from vigil.softmax import SoftmaxModel, TrainConfig, loss_and_grad, predict_batch, train
 from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
 from vigil.stats import GridSpec, SceneStats
@@ -486,7 +486,8 @@ def test_criterion_09_statistics_conservation():
                            (float(cfg.width), 2 * cfg.height / 3),
                            (0.0, 2 * cfg.height / 3)])]
         cell = rng.choice([8, 10, 16])
-        stats = SceneStats(cfg.width, cfg.height, GridSpec(cell), zones=zones)
+        stats = SceneStats(cfg.width, cfg.height, GridSpec(cell),
+                           zones=ZoneSet(Zone(zid, poly) for zid, poly in zones))
         tracker = SortTracker(TrackerConfig(min_hits=2, max_age=2))
         log, anchors, class_of = [], [], {}
         for meta, dets in zip(scene.frames, scene.noisy):

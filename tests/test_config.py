@@ -5,8 +5,8 @@ scene, rules, scene, summarize, augment, train-head, predict and eval) are
 written once.  Then every field, down to two levels of object fields, is
 replaced in turn by each value of ``VALUES``: every item of a list of
 objects (a list counts as no level), the first item of any other list,
-and ``vigil.cli.main`` runs the command in-process.  No run may exit 4 and
-no exception may escape ``main``.
+and ``vigil.cli.main`` runs the command in-process.  No run may exit 4,
+no exception may escape ``main`` and no run may outlast ``BUDGET_S``.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import vigil.cli
+from budget import hang_budget
 from vigil.config import (
     REQUIRED,
     boolean,
@@ -36,6 +37,7 @@ from vigil.errors import ConfigError
 from vigil.tracker import TrackerConfig
 
 VALUES = [None, True, 0, -1, 2.5, 1e-306, 1e300, -1e300, "x", "", [], {}, [[1, 2]], {"a": 1}]
+BUDGET_S = 5.0  # per fuzz run, which takes milliseconds
 
 SCENE = {
     "width": 320, "height": 240, "fps": 10.0, "duration_frames": 20,
@@ -60,6 +62,9 @@ RULES = [
     {"id": "gate", "kind": "LineCross",
      "line": {"id": "g", "p": [160, 0], "q": [160, 240], "direction": "any"}},
     {"id": "exit", "kind": "LineCross", "line": [[80, 0], [80, 240]]},
+    # q's x set to 1e-306 makes a line whose squared length underflows to 0,
+    # which the car's anchors (y 94 to 110) cross
+    {"id": "band", "kind": "LineCross", "line": {"p": [0, 100], "q": [320, 100]}},
 ]
 
 CONFIGS = {
@@ -185,8 +190,9 @@ def test_no_config_exits_4(workdir):
             for path in _paths(original, levels):
                 for value in VALUES:
                     _write(workdir / target, _replaced(original, path, value))
-                    code, err = _main([command, "--config", str(workdir / config),
-                                       "--out", str(workdir / "out"), "--quiet"])
+                    with hang_budget(BUDGET_S, (command, target, path, value)):
+                        code, err = _main([command, "--config", str(workdir / config),
+                                           "--out", str(workdir / "out"), "--quiet"])
                     runs += 1
                     if code == 4:
                         exits_4.append((command, target, path, value, err.strip()))
@@ -472,3 +478,22 @@ def test_kinds_of_lists_and_records():
         tracker({"warp": 1}, "tracker")
     assert fields_of(TrackerConfig) == {"iou_min": (number, 0.3), "max_age": (integer, 1),
                                         "min_hits": (integer, 3), "per_class": (boolean, True)}
+
+
+def test_a_line_too_short_or_a_host_the_resolver_refuses_is_a_config_error(workdir):
+    # each once exited 4 at the first crossing or alert of a run: a line
+    # whose squared length underflows to 0 (ZeroDivisionError in
+    # rules.crossing), and a host whose IDNA encoding fails (UnicodeError)
+    run_doc = {k: v for k, v in CONFIGS["run-dump.json"].items() if k != "rules_file"}
+    tiny = {"id": "tiny", "kind": "LineCross", "line": [[100, 0], [100, 1e-200]]}
+    _write(workdir / "tiny.json", {**run_doc, "rules": [tiny]})
+    assert _main(["run", "--config", str(workdir / "tiny.json"), "--out",
+                  str(workdir / "out"), "--quiet"]) == (
+        2, "config error: line 'tiny.line': endpoints coincide or are too close\n")
+    for host in ("x" * 70, "a..b", "."):
+        _write(workdir / "host.json", {**run_doc, "rules": RULES,
+                                       "alert_sink": {"host": host, "port": 9}})
+        code, err = _main(["run", "--config", str(workdir / "host.json"), "--out",
+                           str(workdir / "out"), "--quiet"])
+        assert code == 2 and err.startswith(
+            f"config error: alert_sink.host {host!r} is not a valid host name: "), err

@@ -92,13 +92,14 @@ def test_prepared_containment_matches_point_in_polygon():
         xs = [x for x, _ in zone.polygon]
         ys = [y for _, y in zone.polygon]
         points = _points(rng, zone.polygon)
-        stats = SceneStats(100, 100, zones=[(name, poly)])
+        zones = ZoneSet([zone])
+        stats = SceneStats(100, 100, zones=zones)
         tracks = [_track(i, p) for i, p in enumerate(points)]
         stats.ingest(FrameMeta(0, 0), tracks)
         stats.ingest(FrameMeta(1, 1000), tracks)
         dwell = {rec["track_id"]: rec["zone_ms"][name]
                  for rec in stats.dwell_report_doc()["tracks"]}
-        placed = place(ZoneSet([zone]), tracks)
+        placed = place(zones, tracks)
         for i, p in enumerate(points):
             want = point_in_polygon(p, zone.polygon)
             assert (name in placed[i][2]) == want, (name, p)
@@ -238,6 +239,30 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     in_both = [rec for rec in piped_dwell["tracks"]
                if rec["zone_ms"]["east"] and rec["zone_ms"]["middle"]]
     assert in_both
+
+
+def test_stats_share_the_rule_engines_placement_records():
+    # each track's stats record keeps the place() record of its last frame,
+    # the very tuple the rule engine holds for the track, not a copy
+    cfg = pipeline_config_from_dict(PIPELINE_DOC)
+    scene = simulate(dataclasses.replace(
+        cfg.scene, seed=derive_seed(cfg.seed, SCENE_SEED_LABEL)))
+    tracker = SortTracker(cfg.tracker)
+    engine = RuleEngine(list(cfg.rules))
+    stats = SceneStats(cfg.frame_width, cfg.frame_height, cfg.grid,
+                       zones=engine.prepared_zones)
+    shared = 0
+    for meta, dets in zip(scene.frames, scene.noisy):
+        confirmed = tracker.step(meta, dets)
+        placed = place(engine.prepared_zones, confirmed)
+        engine.evaluate(meta, confirmed, placed)
+        stats.ingest(meta, confirmed, placed)
+        for tid, rec in placed.items():
+            assert stats._tracks[tid].placed is rec is engine._placed[tid]
+            shared += 1
+    assert stats._tracks.keys() == engine._placed.keys()
+    assert all(stats._tracks[tid].placed is engine._placed[tid] for tid in stats._tracks)
+    assert shared > 100
 
 
 def _reach_pairs(tracks_jsonl, zones) -> Counter:

@@ -5,9 +5,9 @@ features CSV, a dump for ``run``, a predictions dump for ``eval``, an
 augment manifest, a PPM and a ``model.json``.  Each is then mutated by
 every token of ``TOKENS``, at a few seeded offsets, inserted there or
 written over the bytes there, and ``vigil.cli.main`` runs the command that
-reads it in-process.  Every run must exit 0, 2 or 3 and raise no warning,
-and a data error (exit 3) that cites a line or row must name the mutated
-file.
+reads it in-process.  Every run must exit 0, 2 or 3 within ``BUDGET_S``
+and raise no warning, and a data error (exit 3) that cites a line or row
+must name the mutated file.
 """
 
 import contextlib
@@ -20,10 +20,12 @@ import warnings
 import pytest
 
 import vigil.cli
+from budget import hang_budget
 
 TOKENS = [b"-0", b"1e400", b"nan", b"1_0", "١".encode(), b"\x00", b"\x1c", b'"',
           b"\r", b"9" * 5000, b"\xff", b"[" * 100_000]
 OFFSETS = 6  # seeded offsets per (input, token, insert or overwrite)
+BUDGET_S = 5.0  # per fuzz run, which takes milliseconds
 
 
 def _line(frame, cls, box, conf):
@@ -122,7 +124,8 @@ def test_no_input_exits_4(workdir, kind):
     try:
         for token, at, mode, mutated in _mutations(data, random.Random(kind)):
             (root / name).write_bytes(mutated)
-            code, err, caught = _main(argv)
+            with hang_budget(BUDGET_S, (kind, token[:8], len(token), at, mode)):
+                code, err, caught = _main(argv)
             codes.add(code)
             unnamed = (code == 3 and re.search(r"\b(?:line|row) \d", err)
                        and str(root / name) not in err)

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 import vigil.pipeline
+from budget import hang_budget
 from vigil._version import __version__
 from vigil.cli import main
 from vigil.errors import ConfigError
@@ -260,6 +261,7 @@ def test_dump_source_run(tmp_path):
     assert (out / TRACKS_FILE).stat().st_size > 0
 
 
+@hang_budget(10.0, "test_run_mirrors_alerts_to_the_sink")  # it takes well under a second
 def test_run_mirrors_alerts_to_the_sink(tmp_path, monkeypatch):
     # alert_sink streams every alert line to a TCP listener, which reads
     # until the run's sink.close() hangs up

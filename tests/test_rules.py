@@ -29,6 +29,7 @@ from vigil.rules import (
 )
 from vigil.tracker import TrackStatus
 
+from budget import hang_budget
 from oracles import ReferenceRuleEngine
 
 SQUARE = ((0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0))
@@ -250,13 +251,22 @@ def test_rule_class_filter():
 
 
 def test_zone_class_filter_intersects_rule_filter():
-    zone = Zone("z", SQUARE, class_filter=frozenset({"car", "person"}))
-    rule = Rule(id="both", kind="Intrusion", zone=zone,
-                class_filter=frozenset({"person", "bike"}), debounce_ms=0)
-    assert rule.applies_to("person")
-    assert not rule.applies_to("car")    # rule filter rejects
-    assert not rule.applies_to("bike")   # zone filter rejects
-    assert not rule.applies_to("truck")
+    def classes(rule_filter, zone_filter):
+        zone = Zone("z", SQUARE, class_filter=zone_filter)
+        return Rule(id="r", kind="Intrusion", zone=zone, class_filter=rule_filter).classes
+
+    car_person, person_bike = frozenset({"car", "person"}), frozenset({"person", "bike"})
+    both = classes(person_bike, car_person)
+    assert both == {"person"}
+    assert "car" not in both    # rule filter rejects
+    assert "bike" not in both   # zone filter rejects
+    assert "truck" not in both
+    assert classes(person_bike, None) == person_bike   # rule filter only
+    assert classes(None, car_person) == car_person     # zone filter only
+    assert classes(None, None) is None                 # every label
+    line = Rule(id="l", kind="LineCross", line=VLINE, class_filter=person_bike)
+    assert line.classes == person_bike
+    assert Rule(id="l", kind="LineCross", line=VLINE).classes is None
 
 
 # -- engine bookkeeping ------------------------------------------------------
@@ -500,6 +510,11 @@ def test_zone_and_line_validation():
         Zone("z", ((-1e300, -1e300), (1e300, -1e300), (1e300, 1e300)))
     with pytest.raises(ConfigError):
         TripLine("l", (1.0, 2.0), (1.0, 2.0))
+    # distinct endpoints whose squared distance underflows to 0 once made
+    # crossing() divide by zero (exit 4)
+    with pytest.raises(ConfigError, match="line 'l': endpoints coincide or are too close"):
+        TripLine("l", (100.0, 0.0), (100.0, 1e-200))
+    TripLine("l", (100.0, 0.0), (100.0, 1e-150))  # squares to a normal float
     with pytest.raises(ConfigError):
         TripLine("l", (0.0, 0.0), (1.0, 0.0), direction="upward")
 
@@ -605,10 +620,14 @@ def test_load_rules(tmp_path):
 # -- TCP sink ----------------------------------------------------------------
 
 
+SINK_BUDGET_S = 10.0  # each sink test takes well under a second
+
+
 def _event(i=0):
     return AlertEvent("r1", 5, i, i * 100, "Intrusion", {"n": i})
 
 
+@hang_budget(SINK_BUDGET_S, "test_tcp_sink_buffers_when_unreachable")
 def test_tcp_sink_buffers_when_unreachable(caplog):
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -641,6 +660,7 @@ def test_tcp_sink_buffers_when_unreachable(caplog):
     sink.close()
 
 
+@hang_budget(SINK_BUDGET_S, "test_tcp_sink_counts_dropped_alerts")
 def test_tcp_sink_counts_dropped_alerts(caplog):
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -660,6 +680,7 @@ def test_tcp_sink_counts_dropped_alerts(caplog):
     assert drops[1].endswith("dropped 5 alerts in total")
 
 
+@hang_budget(SINK_BUDGET_S, "test_tcp_sink_close_flushes_buffered_alerts")
 def test_tcp_sink_close_flushes_buffered_alerts():
     server = socket.socket()
     server.bind(("127.0.0.1", 0))  # bound but not listening: connects are refused
@@ -685,10 +706,12 @@ def test_tcp_sink_close_flushes_buffered_alerts():
     assert sink.dropped == 0
 
 
+@hang_budget(SINK_BUDGET_S, "test_tcp_sink_delivers_jsonl")
 def test_tcp_sink_delivers_jsonl():
     server = socket.socket()
     server.bind(("127.0.0.1", 0))
     server.listen(1)
+    server.settimeout(5.0)  # a failed test leaves no thread blocked in accept
     port = server.getsockname()[1]
     received = []
 

@@ -10,12 +10,18 @@ import pytest
 from vigil.errors import ConfigError, DataError
 from vigil.geometry import BoundingBox, FrameMeta, point_in_polygon
 from vigil.images import read_image
+from vigil.rules import Zone, ZoneSet
 from vigil.stats import GridSpec, SceneStats
 from vigil.tracker import TrackStatus
 
 from oracles import dwell_recount, heat_recount, unique_count_recount
 
 ZONE_SQUARE = [(0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0)]
+
+
+def _zones(*pairs):
+    """The ZoneSet of (zone id, polygon) pairs."""
+    return ZoneSet(Zone(zid, poly) for zid, poly in pairs)
 
 
 def _frame(i, ts):
@@ -125,7 +131,7 @@ def test_dwell_hand_case():
 
 
 def test_zone_dwell_requires_both_endpoints_inside():
-    stats = SceneStats(200, 100, zones=[("lobby", ZONE_SQUARE)])
+    stats = SceneStats(200, 100, zones=_zones(("lobby", ZONE_SQUARE)))
     path = [(10.0, 10.0), (20.0, 20.0), (80.0, 20.0), (30.0, 30.0),
             (40.0, 40.0)]
     for f, (ax, ay) in enumerate(path):
@@ -137,19 +143,20 @@ def test_zone_dwell_requires_both_endpoints_inside():
 
 
 def test_zone_boundary_counts_as_inside():
-    stats = SceneStats(200, 100, zones=[("lobby", ZONE_SQUARE)])
+    stats = SceneStats(200, 100, zones=_zones(("lobby", ZONE_SQUARE)))
     stats.ingest(_frame(0, 0), [_at(3, 50.0, 25.0)])    # on the edge
     stats.ingest(_frame(1, 800), [_at(3, 50.0, 30.0)])  # still on it
     assert stats.dwell_report_doc()["tracks"][0]["zone_ms"] == {"lobby": 800}
 
 
 def test_bad_zone_polygons_rejected():
-    # zones are rules.Zone, so stats reject what rule zones reject
+    # stats take their zones as a rules.ZoneSet, so they cannot be given
+    # a zone that rule zones reject
     for poly in ([(0, 0), (10, 0)],                      # under 3 vertices
                  [(0, 0), (10, 10), (10, 0), (0, 10)],   # a bow tie
                  [(0, -1e300), (1e300, 1e300), (-1e300, 1e300)]):  # edges overflow
         with pytest.raises(ConfigError):
-            SceneStats(200, 100, zones=[("bad", poly)])
+            _zones(("bad", poly))
 
 
 def test_one_zone_id_names_one_zone():
@@ -157,20 +164,33 @@ def test_one_zone_id_names_one_zone():
     # a 1,000 ms interval that no single zone held at both ends
     moved = [(x + 100.0, y) for x, y in ZONE_SQUARE]
     with pytest.raises(ConfigError, match="'a'"):
-        SceneStats(200, 100, zones=[("a", ZONE_SQUARE), ("a", moved)])
-    stats = SceneStats(200, 100, zones=[("a", ZONE_SQUARE), ("b", moved),
-                                        ("a", list(ZONE_SQUARE))])  # a repeat is one zone
+        _zones(("a", ZONE_SQUARE), ("a", moved))
+    stats = SceneStats(200, 100, zones=_zones(("a", ZONE_SQUARE), ("b", moved),
+                                              ("a", list(ZONE_SQUARE))))  # a repeat is one zone
     assert [z.id for z in stats.zones.zones] == ["a", "b"]
     stats.ingest(_frame(0, 0), [_at(1, 25.0, 25.0)])
     stats.ingest(_frame(1, 1000), [_at(1, 125.0, 25.0)])
     assert stats.dwell_report_doc()["tracks"][0]["zone_ms"] == {"a": 0, "b": 0}
 
 
+def test_zone_ms_holds_only_the_zones_a_track_dwelt_in():
+    # a track gains a zone id in its record once it dwells there; the dwell
+    # report still lists every zone, with 0 where the track never dwelt
+    moved = [(x + 100.0, y) for x, y in ZONE_SQUARE]
+    stats = SceneStats(200, 100, zones=_zones(("b", moved), ("a", ZONE_SQUARE)))
+    for f in range(3):
+        stats.ingest(_frame(f, f * 500), [_at(1, 75.0, 25.0), _at(2, 25.0, 25.0)])
+    assert stats._tracks[1].zone_ms == {}
+    assert stats._tracks[2].zone_ms == {"a": 1000}
+    assert [(rec["track_id"], rec["zone_ms"]) for rec in stats.dwell_report_doc()["tracks"]] == \
+        [(1, {"a": 0, "b": 0}), (2, {"a": 1000, "b": 0})]
+
+
 def test_dwell_matches_recount_on_random_paths():
     rng = random.Random(911)
     zones = [("a", ZONE_SQUARE),
              ("b", [(40.0, 20.0), (120.0, 20.0), (120.0, 90.0), (40.0, 90.0)])]
-    stats = SceneStats(160, 100, zones=zones)
+    stats = SceneStats(160, 100, zones=_zones(*zones))
     log = []
     for f in range(40):
         tracks = []
@@ -253,8 +273,7 @@ def test_counts_doc():
 
 
 def test_dwell_report_sorted_and_doc_shape():
-    stats = SceneStats(200, 100, zones=[("z2", ZONE_SQUARE),
-                                        ("z1", ZONE_SQUARE)])
+    stats = SceneStats(200, 100, zones=_zones(("z2", ZONE_SQUARE), ("z1", ZONE_SQUARE)))
     for f, tid in enumerate((7, 3, 5)):
         stats.ingest(_frame(f, f * 100), [_at(tid, 10.0, 10.0)])
     doc = stats.dwell_report_doc()
