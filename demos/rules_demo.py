@@ -10,7 +10,7 @@ deterministic.
 import json
 from types import SimpleNamespace
 
-from vigil.geometry import BoundingBox, FrameMeta
+from vigil.geometry import FrameMeta
 from vigil.rules import Rule, RuleEngine, TripLine, Zone, alert_record
 from vigil.tracker import TrackStatus
 
@@ -29,7 +29,7 @@ def walker(frame: int):
     # 10 px/frame eastward at 4 fps; anchor enters the zone at x=120
     x = 20.0 + 10.0 * frame
     return SimpleNamespace(track_id=1, class_label="person",
-                           bbox=BoundingBox(x - 8, 80.0, x + 8, 120.0),
+                           corners=[x - 8, 80.0, x + 8, 120.0],
                            status=TrackStatus.CONFIRMED)
 
 

@@ -33,17 +33,15 @@ def hungarian_assign(cost) -> list[tuple[int, int]]:
     if not np.isfinite(a).all():
         raise ValueError("cost matrix contains non-finite entries")
 
-    # Fast path: when every row minimum is strict and the argmin columns are
-    # all distinct, matching each row to its cheapest column attains the
-    # lower bound sum(row minima), so it is the unique optimum and neither
-    # the search nor the tie canonicalization below can change it.  (For
-    # m > n the same argument applies column-wise.)
+    # Fast path: the answer is forced, so neither the search nor the tie
+    # canonicalization below can change it (see _forced_matching).  For
+    # m > n the same argument applies column-wise.
     if m <= n:
-        cols = _strict_row_minima(a)
+        cols = _forced_matching(a)
         if cols is not None:
             return list(enumerate(cols))
     else:
-        rows = _strict_row_minima(a.T)
+        rows = _forced_matching(a.T)
         if rows is not None:
             return sorted((i, j) for j, i in enumerate(rows))
 
@@ -56,21 +54,77 @@ def hungarian_assign(cost) -> list[tuple[int, int]]:
     return sorted((i, row_to_col[i]) for i in range(m) if row_to_col[i] < n)
 
 
-def _strict_row_minima(a: np.ndarray):
-    """Per-row argmin columns, or None unless each row's minimum is attained
-    at exactly one column and no two rows share that column.
+def _tie_tolerance(a) -> float:
+    """The reduced cost up to which _canonicalize counts an edge as tight."""
+    return 1e-9 * max(1.0, float(np.abs(a).max()))
 
-    Plain lists: the tracker's matrices are a few rows wide, where numpy's
-    per-call overhead dominates.
+
+def _forced_matching(a: np.ndarray):
+    """The optimum's column for each row of an r x c matrix with r <= c,
+    when one pass over the rows shows it is forced; else None.
+
+    Strict minima: when every row's minimum is attained at exactly one
+    column and no two rows share that column, matching each row to it
+    attains the lower bound sum(row minima), so it is the unique optimum
+    (even where another value lies within _canonicalize's tolerance of a
+    minimum, which the full solve could count as a tie).
+
+    Constant rows: otherwise, the rows whose entries are all equal (a track
+    that overlaps nothing is 1.0 everywhere) are set aside.  When each other
+    row's minimum beats its second-smallest value by more than
+    tol = max(r, c) * eps, eps being _canonicalize's tie tolerance, and
+    those minima fall in distinct columns, each such row keeps its argmin
+    and the constant rows take the lowest free columns, in row order.  Why
+    that is what the solve and _canonicalize return:
+
+    - The matching above costs L = sum(minima) + sum(constants), and no
+      matching costs less, so L is the optimum.  One that moves a
+      non-constant row off its argmin costs more than L + tol.
+    - _canonicalize picks among the matchings of tight edges (reduced cost
+      <= eps under the solver's optimal duals u, v).  Each of their
+      max(r, c) edges adds at most eps to the dual bound, which is L, so
+      they cost at most L + tol: none moves a non-constant row.
+    - So the solver's matching gives the free columns (those no argmin
+      takes) to the constant rows, the zero-cost padding rows included.
+      For a constant row i of value k, u[i] + v[j] <= k for every column
+      with equality at its own, so its column has the largest v of all.
+      Every free column therefore has that same v, and every edge from a
+      constant row to a free column is exactly as tight as a matched edge.
+    - _canonicalize fixes the real rows in index order to their smallest
+      column that leaves a tight matching: a non-constant row its argmin,
+      a constant row the lowest free column not yet taken.
+
+    The tolerance leaves a margin far wider than the solver's rounding, and
+    a tie within it goes to the full solve.  Plain lists: the tracker's
+    matrices are a few rows wide, where numpy's per-call overhead dominates.
     """
+    rows = a.tolist()
+    width = len(rows[0])
     cols = []
-    for row in a.tolist():
+    constant = []  # indices of the rows whose entries are all equal
+    for i, row in enumerate(rows):
         low = min(row)
-        if row.count(low) != 1:
+        count = row.count(low)
+        if count == 1:
+            cols.append(row.index(low))
+        elif count == width:
+            constant.append(i)
+            cols.append(None)
+        else:
             return None
-        cols.append(row.index(low))
-    if len(set(cols)) != len(cols):
+    argmins = [j for j in cols if j is not None]
+    if len(set(argmins)) != len(argmins):
         return None
+    if not constant:
+        return cols
+    tol = max(len(rows), width) * _tie_tolerance(a)
+    for row, j in zip(rows, cols):
+        if j is not None and sorted(row)[1] - row[j] <= tol:
+            return None
+    taken = set(argmins)
+    free = (j for j in range(width) if j not in taken)
+    for i in constant:
+        cols[i] = next(free)
     return cols
 
 
@@ -149,7 +203,7 @@ def _canonicalize(a, u, v, row_to_col, m, n) -> None:
     unique-optimum case.
     """
     size = a.shape[0]
-    eps = 1e-9 * max(1.0, float(np.abs(a).max()))
+    eps = _tie_tolerance(a)
     tight = ((a - u[:, None] - v[None, :]) <= eps).tolist()
     for i, j in enumerate(row_to_col):
         tight[i][j] = True  # guard against float noise on matched edges

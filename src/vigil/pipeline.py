@@ -197,8 +197,7 @@ def track_line(frame: FrameMeta, track: Track, labels: dict) -> str:
     writes inf / nan where json.dumps writes Infinity / NaN, so a row with
     a non-finite coordinate goes through json.dumps.
     """
-    box = track.bbox
-    x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    x1, y1, x2, y2 = track.corners
     if not math.isfinite(x1 + y1 + x2 + y2):
         return json.dumps(track_record(frame, track)) + "\n"
     label = labels.get(track.class_label)

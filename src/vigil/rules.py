@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 from collections import deque
 from dataclasses import dataclass, field
@@ -114,8 +115,11 @@ class TripLine:
         object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
         object.__setattr__(self, "q", (float(self.q[0]), float(self.q[1])))
         dx, dy = self.q[0] - self.p[0], self.q[1] - self.p[1]
-        if dx * dx + dy * dy == 0.0:  # crossing() divides by it
+        length2 = dx * dx + dy * dy  # crossing() divides by it
+        if length2 == 0.0:
             raise ConfigError(f"line {self.id!r}: endpoints coincide or are too close")
+        if not math.isfinite(length2):  # crossing() would never fire
+            raise ConfigError(f"line {self.id!r}: endpoints are too far apart")
         if self.direction not in ("any", "left-to-right", "right-to-left"):
             raise ConfigError(f"line {self.id!r}: bad direction {self.direction!r}")
 
@@ -222,6 +226,10 @@ def place(zones: ZoneSet, tracks) -> dict:
     """track_id -> (class label, anchor, ids of the *zones* containing it)
     for the confirmed tracks in *tracks*, in their order.
 
+    A track is read through ``track_id``, ``class_label``, ``status`` and
+    ``corners``, its box as [x1, y1, x2, y2] (see
+    :class:`~vigil.tracker.Track`); its anchor is the box's bottom center,
+    ``(0.5 * (x1 + x2), y2)``, as :attr:`BoundingBox.anchor` computes it.
     All anchors are compared with all reach boxes in one comparison
     (edge-inclusive); only the (track, zone) pairs inside a box are ray
     cast, in that order.  Rules and statistics over the same frame and
@@ -229,7 +237,7 @@ def place(zones: ZoneSet, tracks) -> dict:
     once and each candidate pair is cast once.
     """
     confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
-    anchors = [t.bbox.anchor for t in confirmed]
+    anchors = [(0.5 * (x1 + x2), y2) for x1, _, x2, y2 in [t.corners for t in confirmed]]
     within = [frozenset()] * len(confirmed)
     if anchors and zones.zones:
         n = len(anchors)
@@ -291,6 +299,9 @@ class RuleEngine:
 
     def evaluate(self, frame: FrameMeta, tracks: list[Track],
                  placed: Optional[dict] = None) -> list[AlertEvent]:
+        """The frame's alerts.  *tracks* is read only through :func:`place`,
+        so each needs ``track_id``, ``class_label``, ``status`` and
+        ``corners``; with *placed* given it is not read at all."""
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")

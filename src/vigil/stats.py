@@ -36,7 +36,7 @@ class GridSpec:
     def __post_init__(self):
         if self.cell_size < 1:
             raise ConfigError("cell_size must be >= 1")
-        if not finite(self.cell_size):  # _cell divides float anchors by it
+        if not finite(self.cell_size):  # ingest divides float anchors by it
             raise ConfigError("cell_size is too large for a float")
 
     def dims(self, width: int, height: int) -> tuple[int, int]:
@@ -47,8 +47,8 @@ class GridSpec:
 @dataclass(slots=True)
 class _Track:
     """One confirmed track: the ``(class label, anchor, zone ids)`` record
-    :func:`vigil.rules.place` gave its last frame, that frame's cell
-    (``_cell(anchor)``), its observation timestamps (ascending, so first
+    :func:`vigil.rules.place` gave its last frame, that frame's cell (or
+    None outside the frame), its observation timestamps (ascending, so first
     and last seen are the ends) and its dwell per zone id, holding only
     the zones it has dwelt in."""
 
@@ -92,14 +92,6 @@ class SceneStats:
 
     # -- ingestion --------------------------------------------------------
 
-    def _cell(self, anchor) -> Optional[tuple[int, int]]:
-        ax, ay = anchor
-        if not (0.0 <= ax <= self.width and 0.0 <= ay <= self.height):
-            return None
-        cs = self.grid.cell_size
-        gh, gw = self.heat.shape
-        return (min(int(ax // cs), gw - 1), min(int(ay // cs), gh - 1))
-
     def ingest(self, frame: FrameMeta, tracks: list[Track],
                placed: Optional[dict] = None) -> None:
         """Fold one frame's confirmed tracks into the statistics.
@@ -107,7 +99,9 @@ class SceneStats:
         The frame is read from *placed* alone, :func:`vigil.rules.place`
         over this frame's tracks and zones with the same ids and polygons as
         ``self.zones`` (the pipeline passes the one it gave
-        :meth:`RuleEngine.evaluate`); when omitted, it is computed here.
+        :meth:`RuleEngine.evaluate`); when omitted, it is computed here,
+        and each track needs what ``place`` reads: ``track_id``,
+        ``class_label``, ``status`` and ``corners``.
         """
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
@@ -117,12 +111,21 @@ class SceneStats:
         if placed is None:
             placed = place(self.zones, tracks)
 
+        # an anchor's cell (cell_x, cell_y), or None outside the frame; the
+        # far frame edge lands in the last cell
+        width, height = self.width, self.height
+        cs = self.grid.cell_size
+        gh, gw = self.heat.shape
+        last_x, last_y = gw - 1, gh - 1
         for tid, rec in placed.items():
             _, anchor, zones_now = rec
-            cell = self._cell(anchor)
-            if cell is not None:
+            ax, ay = anchor
+            if 0.0 <= ax <= width and 0.0 <= ay <= height:
+                cell = (min(int(ax // cs), last_x), min(int(ay // cs), last_y))
                 self.heat[cell[1], cell[0]] += 1
                 self.observations += 1
+            else:
+                cell = None
 
             track = self._tracks.get(tid)
             if track is None:
@@ -131,8 +134,8 @@ class SceneStats:
                 _, prev_anchor, prev_zones = track.placed
                 prev_cell = track.cell
                 if prev_cell is not None:
-                    self.flow_dx[prev_cell[1], prev_cell[0]] += anchor[0] - prev_anchor[0]
-                    self.flow_dy[prev_cell[1], prev_cell[0]] += anchor[1] - prev_anchor[1]
+                    self.flow_dx[prev_cell[1], prev_cell[0]] += ax - prev_anchor[0]
+                    self.flow_dy[prev_cell[1], prev_cell[0]] += ay - prev_anchor[1]
                     self.flow_n[prev_cell[1], prev_cell[0]] += 1
                 interval = ts - track.timestamps[-1]
                 for zid in prev_zones & zones_now:

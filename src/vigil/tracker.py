@@ -11,7 +11,9 @@ The tracker owns one KalmanBoxFilter stack whose row i is the state of
 tracks[i].  A step makes one predict over all rows, one update over the
 matched rows, one compaction that drops the deleted rows and one add for
 the new tracks, and computes all boxes at once: the predictions for
-association, then each live track's end-of-step box.
+association, then each live track's end-of-step corners, kept as the plain
+row [x1, y1, x2, y2] that the frame loop's tail (track rows, placement)
+reads; Track.bbox builds a BoundingBox from it only when asked.
 """
 
 from __future__ import annotations
@@ -50,37 +52,42 @@ class TrackerConfig:
 
 
 class Track:
-    """A track's identity, lifecycle and box; its Kalman state is the row of
-    the owning tracker's KalmanBoxFilter at the track's index in
-    SortTracker.tracks."""
+    """A track's identity, lifecycle and corners; its Kalman state is the
+    row of the owning tracker's KalmanBoxFilter at the track's index in
+    SortTracker.tracks.
 
-    __slots__ = ("track_id", "class_label", "status", "hits", "misses", "_bbox")
+    ``corners`` is the box of that state at the end of the last step, as
+    the list [x1, y1, x2, y2] of kalman.corners' row, which keeps
+    BoundingBox's corner rule (no x1 > x2, no y1 > y2).
+    """
 
-    def __init__(self, track_id: int, class_label: str, bbox: BoundingBox | None = None):
+    __slots__ = ("track_id", "class_label", "status", "hits", "misses", "corners")
+
+    def __init__(self, track_id: int, class_label: str, corners: list | None = None):
         self.track_id = track_id
         self.class_label = class_label
         self.status = TrackStatus.TENTATIVE
         self.hits = 0                 # consecutive matches since the last miss
         self.misses = 0               # consecutive misses since the last match
-        self._bbox = bbox
+        self.corners = corners
 
     @property
     def bbox(self) -> BoundingBox:
         """The box of the track's state at the end of the last step."""
-        return self._bbox
+        return BoundingBox(*self.corners)
 
 
 def track_record(frame: FrameMeta, track: Track) -> dict:
     """One JSONL output row for a track at a frame (fixed key order)."""
-    box = track.bbox
+    x1, y1, x2, y2 = track.corners
     return {
         "frame": frame.frame_id,
         "track_id": track.track_id,
         "class": track.class_label,
-        "x1": box.x1,
-        "y1": box.y1,
-        "x2": box.x2,
-        "y2": box.y2,
+        "x1": x1,
+        "y1": y1,
+        "x2": x2,
+        "y2": y2,
         "status": track.status.value,
     }
 
@@ -153,8 +160,8 @@ class SortTracker:
                 tracks.append(Track(self._next_id, detections.labels[di]))
                 self._next_id += 1
 
-        for t, box in zip(tracks, kf.boxes().tolist()):
-            t._bbox = BoundingBox(*box)
+        for t, row in zip(tracks, kf.boxes().tolist()):
+            t.corners = row
         self.tracks = tracks
         return [t for t in tracks if t.status is TrackStatus.CONFIRMED]
 

@@ -600,13 +600,20 @@ def zone_contains_reference(zone, point) -> bool:
             and point_in_polygon(point, zone.polygon, zone.edges))
 
 
+def reference_anchor(track):
+    """The anchor of a track's ``corners``, as BoundingBox computes it."""
+    from vigil.geometry import BoundingBox
+
+    return BoundingBox(*track.corners).anchor
+
+
 def reference_place(zones, tracks) -> dict:
     """track_id -> (class label, anchor, ids of the *zones* containing it)
     for the confirmed tracks in *tracks*, in their order; *zones* is a list."""
     placed = {}
     for track in tracks:
         if track.status.value == "Confirmed":
-            anchor = track.bbox.anchor
+            anchor = reference_anchor(track)
             placed[track.track_id] = (
                 track.class_label, anchor,
                 frozenset(z.id for z in zones if zone_contains_reference(z, anchor)))
@@ -665,7 +672,7 @@ class ReferenceRuleEngine:
             relevant = [t for t in confirmed if _ref_applies(rule, t.class_label)]
             if rule.kind == "Occupancy":
                 count = sum(1 for t in relevant
-                            if zone_contains_reference(rule.zone, t.bbox.anchor))
+                            if zone_contains_reference(rule.zone, reference_anchor(t)))
                 holds = _REF_COMPARATORS[rule.comparator](count, rule.min_count)
                 armed = not self._occupancy_on[rule.id]
                 self._occupancy_on[rule.id] = holds
@@ -674,7 +681,7 @@ class ReferenceRuleEngine:
                 continue
             for t in relevant:
                 key = (rule.id, t.track_id)
-                anchor = t.bbox.anchor
+                anchor = reference_anchor(t)
                 if rule.kind == "LineCross":
                     prev = self._prev_anchor.get(key)
                     self._prev_anchor[key] = anchor

@@ -415,7 +415,7 @@ def _walking_track(tid, ax, ay):
     from types import SimpleNamespace
     from vigil.tracker import TrackStatus
     return SimpleNamespace(track_id=tid, class_label="person",
-                           bbox=BoundingBox(ax - 5, ay - 10, ax + 5, ay),
+                           corners=[ax - 5, ay - 10, ax + 5, ay],
                            status=TrackStatus.CONFIRMED)
 
 

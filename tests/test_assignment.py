@@ -158,3 +158,152 @@ def test_solver_matches_numpy_scalar_solver_bit_for_bit(monkeypatch):
     pairs = [hungarian_assign(cost) for cost in cases]
     monkeypatch.setattr(vigil.assignment, "_solve_square", solve_square_numpy_scalars)
     assert [hungarian_assign(cost) for cost in cases] == pairs
+
+
+# -- the forced-matching fast path ---------------------------------------------
+
+
+def _solved(cost):
+    """The pairs of the full solve: _solve_square, then _canonicalize."""
+    a = np.asarray(cost, dtype=float)
+    m, n = a.shape
+    padded = _padded(a)
+    u, v, row_to_col = vigil.assignment._solve_square(padded)
+    vigil.assignment._canonicalize(padded, u, v, row_to_col, m, n)
+    return sorted((i, row_to_col[i]) for i in range(m) if row_to_col[i] < n)
+
+
+def _lines(a):
+    """The matrix the fast path reads: rows, or columns when m > n."""
+    return a if a.shape[0] <= a.shape[1] else a.T
+
+
+def _strict_minima(a):
+    """Every line's minimum attained once, at distinct columns: the one case
+    the fast path returned before it took constant lines."""
+    lines = _lines(a)
+    cols = lines.argmin(axis=1)
+    return ((lines == lines.min(axis=1)[:, None]).sum(axis=1) == 1).all() \
+        and len(set(cols.tolist())) == len(cols)
+
+
+def _with_constant_lines(gen, a):
+    """*a* with one to three rows or columns set to one value each."""
+    a = a.copy()
+    for _ in range(gen.integers(1, 4)):
+        value = gen.choice([0.0, 1.0, 2.5, 7.0, -1.0, 1e6])
+        if gen.random() < 0.5:
+            a[gen.integers(0, a.shape[0]), :] = value
+        else:
+            a[:, gen.integers(0, a.shape[1])] = value
+    return a
+
+
+def _near_ties(gen, a, factors):
+    """*a* with each row's (or column's, when m > n) minimum echoed in a
+    second cell at the minimum plus factor * the fast path's tolerance."""
+    a = a.copy()
+    lines = _lines(a)  # a view: writes go to a
+    m, n = a.shape
+    tol = max(m, n) * 1e-9 * max(1.0, float(np.abs(a).max()))
+    for row in lines:
+        j, k = int(row.argmin()), int(gen.integers(0, len(row)))
+        if j != k:
+            row[k] = row[j] + gen.choice(factors) * tol
+    return a
+
+
+def _forced_pool():
+    gen = np.random.default_rng(42)
+    pool = []
+    for k in range(3000):
+        m, n = sorted(int(x) for x in gen.integers(1, 10, size=2))
+        m, n = ((m, n), (m, m), (n, m))[k % 3]  # m <= n, m = n, m >= n in turn
+        kind = k % 4
+        if kind == 0:  # sparse 1 - IoU: most cells exactly 1.0
+            a = np.ones((m, n))
+            hit = gen.random((m, n)) < 0.25
+            a[hit] = gen.random(int(hit.sum()))
+        elif kind == 1:  # integer ties
+            a = gen.integers(0, 4, size=(m, n)).astype(float)
+        elif kind == 2:  # dense costs, scaled
+            a = gen.random((m, n)) * 10.0 ** int(gen.integers(-3, 6))
+        else:  # a background of one value, a few other cells
+            a = np.full((m, n), gen.choice([0.0, 1.0, -3.0]))
+            hit = gen.random((m, n)) < 0.3
+            a[hit] = gen.integers(-2, 3, size=int(hit.sum()))
+        a = _with_constant_lines(gen, a)
+        if k % 5 == 0:  # just above and just below the tolerance
+            a = _near_ties(gen, a, [0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
+        pool.append(a)
+    return pool
+
+
+def test_forced_matchings_equal_the_full_solve(monkeypatch):
+    pool = _forced_pool()
+    want = [_solved(a) for a in pool]
+    solves = []
+    solve = vigil.assignment._solve_square
+
+    def counted(a):
+        solves.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(vigil.assignment, "_solve_square", counted)
+    skipped = {"m < n": 0, "m = n": 0, "m > n": 0}
+    for k, a in enumerate(pool):
+        before = len(solves)
+        got = hungarian_assign(a)
+        if _strict_minima(a):
+            lines = _lines(a)
+            strict = list(enumerate(lines.argmin(axis=1).tolist()))
+            assert got == (strict if lines is a else sorted((i, j) for j, i in strict)), k
+            continue
+        assert got == want[k], (k, a.tolist())
+        if len(solves) == before:
+            m, n = a.shape
+            skipped["m < n" if m < n else "m = n" if m == n else "m > n"] += 1
+    # every shape takes the new path often, and the near ties reach the solve
+    assert min(skipped.values()) > 100, skipped
+    assert len(solves) > 300
+
+
+def test_forced_matchings_match_bruteforce():
+    # integer and dyadic costs sum exactly, so brute force sees exact ties
+    gen = np.random.default_rng(6)
+    taken = 0
+    for k in range(600):
+        m, n = (int(x) for x in gen.integers(1, 7, size=2))
+        if k % 2:
+            a = gen.integers(0, 5, size=(m, n)).astype(float)
+        else:
+            a = np.ones((m, n))
+            hit = gen.random((m, n)) < 0.3
+            a[hit] = gen.integers(0, 1024, size=int(hit.sum())) / 1024.0
+        a = _with_constant_lines(gen, a)
+        cost = a.tolist()
+        taken += not _strict_minima(a) and vigil.assignment._forced_matching(_lines(a)) is not None
+        assert hungarian_assign(cost) == assignment_bruteforce(cost, tie_eps=0.0)[1], (k, cost)
+    assert taken > 100
+
+
+def test_a_forced_matrix_with_a_constant_line_is_not_solved(monkeypatch):
+    # track 1 overlaps nothing (a row of 1.0); its transpose is a detection
+    # that nothing overlaps (a column of 1.0)
+    cost = [[0.9, 1.0, 0.2, 1.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [1.0, 0.1, 1.0, 0.95]]
+    want = [(0, 2), (1, 0), (2, 1)]
+    assert _solved(cost) == want
+    assert _solved(np.array(cost).T) == sorted((j, i) for i, j in want)
+
+    def no_solve(a):
+        raise AssertionError("solved a forced matrix")
+
+    monkeypatch.setattr(vigil.assignment, "_solve_square", no_solve)
+    assert hungarian_assign(cost) == want
+    assert hungarian_assign(np.array(cost).T) == sorted((j, i) for i, j in want)
+    # two constant rows take the free columns in row order, around the argmins
+    cost = [[5.0] * 5, [1.0, 1.0, 1.0, 0.0, 1.0], [2.0] * 5, [0.5, 1.0, 1.0, 1.0, 1.0]]
+    assert hungarian_assign(cost) == [(0, 1), (1, 3), (2, 2), (3, 0)]
+    assert hungarian_assign(np.array(cost).T) == [(0, 3), (1, 0), (2, 2), (3, 1)]

@@ -94,6 +94,13 @@ CONFIGS = {
                   "width": 320, "height": 240},
 }
 
+# fuzz runs whose exit the fuzz checks: a line whose squared length
+# overflows (each coordinate below moves an endpoint 1e300 away) once ran
+# and never fired
+FUZZ_EXITS = {("rules.json", path, value): 2
+              for path in ((3, "line", "p", 0), (4, "line", 0, 0), (5, "line", "p", 0))
+              for value in (1e300, -1e300)}
+
 # (command, its --config, the file whose fields are replaced, object levels)
 CASES = [
     ("synth", "scene.json", "scene.json", 2),
@@ -183,7 +190,7 @@ def test_no_config_exits_4(workdir):
         code, err = _main([command, "--config", str(workdir / config),
                            "--out", str(workdir / "out"), "--quiet"])
         assert code == 0, (command, config, err)
-    runs, exits_4 = 0, []
+    runs, exits_4, checked = 0, [], {}
     for command, config, target, levels in CASES:
         original = CONFIGS[target]
         try:
@@ -196,10 +203,13 @@ def test_no_config_exits_4(workdir):
                     runs += 1
                     if code == 4:
                         exits_4.append((command, target, path, value, err.strip()))
+                    if isinstance(value, float) and (target, path, value) in FUZZ_EXITS:
+                        checked[target, path, value] = code
         finally:
             _write(workdir / target, original)
     assert runs > 1000
     assert exits_4 == [], f"{len(exits_4)} of {runs} runs exited 4"
+    assert checked == FUZZ_EXITS
 
 
 # each (config file, field path, value) once exited 0; the message names the field
@@ -483,13 +493,20 @@ def test_kinds_of_lists_and_records():
 def test_a_line_too_short_or_a_host_the_resolver_refuses_is_a_config_error(workdir):
     # each once exited 4 at the first crossing or alert of a run: a line
     # whose squared length underflows to 0 (ZeroDivisionError in
-    # rules.crossing), and a host whose IDNA encoding fails (UnicodeError)
+    # rules.crossing), and a host whose IDNA encoding fails (UnicodeError);
+    # a line whose squared length overflows once ran and never fired
     run_doc = {k: v for k, v in CONFIGS["run-dump.json"].items() if k != "rules_file"}
     tiny = {"id": "tiny", "kind": "LineCross", "line": [[100, 0], [100, 1e-200]]}
     _write(workdir / "tiny.json", {**run_doc, "rules": [tiny]})
     assert _main(["run", "--config", str(workdir / "tiny.json"), "--out",
                   str(workdir / "out"), "--quiet"]) == (
         2, "config error: line 'tiny.line': endpoints coincide or are too close\n")
+    for far in (1e160, 1e200, 1.7976931348623157e308):  # squared lengths overflow
+        long = {"id": "long", "kind": "LineCross", "line": [[-far, 100], [far, 100]]}
+        _write(workdir / "long.json", {**run_doc, "rules": [long]})
+        assert _main(["run", "--config", str(workdir / "long.json"), "--out",
+                      str(workdir / "out"), "--quiet"]) == (
+            2, "config error: line 'long.line': endpoints are too far apart\n"), far
     for host in ("x" * 70, "a..b", "."):
         _write(workdir / "host.json", {**run_doc, "rules": RULES,
                                        "alert_sink": {"host": host, "port": 9}})

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import vigil.cli
 import vigil.rules
 from oracles import reference_place
-from vigil.geometry import EDGE_TOL, FrameMeta, point_in_polygon
+from vigil.geometry import EDGE_TOL, BoundingBox, FrameMeta, point_in_polygon
 from vigil.pipeline import SCENE_SEED_LABEL, pipeline_config_from_dict, run
 from vigil.rng import derive_seed
 from vigil.rules import RuleEngine, Zone, ZoneSet, alert_record, place
@@ -80,8 +80,11 @@ def _points(rng, poly):
 
 
 def _track(track_id, anchor, label="person", status=TrackStatus.CONFIRMED):
+    """A track whose anchor is *anchor* exactly (for |x| up to half the
+    largest float): a box of zero width, whose 0.5 * (x + x) is x."""
+    x, y = anchor
     return SimpleNamespace(track_id=track_id, class_label=label, status=status,
-                           bbox=SimpleNamespace(anchor=anchor))
+                           corners=[x, y, x, y])
 
 
 def test_prepared_containment_matches_point_in_polygon():
@@ -119,10 +122,16 @@ def test_short_edge_reach_exceeds_tolerance():
     assert zone.reach.x2 - 10.0 > 1e3 * EDGE_TOL
 
 
+def _rows(placed):
+    """A placement's records in dict order, each anchor by its repr, so a
+    nan anchor equals nan and -0.0 differs from 0.0."""
+    return [(tid, label, repr(anchor), ids) for tid, (label, anchor, ids) in placed.items()]
+
+
 def _same_placement(zones, tracks):
     got = place(ZoneSet(zones), tracks)
     want = reference_place(zones, tracks)
-    assert list(got.items()) == list(want.items())  # dict order included
+    assert _rows(got) == _rows(want)  # dict order included
     return got
 
 
@@ -136,7 +145,8 @@ def test_place_matches_reference_placement():
     points = [p for poly in POLYGONS.values() for p in _points(rng, poly)]
     inf, nan = math.inf, math.nan
     points += [(nan, 5.0), (5.0, nan), (nan, nan), (inf, 5.0), (5.0, -inf),
-               (inf, inf), (-inf, -inf), (inf, nan), (1e308, -1e308)]
+               (inf, inf), (-inf, -inf), (inf, nan), (8e307, -1e308),
+               (1e308, -1e308)]  # the last box's anchor overflows to (inf, -1e308)
     ids = rng.sample(range(10 * len(points)), len(points))  # not in track order
     tracks = [_track(tid, p, rng.choice(["person", "car", "bike"]))
               for tid, p in zip(ids, points)]
@@ -152,7 +162,7 @@ def test_place_matches_reference_placement():
         _same_placement(rng.sample(zones, rng.randint(0, len(zones))), frame)
     # no zones; no track; no confirmed track
     unplaced = _same_placement([], tracks[:20])
-    assert unplaced == {t.track_id: (t.class_label, t.bbox.anchor, frozenset())
+    assert unplaced == {t.track_id: (t.class_label, BoundingBox(*t.corners).anchor, frozenset())
                         for t in tracks[:20]}
     assert _same_placement(zones, []) == {}
     tentative = [_track(i, p, status=TrackStatus.TENTATIVE) for i, p in enumerate(points[:50])]
@@ -206,14 +216,14 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
                     (tmp_path / "alerts.jsonl").read_text().splitlines()]
     piped_dwell = json.loads((tmp_path / "dwell.json").read_text())
 
-    bbox_reads = Counter()
-    real_bbox = Track.bbox
+    corners_reads = Counter()
+    slot = Track.corners  # the slot's member descriptor
 
-    def counted_bbox(track):
-        bbox_reads[track.track_id] += 1
-        return real_bbox.fget(track)
+    def counted_corners(track):
+        corners_reads[track.track_id] += 1
+        return slot.__get__(track, Track)
 
-    monkeypatch.setattr(Track, "bbox", property(counted_bbox))
+    monkeypatch.setattr(Track, "corners", property(counted_corners, slot.__set__))
 
     scene = simulate(dataclasses.replace(
         cfg.scene, seed=derive_seed(cfg.seed, SCENE_SEED_LABEL)))
@@ -226,10 +236,9 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     for meta, dets in zip(scene.frames, scene.noisy):
         confirmed = tracker.step(meta, dets)
         stats.ingest(meta, confirmed)
-        bbox_reads.clear()
+        corners_reads.clear()
         alerts += [alert_record(ev) for ev in engine.evaluate(meta, confirmed)]
-        assert set(bbox_reads) <= {t.track_id for t in confirmed}
-        assert all(n == 1 for n in bbox_reads.values()), bbox_reads
+        assert corners_reads == Counter(t.track_id for t in confirmed), corners_reads
 
     assert alerts == piped_alerts
     assert stats.dwell_report_doc() == piped_dwell

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from vigil.geometry import BoundingBox, iou
+from vigil.geometry import BoundingBox, corners_ordered, iou
 from vigil.kalman import DEFAULT_P0, DEFAULT_Q, DEFAULT_R, KalmanBoxFilter, corners, measurement
 
 from oracles import (
@@ -230,3 +230,25 @@ def test_deterministic_given_same_inputs():
         return out
 
     assert run() == run()
+
+
+def test_corner_rows_keep_the_box_corner_rule():
+    # a track's box is its row of corners(), kept without building a
+    # BoundingBox: every row must keep BoundingBox's corner rule, for
+    # states that overflow to inf or nan too (monotone rounding keeps
+    # u - w / 2 <= u <= u + w / 2, and a nan compares false)
+    values = [0.0, -0.0, 1.0, -7.5, 640.0, 1e-300, 1e15, -1e300, 1e300, 1.7976931348623157e308,
+              -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    sizes = [1e-4, 0.5, 3.0, 1e3, 1e300, 1.7976931348623157e308, math.inf, math.nan]
+    rnd = random.Random(13)
+    rows = []
+    for _ in range(20000):
+        x = [rnd.choice(values) if rnd.random() < 0.5 else rnd.uniform(-1e4, 1e4)
+             for _ in range(2)]
+        x += [rnd.choice(sizes), rnd.choice(sizes)] + [0.0, 0.0, 0.0]
+        rows.append(x)
+    boxes = corners(np.array(rows))
+    assert np.isnan(boxes).any() and np.isinf(boxes).any()  # such rows are in
+    for row in boxes.tolist():
+        assert corners_ordered(*row), row
+        BoundingBox(*row)  # its own check, which the tracker no longer runs

@@ -20,7 +20,7 @@ from budget import hang_budget
 from vigil._version import __version__
 from vigil.cli import main
 from vigil.errors import ConfigError
-from vigil.geometry import BoundingBox, FrameMeta
+from vigil.geometry import FrameMeta
 from vigil.pipeline import (
     ALERTS_FILE,
     COUNTS_JSON,
@@ -573,7 +573,7 @@ def test_track_line_equals_json_dumps_of_track_record():
         meta = FrameMeta(rnd.choice((0, 7, rnd.getrandbits(70))), 0)
         x1, x2 = sorted((_odd_float(rnd), _odd_float(rnd)))
         y1, y2 = sorted((_odd_float(rnd), _odd_float(rnd)))
-        track = Track(rnd.randint(1, 10 ** 9), _odd_label(rnd), BoundingBox(x1, y1, x2, y2))
+        track = Track(rnd.randint(1, 10 ** 9), _odd_label(rnd), [x1, y1, x2, y2])
         track.status = rnd.choice(list(TrackStatus))
         want = json.dumps(track_record(meta, track)) + "\n"
         assert track_line(meta, track, labels) == want, (x1, y1, x2, y2, track.class_label)
@@ -582,7 +582,7 @@ def test_track_line_equals_json_dumps_of_track_record():
     for box in [(-math.inf, 0.0, 1.0, 2.0), (0.0, 0.0, math.inf, 2.0),
                 (0.0, -math.inf, 1.0, math.inf), (math.nan, 0.0, 1.0, 2.0),
                 (0.0, 0.0, 1.0, math.nan), (1.7976931348623157e308,) * 4]:
-        track = Track(5, "car", BoundingBox(*box))
+        track = Track(5, "car", list(box))
         track.status = TrackStatus.CONFIRMED
         line = track_line(meta, track, labels)
         assert line == json.dumps(track_record(meta, track)) + "\n"

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from vigil.errors import ConfigError, DataError
-from vigil.geometry import BoundingBox, FrameMeta
+from vigil.geometry import FrameMeta
 from vigil.rules import (
     DEFAULT_DEBOUNCE_MS,
     AlertEvent,
@@ -41,7 +41,7 @@ def _frame(i, ts):
 
 def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
     return SimpleNamespace(track_id=tid, class_label=label,
-                           bbox=BoundingBox(ax - 5, ay - 10, ax + 5, ay),
+                           corners=[ax - 5, ay - 10, ax + 5, ay],
                            status=status)
 
 
@@ -169,6 +169,19 @@ def test_crossing_respects_segment_extent():
     # intersections exactly at the endpoints count (u = 0 and u = 1)
     assert crossing((40.0, 0.0), (60.0, 0.0), VLINE) == "left-to-right"
     assert crossing((40.0, 100.0), (60.0, 100.0), VLINE) == "left-to-right"
+
+
+def test_a_line_whose_squared_length_overflows_is_rejected():
+    # a line up to about 1.3e154 long still fires; a longer one would make
+    # crossing() divide by an infinite squared length and never fire
+    for far in (1e150, 5e153):
+        line = TripLine("l", (-far, 100.0), (far, 100.0))
+        assert crossing((50.0, 90.0), (50.0, 110.0), line) == "right-to-left", far
+    for p, q in [((-1e160, 100.0), (1e160, 100.0)), ((-1e200, 100.0), (1e200, 100.0)),
+                 ((0.0, -1e300), (0.0, 1e300)), ((-1e308, 0.0), (1e308, 0.0)),
+                 ((0.0, 0.0), (2e154, 2e154))]:
+        with pytest.raises(ConfigError, match="endpoints are too far apart"):
+            TripLine("l", p, q)
 
 
 def test_line_cross_rule_direction_filter():
@@ -374,9 +387,10 @@ def test_engine_matches_per_rule_track_state_reference():
 
 
 def _anchored(tid, x, y, label, status=TrackStatus.CONFIRMED):
-    """A track whose anchor is (x, y) exactly, not as a box's midpoint."""
+    """A track whose anchor is (x, y) exactly: a box of zero width, whose
+    0.5 * (x + x) is x for every x up to half the largest float."""
     return SimpleNamespace(track_id=tid, class_label=label, status=status,
-                           bbox=SimpleNamespace(anchor=(x, y)))
+                           corners=[x, y, x, y])
 
 
 def test_line_cross_edge_cases_match_reference():
@@ -402,7 +416,8 @@ def test_line_cross_edge_cases_match_reference():
         [(4, "person", -0.0), (2, "car", -tiny)],                     # onto the gate
         [(4, "person", tiny), (1, "person", tiny)],                   # off it again
     ]
-    frames += [[(5, "car", x)] for x in (3.0, 1e308, -1e308, math.inf, -math.inf,
+    # 8e307: near the largest anchor a box can have, 0.5 * (x1 + x2) overflowing past it
+    frames += [[(5, "car", x)] for x in (3.0, 8e307, -8e307, math.inf, -math.inf,
                                           math.nan, -3.0, 3.0, math.nan, -3.0)]
     engine, reference = RuleEngine(rules), ReferenceRuleEngine(rules)
     fired = set()
@@ -422,7 +437,7 @@ def test_line_cross_edge_cases_match_reference():
     assert {("gate", 4, 2), ("gate", 4, 4), ("slant", 4, 4)} <= fired
     assert not {e for e in fired if e[1] == 3 or (e[1] == 4 and e[2] >= 5)}
     assert not {e for e in fired if e[0] == "gate-cars" and e[1] in (1, 4)}
-    # 5 crosses the slant on its way out to x = 1e308 (a side of -inf) and the
+    # 5 crosses the slant on its way out to x = 8e307 (a side of -inf) and the
     # gate from -3 to 3; sides of -inf to inf and nan sides fire nothing
     assert {e for e in fired if e[1] == 5} == {("slant", 5, 8), ("gate", 5, 14),
                                                 ("gate-cars", 5, 14)}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vigil.errors import ConfigError, DataError
-from vigil.geometry import BoundingBox, FrameMeta, point_in_polygon
+from vigil.geometry import FrameMeta, point_in_polygon
 from vigil.images import read_image
 from vigil.rules import Zone, ZoneSet
 from vigil.stats import GridSpec, SceneStats
@@ -31,7 +31,7 @@ def _frame(i, ts):
 def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
     """A minimal track-like object whose anchor sits at (ax, ay)."""
     return SimpleNamespace(track_id=tid, class_label=label,
-                           bbox=BoundingBox(ax - 5, ay - 10, ax + 5, ay),
+                           corners=[ax - 5, ay - 10, ax + 5, ay],
                            status=status)
 
 

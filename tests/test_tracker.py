@@ -300,6 +300,26 @@ def test_stacked_tracker_matches_frozen_per_filter_tracker():
     assert pins > 0 and deletions > 0
 
 
+def test_every_live_track_keeps_a_box_after_each_step():
+    # step builds no BoundingBox; each track's corners row must still keep
+    # its corner rule, so the box built on demand equals the row
+    rnd = random.Random(31)
+    checked = 0
+    for _ in range(10):
+        tracker = SortTracker(TrackerConfig(max_age=rnd.randint(1, 3),
+                                            min_hits=rnd.randint(1, 3)))
+        for f, dets in enumerate(_random_scene(rnd, 40)):
+            meta = frame(f)
+            tracker.step(meta, [Detection(meta, BoundingBox(*box), label, 0.9)
+                                for box, label in dets])
+            for t in tracker.tracks:
+                assert type(t.corners) is list and len(t.corners) == 4
+                assert all(type(c) is float for c in t.corners)
+                assert t.bbox == BoundingBox(*t.corners), (f, t.track_id)
+                checked += 1
+    assert checked > 1000
+
+
 CROSSING_FRAMES = 20
 
 
