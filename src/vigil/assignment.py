@@ -63,19 +63,14 @@ def _forced_matching(a: np.ndarray):
     """The optimum's column for each row of an r x c matrix with r <= c,
     when one pass over the rows shows it is forced; else None.
 
-    Strict minima: when every row's minimum is attained at exactly one
-    column and no two rows share that column, matching each row to it
-    attains the lower bound sum(row minima), so it is the unique optimum
-    (even where another value lies within _canonicalize's tolerance of a
-    minimum, which the full solve could count as a tie).
-
-    Constant rows: otherwise, the rows whose entries are all equal (a track
-    that overlaps nothing is 1.0 everywhere) are set aside.  When each other
-    row's minimum beats its second-smallest value by more than
+    The rule: a row is constant when its smallest and largest entries are
+    equal (a track that overlaps nothing is 1.0 everywhere).  Every other
+    row's minimum must beat its second-smallest value by more than
     tol = max(r, c) * eps, eps being _canonicalize's tie tolerance, and
-    those minima fall in distinct columns, each such row keeps its argmin
-    and the constant rows take the lowest free columns, in row order.  Why
-    that is what the solve and _canonicalize return:
+    those minima must fall in distinct columns.  Then each such row keeps
+    its argmin and the constant rows take the lowest free columns, in row
+    order.  Why that is what the solve and _canonicalize return (with no
+    constant rows, the free columns go to the padding rows alone):
 
     - The matching above costs L = sum(minima) + sum(constants), and no
       matching costs less, so L is the optimum.  One that moves a
@@ -100,32 +95,22 @@ def _forced_matching(a: np.ndarray):
     """
     rows = a.tolist()
     width = len(rows[0])
-    cols = []
-    constant = []  # indices of the rows whose entries are all equal
-    for i, row in enumerate(rows):
-        low = min(row)
-        count = row.count(low)
-        if count == 1:
-            cols.append(row.index(low))
-        elif count == width:
-            constant.append(i)
+    tol = max(len(rows), width) * _tie_tolerance(a)
+    cols = []  # each row's argmin, None for a constant row
+    for row in rows:
+        ranked = sorted(row)
+        low = ranked[0]
+        if low == ranked[-1]:
             cols.append(None)
+        elif ranked[1] - low > tol:
+            cols.append(row.index(low))
         else:
             return None
-    argmins = [j for j in cols if j is not None]
-    if len(set(argmins)) != len(argmins):
+    taken = {j for j in cols if j is not None}
+    if len(taken) + cols.count(None) != len(cols):
         return None
-    if not constant:
-        return cols
-    tol = max(len(rows), width) * _tie_tolerance(a)
-    for row, j in zip(rows, cols):
-        if j is not None and sorted(row)[1] - row[j] <= tol:
-            return None
-    taken = set(argmins)
     free = (j for j in range(width) if j not in taken)
-    for i in constant:
-        cols[i] = next(free)
-    return cols
+    return [next(free) if j is None else j for j in cols]
 
 
 def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -149,9 +149,6 @@ class DatasetManifest:
             counts[rec.class_label] = counts.get(rec.class_label, 0) + 1
         return counts
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def read_manifest_csv(path) -> DatasetManifest:
     records = []

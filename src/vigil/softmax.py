@@ -109,8 +109,6 @@ def train(X: np.ndarray, labels: list[str],
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise DataError("training data must contain at least two classes")
-    if X.shape[0] < len(classes):
-        raise DataError("need at least as many rows as classes")
     index = {c: i for i, c in enumerate(classes)}
     y = np.array([index[l] for l in labels])
 

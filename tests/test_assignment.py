@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import vigil.assignment
+import vigil.tracker
 from vigil.assignment import hungarian_assign
 from vigil.geometry import iou_matrix
+from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
+from vigil.tracker import SortTracker, TrackerConfig
 
 from oracles import assignment_bruteforce, assignment_cost, solve_square_numpy_scalars
 
@@ -102,6 +105,14 @@ def test_result_is_valid_matching():
         assert all(0 <= r < m and 0 <= c < n for r, c in pairs)
 
 
+def test_a_cost_that_is_not_a_finite_matrix_is_refused():
+    with pytest.raises(ValueError, match="2-D"):
+        hungarian_assign([0.5, 1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            hungarian_assign([[0.5, bad], [1.0, 0.25]])
+
+
 # -- bit identity with the numpy-scalar solver ---------------------------------
 
 
@@ -178,15 +189,6 @@ def _lines(a):
     return a if a.shape[0] <= a.shape[1] else a.T
 
 
-def _strict_minima(a):
-    """Every line's minimum attained once, at distinct columns: the one case
-    the fast path returned before it took constant lines."""
-    lines = _lines(a)
-    cols = lines.argmin(axis=1)
-    return ((lines == lines.min(axis=1)[:, None]).sum(axis=1) == 1).all() \
-        and len(set(cols.tolist())) == len(cols)
-
-
 def _with_constant_lines(gen, a):
     """*a* with one to three rows or columns set to one value each."""
     a = a.copy()
@@ -253,17 +255,11 @@ def test_forced_matchings_equal_the_full_solve(monkeypatch):
     skipped = {"m < n": 0, "m = n": 0, "m > n": 0}
     for k, a in enumerate(pool):
         before = len(solves)
-        got = hungarian_assign(a)
-        if _strict_minima(a):
-            lines = _lines(a)
-            strict = list(enumerate(lines.argmin(axis=1).tolist()))
-            assert got == (strict if lines is a else sorted((i, j) for j, i in strict)), k
-            continue
-        assert got == want[k], (k, a.tolist())
+        assert hungarian_assign(a) == want[k], (k, a.tolist())
         if len(solves) == before:
             m, n = a.shape
             skipped["m < n" if m < n else "m = n" if m == n else "m > n"] += 1
-    # every shape takes the new path often, and the near ties reach the solve
+    # every shape takes the fast path often, and the near ties reach the solve
     assert min(skipped.values()) > 100, skipped
     assert len(solves) > 300
 
@@ -282,7 +278,9 @@ def test_forced_matchings_match_bruteforce():
             a[hit] = gen.integers(0, 1024, size=int(hit.sum())) / 1024.0
         a = _with_constant_lines(gen, a)
         cost = a.tolist()
-        taken += not _strict_minima(a) and vigil.assignment._forced_matching(_lines(a)) is not None
+        lines = _lines(a)
+        taken += vigil.assignment._forced_matching(lines) is not None \
+            and (lines.min(axis=1) == lines.max(axis=1)).any()
         assert hungarian_assign(cost) == assignment_bruteforce(cost, tie_eps=0.0)[1], (k, cost)
     assert taken > 100
 
@@ -307,3 +305,44 @@ def test_a_forced_matrix_with_a_constant_line_is_not_solved(monkeypatch):
     cost = [[5.0] * 5, [1.0, 1.0, 1.0, 0.0, 1.0], [2.0] * 5, [0.5, 1.0, 1.0, 1.0, 1.0]]
     assert hungarian_assign(cost) == [(0, 1), (1, 3), (2, 2), (3, 0)]
     assert hungarian_assign(np.array(cost).T) == [(0, 3), (1, 0), (2, 2), (3, 1)]
+
+
+def test_a_near_tie_is_settled_as_the_full_solve_settles_it():
+    # row 1's two smallest costs lie 6.5e-6 apart, inside the tolerance of
+    # 5 * 1e-9 * 1e6 that the 1e6 column sets: the solve counts them as tied
+    # and takes the lower column.  The fast path once returned row 1's exact
+    # argmin (column 2) here, because every row's minimum was strict.
+    cost = [[2.300759251188248e-4, 5.048843820016543e-4, 4.521617982583014e-4,
+             5.736110941220729e-4, 1e6],
+            [8.035744738036452e-4, 2.719182436567138e-4, 2.65426271507439e-4,
+             6.155317960398151e-4, 1e6]]
+    want = [(0, 0), (1, 1)]
+    assert _solved(cost) == want
+    assert hungarian_assign(cost) == want
+    assert hungarian_assign(np.array(cost).T) == want
+    assert vigil.assignment._forced_matching(np.array(cost)) is None
+
+
+def test_the_trackers_matrices_equal_the_full_solve(monkeypatch):
+    # every matrix SortTracker solves on a dense scene with clutter, misses
+    # and two classes, whichever path answers it
+    rnd = random.Random(1)
+    objects = tuple(ObjectSpec(rnd.choice(("person", "car")),
+                               (rnd.uniform(40, 600), rnd.uniform(40, 440)),
+                               (rnd.uniform(-6, 6), rnd.uniform(-6, 6)),
+                               (rnd.uniform(20, 60), rnd.uniform(20, 60)))
+                    for _ in range(30))
+    scene = simulate(SyntheticSceneConfig(
+        width=640, height=480, fps=10, duration_frames=50, objects=objects,
+        jitter_sigma=2.0, miss_probability=0.1, false_positives_per_frame=2.0, seed=3))
+    costs = []
+    monkeypatch.setattr(vigil.tracker, "hungarian_assign",
+                        lambda cost: costs.append(cost) or hungarian_assign(cost))
+    tracker = SortTracker(TrackerConfig(max_age=2))
+    for meta, dets in zip(scene.frames, scene.noisy):
+        tracker.step(meta, dets)
+    fast = 0
+    for k, cost in enumerate(costs):
+        assert hungarian_assign(cost) == _solved(cost), k
+        fast += vigil.assignment._forced_matching(_lines(cost)) is not None
+    assert 20 < fast < len(costs) - 20, (fast, len(costs))

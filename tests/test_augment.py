@@ -1,5 +1,7 @@
 """Affine warps, parameter sampling, and dataset balancing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from vigil.augment import (
     sample_transform,
     write_manifest_csv,
 )
+from vigil.cli import main
 from vigil.errors import ConfigError, DataError
 from vigil.images import read_image, write_image
 from vigil.rng import Rng
@@ -253,6 +256,26 @@ def test_manifest_rejects_duplicates_and_junk(tmp_path):
     short.write_text("a.ppm\n")
     with pytest.raises(DataError):
         read_manifest_csv(short)
+    unlabelled = tmp_path / "unlabelled.csv"
+    unlabelled.write_text("path,class\na.ppm,x\nb.ppm, \n")
+    with pytest.raises(DataError, match="row 3: empty path or class"):
+        read_manifest_csv(unlabelled)
+
+
+def test_augment_exits_3_when_an_augmented_name_is_a_listed_path(tmp_path, capsys):
+    # x.ppm's first augmented copy would be o/x__aug000.ppm, a path the
+    # manifest already lists.  Class a gets two copies (7 images over 2
+    # classes make a target of 4), and unless both come from x__aug000.ppm,
+    # one of them is x.ppm's first
+    out = tmp_path / "o"
+    rows = [f"{out / 'x.ppm'},a", f"{out / 'x__aug000.ppm'},a"] + [f"b{i}.ppm,b" for i in range(5)]
+    (tmp_path / "manifest.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "job.json").write_text(json.dumps({"manifest_csv": "manifest.csv"}))
+    for seed in range(3):
+        assert main(["augment", "--config", str(tmp_path / "job.json"), "--out", str(out),
+                     "--seed", str(seed), "--quiet"]) == 3, seed
+        assert capsys.readouterr().err == (
+            "data error: augmented file names collide with existing paths\n")
 
 
 def test_materialize_writes_augmented_images(tmp_path):

@@ -514,3 +514,12 @@ def test_a_line_too_short_or_a_host_the_resolver_refuses_is_a_config_error(workd
                            str(workdir / "out"), "--quiet"])
         assert code == 2 and err.startswith(
             f"config error: alert_sink.host {host!r} is not a valid host name: "), err
+
+
+def test_summarize_takes_exactly_one_input(workdir):
+    both = {**CONFIGS["summarize.json"], "images_dir": "images"}
+    for doc in (both, {"budget": 2}):
+        _write(workdir / "inputs.json", doc)
+        assert _main(["summarize", "--config", str(workdir / "inputs.json"), "--out",
+                      str(workdir / "out"), "--quiet"]) == (
+            2, "config error: give exactly one of 'signatures_csv' or 'images_dir'\n"), doc

@@ -55,3 +55,40 @@ def test_a_header_number_past_the_digit_limit_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--quiet"]) == 3
     assert capsys.readouterr().err == (
         f"data error: {tmp_path / 'images' / 'a.ppm'}: netpbm header number of 5000 digits\n")
+
+
+def _summarize_images(tmp_path):
+    (tmp_path / "job.json").write_text(json.dumps({"images_dir": "images", "budget": 1}))
+    return main(["summarize", "--config", str(tmp_path / "job.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+
+
+# (file name, bytes, what the error says after the path)
+UNREADABLE = [
+    ("notes.txt", b"no image here", "no .ppm/.pgm images found"),
+    ("a.ppm", b"P6\n0 1\n255\n", "non-positive image dimensions"),
+    ("a.ppm", b"P6\n1 1\n256\n\0\0\0", "unsupported maxval 256"),
+    ("a.ppm", b"P6\n2 1\n255\n\0\0\0", "truncated raster (3 of 6 bytes)"),
+]
+
+
+@pytest.mark.parametrize("name, data, message", UNREADABLE,
+                         ids=["no-images", "width-0", "maxval-256", "truncated"])
+def test_an_images_dir_summarize_cannot_read_exits_3(tmp_path, capsys, name, data, message):
+    (tmp_path / "images").mkdir()
+    (tmp_path / "images" / name).write_bytes(data)
+    assert _summarize_images(tmp_path) == 3
+    where = tmp_path / "images" / name if name.endswith(".ppm") else tmp_path / "images"
+    assert capsys.readouterr().err == f"data error: {where}: {message}\n"
+
+
+def test_a_header_comment_is_skipped(tmp_path):
+    (tmp_path / "images").mkdir()
+    pixels = bytes([10, 20, 30, 40, 50, 60])
+    plain = tmp_path / "images" / "a.ppm"
+    plain.write_bytes(b"P6\n2 1\n255\n" + pixels)
+    commented = tmp_path / "images" / "b.ppm"
+    commented.write_bytes(b"P6 # made by hand\n2 # wide\n1\n#\n255\n" + pixels)
+    assert read_image(commented).tolist() == read_image(plain).tolist() == [
+        [[10, 20, 30], [40, 50, 60]]]
+    assert _summarize_images(tmp_path) == 0

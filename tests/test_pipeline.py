@@ -328,6 +328,14 @@ def test_cli_seed_override(tmp_path):
     manifest = json.loads((out / MANIFEST_JSON).read_text())
     assert manifest["seed"] == 11
     assert manifest["scene_seed"] == derive_seed(11, SCENE_SEED_LABEL)
+    # synth's --seed stands for the scene's "seed" (SCENE gives none: 0)
+    for name, doc, flags in [("by-flag", SCENE, ["--seed", "9"]),
+                             ("by-field", {**SCENE, "seed": 9}, [])]:
+        assert main(["synth", "--config", _write_config(tmp_path, f"{name}.json", doc),
+                     "--out", str(tmp_path / name), "--quiet", *flags]) == 0
+    for dump in ("detections.jsonl", "ground-truth.jsonl"):
+        assert (tmp_path / "by-flag" / dump).read_bytes() == \
+            (tmp_path / "by-field" / dump).read_bytes()
 
 
 def test_cli_out_dir_from_config(tmp_path, monkeypatch):
@@ -517,6 +525,11 @@ def test_cli_rule_config_exit_codes(tmp_path, capsys):
         assert main(["run", "--config", config, "--out", str(tmp_path / "bad"),
                      "--quiet"]) == 2, rule
         assert capsys.readouterr().err.startswith("config error:")
+    # a repeated vertex makes a zero-length edge, which no simple polygon has
+    dup = {"id": "dup", "kind": "Intrusion", "zone": [[0, 0], [10, 0], [10, 0], [0, 10]]}
+    config = _write_config(tmp_path, "dup.json", _run_doc(rules=[dup]))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "bad"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: zone 'dup.zone': polygon self-intersects\n"
 
 
 def test_cli_synth_then_eval(tmp_path, capsys):

@@ -6,6 +6,7 @@ import logging
 import math
 import random
 import socket
+import struct
 import threading
 from types import SimpleNamespace
 
@@ -718,6 +719,47 @@ def test_tcp_sink_close_flushes_buffered_alerts():
         server.close()
     assert [json.loads(line) for line in data.decode("utf-8").splitlines()] == \
         [alert_record(_event(i)) for i in range(3)]
+    assert sink.dropped == 0
+
+
+def _read_lines(conn, most):
+    """The alert records *conn* receives, until *most* lines arrived or the
+    peer hung up."""
+    conn.settimeout(2.0)
+    data = b""
+    while data.count(b"\n") < most and (chunk := conn.recv(4096)):
+        data += chunk
+    return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+
+
+@hang_budget(SINK_BUDGET_S, "test_tcp_sink_keeps_a_line_whose_send_failed")
+def test_tcp_sink_keeps_a_line_whose_send_failed(caplog):
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    server.settimeout(2.0)  # a failed test leaves nothing blocked in accept
+    sink = TcpAlertSink("127.0.0.1", server.getsockname()[1], timeout=1.0)
+    try:
+        sink.send(_event(0))
+        conn, _ = server.accept()
+        assert _read_lines(conn, 1) == [alert_record(_event(0))]
+        # the receiver resets the connection: closing with a zero linger sends RST
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+        with caplog.at_level(logging.WARNING, logger="vigil.rules"):
+            sink.send(_event(1))  # must not raise
+        failed = [r for r in caplog.records if "send failed" in r.getMessage()]
+        assert len(failed) == 1
+        assert [json.loads(line) for line in sink._buffer] == [alert_record(_event(1))]
+        assert sink.dropped == 0 and sink._sock is None
+        sink.send(_event(2))  # connects again: the server still listens
+        conn, _ = server.accept()
+        with conn:
+            sink.close()
+            received = _read_lines(conn, 3)  # until close() hung up
+    finally:
+        server.close()
+    assert received == [alert_record(_event(1)), alert_record(_event(2))]
     assert sink.dropped == 0
 
 

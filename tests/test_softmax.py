@@ -283,6 +283,22 @@ def test_cli_rejects_non_finite_features_and_weights(tmp_path, capsys):
         assert err.startswith("data error:") and "non-finite" in err, err
 
 
+def test_predict_refuses_features_of_another_width(tmp_path, capsys):
+    rows = [f"r{i},{'ab'[i % 2]},{i % 2 + 0.25 * i},{1.0 - i % 2}" for i in range(8)]
+    (tmp_path / "two.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "three.csv").write_text("\n".join(r + ",0.5" for r in rows) + "\n",
+                                        encoding="utf-8")
+    (tmp_path / "train.json").write_text(json.dumps({"features_csv": "two.csv"}))
+    assert main(["train-head", "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "model"), "--quiet"]) == 0
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"model_json": "model/model.json", "features_csv": "three.csv"}))
+    assert main(["predict", "--config", str(tmp_path / "job.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "data error: feature dimension 3 does not match model (2)\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_diverging_training_is_a_data_error(tmp_path, capsys):
     # a learning rate this large overflows the weights within an epoch or

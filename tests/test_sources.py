@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from vigil.cli import main
 from vigil.errors import ConfigError, DataError, DumpFormatError
 from vigil.geometry import BoundingBox, Detection, FrameMeta
 from vigil.sources import (
@@ -108,6 +109,19 @@ def test_decreasing_frame_rejected(tmp_path):
     with pytest.raises(DumpFormatError) as err:
         list(read_dump(path))
     assert err.value.line_no == 2
+
+
+def test_a_negative_frame_exits_3_naming_the_file_and_line(tmp_path, capsys):
+    # only a first line can hold a negative frame: on a later one, the
+    # frame decreases first
+    dump = tmp_path / "neg.jsonl"
+    write_lines(dump, [GOOD.replace('"frame": 0', '"frame": -1')])
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"source": {"kind": "dump", "path": "neg.jsonl", "width": 200, "height": 150}}))
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f'data error: {dump} line 1: "frame" must be >= 0, got -1\n')
 
 
 def test_frame_groups_and_gaps(tmp_path):
