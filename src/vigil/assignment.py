@@ -127,7 +127,10 @@ def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     u, v and the matching are bit-identical to it; `_canonicalize` then
     sees the same ties.  The columns not yet on the path are kept in an
     ascending list, which visits them in the same order as a scan over
-    every column that skips the used ones.
+    every column that skips the used ones.  Each step's `minv[j] -= delta`
+    is taken in the next step's scan, just before the compare: every
+    minv[j] sees the same operations in the same order, and the last
+    step's subtraction, whose results the row never reads, is not made.
     """
     n = a.shape[0]
     INF = math.inf
@@ -142,25 +145,27 @@ def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
         minv = [INF] * (n + 1)
         used = [0]
         free = list(range(1, n + 1))
+        delta = 0.0  # INF - 0.0 is INF: the first scan shifts nothing
         while True:
             i0 = p[j0]
+            shift = delta
             delta = INF
             j1 = 0
             row = rows[i0 - 1]
             ui0 = u[i0]
             for j in free:
+                mj = minv[j] - shift
                 cur = row[j - 1] - ui0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                if cur < mj:
+                    mj = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                minv[j] = mj
+                if mj < delta:
+                    delta = mj
                     j1 = j
             for j in used:
                 u[p[j]] += delta
                 v[j] -= delta
-            for j in free:
-                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break

@@ -189,23 +189,29 @@ MANIFEST_JSON = "run-manifest.json"
 _STATUS_JSON = {status: json.dumps(status.value) for status in TrackStatus}
 
 
-def track_line(frame: FrameMeta, track: Track, labels: dict) -> str:
-    """``json.dumps(track_record(frame, track)) + "\n"``, from a fixed template.
+def track_lines(frame: FrameMeta, tracks: list[Track], labels: dict) -> str:
+    """``"".join(json.dumps(track_record(frame, t)) + "\n" for t in tracks)``,
+    from one head per frame and a fixed template per row.
 
     json.dumps writes ints and finite floats with their repr, so only the
     strings need encoding; *labels* caches each class label's JSON.  repr
     writes inf / nan where json.dumps writes Infinity / NaN, so a row with
     a non-finite coordinate goes through json.dumps.
     """
-    x1, y1, x2, y2 = track.corners
-    if not math.isfinite(x1 + y1 + x2 + y2):
-        return json.dumps(track_record(frame, track)) + "\n"
-    label = labels.get(track.class_label)
-    if label is None:
-        label = labels[track.class_label] = json.dumps(track.class_label)
-    return (f'{{"frame": {frame.frame_id}, "track_id": {track.track_id}, '
-            f'"class": {label}, "x1": {x1!r}, "y1": {y1!r}, "x2": {x2!r}, '
-            f'"y2": {y2!r}, "status": {_STATUS_JSON[track.status]}}}\n')
+    head = f'{{"frame": {frame.frame_id}, "track_id": '
+    lines = []
+    for track in tracks:
+        x1, y1, x2, y2 = track.corners
+        if not math.isfinite(x1 + y1 + x2 + y2):
+            lines.append(json.dumps(track_record(frame, track)) + "\n")
+            continue
+        label = labels.get(track.class_label)
+        if label is None:
+            label = labels[track.class_label] = json.dumps(track.class_label)
+        lines.append(f'{head}{track.track_id}, "class": {label}, "x1": {x1!r}, '
+                     f'"y1": {y1!r}, "x2": {x2!r}, "y2": {y2!r}, '
+                     f'"status": {_STATUS_JSON[track.status]}}}\n')
+    return "".join(lines)
 
 
 def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
@@ -244,7 +250,7 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     try:
         for meta, detections in stream:
             confirmed = tracker.step(meta, detections)
-            tracks_fh.write("".join([track_line(meta, t, labels) for t in confirmed]))
+            tracks_fh.write(track_lines(meta, confirmed, labels))
             n_rows += len(confirmed)
             # one placement of the frame's tracks, shared by rules and stats
             placed = (place(zones, confirmed)

@@ -47,13 +47,14 @@ class GridSpec:
 @dataclass(slots=True)
 class _Track:
     """One confirmed track: the ``(class label, anchor, zone ids)`` record
-    :func:`vigil.rules.place` gave its last frame, that frame's cell (or
-    None outside the frame), its observation timestamps (ascending, so first
-    and last seen are the ends) and its dwell per zone id, holding only
-    the zones it has dwelt in."""
+    :func:`vigil.rules.place` gave its last frame, that frame's cell as a
+    flat index ``cell_y * cells_x + cell_x`` into the grids (or None outside
+    the frame), its observation timestamps (ascending, so first and last
+    seen are the ends) and its dwell per zone id, holding only the zones it
+    has dwelt in."""
 
     placed: tuple
-    cell: Optional[tuple[int, int]]
+    cell: Optional[int]
     timestamps: list
     zone_ms: dict
 
@@ -66,6 +67,10 @@ class SceneStats:
     engine's), or None for no zones.  An inter-frame interval counts toward
     a zone when the anchors at both endpoints lie inside it (edge-inclusive,
     as :func:`vigil.rules.place` tests it).
+
+    ``heat``, ``flow_dx``, ``flow_dy`` and ``flow_n`` are (cells_y, cells_x)
+    grids; :meth:`ingest` adds into them at a track's cell, kept as the flat
+    index ``cell_y * cells_x + cell_x``.
     """
 
     def __init__(self, width: int, height: int,
@@ -111,18 +116,23 @@ class SceneStats:
         if placed is None:
             placed = place(self.zones, tracks)
 
-        # an anchor's cell (cell_x, cell_y), or None outside the frame; the
-        # far frame edge lands in the last cell
+        # an anchor's flat cell index, or None outside the frame (the far
+        # frame edge lands in the last cell); a float += on a 'd' item of a
+        # flat view is the IEEE add numpy's scalar += does
         width, height = self.width, self.height
         cs = self.grid.cell_size
         gh, gw = self.heat.shape
         last_x, last_y = gw - 1, gh - 1
+        heat = memoryview(self.heat.reshape(-1))
+        flow_dx = memoryview(self.flow_dx.reshape(-1))
+        flow_dy = memoryview(self.flow_dy.reshape(-1))
+        flow_n = memoryview(self.flow_n.reshape(-1))
         for tid, rec in placed.items():
             _, anchor, zones_now = rec
             ax, ay = anchor
             if 0.0 <= ax <= width and 0.0 <= ay <= height:
-                cell = (min(int(ax // cs), last_x), min(int(ay // cs), last_y))
-                self.heat[cell[1], cell[0]] += 1
+                cell = min(int(ay // cs), last_y) * gw + min(int(ax // cs), last_x)
+                heat[cell] += 1
                 self.observations += 1
             else:
                 cell = None
@@ -134,9 +144,9 @@ class SceneStats:
                 _, prev_anchor, prev_zones = track.placed
                 prev_cell = track.cell
                 if prev_cell is not None:
-                    self.flow_dx[prev_cell[1], prev_cell[0]] += ax - prev_anchor[0]
-                    self.flow_dy[prev_cell[1], prev_cell[0]] += ay - prev_anchor[1]
-                    self.flow_n[prev_cell[1], prev_cell[0]] += 1
+                    flow_dx[prev_cell] += ax - prev_anchor[0]
+                    flow_dy[prev_cell] += ay - prev_anchor[1]
+                    flow_n[prev_cell] += 1
                 interval = ts - track.timestamps[-1]
                 for zid in prev_zones & zones_now:
                     track.zone_ms[zid] = track.zone_ms.get(zid, 0) + interval

@@ -161,6 +161,61 @@ def solve_square_numpy_scalars(a: np.ndarray):
     return np.asarray(u[1:]), np.asarray(v[1:]), row_to_col
 
 
+def solve_square_reference(a: np.ndarray):
+    """Shortest-augmenting-path solve on plain Python floats: (u, v, row_to_col).
+
+    A frozen copy of the package's solver as it stood while each step took
+    `minv[j] -= delta` in a loop of its own; the package must reproduce its
+    potentials and matching bit for bit.
+    """
+    n = a.shape[0]
+    INF = math.inf
+    rows = a.tolist()
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # col -> row (1-based); col 0 is the virtual start
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [0]
+        free = list(range(1, n + 1))
+        while True:
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            row = rows[i0 - 1]
+            ui0 = u[i0]
+            for j in free:
+                cur = row[j - 1] - ui0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+            free.remove(j0)
+            used.append(j0)
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    row_to_col = [0] * n
+    for j in range(1, n + 1):
+        if p[j] != 0:
+            row_to_col[p[j] - 1] = j - 1
+    return np.array(u[1:]), np.array(v[1:]), row_to_col
+
+
 # ---------------------------------------------------------------------------
 # submodular functions
 
@@ -725,6 +780,39 @@ def heat_recount(anchors, width, height, cell_size):
         cy = min(int(ay // cell_size), gh - 1)
         counts[(cx, cy)] = counts.get((cx, cy), 0) + 1
     return counts
+
+
+def stats_grids_reference(frames, width, height, cell_size):
+    """(heat, flow_dx, flow_dy, flow_n) from frames of (track_id, anchor)
+    pairs, in ingest order.
+
+    SceneStats.ingest's grid updates frozen as they were while each track
+    added into the 2-D grids through numpy scalar indexing: the cell as
+    (cell_x, cell_y), or None outside the frame, and a track's displacement
+    added at the cell of its previous anchor.
+    """
+    gw = -(-width // cell_size)
+    gh = -(-height // cell_size)
+    heat = np.zeros((gh, gw), dtype=np.int64)
+    flow_dx = np.zeros((gh, gw))
+    flow_dy = np.zeros((gh, gw))
+    flow_n = np.zeros((gh, gw), dtype=np.int64)
+    last = {}  # track_id -> (anchor, cell)
+    for pairs in frames:
+        for tid, (ax, ay) in pairs:
+            if 0.0 <= ax <= width and 0.0 <= ay <= height:
+                cell = (min(int(ax // cell_size), gw - 1), min(int(ay // cell_size), gh - 1))
+                heat[cell[1], cell[0]] += 1
+            else:
+                cell = None
+            if tid in last:
+                (px, py), prev_cell = last[tid]
+                if prev_cell is not None:
+                    flow_dx[prev_cell[1], prev_cell[0]] += ax - px
+                    flow_dy[prev_cell[1], prev_cell[0]] += ay - py
+                    flow_n[prev_cell[1], prev_cell[0]] += 1
+            last[tid] = ((ax, ay), cell)
+    return heat, flow_dx, flow_dy, flow_n
 
 
 def dwell_recount(log, zones):

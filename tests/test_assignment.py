@@ -13,7 +13,12 @@ from vigil.geometry import iou_matrix
 from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
 from vigil.tracker import SortTracker, TrackerConfig
 
-from oracles import assignment_bruteforce, assignment_cost, solve_square_numpy_scalars
+from oracles import (
+    assignment_bruteforce,
+    assignment_cost,
+    solve_square_numpy_scalars,
+    solve_square_reference,
+)
 
 
 def test_known_square_instance():
@@ -264,10 +269,10 @@ def test_forced_matchings_equal_the_full_solve(monkeypatch):
     assert len(solves) > 300
 
 
-def test_forced_matchings_match_bruteforce():
+def _bruteforce_pool():
     # integer and dyadic costs sum exactly, so brute force sees exact ties
     gen = np.random.default_rng(6)
-    taken = 0
+    pool = []
     for k in range(600):
         m, n = (int(x) for x in gen.integers(1, 7, size=2))
         if k % 2:
@@ -276,7 +281,13 @@ def test_forced_matchings_match_bruteforce():
             a = np.ones((m, n))
             hit = gen.random((m, n)) < 0.3
             a[hit] = gen.integers(0, 1024, size=int(hit.sum())) / 1024.0
-        a = _with_constant_lines(gen, a)
+        pool.append(_with_constant_lines(gen, a))
+    return pool
+
+
+def test_forced_matchings_match_bruteforce():
+    taken = 0
+    for k, a in enumerate(_bruteforce_pool()):
         cost = a.tolist()
         lines = _lines(a)
         taken += vigil.assignment._forced_matching(lines) is not None \
@@ -323,9 +334,9 @@ def test_a_near_tie_is_settled_as_the_full_solve_settles_it():
     assert vigil.assignment._forced_matching(np.array(cost)) is None
 
 
-def test_the_trackers_matrices_equal_the_full_solve(monkeypatch):
-    # every matrix SortTracker solves on a dense scene with clutter, misses
-    # and two classes, whichever path answers it
+def _tracker_costs(monkeypatch):
+    """Every matrix SortTracker solves on a dense scene with clutter, misses
+    and two classes, whichever path answers it."""
     rnd = random.Random(1)
     objects = tuple(ObjectSpec(rnd.choice(("person", "car")),
                                (rnd.uniform(40, 600), rnd.uniform(40, 440)),
@@ -341,8 +352,26 @@ def test_the_trackers_matrices_equal_the_full_solve(monkeypatch):
     tracker = SortTracker(TrackerConfig(max_age=2))
     for meta, dets in zip(scene.frames, scene.noisy):
         tracker.step(meta, dets)
+    return costs
+
+
+def test_the_trackers_matrices_equal_the_full_solve(monkeypatch):
+    costs = _tracker_costs(monkeypatch)
     fast = 0
     for k, cost in enumerate(costs):
         assert hungarian_assign(cost) == _solved(cost), k
         fast += vigil.assignment._forced_matching(_lines(cost)) is not None
     assert 20 < fast < len(costs) - 20, (fast, len(costs))
+
+
+def test_solver_matches_its_reference_bit_for_bit(monkeypatch):
+    # the forced pool, the brute-force matrices and every matrix the tracker
+    # solves, padded as hungarian_assign pads them, all solved in full
+    costs = _forced_pool() + _bruteforce_pool() + _tracker_costs(monkeypatch)
+    for k, cost in enumerate(costs):
+        a = _padded(np.asarray(cost, dtype=float))
+        u, v, row_to_col = vigil.assignment._solve_square(a)
+        want_u, want_v, want_cols = solve_square_reference(a)
+        assert row_to_col == want_cols, k
+        assert np.array_equal(u.view(np.uint64), want_u.view(np.uint64)), k
+        assert np.array_equal(v.view(np.uint64), want_v.view(np.uint64)), k

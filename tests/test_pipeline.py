@@ -34,7 +34,7 @@ from vigil.pipeline import (
     load_pipeline_config,
     pipeline_config_from_dict,
     run,
-    track_line,
+    track_lines,
 )
 from vigil.rng import derive_seed
 from vigil.rules import TcpAlertSink
@@ -579,24 +579,31 @@ def _odd_label(rnd):
     return "".join(rnd.choice(pieces) for _ in range(rnd.randint(1, 4)))
 
 
-def test_track_line_equals_json_dumps_of_track_record():
+def test_track_lines_equal_json_dumps_of_track_records():
+    # frames of finite and non-finite rows, odd labels and 70-bit frame ids;
+    # repr writes inf / nan where json.dumps writes Infinity / NaN
+    non_finite = [(-math.inf, 0.0, 1.0, 2.0), (0.0, 0.0, math.inf, 2.0),
+                  (0.0, -math.inf, 1.0, math.inf), (math.nan, 0.0, 1.0, 2.0),
+                  (0.0, 0.0, 1.0, math.nan), (1.7976931348623157e308,) * 4]
     rnd = random.Random(77)
     labels = {}
-    for i in range(4000):
+    for i in range(800):
         meta = FrameMeta(rnd.choice((0, 7, rnd.getrandbits(70))), 0)
-        x1, x2 = sorted((_odd_float(rnd), _odd_float(rnd)))
-        y1, y2 = sorted((_odd_float(rnd), _odd_float(rnd)))
-        track = Track(rnd.randint(1, 10 ** 9), _odd_label(rnd), [x1, y1, x2, y2])
-        track.status = rnd.choice(list(TrackStatus))
-        want = json.dumps(track_record(meta, track)) + "\n"
-        assert track_line(meta, track, labels) == want, (x1, y1, x2, y2, track.class_label)
-    # non-finite coordinates: repr writes inf / nan, json.dumps Infinity / NaN
+        tracks = []
+        for _ in range(rnd.randint(0, 10)):
+            if rnd.random() < 0.2:
+                box = rnd.choice(non_finite)
+            else:
+                x1, x2 = sorted((_odd_float(rnd), _odd_float(rnd)))
+                y1, y2 = sorted((_odd_float(rnd), _odd_float(rnd)))
+                box = (x1, y1, x2, y2)
+            track = Track(rnd.randint(1, 10 ** 9), _odd_label(rnd), list(box))
+            track.status = rnd.choice(list(TrackStatus))
+            tracks.append(track)
+        want = "".join(json.dumps(track_record(meta, t)) + "\n" for t in tracks)
+        assert track_lines(meta, tracks, labels) == want, (i, [t.corners for t in tracks])
     meta = FrameMeta(3, 0)
-    for box in [(-math.inf, 0.0, 1.0, 2.0), (0.0, 0.0, math.inf, 2.0),
-                (0.0, -math.inf, 1.0, math.inf), (math.nan, 0.0, 1.0, 2.0),
-                (0.0, 0.0, 1.0, math.nan), (1.7976931348623157e308,) * 4]:
-        track = Track(5, "car", list(box))
-        track.status = TrackStatus.CONFIRMED
-        line = track_line(meta, track, labels)
-        assert line == json.dumps(track_record(meta, track)) + "\n"
-        assert "inf" not in line and "nan" not in line
+    tracks = [Track(5, "car", list(box)) for box in non_finite]
+    lines = track_lines(meta, tracks, labels)
+    assert lines == "".join(json.dumps(track_record(meta, t)) + "\n" for t in tracks)
+    assert "inf" not in lines and "nan" not in lines

@@ -81,23 +81,24 @@ GOOD = '{"frame": 0, "ts_ms": 0, "class": "person", "x1": 1, "y1": 2, "x2": 3, "
 
 
 def test_malformed_lines_carry_line_numbers(tmp_path):
+    later = GOOD.replace('"frame": 0', '"frame": 1')
     cases = [
-        ("not json at all", "json"),
-        ('{"frame": 0, "ts_ms": 0, "class": "p", "x1": 1, "y1": 2, "x2": 3, "y2": 4}', "conf"),
-        (GOOD.replace('"conf": 0.5', '"conf": 0.5, "extra": 1'), "extra"),
-        (GOOD.replace('"frame": 0', '"frame": "zero"'), "frame"),
-        (GOOD.replace('"conf": 0.5', '"conf": NaN'), "conf"),
-        (GOOD.replace('"x2": 3', '"x2": 0.5'), "x"),   # x2 < x1
-        (GOOD.replace('"frame": 0', '"frame": -1'), "frame"),
+        ("not json at all", "invalid JSON"),
+        ('{"frame": 1, "ts_ms": 0, "class": "p", "x1": 1, "y1": 2, "x2": 3, "y2": 4}',
+         "missing fields: conf"),
+        (later.replace('"conf": 0.5', '"conf": 0.5, "extra": 1'), "unknown fields: extra"),
+        (GOOD.replace('"frame": 0', '"frame": "zero"'), '"frame" must be an integer'),
+        (later.replace('"conf": 0.5', '"conf": NaN'), '"conf" must be finite'),
+        (later.replace('"x2": 3', '"x2": 0.5'), "invalid box corners"),   # x2 < x1
+        (GOOD.replace('"frame": 0', '"frame": -1'), '"frame" -1 decreases (previous 0)'),
     ]
     for i, (bad, hint) in enumerate(cases):
         path = tmp_path / f"bad{i}.jsonl"
-        write_lines(path, [GOOD, bad.replace('"frame": 0', '"frame": 1')
-                           if "frame" not in hint else bad])
+        write_lines(path, [GOOD, bad])
         with pytest.raises(DumpFormatError) as err:
             list(read_dump(path))
-        assert err.value.line_no in (1, 2)
-        assert "line" in str(err.value)
+        assert err.value.line_no == 2, hint
+        assert str(err.value).startswith(f"{path} line 2: {hint}"), (hint, str(err.value))
 
 
 def test_decreasing_frame_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for scene statistics: heat grids, flow, dwell, unique counts."""
 
 import csv
+import math
 import random
 from types import SimpleNamespace
 
@@ -10,11 +11,12 @@ import pytest
 from vigil.errors import ConfigError, DataError
 from vigil.geometry import FrameMeta, point_in_polygon
 from vigil.images import read_image
-from vigil.rules import Zone, ZoneSet
+from vigil.rules import Zone, ZoneSet, place
+from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
 from vigil.stats import GridSpec, SceneStats
-from vigil.tracker import TrackStatus
+from vigil.tracker import SortTracker, TrackStatus
 
-from oracles import dwell_recount, heat_recount, unique_count_recount
+from oracles import dwell_recount, heat_recount, stats_grids_reference, unique_count_recount
 
 ZONE_SQUARE = [(0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0)]
 
@@ -63,6 +65,68 @@ def test_heat_counts_match_recount():
     for (cx, cy), n in expected.items():
         assert stats.heat[cy, cx] == n
     assert stats.heat.shape == (10, 18)
+
+
+def _boxed(tid, x1, y1, x2, y2):
+    """A confirmed track-like object with these corners."""
+    return SimpleNamespace(track_id=tid, class_label="person", corners=[x1, y1, x2, y2],
+                           status=TrackStatus.CONFIRMED)
+
+
+def _edge_tracks(f, width, height):
+    """Frame f's hand-placed tracks: anchors on the far frame edge, at -0.0,
+    just outside the frame, from non-finite corners, and one track that
+    leaves the frame and comes back."""
+    out = math.nextafter(width, math.inf)
+    below = math.nextafter(height, math.inf)
+    corners = [
+        (width - 4.0, 0.0, width + 4.0, height),                # far corner
+        (width - 2.0, 0.0, width + 2.0, 17.0 + f),              # far x edge
+        (1.0 + f, 0.0, 5.0 + f, height),                        # far y edge
+        (-0.0, -10.0, -0.0, -0.0),                              # -0.0, -0.0
+        (-0.0, 0.0, -0.0, 3.0 + 2.0 * f),                       # x -0.0
+        (out - 1.0, 0.0, out + 1.0, 5.0),                       # just right
+        (-5e-324, 0.0, -5e-324, 3.0),                           # just left
+        (5.0, 0.0, 7.0, below),                                 # just below
+        (math.nan, 0.0, 1.0, 2.0),                              # nan x
+        (0.0, 0.0, math.inf, 5.0),                              # inf x
+        (3.0, 0.0, 4.0, -math.inf if f % 3 else 40.0 + f),      # in and out
+        # leaves on frames 4 and 5 (prev_cell is None on 5 and 6), and
+        # comes back from a nan corner on frame 9
+        (math.nan if f == 8 else 3.0 * f, 0.0, 3.0 * f + 2.0,
+         height + 30.0 if f in (4, 5) else 11.0 + f),
+    ]
+    return [_boxed(10 ** 6 + k, *box) for k, box in enumerate(corners)]
+
+
+def test_grids_match_the_scalar_loop_bit_for_bit():
+    # a dense seeded scene plus the edge cases; the flow sums are compared
+    # bit for bit, on a cell size that divides no anchor exactly
+    rnd = random.Random(8)
+    width, height = 317, 211
+    objects = tuple(ObjectSpec(rnd.choice(("person", "car")),
+                               (rnd.uniform(25, 290), rnd.uniform(25, 185)),
+                               (rnd.uniform(-9, 9), rnd.uniform(-9, 9)),
+                               (rnd.uniform(10, 40), rnd.uniform(10, 40)))
+                    for _ in range(40))
+    scene = simulate(SyntheticSceneConfig(
+        width=width, height=height, fps=10, duration_frames=40, objects=objects,
+        jitter_sigma=2.5, miss_probability=0.1, false_positives_per_frame=1.0, seed=5))
+    tracker = SortTracker()
+    stats = SceneStats(width, height, GridSpec(7))
+    frames = []
+    for f, (meta, dets) in enumerate(zip(scene.frames, scene.noisy)):
+        tracks = tracker.step(meta, dets) + _edge_tracks(f, width, height)
+        placed = place(ZoneSet(()), tracks)
+        stats.ingest(meta, tracks, placed)
+        frames.append([(tid, rec[1]) for tid, rec in placed.items()])
+    heat, flow_dx, flow_dy, flow_n = stats_grids_reference(frames, width, height, 7)
+    assert int(flow_n.sum()) > 500
+    assert np.array_equal(stats.heat, heat)
+    assert np.array_equal(stats.flow_n, flow_n)
+    assert np.array_equal(stats.flow_dx.view(np.uint64), flow_dx.view(np.uint64))
+    assert np.array_equal(stats.flow_dy.view(np.uint64), flow_dy.view(np.uint64))
+    assert stats.observations == int(heat.sum())
 
 
 def test_far_edge_anchors_land_in_last_cell():
