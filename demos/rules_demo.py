@@ -11,7 +11,7 @@ import json
 from types import SimpleNamespace
 
 from vigil.geometry import FrameMeta
-from vigil.rules import Rule, RuleEngine, TripLine, Zone, alert_record
+from vigil.rules import Rule, RuleEngine, TripLine, Zone, alert_record, place
 from vigil.tracker import TrackStatus
 
 ZONE = Zone("restricted", ((120.0, 40.0), (260.0, 40.0),
@@ -38,7 +38,7 @@ def run_walk() -> list:
     events = []
     for frame in range(40):
         meta = FrameMeta(frame, frame * 250)
-        events += engine.evaluate(meta, [walker(frame)])
+        events += engine.evaluate(meta, place(engine.prepared_zones, [walker(frame)]))
     return events
 
 

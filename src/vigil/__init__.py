@@ -35,7 +35,8 @@ from .softmax import SoftmaxModel, TrainConfig, predict, train
 from .stats import GridSpec, SceneStats
 from .rules import Rule, RuleEngine, TripLine, Zone, load_rules
 from .evaluation import EvalConfig, evaluate_detections
-from .pipeline import PipelineConfig, load_pipeline_config, pipeline_config_from_dict, run
+from .pipeline import (FrameLoop, PipelineConfig, load_pipeline_config,
+                       pipeline_config_from_dict, run)
 
 __all__ = [
     "__version__",
@@ -51,5 +52,5 @@ __all__ = [
     "GridSpec", "SceneStats",
     "Zone", "TripLine", "Rule", "RuleEngine", "load_rules",
     "EvalConfig", "evaluate_detections",
-    "PipelineConfig", "pipeline_config_from_dict", "load_pipeline_config", "run",
+    "FrameLoop", "PipelineConfig", "pipeline_config_from_dict", "load_pipeline_config", "run",
 ]

@@ -214,6 +214,31 @@ def track_lines(frame: FrameMeta, tracks: list[Track], labels: dict) -> str:
     return "".join(lines)
 
 
+class FrameLoop:
+    """A run's frame loop over *cfg*'s tracker, rules, grid and stages: it
+    owns the ``tracker``, the ``engine`` and ``stats`` (None when their stage
+    is off) and the ``zones`` both read, and places each frame's confirmed
+    tracks once, handing that :func:`place` record to both."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.tracker = SortTracker(cfg.tracker)
+        self.engine = RuleEngine(list(cfg.rules)) if cfg.run_rules else None
+        self.zones = self.engine.prepared_zones if self.engine is not None else ZoneSet(())
+        self.stats = (SceneStats(cfg.frame_width, cfg.frame_height, grid=cfg.grid,
+                                 zones=self.zones) if cfg.run_stats else None)
+
+    def step(self, meta: FrameMeta, detections) -> tuple[list[Track], list]:
+        """The frame's confirmed tracks and alerts."""
+        confirmed = self.tracker.step(meta, detections)
+        if self.engine is None and self.stats is None:
+            return confirmed, []
+        placed = place(self.zones, confirmed)
+        events = self.engine.evaluate(meta, placed) if self.engine is not None else []
+        if self.stats is not None:
+            self.stats.ingest(meta, placed)
+        return confirmed, events
+
+
 def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     """Execute a configured run and write artifacts into *out_dir*.
 
@@ -224,12 +249,8 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
     out_dir = make_out_dir(out_dir or cfg.out_dir or "out")
 
     stream, scene_seed = _frame_stream(cfg)
-    tracker = SortTracker(cfg.tracker)
-    engine = RuleEngine(list(cfg.rules)) if cfg.run_rules else None
-    zones = engine.prepared_zones if engine is not None else ZoneSet(())
-    stats = None
-    if cfg.run_stats:
-        stats = SceneStats(cfg.frame_width, cfg.frame_height, grid=cfg.grid, zones=zones)
+    loop = FrameLoop(cfg)
+    engine, stats = loop.engine, loop.stats
     sink = TcpAlertSink(*cfg.alert_sink) if cfg.alert_sink else None
 
     artifacts = [TRACKS_FILE]
@@ -249,20 +270,14 @@ def run(cfg: PipelineConfig, out_dir: Optional[str] = None) -> dict:
         alerts_fh = open(os.path.join(out_dir, ALERTS_FILE), "w", encoding="utf-8", newline="\n")
     try:
         for meta, detections in stream:
-            confirmed = tracker.step(meta, detections)
+            confirmed, events = loop.step(meta, detections)
             tracks_fh.write(track_lines(meta, confirmed, labels))
             n_rows += len(confirmed)
-            # one placement of the frame's tracks, shared by rules and stats
-            placed = (place(zones, confirmed)
-                      if engine is not None or stats is not None else None)
-            if engine is not None:
-                for event in engine.evaluate(meta, confirmed, placed):
-                    alerts_fh.write(json.dumps(alert_record(event)) + "\n")
-                    n_alerts += 1
-                    if sink is not None:
-                        sink.send(event)
-            if stats is not None:
-                stats.ingest(meta, confirmed, placed)
+            for event in events:
+                alerts_fh.write(json.dumps(alert_record(event)) + "\n")
+                if sink is not None:
+                    sink.send(event)
+            n_alerts += len(events)
             n_frames += 1
     finally:
         tracks_fh.close()

@@ -36,7 +36,7 @@ from .geometry import (
     polygon_reach,
     segment_side,
 )
-from .tracker import Track, TrackStatus
+from .tracker import TrackStatus
 
 log = logging.getLogger(__name__)
 
@@ -260,10 +260,8 @@ class RuleEngine:
     """Per-source rule state machine; evaluate() must see frames in order.
 
     ``prepared_zones`` is the :class:`ZoneSet` of the rules' zones.  All
-    rules of a frame read it from one :func:`place` record over them:
-    ``evaluate`` takes it as *placed* when the caller has already
-    placed the frame's tracks over these zones (the pipeline shares it with
-    :meth:`SceneStats.ingest`), and places *tracks* itself otherwise.
+    rules of a frame read it from one :func:`place` record over them, which
+    ``evaluate`` takes as *placed*.
 
     A rule reads only the tracks whose class label is in its ``classes``
     (every track when that is None).  Each frame is indexed once into
@@ -297,18 +295,13 @@ class RuleEngine:
         self._occupancy_on: dict = {r.id: False for r in rules
                                     if r.kind == "Occupancy"}
 
-    def evaluate(self, frame: FrameMeta, tracks: list[Track],
-                 placed: Optional[dict] = None) -> list[AlertEvent]:
-        """The frame's alerts.  *tracks* is read only through :func:`place`,
-        so each needs ``track_id``, ``class_label``, ``status`` and
-        ``corners``; with *placed* given it is not read at all."""
+    def evaluate(self, frame: FrameMeta, placed: dict) -> list[AlertEvent]:
+        """The frame's alerts from *placed*, its tracks' place() over ``prepared_zones``."""
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
         ts = frame.timestamp_ms
-        if placed is None:
-            placed = place(self.prepared_zones, tracks)
         before = self._placed
         tids = list(placed)
         labels, anchors, zone_sets = list(zip(*placed.values())) or ((), (), ())

@@ -25,8 +25,7 @@ from .geometry import FrameMeta
 # vigil.stats.point_in_polygon, and its install() fails when the name is gone.
 from .geometry import point_in_polygon  # noqa: F401
 from .images import write_image
-from .rules import ZoneSet, place
-from .tracker import Track
+from .rules import ZoneSet
 
 
 @dataclass(frozen=True)
@@ -97,24 +96,15 @@ class SceneStats:
 
     # -- ingestion --------------------------------------------------------
 
-    def ingest(self, frame: FrameMeta, tracks: list[Track],
-               placed: Optional[dict] = None) -> None:
-        """Fold one frame's confirmed tracks into the statistics.
-
-        The frame is read from *placed* alone, :func:`vigil.rules.place`
-        over this frame's tracks and zones with the same ids and polygons as
-        ``self.zones`` (the pipeline passes the one it gave
-        :meth:`RuleEngine.evaluate`); when omitted, it is computed here,
-        and each track needs what ``place`` reads: ``track_id``,
-        ``class_label``, ``status`` and ``corners``.
-        """
+    def ingest(self, frame: FrameMeta, placed: dict) -> None:
+        """Fold one frame's confirmed tracks into the statistics, from
+        *placed*: :func:`vigil.rules.place` over the frame's tracks and zones
+        with the same ids and polygons as ``self.zones``."""
         if self._last_frame is not None and frame.frame_id <= self._last_frame:
             raise DataError(
                 f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
         self._last_frame = frame.frame_id
         ts = frame.timestamp_ms
-        if placed is None:
-            placed = place(self.zones, tracks)
 
         # an anchor's flat cell index, or None outside the frame (the far
         # frame edge lands in the last cell); a float += on a 'd' item of a
@@ -147,9 +137,10 @@ class SceneStats:
                     flow_dx[prev_cell] += ax - prev_anchor[0]
                     flow_dy[prev_cell] += ay - prev_anchor[1]
                     flow_n[prev_cell] += 1
-                interval = ts - track.timestamps[-1]
-                for zid in prev_zones & zones_now:
-                    track.zone_ms[zid] = track.zone_ms.get(zid, 0) + interval
+                if prev_zones and zones_now:
+                    interval = ts - track.timestamps[-1]
+                    for zid in prev_zones & zones_now:
+                        track.zone_ms[zid] = track.zone_ms.get(zid, 0) + interval
                 track.timestamps.append(ts)
                 track.placed = rec
                 track.cell = cell

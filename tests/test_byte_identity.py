@@ -13,9 +13,14 @@ directory is replaced by ``$WORK`` before hashing.
 The fingerprint tolerates float noise; the digests do not, so a refactor
 that moves one float by one ulp fails here.  The digests were recorded
 with numpy 2.4.6 on scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH,
-x86_64).  Another numpy or BLAS/LAPACK build may round the Kalman
-matrix products differently; on such a build, or when a change is meant
-to alter outputs, re-record on the commit whose outputs are correct with
+x86_64) on an AVX-512 host.  With another OpenBLAS core type
+(``OPENBLAS_CORETYPE=Haswell`` or ``Prescott``) or with numpy's AVX-512
+loops off (``NPY_DISABLE_CPU_FEATURES``), only curate's ``model.json``
+and ``predictions.csv`` moved: ``softmax.loss_and_grad`` computes its
+matrix products through BLAS and ``np.exp``/``np.log`` through numpy's
+SIMD loops.  Crowd, perimeter and live held at seeds 0-9 under both.
+On another build or host, or when a change is meant to alter outputs,
+re-record on the commit whose outputs are correct with
 
     PYTHONPATH=src python tests/test_byte_identity.py
 

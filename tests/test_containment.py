@@ -17,15 +17,16 @@ from collections import Counter
 from types import SimpleNamespace
 
 import vigil.cli
+import vigil.pipeline
 import vigil.rules
 from oracles import reference_place
 from vigil.geometry import EDGE_TOL, BoundingBox, FrameMeta, point_in_polygon
-from vigil.pipeline import SCENE_SEED_LABEL, pipeline_config_from_dict, run
+from vigil.pipeline import SCENE_SEED_LABEL, FrameLoop, pipeline_config_from_dict, run
 from vigil.rng import derive_seed
 from vigil.rules import RuleEngine, Zone, ZoneSet, alert_record, place
 from vigil.sources import simulate
 from vigil.stats import SceneStats
-from vigil.tracker import SortTracker, Track, TrackStatus
+from vigil.tracker import Track, TrackStatus
 
 
 def _star(rng, cx, cy, r0, vertices=12):
@@ -98,11 +99,11 @@ def test_prepared_containment_matches_point_in_polygon():
         zones = ZoneSet([zone])
         stats = SceneStats(100, 100, zones=zones)
         tracks = [_track(i, p) for i, p in enumerate(points)]
-        stats.ingest(FrameMeta(0, 0), tracks)
-        stats.ingest(FrameMeta(1, 1000), tracks)
+        placed = place(zones, tracks)
+        stats.ingest(FrameMeta(0, 0), placed)
+        stats.ingest(FrameMeta(1, 1000), placed)
         dwell = {rec["track_id"]: rec["zone_ms"][name]
                  for rec in stats.dwell_report_doc()["tracks"]}
-        placed = place(zones, tracks)
         for i, p in enumerate(points):
             want = point_in_polygon(p, zone.polygon)
             assert (name in placed[i][2]) == want, (name, p)
@@ -169,7 +170,7 @@ def test_place_matches_reference_placement():
     assert _same_placement(zones, tentative) == {}
 
 
-# -- rules and stats driven directly vs the pipeline ---------------------------
+# -- rules and stats driven by FrameLoop vs the pipeline ----------------------
 
 SCENE = {
     "width": 320, "height": 240, "fps": 10.0, "duration_frames": 90,
@@ -227,21 +228,18 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
 
     scene = simulate(dataclasses.replace(
         cfg.scene, seed=derive_seed(cfg.seed, SCENE_SEED_LABEL)))
-    tracker = SortTracker(cfg.tracker)
-    engine = RuleEngine(list(cfg.rules))
-    stats = SceneStats(cfg.frame_width, cfg.frame_height, cfg.grid,
-                       zones=engine.prepared_zones)
-    assert stats.zones is engine.prepared_zones  # kept as given, not prepared again
+    loop = FrameLoop(cfg)
+    assert loop.stats.zones is loop.engine.prepared_zones  # kept as given, not prepared again
     alerts = []
     for meta, dets in zip(scene.frames, scene.noisy):
-        confirmed = tracker.step(meta, dets)
-        stats.ingest(meta, confirmed)
         corners_reads.clear()
-        alerts += [alert_record(ev) for ev in engine.evaluate(meta, confirmed)]
+        confirmed, events = loop.step(meta, dets)
+        alerts += [alert_record(ev) for ev in events]
+        # the tracker writes corners and never reads them; the one place() reads each once
         assert corners_reads == Counter(t.track_id for t in confirmed), corners_reads
 
     assert alerts == piped_alerts
-    assert stats.dwell_report_doc() == piped_dwell
+    assert loop.stats.dwell_report_doc() == piped_dwell
     # the scene exercises every rule kind and both overlapping zones
     assert {a["kind"] for a in alerts} == {"Intrusion", "Occupancy", "Loiter",
                                            "LineCross"}
@@ -250,22 +248,26 @@ def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
     assert in_both
 
 
-def test_stats_share_the_rule_engines_placement_records():
+def test_stats_share_the_rule_engines_placement_records(monkeypatch):
     # each track's stats record keeps the place() record of its last frame,
     # the very tuple the rule engine holds for the track, not a copy
     cfg = pipeline_config_from_dict(PIPELINE_DOC)
     scene = simulate(dataclasses.replace(
         cfg.scene, seed=derive_seed(cfg.seed, SCENE_SEED_LABEL)))
-    tracker = SortTracker(cfg.tracker)
-    engine = RuleEngine(list(cfg.rules))
-    stats = SceneStats(cfg.frame_width, cfg.frame_height, cfg.grid,
-                       zones=engine.prepared_zones)
+    loop = FrameLoop(cfg)
+    engine, stats = loop.engine, loop.stats
+    records = []  # FrameLoop.step's place() record of each frame
+
+    def recorded_place(zones, tracks):
+        records.append(place(zones, tracks))
+        return records[-1]
+
+    monkeypatch.setattr(vigil.pipeline, "place", recorded_place)
     shared = 0
     for meta, dets in zip(scene.frames, scene.noisy):
-        confirmed = tracker.step(meta, dets)
-        placed = place(engine.prepared_zones, confirmed)
-        engine.evaluate(meta, confirmed, placed)
-        stats.ingest(meta, confirmed, placed)
+        loop.step(meta, dets)
+        placed = records.pop()
+        assert not records  # placed once per frame
         for tid, rec in placed.items():
             assert stats._tracks[tid].placed is rec is engine._placed[tid]
             shared += 1

@@ -46,6 +46,10 @@ def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
                            status=status)
 
 
+def _evaluate(engine, frame, tracks):
+    return engine.evaluate(frame, place(engine.prepared_zones, tracks))
+
+
 def _zone_rule(kind="Intrusion", **kw):
     return Rule(id=f"r-{kind.lower()}", kind=kind, zone=Zone("z", SQUARE), **kw)
 
@@ -58,7 +62,7 @@ def test_intrusion_fires_once_at_entry_frame():
     xs = [80.0, 70.0, 60.0, 40.0, 30.0, 20.0]  # enters between frames 2 and 3
     events = []
     for f, x in enumerate(xs):
-        events.append(engine.evaluate(_frame(f, f * 100), [_at(1, x, 25.0)]))
+        events.append(_evaluate(engine, _frame(f, f * 100), [_at(1, x, 25.0)]))
     flat = [ev for batch in events for ev in batch]
     assert len(flat) == 1
     assert flat[0].frame_id == 3
@@ -70,10 +74,10 @@ def test_intrusion_fires_once_at_entry_frame():
 def test_intrusion_ignores_track_born_inside():
     engine = RuleEngine([_zone_rule()])
     for f, x in enumerate([25.0, 26.0, 27.0]):
-        assert engine.evaluate(_frame(f, f * 100), [_at(1, x, 25.0)]) == []
+        assert _evaluate(engine, _frame(f, f * 100), [_at(1, x, 25.0)]) == []
     # it must leave and come back before the rule can fire
-    assert engine.evaluate(_frame(3, 300), [_at(1, 60.0, 25.0)]) == []
-    events = engine.evaluate(_frame(4, 400), [_at(1, 30.0, 25.0)])
+    assert _evaluate(engine, _frame(3, 300), [_at(1, 60.0, 25.0)]) == []
+    events = _evaluate(engine, _frame(4, 400), [_at(1, 30.0, 25.0)])
     assert [ev.frame_id for ev in events] == [4]
 
 
@@ -84,26 +88,26 @@ def test_intrusion_debounce_suppresses_then_rearms():
             (4, 60.0), (5, 40.0)]   # re-entry at ts 2500, window elapsed
     stamps = []
     for f, x in path:
-        for ev in engine.evaluate(_frame(f, f * 500), [_at(1, x, 25.0)]):
+        for ev in _evaluate(engine, _frame(f, f * 500), [_at(1, x, 25.0)]):
             stamps.append(ev.timestamp_ms)
     assert stamps == [500, 2500]
 
 
 def test_two_tracks_alert_independently():
     engine = RuleEngine([_zone_rule(debounce_ms=60_000)])
-    engine.evaluate(_frame(0, 0), [_at(1, 60.0, 25.0), _at(2, 70.0, 25.0)])
-    events = engine.evaluate(_frame(1, 100),
-                             [_at(1, 40.0, 25.0), _at(2, 30.0, 25.0)])
+    _evaluate(engine, _frame(0, 0), [_at(1, 60.0, 25.0), _at(2, 70.0, 25.0)])
+    events = _evaluate(engine, _frame(1, 100),
+                       [_at(1, 40.0, 25.0), _at(2, 30.0, 25.0)])
     assert sorted(ev.track_id for ev in events) == [1, 2]
 
 
 def test_tentative_tracks_are_invisible_to_rules():
     engine = RuleEngine([_zone_rule()])
-    engine.evaluate(_frame(0, 0), [_at(1, 60.0, 25.0, status=TrackStatus.TENTATIVE)])
+    _evaluate(engine, _frame(0, 0), [_at(1, 60.0, 25.0, status=TrackStatus.TENTATIVE)])
     # the entry happens while tentative -> no outside-state recorded, no alert
-    assert engine.evaluate(_frame(1, 100),
-                           [_at(1, 40.0, 25.0, status=TrackStatus.TENTATIVE)]) == []
-    assert engine.evaluate(_frame(2, 200), [_at(1, 41.0, 25.0)]) == []
+    assert _evaluate(engine, _frame(1, 100),
+                     [_at(1, 40.0, 25.0, status=TrackStatus.TENTATIVE)]) == []
+    assert _evaluate(engine, _frame(2, 200), [_at(1, 41.0, 25.0)]) == []
 
 
 # -- loitering ---------------------------------------------------------------
@@ -113,8 +117,8 @@ def test_loiter_fires_at_exact_threshold():
     engine = RuleEngine([_zone_rule("Loiter", threshold_ms=2000)])
     stamps = []
     for f in range(6):
-        for ev in engine.evaluate(_frame(f, 1000 + f * 1000),
-                                  [_at(1, 25.0, 25.0)]):
+        for ev in _evaluate(engine, _frame(f, 1000 + f * 1000),
+                            [_at(1, 25.0, 25.0)]):
             stamps.append((ev.timestamp_ms, ev.payload["dwell_ms"]))
     # first seen inside at ts 1000; dwell reaches 2000 exactly at ts 3000
     assert stamps == [(3000, 2000)]
@@ -126,7 +130,7 @@ def test_loiter_resets_when_track_leaves():
     xs = [25.0, 25.0, 60.0, 25.0, 25.0, 25.0, 25.0]
     fired = []
     for f, x in enumerate(xs):
-        for ev in engine.evaluate(_frame(f, f * 1000), [_at(1, x, 25.0)]):
+        for ev in _evaluate(engine, _frame(f, f * 1000), [_at(1, x, 25.0)]):
             fired.append(ev.timestamp_ms)
     # the first stay only reaches 1000 ms before the exit at ts 2000 wipes
     # it; the second stay starts at ts 3000 and crosses 1500 ms at ts 5000
@@ -138,7 +142,7 @@ def test_loiter_refire_respects_debounce():
                                     debounce_ms=2500)])
     stamps = []
     for f in range(8):
-        for ev in engine.evaluate(_frame(f, f * 500), [_at(1, 25.0, 25.0)]):
+        for ev in _evaluate(engine, _frame(f, f * 500), [_at(1, 25.0, 25.0)]):
             stamps.append(ev.timestamp_ms)
     # eligible from ts 1000 on; debounce lets it out at 1000 and 3500
     assert stamps == [1000, 3500]
@@ -191,10 +195,10 @@ def test_line_cross_rule_direction_filter():
                               direction="right-to-left"),
                 debounce_ms=0)
     engine = RuleEngine([rule])
-    engine.evaluate(_frame(0, 0), [_at(1, 40.0, 50.0)])
+    _evaluate(engine, _frame(0, 0), [_at(1, 40.0, 50.0)])
     # left-to-right motion is filtered out
-    assert engine.evaluate(_frame(1, 100), [_at(1, 60.0, 50.0)]) == []
-    events = engine.evaluate(_frame(2, 200), [_at(1, 40.0, 50.0)])
+    assert _evaluate(engine, _frame(1, 100), [_at(1, 60.0, 50.0)]) == []
+    events = _evaluate(engine, _frame(2, 200), [_at(1, 40.0, 50.0)])
     assert [ev.payload for ev in events] == [{"direction": "right-to-left"}]
 
 
@@ -202,15 +206,15 @@ def test_line_cross_needs_motion_history():
     rule = Rule(id="gate", kind="LineCross", line=VLINE, debounce_ms=0)
     engine = RuleEngine([rule])
     # first observation has no previous anchor -> nothing can fire
-    assert engine.evaluate(_frame(0, 0), [_at(1, 60.0, 50.0)]) == []
-    assert engine.evaluate(_frame(1, 100), [_at(1, 40.0, 50.0)]) != []
+    assert _evaluate(engine, _frame(0, 0), [_at(1, 60.0, 50.0)]) == []
+    assert _evaluate(engine, _frame(1, 100), [_at(1, 40.0, 50.0)]) != []
 
 
 def test_stepping_onto_then_off_the_line_never_fires():
     rule = Rule(id="gate", kind="LineCross", line=VLINE, debounce_ms=0)
     engine = RuleEngine([rule])
     for f, x in enumerate([40.0, 50.0, 60.0]):
-        assert engine.evaluate(_frame(f, f * 100), [_at(1, x, 50.0)]) == []
+        assert _evaluate(engine, _frame(f, f * 100), [_at(1, x, 50.0)]) == []
 
 
 # -- occupancy ---------------------------------------------------------------
@@ -230,7 +234,7 @@ def test_occupancy_edge_trigger_and_rearm():
     ]
     fired = []
     for f, tracks in enumerate(batches):
-        for ev in engine.evaluate(_frame(f, f * 100), tracks):
+        for ev in _evaluate(engine, _frame(f, f * 100), tracks):
             fired.append((ev.frame_id, ev.track_id, ev.payload))
     assert fired == [(1, None, {"count": 2}), (4, None, {"count": 2})]
 
@@ -240,14 +244,14 @@ def test_occupancy_comparators():
               min_count=1, comparator="==", debounce_ms=0)
     engine = RuleEngine([eq])
     a, b = _at(1, 25.0, 25.0), _at(2, 30.0, 25.0)
-    assert len(engine.evaluate(_frame(0, 0), [a])) == 1      # count == 1
-    assert engine.evaluate(_frame(1, 100), [a, b]) == []     # 2 != 1, re-arm
-    assert len(engine.evaluate(_frame(2, 200), [b])) == 1
+    assert len(_evaluate(engine, _frame(0, 0), [a])) == 1      # count == 1
+    assert _evaluate(engine, _frame(1, 100), [a, b]) == []     # 2 != 1, re-arm
+    assert len(_evaluate(engine, _frame(2, 200), [b])) == 1
 
     lo = Rule(id="few", kind="Occupancy", zone=Zone("z", SQUARE),
               min_count=1, comparator="<=", debounce_ms=0)
     engine = RuleEngine([lo])
-    assert len(engine.evaluate(_frame(0, 0), [])) == 1       # 0 <= 1 holds
+    assert len(_evaluate(engine, _frame(0, 0), [])) == 1       # 0 <= 1 holds
 
 
 # -- class filters -----------------------------------------------------------
@@ -256,11 +260,11 @@ def test_occupancy_comparators():
 def test_rule_class_filter():
     rule = _zone_rule(class_filter=frozenset({"car"}), debounce_ms=0)
     engine = RuleEngine([rule])
-    engine.evaluate(_frame(0, 0), [_at(1, 60.0, 25.0, label="car"),
-                                   _at(2, 60.0, 25.0, label="person")])
-    events = engine.evaluate(_frame(1, 100),
-                             [_at(1, 40.0, 25.0, label="car"),
-                              _at(2, 40.0, 25.0, label="person")])
+    _evaluate(engine, _frame(0, 0), [_at(1, 60.0, 25.0, label="car"),
+                                     _at(2, 60.0, 25.0, label="person")])
+    events = _evaluate(engine, _frame(1, 100),
+                       [_at(1, 40.0, 25.0, label="car"),
+                        _at(2, 40.0, 25.0, label="person")])
     assert [ev.track_id for ev in events] == [1]
 
 
@@ -288,11 +292,11 @@ def test_zone_class_filter_intersects_rule_filter():
 
 def test_engine_rejects_out_of_order_frames():
     engine = RuleEngine([_zone_rule()])
-    engine.evaluate(_frame(3, 300), [])
+    _evaluate(engine, _frame(3, 300), [])
     with pytest.raises(DataError):
-        engine.evaluate(_frame(3, 400), [])
+        _evaluate(engine, _frame(3, 400), [])
     with pytest.raises(DataError):
-        engine.evaluate(_frame(2, 500), [])
+        _evaluate(engine, _frame(2, 500), [])
 
 
 def test_engine_requires_unique_rule_ids():
@@ -377,10 +381,7 @@ def test_engine_matches_per_rule_track_state_reference():
         rules = _random_rules(rnd)
         engine, reference = RuleEngine(rules), ReferenceRuleEngine(rules)
         for frame, tracks in _random_stream(rnd):
-            placed = None
-            if frame.frame_id % 2:  # the pipeline's path: placed by the caller
-                placed = place(engine.prepared_zones, tracks)
-            got = [alert_record(ev) for ev in engine.evaluate(frame, tracks, placed)]
+            got = [alert_record(ev) for ev in _evaluate(engine, frame, tracks)]
             assert got == reference.evaluate(frame, tracks), (seed, frame.frame_id)
             kinds |= {row["rule_id"] for row in got}
     assert kinds == {"in-hall", "in-yard", "loiter", "loiter-yard", "gate",
@@ -424,8 +425,7 @@ def test_line_cross_edge_cases_match_reference():
     fired = set()
     for f, rows in enumerate(frames):
         tracks = [_anchored(tid, x, 50.0, label, *status) for tid, label, x, *status in rows]
-        placed = place(engine.prepared_zones, tracks) if f % 2 else None
-        got = [alert_record(ev) for ev in engine.evaluate(_frame(f, 100 * f), tracks, placed)]
+        got = [alert_record(ev) for ev in _evaluate(engine, _frame(f, 100 * f), tracks)]
         assert got == reference.evaluate(_frame(f, 100 * f), tracks), f
         fired |= {(row["rule_id"], row["track_id"], row["frame_id"]) for row in got}
     # 1e-200 sides cross every frame; 2 crosses against its frame-0 side when

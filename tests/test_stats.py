@@ -30,6 +30,10 @@ def _frame(i, ts):
     return FrameMeta(i, ts)
 
 
+def _ingest(stats, frame, tracks):
+    stats.ingest(frame, place(stats.zones, tracks))
+
+
 def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
     """A minimal track-like object whose anchor sits at (ax, ay)."""
     return SimpleNamespace(track_id=tid, class_label=label,
@@ -58,7 +62,7 @@ def test_heat_counts_match_recount():
             ay = rng.uniform(-20.0, 117.0)
             anchors.append((ax, ay))
             tracks.append(_at(tid + 1, ax, ay))
-        stats.ingest(_frame(f, f * 100), tracks)
+        _ingest(stats, _frame(f, f * 100), tracks)
     expected = heat_recount(anchors, 173, 97, 10)
     assert stats.observations == sum(expected.values())
     assert int(stats.heat.sum()) == stats.observations
@@ -118,7 +122,7 @@ def test_grids_match_the_scalar_loop_bit_for_bit():
     for f, (meta, dets) in enumerate(zip(scene.frames, scene.noisy)):
         tracks = tracker.step(meta, dets) + _edge_tracks(f, width, height)
         placed = place(ZoneSet(()), tracks)
-        stats.ingest(meta, tracks, placed)
+        stats.ingest(meta, placed)
         frames.append([(tid, rec[1]) for tid, rec in placed.items()])
     heat, flow_dx, flow_dy, flow_n = stats_grids_reference(frames, width, height, 7)
     assert int(flow_n.sum()) > 500
@@ -131,18 +135,18 @@ def test_grids_match_the_scalar_loop_bit_for_bit():
 
 def test_far_edge_anchors_land_in_last_cell():
     stats = SceneStats(200, 100, GridSpec(10))
-    stats.ingest(_frame(0, 0), [_at(1, 200.0, 100.0)])
+    _ingest(stats, _frame(0, 0), [_at(1, 200.0, 100.0)])
     assert stats.observations == 1
     assert stats.heat[9, 19] == 1
     # a hair past the edge no longer counts
-    stats.ingest(_frame(1, 100), [_at(1, 200.0001, 50.0)])
+    _ingest(stats, _frame(1, 100), [_at(1, 200.0001, 50.0)])
     assert stats.observations == 1
 
 
 def test_out_of_bounds_anchors_still_feed_dwell():
     stats = SceneStats(200, 100)
-    stats.ingest(_frame(0, 0), [_at(4, -50.0, -50.0)])
-    stats.ingest(_frame(1, 700), [_at(4, 300.0, 40.0)])
+    _ingest(stats, _frame(0, 0), [_at(4, -50.0, -50.0)])
+    _ingest(stats, _frame(1, 700), [_at(4, 300.0, 40.0)])
     assert stats.observations == 0
     assert int(stats.heat.sum()) == 0
     report = stats.dwell_report_doc()["tracks"]
@@ -153,14 +157,14 @@ def test_out_of_bounds_anchors_still_feed_dwell():
 
 def test_flow_accrues_to_previous_cell():
     stats = SceneStats(200, 100, GridSpec(10))
-    stats.ingest(_frame(0, 0), [_at(1, 15.0, 25.0)])
-    stats.ingest(_frame(1, 100), [_at(1, 38.0, 47.0)])
+    _ingest(stats, _frame(0, 0), [_at(1, 15.0, 25.0)])
+    _ingest(stats, _frame(1, 100), [_at(1, 38.0, 47.0)])
     # the (15, 25) -> (38, 47) displacement belongs to cell (1, 2)
     assert stats.flow_n[2, 1] == 1
     assert stats.flow_dx[2, 1] == pytest.approx(23.0)
     assert stats.flow_dy[2, 1] == pytest.approx(22.0)
     assert int(stats.flow_n.sum()) == 1
-    stats.ingest(_frame(2, 200), [_at(1, 40.0, 48.0)])
+    _ingest(stats, _frame(2, 200), [_at(1, 40.0, 48.0)])
     assert stats.flow_n[4, 3] == 1
     avg_dx, avg_dy = stats.average_flow()
     assert avg_dx[2, 1] == pytest.approx(23.0)
@@ -172,11 +176,11 @@ def test_flow_accrues_to_previous_cell():
 
 def test_flow_skips_out_of_bounds_origin():
     stats = SceneStats(200, 100)
-    stats.ingest(_frame(0, 0), [_at(1, -30.0, 50.0)])
-    stats.ingest(_frame(1, 100), [_at(1, 20.0, 50.0)])
+    _ingest(stats, _frame(0, 0), [_at(1, -30.0, 50.0)])
+    _ingest(stats, _frame(1, 100), [_at(1, 20.0, 50.0)])
     assert int(stats.flow_n.sum()) == 0
     # ...but a displacement leaving the frame does count at its origin
-    stats.ingest(_frame(2, 200), [_at(1, 260.0, 50.0)])
+    _ingest(stats, _frame(2, 200), [_at(1, 260.0, 50.0)])
     assert int(stats.flow_n.sum()) == 1
     assert stats.flow_dx[5, 2] == pytest.approx(240.0)
 
@@ -184,7 +188,7 @@ def test_flow_skips_out_of_bounds_origin():
 def test_dwell_hand_case():
     stats = SceneStats(200, 100)
     for f, ts in enumerate([0, 500, 1000, 1500, 2000]):
-        stats.ingest(_frame(f, ts), [_at(9, 10.0, 10.0, label="car")])
+        _ingest(stats, _frame(f, ts), [_at(9, 10.0, 10.0, label="car")])
     rec = stats.dwell_report_doc()["tracks"][0]
     assert rec["track_id"] == 9
     assert rec["class"] == "car"
@@ -199,7 +203,7 @@ def test_zone_dwell_requires_both_endpoints_inside():
     path = [(10.0, 10.0), (20.0, 20.0), (80.0, 20.0), (30.0, 30.0),
             (40.0, 40.0)]
     for f, (ax, ay) in enumerate(path):
-        stats.ingest(_frame(f, f * 1000), [_at(2, ax, ay)])
+        _ingest(stats, _frame(f, f * 1000), [_at(2, ax, ay)])
     rec = stats.dwell_report_doc()["tracks"][0]
     # inside->inside, inside->out, out->inside, inside->inside
     assert rec["zone_ms"] == {"lobby": 2000}
@@ -208,8 +212,8 @@ def test_zone_dwell_requires_both_endpoints_inside():
 
 def test_zone_boundary_counts_as_inside():
     stats = SceneStats(200, 100, zones=_zones(("lobby", ZONE_SQUARE)))
-    stats.ingest(_frame(0, 0), [_at(3, 50.0, 25.0)])    # on the edge
-    stats.ingest(_frame(1, 800), [_at(3, 50.0, 30.0)])  # still on it
+    _ingest(stats, _frame(0, 0), [_at(3, 50.0, 25.0)])    # on the edge
+    _ingest(stats, _frame(1, 800), [_at(3, 50.0, 30.0)])  # still on it
     assert stats.dwell_report_doc()["tracks"][0]["zone_ms"] == {"lobby": 800}
 
 
@@ -232,8 +236,8 @@ def test_one_zone_id_names_one_zone():
     stats = SceneStats(200, 100, zones=_zones(("a", ZONE_SQUARE), ("b", moved),
                                               ("a", list(ZONE_SQUARE))))  # a repeat is one zone
     assert [z.id for z in stats.zones.zones] == ["a", "b"]
-    stats.ingest(_frame(0, 0), [_at(1, 25.0, 25.0)])
-    stats.ingest(_frame(1, 1000), [_at(1, 125.0, 25.0)])
+    _ingest(stats, _frame(0, 0), [_at(1, 25.0, 25.0)])
+    _ingest(stats, _frame(1, 1000), [_at(1, 125.0, 25.0)])
     assert stats.dwell_report_doc()["tracks"][0]["zone_ms"] == {"a": 0, "b": 0}
 
 
@@ -243,7 +247,7 @@ def test_zone_ms_holds_only_the_zones_a_track_dwelt_in():
     moved = [(x + 100.0, y) for x, y in ZONE_SQUARE]
     stats = SceneStats(200, 100, zones=_zones(("b", moved), ("a", ZONE_SQUARE)))
     for f in range(3):
-        stats.ingest(_frame(f, f * 500), [_at(1, 75.0, 25.0), _at(2, 25.0, 25.0)])
+        _ingest(stats, _frame(f, f * 500), [_at(1, 75.0, 25.0), _at(2, 25.0, 25.0)])
     assert stats._tracks[1].zone_ms == {}
     assert stats._tracks[2].zone_ms == {"a": 1000}
     assert [(rec["track_id"], rec["zone_ms"]) for rec in stats.dwell_report_doc()["tracks"]] == \
@@ -265,7 +269,7 @@ def test_dwell_matches_recount_on_random_paths():
             ay = rng.uniform(0.0, 100.0)
             tracks.append(_at(tid, ax, ay))
             log.append((tid, f * 250, (ax, ay)))
-        stats.ingest(_frame(f, f * 250), tracks)
+        _ingest(stats, _frame(f, f * 250), tracks)
     oracle = dwell_recount(
         log, [(zid, lambda p, poly=poly: point_in_polygon(p, poly))
               for zid, poly in zones])
@@ -289,9 +293,9 @@ def test_unique_count_window():
         (4, 5000, [(2, "person")]),
     ]
     for f, ts, present in rows:
-        stats.ingest(_frame(f, ts),
-                     [_at(tid, 10.0 * tid, 20.0, label=lab)
-                      for tid, lab in present])
+        _ingest(stats, _frame(f, ts),
+                [_at(tid, 10.0 * tid, 20.0, label=lab)
+                 for tid, lab in present])
     assert stats.unique_count("person", 0, 999) == 1
     assert stats.unique_count("person", 900, 5000) == 2
     assert stats.unique_count("person", 2500, 4999) == 0
@@ -315,7 +319,7 @@ def test_unique_count_matches_recount():
                 continue
             tracks.append(_at(tid, 50.0 + tid, 60.0, label=lab))
             log.append((tid, f * 40, None))
-        stats.ingest(_frame(f, f * 40), tracks)
+        _ingest(stats, _frame(f, f * 40), tracks)
     for _ in range(30):
         t0 = rng.randrange(0, 2000)
         t1 = t0 + rng.randrange(0, 1200)
@@ -326,10 +330,10 @@ def test_unique_count_matches_recount():
 
 def test_counts_doc():
     stats = SceneStats(200, 100)
-    stats.ingest(_frame(0, 0), [_at(1, 10, 10, label="person"),
-                                _at(2, 20, 20, label="car")])
-    stats.ingest(_frame(1, 100), [_at(1, 11, 11, label="person"),
-                                  _at(3, 30, 30, label="person")])
+    _ingest(stats, _frame(0, 0), [_at(1, 10, 10, label="person"),
+                                  _at(2, 20, 20, label="car")])
+    _ingest(stats, _frame(1, 100), [_at(1, 11, 11, label="person"),
+                                    _at(3, 30, 30, label="person")])
     doc = stats.counts_doc()
     assert doc == {"per_class": {"car": 1, "person": 2},
                    "total_tracks": 3, "observations": 4}
@@ -339,7 +343,7 @@ def test_counts_doc():
 def test_dwell_report_sorted_and_doc_shape():
     stats = SceneStats(200, 100, zones=_zones(("z2", ZONE_SQUARE), ("z1", ZONE_SQUARE)))
     for f, tid in enumerate((7, 3, 5)):
-        stats.ingest(_frame(f, f * 100), [_at(tid, 10.0, 10.0)])
+        _ingest(stats, _frame(f, f * 100), [_at(tid, 10.0, 10.0)])
     doc = stats.dwell_report_doc()
     assert [rec["track_id"] for rec in doc["tracks"]] == [3, 5, 7]
     assert list(doc) == ["tracks"]
@@ -351,7 +355,7 @@ def test_dwell_report_sorted_and_doc_shape():
 
 def test_only_confirmed_tracks_are_ingested():
     stats = SceneStats(200, 100)
-    stats.ingest(_frame(0, 0), [
+    _ingest(stats, _frame(0, 0), [
         _at(1, 10.0, 10.0, status=TrackStatus.TENTATIVE),
         _at(2, 20.0, 20.0, status=TrackStatus.DELETED),
     ])
@@ -362,18 +366,18 @@ def test_only_confirmed_tracks_are_ingested():
 
 def test_out_of_order_frames_rejected():
     stats = SceneStats(200, 100)
-    stats.ingest(_frame(5, 500), [])
+    _ingest(stats, _frame(5, 500), [])
     with pytest.raises(DataError):
-        stats.ingest(_frame(5, 600), [])
+        _ingest(stats, _frame(5, 600), [])
     with pytest.raises(DataError):
-        stats.ingest(_frame(4, 700), [])
-    stats.ingest(_frame(6, 600), [])  # strictly increasing is fine
+        _ingest(stats, _frame(4, 700), [])
+    _ingest(stats, _frame(6, 600), [])  # strictly increasing is fine
 
 
 def test_heatmap_csv_round_trip(tmp_path):
     stats = SceneStats(30, 20, GridSpec(10))
     for f, (ax, ay) in enumerate([(5, 5), (5, 6), (25, 15)]):
-        stats.ingest(_frame(f, f * 100), [_at(1, ax, ay)])
+        _ingest(stats, _frame(f, f * 100), [_at(1, ax, ay)])
     path = tmp_path / "heatmap.csv"
     stats.write_heatmap_csv(path)
     with open(path, newline="") as fh:
@@ -385,7 +389,7 @@ def test_heatmap_pgm_normalizes_peak_to_255(tmp_path):
     stats = SceneStats(30, 20, GridSpec(10))
     hits = [(5, 5), (6, 5), (7, 5), (8, 5), (25, 15)]
     for f, (ax, ay) in enumerate(hits):
-        stats.ingest(_frame(f, f * 100), [_at(1, float(ax), float(ay))])
+        _ingest(stats, _frame(f, f * 100), [_at(1, float(ax), float(ay))])
     path = tmp_path / "heatmap.pgm"
     stats.write_heatmap_pgm(path)
     img = read_image(path)
@@ -404,9 +408,9 @@ def test_heatmap_pgm_empty_scene(tmp_path):
 
 def test_flowmap_csv_lists_only_sampled_cells(tmp_path):
     stats = SceneStats(200, 100, GridSpec(10))
-    stats.ingest(_frame(0, 0), [_at(1, 15.0, 25.0)])
-    stats.ingest(_frame(1, 100), [_at(1, 18.0, 29.0)])
-    stats.ingest(_frame(2, 200), [_at(1, 21.0, 33.0)])
+    _ingest(stats, _frame(0, 0), [_at(1, 15.0, 25.0)])
+    _ingest(stats, _frame(1, 100), [_at(1, 18.0, 29.0)])
+    _ingest(stats, _frame(2, 200), [_at(1, 21.0, 33.0)])
     path = tmp_path / "flowmap.csv"
     stats.write_flowmap_csv(path)
     with open(path, newline="") as fh:
@@ -419,8 +423,8 @@ def test_flowmap_csv_lists_only_sampled_cells(tmp_path):
 def test_dwell_and_counts_json(tmp_path):
     import json
     stats = SceneStats(200, 100)
-    stats.ingest(_frame(0, 0), [_at(1, 10.0, 10.0)])
-    stats.ingest(_frame(1, 400), [_at(1, 12.0, 10.0)])
+    _ingest(stats, _frame(0, 0), [_at(1, 10.0, 10.0)])
+    _ingest(stats, _frame(1, 400), [_at(1, 12.0, 10.0)])
     stats.write_dwell_json(tmp_path / "dwell.json")
     stats.write_counts_json(tmp_path / "counts.json")
     dwell = json.loads((tmp_path / "dwell.json").read_text())
