@@ -85,9 +85,15 @@ def sample_transform(rng: Rng, bounds: AugmentationBounds) -> TransformParams:
 
 def apply_params(img: np.ndarray, params: TransformParams) -> np.ndarray:
     """Warp an image by ``params.matrix()`` and apply its color jitter;
-    output has the source dimensions, black fill outside."""
+    output has the source dimensions, black fill outside.
+
+    Each bilinear tap is one ``take`` of pixel rows from the image viewed
+    as (h * w, channels), at ``clip(y) * w + clip(x)``; every output
+    element sees the same IEEE operations in the same order as a 2-D
+    gather from the image converted to float, since a pixel converts to
+    the same float before or after the gather.
+    """
     img = np.asarray(img)
-    gray = img.ndim == 2
     h, w = img.shape[:2]
     A = params.matrix()
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]  # +/-1: rotation, shear, flip
@@ -104,11 +110,11 @@ def apply_params(img: np.ndarray, params: TransformParams) -> np.ndarray:
     fx = sx - x0
     fy = sy - y0
 
-    data = (img if not gray else img[..., None]).astype(float)
+    pixels = img.reshape(h * w, -1)
 
     def at(yy, xx):
         inside = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
-        vals = data[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+        vals = pixels.take(np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1), axis=0)
         return vals * inside[..., None]
 
     wx, wy = fx[..., None], fy[..., None]
@@ -119,7 +125,7 @@ def apply_params(img: np.ndarray, params: TransformParams) -> np.ndarray:
 
     out = out * params.color_scale + params.color_offset
     out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out[..., 0] if gray else out
+    return out.reshape(img.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,9 @@ COUNTS_JSON = "counts.json"
 MANIFEST_JSON = "run-manifest.json"
 
 
-_STATUS_JSON = {status: json.dumps(status.value) for status in TrackStatus}
+# keyed by the member's plain ``_value_`` str: hashing the member itself runs
+# Enum.__hash__, a Python-level call per row
+_STATUS_JSON = {status._value_: json.dumps(status.value) for status in TrackStatus}
 
 
 def track_lines(frame: FrameMeta, tracks: list[Track], labels: dict) -> str:
@@ -210,7 +212,7 @@ def track_lines(frame: FrameMeta, tracks: list[Track], labels: dict) -> str:
             label = labels[track.class_label] = json.dumps(track.class_label)
         lines.append(f'{head}{track.track_id}, "class": {label}, "x1": {x1!r}, '
                      f'"y1": {y1!r}, "x2": {x2!r}, "y2": {y2!r}, '
-                     f'"status": {_STATUS_JSON[track.status]}}}\n')
+                     f'"status": {_STATUS_JSON[track.status._value_]}}}\n')
     return "".join(lines)
 
 

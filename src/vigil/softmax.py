@@ -57,9 +57,30 @@ class SoftmaxModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of a (K,) or (n, K) array, bit for bit
+    ``e / e.sum(axis=-1)`` with ``e = exp(logits - logits.max(axis=-1))``.
+
+    A reduction along a short last axis costs numpy one inner loop per
+    row, so the row max and sum run over the K class columns instead,
+    each call covering all n rows.  The max is exact in any order.  For
+    fewer than 8 terms numpy's sum adds left to right, as the columns
+    are added here; from 8 on it sums in pairwise blocks, so wider rows
+    keep ``e.sum(axis=-1)``.
+    """
+    K = logits.shape[-1]
+    x = logits.reshape(-1, K)
+    m = x[:, 0].copy()
+    for k in range(1, K):
+        np.maximum(m, x[:, k], out=m)
+    e = np.exp(x - m[:, None])
+    if K < 8:
+        s = e[:, 0].copy()
+        for k in range(1, K):
+            s += e[:, k]
+    else:
+        s = e.sum(axis=-1)
+    e /= s[:, None]
+    return e.reshape(logits.shape)
 
 
 def loss_and_grad(model: SoftmaxModel, X: np.ndarray, y: np.ndarray,

@@ -134,7 +134,10 @@ class _SimilarityModel:
     are then derived; cached as a full matrix while its n * n * 8 bytes
     stay within SIM_PRECOMPUTE_BYTES, else computed on demand through one
     scratch buffer the size of the signatures).  gain_evals counts
-    marginal-gain evaluations.
+    marginal-gain evaluations.  A gain writes its terms into one n-vector
+    kept for it and sums them with np.add.reduce, which is ndarray.sum
+    without its Python-level wrapper: each element sees the same
+    operations as in fresh temporaries.
     """
 
     def __init__(self, matrix=None, *, signatures=None):
@@ -155,6 +158,7 @@ class _SimilarityModel:
                 self._S = None
                 self._sig = sig
                 self._buf = np.empty(sig.shape)
+        self._terms = np.empty(self.n)
         self.gain_evals = 0
 
     def _row(self, j: int) -> np.ndarray:
@@ -171,7 +175,8 @@ class FacilityLocation(_SimilarityModel):
 
     def gain(self, state: np.ndarray, j: int) -> float:
         self.gain_evals += 1
-        return float(np.maximum(self._row(j) - state, 0.0).sum())
+        terms = np.subtract(self._row(j), state, out=self._terms)
+        return float(np.add.reduce(np.maximum(terms, 0.0, out=terms)))
 
     def add(self, state: np.ndarray, j: int) -> None:
         np.maximum(state, self._row(j), out=state)
@@ -191,8 +196,9 @@ class SaturatedCoverage(_SimilarityModel):
 
     def gain(self, state: np.ndarray, j: int) -> float:
         self.gain_evals += 1
-        after = np.minimum(state + self._row(j), self._cap)
-        return float((after - np.minimum(state, self._cap)).sum())
+        terms = np.add(state, self._row(j), out=self._terms)
+        np.minimum(terms, self._cap, out=terms)
+        return float(np.add.reduce(np.subtract(terms, np.minimum(state, self._cap), out=terms)))
 
     def add(self, state: np.ndarray, j: int) -> None:
         state += self._row(j)

@@ -285,6 +285,17 @@ def greedy_trace(model, budget: int):
     return steps
 
 
+# the two models' marginal gains frozen as they were before they wrote into
+# one kept n-vector: fresh temporaries and ndarray.sum, given the model's row
+def facility_location_gain_reference(row, state) -> float:
+    return float(np.maximum(row - state, 0.0).sum())
+
+
+def saturated_coverage_gain_reference(row, state, cap) -> float:
+    after = np.minimum(state + row, cap)
+    return float((after - np.minimum(state, cap)).sum())
+
+
 def signature_rows_reference(rows) -> np.ndarray:
     """ground_set_from_csv's normalization, frozen as it was before the rows
     were divided as one matrix: each row by its own sum, all-zero rows kept."""
@@ -298,6 +309,14 @@ def signature_rows_reference(rows) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # calculus
+
+
+def softmax_reference(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax frozen as it was before its max and sum ran over the
+    class columns: both reduce along the last axis, one row at a time."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -342,7 +361,9 @@ def average_precision_reference(tp_flags, n_gt: int):
 # ---------------------------------------------------------------------------
 # augmentation: the general affine warp y = A x + B with optional color
 # jitter, frozen as it was before the warp was cut down to the rotation,
-# shear and flip that TransformParams describes.
+# shear and flip that TransformParams describes.  Its taps are 2-D gathers
+# from the image converted to float, as apply_params' were before each tap
+# became one take of pixel rows.
 
 
 def affine_reference(angle_deg, shear, flip):

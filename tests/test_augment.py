@@ -7,6 +7,7 @@ import pytest
 
 from vigil.augment import (
     ROTATION_HARD_CAP_DEG,
+    SHEAR_HARD_CAP,
     AugmentationBounds,
     DatasetManifest,
     ManifestRecord,
@@ -91,27 +92,49 @@ def test_color_jitter_and_clip():
     assert np.all(cold == 0)
 
 
+def _source_leaves_image(h, w, A) -> bool:
+    """Whether some corner pixel of the output samples a point off the image."""
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    src = np.linalg.solve(A, np.array([[-cx, cx, -cx, cx], [-cy, -cy, cy, cy]]))
+    return bool(np.any(np.abs(src[0]) > cx) or np.any(np.abs(src[1]) > cy))
+
+
 def test_warp_matches_frozen_affine_warp_bit_for_bit():
     # apply_params against the general y = A x + B warp with optional
-    # jitter that it replaced, on odd-sized gray and RGB images, with
-    # color scales and offsets that push values past both clip ends
+    # jitter that it replaced, whose taps are 2-D gathers from a float copy:
+    # gray and RGB, square and not, odd and even sides down to one pixel,
+    # flips, rotation and shear up to their caps.  Half the pool has random
+    # pixels and color jitter pushing values past both clip ends; the other
+    # half has flat 4x4 blocks, scale 1 and offset +/-0.5, so that most
+    # pixels interpolate to a rounding tie and an ulp moved by another order
+    # of operations changes the output byte
     rnd = np.random.default_rng(9)
-    for case in range(48):
-        h, w = (int(v) for v in 2 * rnd.integers(2, 20, size=2) + 1)
-        shape = (h, w) if case % 2 else (h, w, 3)
-        img = rnd.integers(0, 256, size=shape, dtype=np.uint8)
-        params = TransformParams(
-            angle_deg=float(rnd.uniform(-10.0, 10.0)),
-            shear=float(rnd.uniform(-0.3, 0.3)),
-            flip=bool(case % 4 < 2),
-            color_scale=float(rnd.uniform(0.5, 1.8)),
-            color_offset=float(rnd.uniform(-60.0, 60.0)))
+    caps = [(angle, shear) for angle in (-ROTATION_HARD_CAP_DEG, 0.0, ROTATION_HARD_CAP_DEG)
+            for shear in (-SHEAR_HARD_CAP, SHEAR_HARD_CAP)]
+    sides = [(1, 1), (1, 9), (8, 1), (2, 2), (4, 7), (16, 9), (9, 16), (3, 3)]
+    off_image = 0
+    for case in range(160):
+        h, w = sides[case] if case < len(sides) else (int(v) for v in rnd.integers(1, 40, size=2))
+        channels = () if case % 2 else (3,)
+        blocky = case // 2 % 2 == 1
+        if blocky:
+            blocks = rnd.integers(0, 256, size=(-(-h // 4), -(-w // 4), *channels), dtype=np.uint8)
+            img = np.kron(blocks, np.ones((4, 4, *channels), np.uint8))[:h, :w]
+            jitter = (1.0, 0.5 if case % 8 < 4 else -0.5)
+        else:
+            img = rnd.integers(0, 256, size=(h, w, *channels), dtype=np.uint8)
+            jitter = (float(rnd.uniform(0.5, 1.8)), float(rnd.uniform(-60.0, 60.0)))
+        angle, shear = (caps[case % len(caps)] if case % 3 == 0 else
+                        (float(rnd.uniform(-10.0, 10.0)), float(rnd.uniform(-1.0, 1.0))))
+        params = TransformParams(angle_deg=angle, shear=shear, flip=case // 4 % 2 == 1,
+                                 color_scale=jitter[0], color_offset=jitter[1])
         A, B = affine_reference(params.angle_deg, params.shear, params.flip)
-        want = warp_reference(img, A, B,
-                              (params.color_scale, params.color_offset))
+        off_image += _source_leaves_image(h, w, A)
+        want = warp_reference(img, A, B, jitter)
         got = apply_params(img, params)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), params
+        assert got.tobytes() == want.tobytes(), (img.shape, params)
+    assert off_image > 100
 
 
 def test_shear_keeps_rows():

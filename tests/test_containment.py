@@ -210,7 +210,10 @@ PIPELINE_DOC = {"source": {"kind": "synthetic", "scene": SCENE},
                 "rules": RULES, "seed": 12}
 
 
-def test_engine_and_stats_standalone_match_pipeline(tmp_path, monkeypatch):
+def test_frame_loop_stream_matches_pipeline_with_one_corners_read_per_track(tmp_path,
+                                                                          monkeypatch):
+    # FrameLoop stepped over the run's scene gives pipeline.run's alerts and
+    # dwell report, and each step reads corners once per confirmed track
     cfg = pipeline_config_from_dict(PIPELINE_DOC)
     run(cfg, str(tmp_path))
     piped_alerts = [json.loads(line) for line in

@@ -607,3 +607,25 @@ def test_track_lines_equal_json_dumps_of_track_records():
     lines = track_lines(meta, tracks, labels)
     assert lines == "".join(json.dumps(track_record(meta, t)) + "\n" for t in tracks)
     assert "inf" not in lines and "nan" not in lines
+
+
+def test_track_lines_hash_no_status_member(monkeypatch):
+    # each row's status is looked up by its plain str value: hashing the
+    # member would run Enum.__hash__, a Python-level call per row
+    hashed = []
+    enum_hash = TrackStatus.__hash__
+
+    def counted(member):
+        hashed.append(member)
+        return enum_hash(member)
+
+    monkeypatch.setattr(TrackStatus, "__hash__", counted)
+    tracks = []
+    for i, status in enumerate(list(TrackStatus) * 3):
+        track = Track(i + 1, "car", [1.0, 2.0, 3.5 + i, 4.0])
+        track.status = status
+        tracks.append(track)
+    meta = FrameMeta(5, 0)
+    lines = track_lines(meta, tracks, {})
+    assert hashed == []
+    assert lines == "".join(json.dumps(track_record(meta, t)) + "\n" for t in tracks)

@@ -11,6 +11,7 @@ from vigil.errors import ConfigError, DataError
 from vigil.softmax import (
     SoftmaxModel,
     TrainConfig,
+    _softmax,
     evaluation_report,
     load_features_csv,
     load_model,
@@ -21,7 +22,7 @@ from vigil.softmax import (
     train,
 )
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, softmax_reference
 
 
 def _pack(model):
@@ -154,6 +155,43 @@ def test_training_is_deterministic():
     assert np.array_equal(a.model.W, b.model.W)
     assert np.array_equal(a.model.b, b.model.b)
     assert a.losses == b.losses
+
+
+def _assert_same_array(got, want, where):
+    assert got.shape == want.shape and got.dtype == want.dtype, where
+    assert got.strides == want.strides, where  # the layout the BLAS products see
+    assert got.tobytes() == want.tobytes(), where
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_softmax_matches_frozen_row_reductions_bit_for_bit(order):
+    # _softmax reduces over the class columns, the frozen softmax along the
+    # last axis.  K from 2 to 16 crosses numpy's switch from a left-to-right
+    # sum to pairwise blocks at 8 terms.  Magnitudes from 1e-5 to 1e5 reach
+    # rows whose exp underflows everywhere but at the max; rounded rows tie
+    # their max, and shifted rows share a large offset
+    rng = np.random.default_rng(41)
+    for K in range(2, 17):
+        for n in (1, 2, 7, 2000):
+            for scale in 10.0 ** np.arange(-5, 6, 2):  # 1e-5 to 1e5
+                base = rng.normal(0.0, scale, (n, K))
+                for logits in (base, np.round(base / scale) * scale, base + 3.0 * scale):
+                    logits = np.asarray(logits, order=order)
+                    _assert_same_array(_softmax(logits), softmax_reference(logits),
+                                       (K, n, scale))
+        # a strided view, as a column slice of a wider array
+        wide = np.asarray(rng.normal(0.0, 10.0, (300, 2 * K)), order=order)
+        _assert_same_array(_softmax(wide[:, ::2]), softmax_reference(wide[:, ::2]), K)
+
+
+def test_softmax_of_one_row_matches_frozen_reductions_bit_for_bit():
+    # predict's 1-D logits, contiguous and strided
+    rng = np.random.default_rng(42)
+    for K in range(2, 17):
+        for scale in 10.0 ** np.arange(-5, 6):
+            x = rng.normal(0.0, scale, 2 * K)
+            for logits in (x[:K], x[::2], np.round(x[:K] / scale) * scale):
+                _assert_same_array(_softmax(logits), softmax_reference(logits), (K, scale))
 
 
 def test_predict_tie_goes_to_lowest_class_index():
