@@ -25,6 +25,15 @@ class DataError(VigilError):
     """Invalid input data (malformed files, broken invariants, bad ordering)."""
 
 
+def next_frame(last, frame_id):
+    """*frame_id*, the new last frame id of a stream that must see frames
+    in increasing order; one at or before *last* (None before the first
+    frame) is a DataError."""
+    if last is not None and frame_id <= last:
+        raise DataError(f"out-of-order frame_id {frame_id} after {last}")
+    return frame_id
+
+
 class DumpFormatError(DataError):
     """Malformed detection dump record; names the file and carries the line number."""
 

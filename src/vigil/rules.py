@@ -19,14 +19,12 @@ import math
 import socket
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional
-
-import numpy as np
 
 from .config import (REQUIRED, classes, fields_of, label, list_of, pair, parse, read_config,
                      string)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, next_frame
 from .geometry import (
     BoundingBox,
     FrameMeta,
@@ -82,15 +80,13 @@ class Zone:
 
 class ZoneSet:
     """Zones prepared to be placed together: ``zones``, one per id in
-    first-use order, and the corners of their ``reach`` boxes, which
-    :func:`place` compares anchors with, as two contiguous (z, 2) arrays:
-    ``low`` ([x1, y1]) and ``high`` ([x2, y2]).
+    first-use order, which :func:`place` tests in that order.
 
     Containment is keyed by zone id, so an id naming two different zones
     (polygon or class filter) is a ConfigError.
     """
 
-    __slots__ = ("zones", "low", "high")
+    __slots__ = ("zones",)
 
     def __init__(self, zones):
         by_id: dict = {}
@@ -99,9 +95,6 @@ class ZoneSet:
                 raise ConfigError(f"zone id {zone.id!r} names two different zones "
                                   f"(polygon or classes differ)")
         self.zones = tuple(by_id.values())
-        reach = np.array([z.reach.as_tuple() for z in self.zones],
-                         dtype=float).reshape(-1, 4)
-        self.low, self.high = reach[:, :2].copy(), reach[:, 2:].copy()
 
 
 @dataclass(frozen=True)
@@ -230,30 +223,26 @@ def place(zones: ZoneSet, tracks) -> dict:
     ``corners``, its box as [x1, y1, x2, y2] (see
     :class:`~vigil.tracker.Track`); its anchor is the box's bottom center,
     ``(0.5 * (x1 + x2), y2)``, as :attr:`BoundingBox.anchor` computes it.
-    All anchors are compared with all reach boxes in one comparison
-    (edge-inclusive); only the (track, zone) pairs inside a box are ray
-    cast, in that order.  Rules and statistics over the same frame and
-    zones read the frame from this record alone, so each anchor is read
-    once and each candidate pair is cast once.
+    Each anchor is tested against the zones in order: first the zone's
+    ``reach`` box (edge-inclusive), then, only inside it, the ray cast.
+    Rules and statistics over the same frame and zones read the frame from
+    this record alone, so each anchor is read once and each (track, zone)
+    pair is tested once.
     """
-    confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
-    anchors = [(0.5 * (x1 + x2), y2) for x1, _, x2, y2 in [t.corners for t in confirmed]]
-    within = [frozenset()] * len(confirmed)
-    if anchors and zones.zones:
-        n = len(anchors)
-        xy = np.fromiter(chain.from_iterable(anchors), float, 2 * n).reshape(n, 1, 2)
-        # (track, zone, axis): x1 <= x <= x2 and y1 <= y <= y2
-        in_range = (zones.low <= xy) & (xy <= zones.high)
-        near = in_range[:, :, 0] & in_range[:, :, 1]
-        inside: dict = {}  # track index -> ids of the zones it is in
-        for i, j in zip(*(idx.tolist() for idx in np.nonzero(near))):
-            zone = zones.zones[j]
-            if point_in_polygon(anchors[i], zone.polygon, zone.edges):
-                inside.setdefault(i, []).append(zone.id)
-        for i, ids in inside.items():
-            within[i] = frozenset(ids)
-    return dict(zip([t.track_id for t in confirmed],
-                    zip([t.class_label for t in confirmed], anchors, within)))
+    placed = {}
+    for t in tracks:
+        if t.status is not TrackStatus.CONFIRMED:
+            continue
+        x1, _, x2, y2 = t.corners
+        anchor = x, y = (0.5 * (x1 + x2), y2)
+        ids = []
+        for zone in zones.zones:
+            reach = zone.reach
+            if (reach.x1 <= x <= reach.x2 and reach.y1 <= y <= reach.y2
+                    and point_in_polygon(anchor, zone.polygon, zone.edges)):
+                ids.append(zone.id)
+        placed[t.track_id] = (t.class_label, anchor, frozenset(ids))
+    return placed
 
 
 class RuleEngine:
@@ -297,10 +286,7 @@ class RuleEngine:
 
     def evaluate(self, frame: FrameMeta, placed: dict) -> list[AlertEvent]:
         """The frame's alerts from *placed*, its tracks' place() over ``prepared_zones``."""
-        if self._last_frame is not None and frame.frame_id <= self._last_frame:
-            raise DataError(
-                f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
-        self._last_frame = frame.frame_id
+        self._last_frame = next_frame(self._last_frame, frame.frame_id)
         ts = frame.timestamp_ms
         before = self._placed
         tids = list(placed)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import finite
-from .errors import ConfigError, DataError, write_csv, write_json
+from .errors import ConfigError, next_frame, write_csv, write_json
 from .geometry import FrameMeta
 # Not called here (zones are rules.Zone), but perfbench/tracing.py wraps
 # vigil.stats.point_in_polygon, and its install() fails when the name is gone.
@@ -100,10 +100,7 @@ class SceneStats:
         """Fold one frame's confirmed tracks into the statistics, from
         *placed*: :func:`vigil.rules.place` over the frame's tracks and zones
         with the same ids and polygons as ``self.zones``."""
-        if self._last_frame is not None and frame.frame_id <= self._last_frame:
-            raise DataError(
-                f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
-        self._last_frame = frame.frame_id
+        self._last_frame = next_frame(self._last_frame, frame.frame_id)
         ts = frame.timestamp_ms
 
         # an anchor's flat cell index, or None outside the frame (the far

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import hungarian_assign
-from .errors import ConfigError, DataError
+from .errors import ConfigError, next_frame
 from .geometry import BoundingBox, Detection, FrameDetections, FrameMeta, iou_matrix
 from .kalman import KalmanBoxFilter, measurement
 
@@ -109,10 +109,7 @@ class SortTracker:
         *detections* is the frame's batch, as read_dump yields it; a list
         of Detection objects is turned into one first.
         """
-        if self._last_frame is not None and frame.frame_id <= self._last_frame:
-            raise DataError(
-                f"out-of-order frame_id {frame.frame_id} after {self._last_frame}")
-        self._last_frame = frame.frame_id
+        self._last_frame = next_frame(self._last_frame, frame.frame_id)
         if not isinstance(detections, FrameDetections):
             detections = FrameDetections.of(detections)
         cfg = self.config

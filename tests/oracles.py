@@ -659,11 +659,11 @@ def read_dump_reference(path):
 
 
 # ---------------------------------------------------------------------------
-# zone containment: Zone.contains and rules.place frozen as they were before
-# place compared all anchors with all reach boxes at once, one closed-box
-# test and then one ray cast per (track, zone).  They reuse vigil's
-# point_in_polygon (which has oracles above) and the zone's prepared reach
-# box and edge table, so that a comparison tests the placement alone.
+# zone containment: the frozen placement, one closed-box test and then one
+# ray cast per (track, zone), with the anchor taken from a BoundingBox and
+# the zones given as a list.  They reuse vigil's point_in_polygon (which
+# has oracles above) and the zone's prepared reach box and edge table, so
+# that a comparison tests the placement alone.
 
 
 def zone_contains_reference(zone, point) -> bool:

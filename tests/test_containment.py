@@ -1,10 +1,9 @@
 """Zone containment prepared once per zone and shared by rules and stats.
 
-rules.place compares all anchors with the zones' widened reach boxes at
-once and ray casts only the pairs inside a box; the answer must still
-equal point_in_polygon's for every point, including points that only its
-on-edge tolerance accepts, and equal the frozen one-zone-at-a-time
-placement.  The pipeline places each confirmed track in the zones once
+rules.place tests each anchor against each zone's widened reach box and
+ray casts only inside it; the answer must equal point_in_polygon's for
+every point, including points that only its on-edge tolerance accepts,
+and equal the frozen placement in oracles.py.  The pipeline places each confirmed track in the zones once
 per frame and hands that one result to both the rules and the statistics.
 """
 
@@ -137,8 +136,8 @@ def _same_placement(zones, tracks):
 
 
 def test_place_matches_reference_placement():
-    # one reach comparison for all (track, zone) pairs, then ray casts for
-    # the candidates, gives the record of one test per (track, zone)
+    # place's record equals the frozen one, built from BoundingBox anchors
+    # and a zone list: one reach test and ray cast per (track, zone)
     rng = random.Random(11)
     zones = [Zone(name, poly) for name, poly in POLYGONS.items()]
     zones.append(Zone("square-cars", POLYGONS["square"], frozenset({"car"})))

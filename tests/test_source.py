@@ -101,3 +101,40 @@ def test_no_top_level_name_only_tests_use():
     assert _top_level_names("def f():\n    def g(): pass\nclass C: pass\nx = 1\n") == ["f", "C"]
     assert _names_used("a.b(c)\nd = 1\n") == {"a", "b", "c", "d"}
     assert _unused_top_level_names(ROOT) == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that *source*'s top-level imports bind and that nothing in
+    *source* reads; ``__future__`` imports and imports on a line marked
+    ``# noqa: F401`` are left out."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        if not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            bound += names
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # an import that its module never reads is a dependency kept for nothing;
+    # one kept for code outside the module says so with "# noqa: F401"
+    assert _unused_imports(
+        "from __future__ import annotations\nimport os\nimport numpy as np\n"
+        "import os.path\nfrom itertools import chain, compress\n"
+        "from .geometry import point_in_polygon  # noqa: F401\n"
+        "from .config import (a,\n                     b)  # noqa: F401\n"
+        "def f(x: int) -> None:\n    import json\n    return compress(x, os)\n") == [
+        "np", "chain"]
+    files = [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
+    assert len(files) > 10
+    found = {f.name: _unused_imports(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: names for name, names in found.items() if names} == {}
