@@ -19,11 +19,10 @@ import math
 import socket
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional
 
-from .config import (REQUIRED, classes, fields_of, label, list_of, pair, parse, read_config,
-                     string)
+from . import config
+from .config import REQUIRED, fields_of, list_of, pair, parse, read_config, string
 from .errors import ConfigError, next_frame
 from .geometry import (
     BoundingBox,
@@ -253,11 +252,12 @@ class RuleEngine:
     ``evaluate`` takes as *placed*.
 
     A rule reads only the tracks whose class label is in its ``classes``
-    (every track when that is None).  Each frame is indexed once into
-    per-zone member lists, the frame's tracks in each zone id in track
-    order, which Intrusion, Loiter and Occupancy read instead of every
-    track.  LineCross works out the sides of a track's last and current
-    anchors as :func:`~vigil.geometry.segment_side` does and calls
+    (every track when that is None).  Each frame's record is read once
+    into per-zone member lists, the (track id, label, anchor) of the
+    frame's tracks in each zone id in track order, which Intrusion, Loiter
+    and Occupancy read instead of every track.  LineCross reads the record
+    itself: it works out the sides of a track's last and current anchors
+    as :func:`~vigil.geometry.segment_side` does and calls
     :func:`crossing` only when their signs are strictly opposite.
 
     Per-track state is one map, ``track_id -> (class label, anchor, zone
@@ -289,12 +289,10 @@ class RuleEngine:
         self._last_frame = next_frame(self._last_frame, frame.frame_id)
         ts = frame.timestamp_ms
         before = self._placed
-        tids = list(placed)
-        labels, anchors, zone_sets = list(zip(*placed.values())) or ((), (), ())
-        members: dict = {}  # zone id -> indices of the tracks in it, in order
-        for i in compress(range(len(tids)), zone_sets):
-            for zid in zone_sets[i]:
-                members.setdefault(zid, []).append(i)
+        members: dict = {}  # zone id -> (track id, label, anchor) of its tracks, in order
+        for tid, (label, anchor, zone_ids) in placed.items():
+            for zid in zone_ids:
+                members.setdefault(zid, []).append((tid, label, anchor))
         events: list[AlertEvent] = []
 
         for rule in self.rules:
@@ -303,7 +301,7 @@ class RuleEngine:
                 line = rule.line
                 (px, py), (qx, qy) = line.p, line.q
                 dx, dy = qx - px, qy - py
-                for tid, label, anchor in zip(tids, labels, anchors):
+                for tid, (label, anchor, _) in placed.items():
                     prev = before.get(tid)
                     if not prev or (classes is not None and label not in classes):
                         continue
@@ -323,26 +321,24 @@ class RuleEngine:
             zid = rule.zone.id
             inside = members.get(zid, ())
             if classes is not None:
-                inside = [i for i in inside if labels[i] in classes]
+                inside = [m for m in inside if m[1] in classes]
             if kind == "Occupancy":
                 self._occupancy(rule, frame, ts, len(inside), events)
             elif kind == "Intrusion":
-                for i in inside:
-                    prev = before.get(tids[i])
+                for tid, _, anchor in inside:
+                    prev = before.get(tid)
                     if prev and zid not in prev[2]:
-                        anchor = anchors[i]
-                        self._emit(events, rule, frame, ts, tids[i],
+                        self._emit(events, rule, frame, ts, tid,
                                    {"anchor": [anchor[0], anchor[1]]})
             else:  # Loiter: continuous in-zone time
                 starts = self._loiter_start[rule.id]
-                for i in inside:
-                    dwell = ts - starts.setdefault(tids[i], ts)
+                for tid, _, _ in inside:
+                    dwell = ts - starts.setdefault(tid, ts)
                     if dwell >= rule.threshold_ms:
-                        self._emit(events, rule, frame, ts, tids[i], {"dwell_ms": dwell})
+                        self._emit(events, rule, frame, ts, tid, {"dwell_ms": dwell})
                 for tid in starts.keys() & placed.keys() if starts else ():
-                    label, _, zone_ids = placed[tid]
-                    if zid not in zone_ids and (classes is None or label in classes):
-                        del starts[tid]  # a relevant track seen outside has left
+                    if zid not in placed[tid][2]:  # starts holds only the rule's classes
+                        del starts[tid]  # a track seen outside has left
 
         before.update(placed)
         return events
@@ -384,10 +380,10 @@ def _line(value, where) -> dict:
 
 
 # a zone's or line's id defaults to "<rule id>.zone" / "<rule id>.line"
-_ZONE = {"id": (label, None), "polygon": (list_of(pair), REQUIRED),
-         "classes": (classes, None)}
-_LINE = {**fields_of(TripLine), "id": (label, None)}
-_RULE = fields_of(Rule, id=label, zone=_zone, line=_line, class_filter=classes,
+_ZONE = {"id": (config.label, None), "polygon": (list_of(pair), REQUIRED),
+         "classes": (config.classes, None)}
+_LINE = {**fields_of(TripLine), "id": (config.label, None)}
+_RULE = fields_of(Rule, id=config.label, zone=_zone, line=_line, class_filter=config.classes,
                   comparator=string)
 _RULE["classes"] = _RULE.pop("class_filter")
 
@@ -417,7 +413,14 @@ def load_rules(path) -> list[Rule]:
 
 
 class TcpAlertSink:
-    """Line-delimited TCP mirror for alerts; lossy-by-buffering, never blocks.
+    """Line-delimited TCP mirror for alerts; lossy-by-buffering.
+
+    It can block the caller: while the receiver is unreachable, each
+    `send` makes one `create_connection` attempt, which may take up to
+    `timeout`, and a receiver that stops reading can hold each `sendall`
+    as long.  A line whose `sendall` times out is resent whole on the next
+    connection, so the receiver may see part of it twice.  ROADMAP item 3
+    (a reconnect backoff, sends that handle partial writes) fixes both.
 
     Failed sends stash lines in a bounded deque and retry on the next
     call; connection errors are logged, not raised: the receiver being

@@ -198,8 +198,15 @@ def save_model(path, model: SoftmaxModel) -> None:
 def load_model(path) -> SoftmaxModel:
     doc = decode_json(read_text(path), lambda reason: DataError(f"{path}: invalid JSON: {reason}"))
     try:
-        classes = list(doc["classes"])
-        d = int(doc["d"])
+        classes, d = doc["classes"], int(doc["d"])  # int() refuses an infinite d
+        if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+            raise ValueError("classes must be a list of strings")
+        if type(doc["d"]) is not int or d < 0:  # int() takes 2.7, true; reshape infers -1
+            raise ValueError("d must be an integer >= 0")
+        for name in ("W", "b"):
+            if not (isinstance(doc[name], list)
+                    and all(type(v) in (int, float) for v in doc[name])):
+                raise ValueError(f"{name} must be a flat list of numbers")
         W = np.array(doc["W"], dtype=float).reshape(len(classes), d)
         b = np.array(doc["b"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

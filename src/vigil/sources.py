@@ -118,11 +118,7 @@ def _parse_record(path, line_no: int, line: str) -> dict:
     for key in ("x1", "y1", "x2", "y2", "conf"):
         if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
             raise DumpFormatError(path, line_no, f'"{key}" must be a number')
-        try:
-            finite = math.isfinite(rec[key])
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
+        if not finite(rec[key]):
             raise DumpFormatError(path, line_no, f'"{key}" must be finite')
     return rec
 
@@ -140,7 +136,6 @@ def read_dump(path) -> Iterator[FrameGroup]:
     boxes: list = []
     labels: list = []
     confs: list = []
-    last_frame = None
     with open_input(path, "r", encoding="utf-8") as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
@@ -162,15 +157,18 @@ def read_dump(path) -> Iterator[FrameGroup]:
                     box = (float(rec["x1"]), float(rec["y1"]), float(rec["x2"]),
                            float(rec["y2"]))
                     conf = float(rec["conf"])
-                if last_frame is not None and fid < last_frame:
-                    raise DumpFormatError(
-                        path, line_no, f'"frame" {fid} decreases (previous {last_frame})')
-                if fid < 0:
-                    raise DumpFormatError(path, line_no, f'"frame" must be >= 0, got {fid}')
                 new_frame = meta is None or fid != meta.frame_id
-                if meta is not None and new_frame and ts < meta.timestamp_ms:
-                    raise DumpFormatError(path, line_no, f'"ts_ms" {ts} decreases (previous '
-                                                         f'frame {meta.timestamp_ms})')
+                if new_frame:  # a line of the current frame passed these already
+                    if meta is None:  # a later frame below 0 decreases
+                        if fid < 0:
+                            raise DumpFormatError(path, line_no,
+                                                  f'"frame" must be >= 0, got {fid}')
+                    elif fid < meta.frame_id:
+                        raise DumpFormatError(path, line_no, f'"frame" {fid} decreases '
+                                                             f'(previous {meta.frame_id})')
+                    elif ts < meta.timestamp_ms:
+                        raise DumpFormatError(path, line_no, f'"ts_ms" {ts} decreases (previous '
+                                                             f'frame {meta.timestamp_ms})')
                 frame = FrameMeta(fid, ts) if new_frame else meta
                 if not (label and corners_ordered(*box) and confidence_in_range(conf)):
                     try:  # a value Detection rejects: it raises the message
@@ -184,7 +182,6 @@ def read_dump(path) -> Iterator[FrameGroup]:
                 boxes.append(box)
                 labels.append(label)
                 confs.append(conf)
-                last_frame = fid
         except UnicodeDecodeError as exc:
             # the loop decodes the file in chunks, so the line is not known
             raise DataError(f"{path}: not UTF-8: {exc.reason}") from exc
@@ -359,7 +356,6 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
         noisy_frame: list[Detection] = []
         ids_frame: list[Optional[int]] = []
 
-        active: list[tuple[int, BoundingBox]] = []
         for i, spec in enumerate(config.objects):
             last = config.duration_frames if spec.exit_frame is None else spec.exit_frame
             if not (spec.entry_frame <= f < last):
@@ -371,9 +367,6 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
                 st["cy"], st["vy"] = _reflect(st["cy"], st["vy"], h2, H - h2)
             box = BoundingBox(st["cx"] - w2, st["cy"] - h2, st["cx"] + w2, st["cy"] + h2)
             gt_frame.append(Detection(meta, box, spec.class_label, 1.0))
-            active.append((i, box))
-
-        for i, box in active:
             dx = rng.normal(0.0, config.jitter_sigma)
             dy = rng.normal(0.0, config.jitter_sigma)
             missed = rng.uniform() < config.miss_probability
@@ -382,8 +375,7 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
             jittered = BoundingBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
             conf = max(_TRUE_CONF_FLOOR,
                        1.0 - math.hypot(dx, dy) / _TRUE_CONF_SCALE)
-            label = config.objects[i].class_label
-            noisy_frame.append(Detection(meta, jittered, label, conf))
+            noisy_frame.append(Detection(meta, jittered, spec.class_label, conf))
             ids_frame.append(i)
 
         for _ in range(rng.poisson(config.false_positives_per_frame)):

@@ -262,6 +262,34 @@ def test_a_model_file_that_cannot_be_a_model_is_a_data_error(tmp_path, capsys):
             f"data error: {tmp_path / 'model.json'}: malformed model file: {reason}\n")
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("classes", "xy", "classes must be a list of strings"),  # once two classes, x and y
+    ("classes", [1, 2], "classes must be a list of strings"),  # once printed as 1
+    ("classes", {"x": 1, "y": 2}, "classes must be a list of strings"),
+    ("d", 2.7, "d must be an integer >= 0"),  # once truncated to 2
+    ("d", True, "d must be an integer >= 0"),
+    ("d", -1, "d must be an integer >= 0"),  # once left to reshape to infer
+    ("W", [[0, 0], [0, 0]], "W must be a flat list of numbers"),
+    ("W", ["0", "0", "0", "0"], "W must be a flat list of numbers"),
+    ("b", [0, False], "b must be a flat list of numbers"),
+])
+def test_a_model_file_of_the_wrong_form_is_a_data_error(tmp_path, capsys, field, value,
+                                                        reason):
+    # each of these once loaded, and predict exited 0
+    (tmp_path / "in.csv").write_text("r1,x,1,2\n", encoding="utf-8")
+    (tmp_path / "job.json").write_text(json.dumps({"model_json": "model.json",
+                                                   "features_csv": "in.csv"}))
+    doc = {"classes": ["x", "y"], "d": 2, "W": [1, 0, 0, 1.5], "b": [0, 0.0]}
+    (tmp_path / "model.json").write_text(json.dumps(dict(doc, **{field: value})))
+    assert main(["predict", "--config", str(tmp_path / "job.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'model.json'}: malformed model file: {reason}\n")
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert main(["predict", "--config", str(tmp_path / "job.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def test_load_features_csv(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("r1,cat,0.5,1.25\nr2,dog,-1.0,2.0\n\nr3,cat,3.0,4.5\n",

@@ -138,3 +138,54 @@ def test_no_unused_imports():
     assert len(files) > 10
     found = {f.name: _unused_imports(f.read_text(encoding="utf-8")) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _shadowed_imports(source: str) -> list[str]:
+    """``"function: name"`` for each name that a function or lambda in
+    *source* binds in its own scope (a parameter, an assignment, a loop or
+    ``with``/``except`` target, a nested ``def`` or ``import``) while
+    *source* imports that name at its top level."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    named = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        bound = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg] if a is not None}
+        todo = func.body if isinstance(func.body, list) else [func.body]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, (ast.ExceptHandler, *named)) and node.name:
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            if not isinstance(node, (ast.Lambda, *named)):  # walked on its own
+                todo.extend(ast.iter_child_nodes(node))
+        found += [f"{getattr(func, 'name', '<lambda>')}: {name}"
+                  for name in sorted(bound & imported)]
+    return found
+
+
+def test_no_function_binds_an_imported_name():
+    # a local that takes an imported name hides the import from the rest of
+    # its function: sources._parse_record once kept a "finite" flag beside
+    # the config.finite it imports
+    assert _shadowed_imports(
+        "import os\nimport numpy as np\nfrom math import isfinite, inf\nfrom .a import b\n"
+        "def f(os, *np):\n    for isfinite in x: pass\n    return [b for b in x]\n"
+        "def g(y=np):\n    def inf(): pass\n    try: pass\n    except E as b: pass\n"
+        "    h = lambda x, b=os: (os := 1)\n"
+        "def k(x):\n    import os\n    with x as (np, y): return isfinite(y), inf\n"
+        "class C:\n    b = os\n    def m(self, **np): pass\n") == [
+        "f: b", "f: isfinite", "f: np", "f: os", "g: b", "g: inf", "k: np", "k: os",
+        "m: np", "<lambda>: b", "<lambda>: os"]
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 10
+    found = {f.name: _shadowed_imports(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: names for name, names in found.items() if names} == {}
