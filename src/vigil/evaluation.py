@@ -3,7 +3,10 @@
 Matching is per frame and per class with single-use ground truths:
 predictions are processed in descending confidence (ties: lower frame_id,
 then input order) and claim their best-IoU unmatched ground truth when
-that IoU reaches the threshold.  Each class's average precision needs only
+that IoU reaches the threshold.  All pairs of a prediction and a ground
+truth of its frame and class are scored in one element-wise IoU call, and
+the greedy walks only the pairs that reach the threshold.  Each class's
+average precision needs only
 its predictions' TP flags in that order.  It uses all-point interpolation
 (the precision envelope), and classes with zero ground truths are excluded
 from the mAP mean rather than scored zero; both choices are echoed in the
@@ -19,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geometry import Detection, FrameDetections, FrameMeta, iou_matrix
+from .geometry import Detection, FrameDetections, FrameMeta, iou_elementwise
 
 
 @dataclass(frozen=True)
@@ -95,59 +98,63 @@ def match(preds: Sequence[Detection] | EvalDetections,
           cfg: EvalConfig | None = None) -> MatchResult:
     """Greedy matching (module docstring) of *preds* against *gts*.
 
-    Each frame's predictions are scored against its ground truths in one
-    iou_matrix, in float64.  Where that differs from the scalar iou (a
-    -0.0 overlap for touching boxes, 0 for a nan from overflowing
-    coordinates), neither value beats the running best with ``>``.
+    Each detection is keyed by its frame's rank and its class's code.  The
+    pairs that share a key are gathered with one stable argsort of the
+    ground-truth keys and two searchsorted calls, ground truths of a key in
+    input order, and all are scored in one :func:`iou_elementwise` call, in
+    float64.  Only pairs whose IoU reaches the threshold stay candidates:
+    the threshold is above 0, so a prediction whose best unmatched IoU is
+    below it claims nothing, and among the candidates ``>`` still picks the
+    first of equal bests.  Where the float64 IoU differs from the scalar
+    iou (a -0.0 overlap for touching boxes, 0 for a nan from overflowing
+    coordinates), neither value reaches the threshold.
     """
     cfg = cfg if cfg is not None else EvalConfig()
     preds, gts = EvalDetections.of(preds), EvalDetections.of(gts)
     n_pred = len(preds)
     # each frame's rank among the frame ids; ranks sort as the ids do
     ranks = np.unique(np.concatenate([preds.frame_ids, gts.frame_ids]), return_inverse=True)[1]
-    pred_rank, gt_rank = ranks[:n_pred], ranks[n_pred:]
-    n_frames = int(ranks.max()) + 1 if ranks.size else 0
+    codes: dict = {}
+    code = np.array([codes.setdefault(label, len(codes))
+                     for label in preds.labels + gts.labels], dtype=np.intp)
+    keys = ranks * len(codes) + code
+    pred_key, gt_key = keys[:n_pred], keys[n_pred:]
 
-    def by_frame(rank):
-        """Input indices per frame rank, in input order."""
-        order = np.argsort(rank, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(rank, minlength=n_frames))[:-1])
-
-    rows: list = [None] * n_pred  # prediction -> IoUs with its frame's ground truths
-    buckets: dict = {}  # (frame rank, class) -> [(column in rows, gt input index)]
-    for f, (p_idx, g_idx) in enumerate(zip(by_frame(pred_rank), by_frame(gt_rank))):
-        if not g_idx.size:
-            continue
-        for col, gi in enumerate(g_idx.tolist()):
-            buckets.setdefault((f, gts.labels[gi]), []).append((col, gi))
-        if p_idx.size:
-            for pi, row in zip(p_idx.tolist(),
-                               iou_matrix(preds.boxes[p_idx], gts.boxes[g_idx]).tolist()):
-                rows[pi] = row
+    # every (prediction, ground truth) pair of one key, grouped by
+    # prediction: prediction pi's pairs are ends[pi] - counts[pi]:ends[pi],
+    # and pos holds each pair's ground truth as a place in gt_order
+    gt_order = np.argsort(gt_key, kind="stable")
+    sorted_keys = gt_key[gt_order]
+    lo = np.searchsorted(sorted_keys, pred_key, "left")
+    counts = np.searchsorted(sorted_keys, pred_key, "right") - lo
+    ends = np.cumsum(counts)
+    pos = np.repeat(lo - (ends - counts), counts)
+    pos += np.arange(pos.size)
+    overlap = iou_elementwise(np.repeat(preds.boxes, counts, axis=0),
+                              gts.boxes[gt_order][pos])
+    keep = np.flatnonzero(overlap >= cfg.iou_threshold)
+    # prediction pi's candidates are entries bounds[pi]:bounds[pi + 1]
+    bounds = np.searchsorted(keep, np.concatenate(([0], ends))).tolist()
+    cand_gt, cand_iou = gt_order[pos[keep]].tolist(), overlap[keep].tolist()
     n_gt: dict = {}
     for label in gts.labels:
         n_gt[label] = n_gt.get(label, 0) + 1
 
     # descending confidence, then frame id, then input order
-    order = np.lexsort((np.arange(n_pred), pred_rank, -preds.confidences)).tolist()
-    labels, pred_rank = preds.labels, pred_rank.tolist()
+    order = np.lexsort((np.arange(n_pred), ranks[:n_pred], -preds.confidences)).tolist()
     matched = [False] * len(gts)
     tp: list[bool] = []
     gt_index: list[int] = []
     for pi in order:
         best_gi, best_iou = -1, 0.0
-        row = rows[pi]
-        for col, gi in buckets.get((pred_rank[pi], labels[pi]), ()):
-            if matched[gi]:
-                continue
-            overlap = row[col]
-            if overlap > best_iou:
-                best_gi, best_iou = gi, overlap
-        is_tp = best_gi >= 0 and best_iou >= cfg.iou_threshold
-        if is_tp:
+        for j in range(bounds[pi], bounds[pi + 1]):
+            gi = cand_gt[j]
+            if not matched[gi] and cand_iou[j] > best_iou:
+                best_gi, best_iou = gi, cand_iou[j]
+        if best_gi >= 0:
             matched[best_gi] = True
-        tp.append(is_tp)
-        gt_index.append(best_gi if is_tp else -1)
+        tp.append(best_gi >= 0)
+        gt_index.append(best_gi)
     return MatchResult(order, tp, gt_index, matched, n_gt)
 
 
@@ -169,11 +176,11 @@ def average_precision(tp_flags, n_gt: int) -> Optional[float]:
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev_r = 0.0
     ap = 0.0
-    for i in range(flags.size):
-        if flags[i]:
-            ap += (recall[i] - prev_r) * envelope[i]
-            prev_r = recall[i]
-    return float(ap)
+    for flag, r, peak in zip(flags.tolist(), recall.tolist(), envelope.tolist()):
+        if flag:
+            ap += (r - prev_r) * peak
+            prev_r = r
+    return ap
 
 
 def evaluate_detections(preds: Sequence[Detection] | EvalDetections,

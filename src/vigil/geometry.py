@@ -130,23 +130,31 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU for two (m, 4) / (n, 4) arrays of [x1, y1, x2, y2] rows.
+def iou_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise IoU of two broadcastable (..., 4) float64 arrays of
+    [x1, y1, x2, y2] rows; the result has their broadcast shape, less the
+    last axis.
 
     A pair where a box's width or area overflows the float range has IoU 0:
     its union is inf or nan, and numpy's warnings for those are silenced.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 4)
-    b = np.asarray(b, dtype=float).reshape(-1, 4)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    # one expression each, so that no temporary outlives its use
+    inter = (np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
+             * np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0))
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU for two (m, 4) / (n, 4) arrays of [x1, y1, x2, y2] rows:
+    :func:`iou_elementwise` of every row of *a* with every row of *b*."""
+    a = np.asarray(a, dtype=float).reshape(-1, 4)
+    b = np.asarray(b, dtype=float).reshape(-1, 4)
+    return iou_elementwise(a[:, None], b[None])
 
 
 EDGE_TOL = 1e-9  # on-edge tolerance of point_in_polygon

@@ -96,13 +96,16 @@ def loss_and_grad(model: SoftmaxModel, X: np.ndarray, y: np.ndarray,
     if np.any(y < 0) or np.any(y >= K):
         raise DataError("label index outside the class vocabulary")
     P = _softmax(X @ model.W.T + model.b)
+    # each row's target probability, as a flat index into the C-ordered P
+    target = np.arange(n) * K + y
+    flat = P.reshape(-1)
     # clip only inside the log; P itself feeds the (exact) gradient
-    ce = -np.log(np.clip(P[np.arange(n), y], 1e-300, None)).mean()
+    ce = -np.add.reduce(np.log(np.maximum(flat.take(target), 1e-300))) / n
     loss = ce + 0.5 * l2_lambda * float((model.W ** 2).sum())
-    G = P.copy()
-    G[np.arange(n), y] -= 1.0
+    flat[target] -= 1.0  # P becomes the logits' gradient G
+    G = P
     dW = G.T @ X / n + l2_lambda * model.W
-    db = G.mean(axis=0)
+    db = np.add.reduce(G, axis=0) / n
     return loss, dW, db
 
 

@@ -319,6 +319,25 @@ def softmax_reference(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def loss_and_grad_reference(model, X: np.ndarray, y: np.ndarray, l2_lambda: float = 0.0):
+    """softmax.loss_and_grad frozen as it was before its target gather,
+    one-hot subtraction and means ran through a flat index and
+    ``np.add.reduce``: a fancy-index gather and ``np.clip`` for the loss, a
+    copy of P for G, and ``mean`` for both means.  The softmax is
+    :func:`softmax_reference`, which equals the package's bit for bit."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = X.shape[0]
+    P = softmax_reference(X @ model.W.T + model.b)
+    ce = -np.log(np.clip(P[np.arange(n), y], 1e-300, None)).mean()
+    loss = ce + 0.5 * l2_lambda * float((model.W ** 2).sum())
+    G = P.copy()
+    G[np.arange(n), y] -= 1.0
+    dW = G.T @ X / n + l2_lambda * model.W
+    db = G.mean(axis=0)
+    return loss, dW, db
+
+
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector."""
     x = np.asarray(x, dtype=float)
@@ -356,6 +375,28 @@ def average_precision_reference(tp_flags, n_gt: int):
         ap += (r - prev_r) * peak
         prev_r = r
     return ap
+
+
+def average_precision_numpy_scalars(tp_flags, n_gt: int):
+    """average_precision frozen as it was before its loop walked lists: the
+    same cumulative arrays, indexed one numpy scalar at a time."""
+    if n_gt <= 0:
+        return None
+    flags = np.asarray(tp_flags, dtype=bool)
+    if flags.size == 0:
+        return 0.0
+    cum_tp = np.cumsum(flags)
+    cum_fp = np.cumsum(~flags)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (cum_tp + cum_fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for i in range(flags.size):
+        if flags[i]:
+            ap += (recall[i] - prev_r) * envelope[i]
+            prev_r = recall[i]
+    return float(ap)
 
 
 # ---------------------------------------------------------------------------

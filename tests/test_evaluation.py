@@ -10,6 +10,7 @@ import random
 import pytest
 
 import vigil.cli
+import vigil.evaluation
 
 from vigil.errors import ConfigError, DataError
 from vigil.evaluation import (
@@ -23,6 +24,7 @@ from vigil.geometry import BoundingBox, Detection, FrameMeta
 from vigil.sources import ObjectSpec, SyntheticSceneConfig, read_dump, simulate, write_dump
 
 from oracles import (
+    average_precision_numpy_scalars,
     average_precision_reference,
     id_switches,
     iou_scalar_reference,
@@ -141,7 +143,7 @@ def test_frame_and_class_must_match():
     assert r2.tp == [False]
 
 
-# -- the per-frame IoU matrix against the scalar matcher ---------------------
+# -- the array matcher against the scalar matcher ---------------------------
 
 
 def _random_box(rng, pool):
@@ -212,12 +214,30 @@ def _lists(result):
     return result.order, result.tp, result.gt_index, result.gt_matched, result.n_gt
 
 
+def _at_threshold_pair(rng, frame_id, label):
+    """A prediction and a ground truth whose IoU is 0.5 exactly: a box twice
+    as wide as the other on the same corner, at a power-of-two scale."""
+    s = 2.0 ** rng.randint(-3, 4)
+    x, y = s * rng.randint(0, 40), s * rng.randint(0, 40)
+    meta = FrameMeta(frame_id, 0)
+    return (Detection(meta, BoundingBox(x, y, x + 2 * s, y + s), label, rng.random()),
+            Detection(meta, BoundingBox(x, y, x + s, y + s), label, 1.0))
+
+
 def test_array_matcher_equals_scalar_matcher_on_random_frames():
     rng = random.Random(1507)
-    tps = negative_zeros = nan_pairs = 0
+    tps = negative_zeros = nan_pairs = at_threshold = unmatched_class = 0
     for case in range(300):
         frame_ids = rng.sample(range(50), rng.randint(1, 6))
         preds, gts = _random_frames(rng, frame_ids)
+        for _ in range(rng.randint(0, 2)):  # pairs whose IoU is 0.5 exactly
+            pred, gt = _at_threshold_pair(rng, rng.choice(frame_ids), rng.choice("ab"))
+            preds.insert(rng.randint(0, len(preds)), pred)
+            gts.insert(rng.randint(0, len(gts)), gt)
+        for _ in range(rng.randint(0, 2)):  # a class no ground truth has
+            box = _random_box(rng, [g.bbox for g in gts])
+            preds.insert(rng.randint(0, len(preds)),
+                         Detection(FrameMeta(rng.choice(frame_ids), 0), box, "c", rng.random()))
         for threshold in (0.05, 0.3, 0.5, 0.9):
             got = match(preds, gts, EvalConfig(threshold))
             outcomes, matched, n_gt = match_reference(preds, gts, threshold)
@@ -226,14 +246,21 @@ def test_array_matcher_equals_scalar_matcher_on_random_frames():
             assert _lists(match(EvalDetections.of(preds), EvalDetections.of(gts),
                                 EvalConfig(threshold))) == _lists(got)
             tps += sum(got.tp)
+            at_threshold += sum(
+                tp and iou_scalar_reference(preds[pi].bbox, gts[gi].bbox) == threshold
+                for pi, tp, gi in zip(got.order, got.tp, got.gt_index))
+        unmatched_class += sum(p.class_label == "c" for p in preds)
         for p, g in itertools.product(preds, gts):
             if (p.frame.frame_id, p.class_label) == (g.frame.frame_id, g.class_label):
                 overlap = min(p.bbox.x2, g.bbox.x2) - max(p.bbox.x1, g.bbox.x1)
                 negative_zeros += overlap == 0.0 and math.copysign(1.0, overlap) < 0.0
                 nan_pairs += math.isnan(iou_scalar_reference(p.bbox, g.bbox))
     # the cases reach what they are for: matches, touching boxes whose
-    # overlap is -0.0, and pairs the scalar iou scores nan and the matrix 0
+    # overlap is -0.0, pairs the scalar iou scores nan and the kernel 0,
+    # matches whose IoU equals the threshold, and predictions of a class
+    # that no ground truth has
     assert tps > 1000 and negative_zeros > 0 and nan_pairs > 0
+    assert at_threshold > 0 and unmatched_class > 0
 
 
 def test_array_matcher_takes_frame_ids_past_int64():
@@ -245,6 +272,31 @@ def test_array_matcher_takes_frame_ids_past_int64():
         assert _outcome_tuples(got, preds) == outcomes and got.gt_matched == matched
         assert got.n_gt == n_gt
     assert match([], gts).order == [] and match(preds, []).gt_matched == []
+
+
+def test_vigil_eval_calls_the_iou_kernel_once_per_run(tmp_path, monkeypatch):
+    scene = simulate(SyntheticSceneConfig(
+        width=320, height=240, fps=10, duration_frames=6, seed=5,
+        objects=(ObjectSpec("car", (60.0, 60.0), (4.0, 1.0), (30.0, 20.0)),
+                 ObjectSpec("person", (200.0, 150.0), (-2.0, 1.0), (12.0, 30.0))),
+        jitter_sigma=2.0, false_positives_per_frame=1.0))
+    write_dump(tmp_path / "det.jsonl", zip(scene.frames, scene.noisy))
+    write_dump(tmp_path / "gt.jsonl", zip(scene.frames, scene.ground_truth))
+    assert sum(1 for dets in scene.ground_truth if dets) >= 3
+    (tmp_path / "eval.json").write_text(json.dumps(
+        {"predictions": "det.jsonl", "ground_truth": "gt.jsonl", "width": 320, "height": 240}))
+    calls = []
+    kernel = vigil.evaluation.iou_elementwise
+
+    def counted(a, b):
+        calls.append(len(a))
+        return kernel(a, b)
+
+    monkeypatch.setattr(vigil.evaluation, "iou_elementwise", counted)
+    assert vigil.cli.main(["eval", "--config", str(tmp_path / "eval.json"),
+                           "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "eval-report.json").read_text())
+    assert len(calls) == 1 and calls[0] > 0 and report["recall"] > 0.0
 
 
 def test_eval_detections_of_frames_equals_the_detection_list(tmp_path):
@@ -282,6 +334,9 @@ def test_ap_matches_reference_on_random_flag_sequences():
         got = average_precision(flags, n_gt)
         want = average_precision_reference(flags, n_gt)
         assert abs(got - want) < 1e-12
+        # eval-report.json's bytes: the numpy-scalar loop's value exactly
+        frozen = average_precision_numpy_scalars(flags, n_gt)
+        assert type(got) is float and got.hex() == frozen.hex()
 
 
 def test_ap_edge_cases():

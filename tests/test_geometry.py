@@ -8,6 +8,7 @@ import pytest
 from vigil.geometry import (
     BoundingBox,
     iou,
+    iou_elementwise,
     iou_matrix,
     point_in_polygon,
     polygon_is_simple,
@@ -84,6 +85,36 @@ def test_iou_matrix_empty_sides():
     b = np.array([[0.0, 0.0, 5.0, 5.0]])
     assert iou_matrix(a, b).shape == (0, 1)
     assert iou_matrix(b, a).shape == (1, 0)
+
+
+def test_elementwise_iou_on_gathered_pairs_equals_the_matrix_bit_for_bit():
+    # evaluation scores gathered (prediction, ground truth) rows with the
+    # element-wise kernel; each value must be iou_matrix's entry exactly
+    rnd = random.Random(2718)
+    boxes = [random_box(rnd).as_tuple() for _ in range(30)]
+    boxes += [
+        (-5.0, 0.0, -0.0, 5.0), (0.0, 0.0, 4.0, 5.0),    # touch at -0.0 / 0.0
+        (3.0, 1.0, 3.0, 9.0), (3.0, 3.0, 3.0, 3.0),      # zero width
+        (0.0, 0.0, 1e-300, 2e-300), (5e-301, 0.0, 3e-300, 1e-300),  # 1e-300 scale
+        (0.0, 0.0, 1e-300, 1e300),
+        (-1e308, -1e308, 1e308, 1e308), (-1.7e308, 0.0, 1.7e308, 50.0),  # width overflows
+        (-9e307, -1.0, 9e307, 1.0),
+    ]
+    a = np.array(boxes)
+    mat = iou_matrix(a, a)
+    # every (i, j) pair, gathered in a shuffled order
+    pairs = np.random.default_rng(2718).permutation(len(boxes) ** 2)
+    i, j = np.divmod(pairs, len(boxes))
+    got = iou_elementwise(a[i], a[j])
+    assert got.shape == i.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), mat[i, j].view(np.uint64))
+    # the cases reach what they are for: a -0.0 overlap, positive IoUs at
+    # the 1e-300 scale, and boxes whose width overflows
+    with np.errstate(over="ignore"):
+        ix = np.minimum(a[i, 2], a[j, 2]) - np.maximum(a[i, 0], a[j, 0])
+        assert np.any(np.isinf(a[:, 2] - a[:, 0]))
+    assert np.any((ix == 0.0) & np.signbit(ix))
+    assert np.any((got > 0.0) & (a[i, 2] < 1e-299) & (a[j, 2] < 1e-299))
 
 
 SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]

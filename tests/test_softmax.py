@@ -22,7 +22,7 @@ from vigil.softmax import (
     train,
 )
 
-from oracles import finite_difference_gradient, softmax_reference
+from oracles import finite_difference_gradient, loss_and_grad_reference, softmax_reference
 
 
 def _pack(model):
@@ -192,6 +192,31 @@ def test_softmax_of_one_row_matches_frozen_reductions_bit_for_bit():
             x = rng.normal(0.0, scale, 2 * K)
             for logits in (x[:K], x[::2], np.round(x[:K] / scale) * scale):
                 _assert_same_array(_softmax(logits), softmax_reference(logits), (K, scale))
+
+
+def test_loss_and_grad_matches_frozen_reference_bit_for_bit():
+    # K from 2 to 9 takes both of _softmax's sum branches.  Rows scaled by
+    # 100 spread their logits by hundreds, so some target probabilities
+    # fall below 1e-300 (or underflow to 0) and the loss's clip is reached
+    rng = np.random.default_rng(43)
+    clipped = 0
+    for K in range(2, 10):
+        for lam in (0.0, 1e-4):
+            n, d = 60, 5
+            X = rng.normal(0.0, 1.0, (n, d))
+            X[: n // 4] *= 100.0
+            y = rng.integers(0, K, size=n)
+            model = SoftmaxModel([f"c{i}" for i in range(K)],
+                                 rng.normal(0.0, 3.0, (K, d)), rng.normal(0.0, 1.0, K))
+            got = loss_and_grad(model, X, y, lam)
+            want = loss_and_grad_reference(model, X, y, lam)
+            for g, w in zip(got, want):
+                g, w = np.asarray(g), np.asarray(w)
+                assert g.shape == w.shape and g.dtype == w.dtype == np.float64, (K, lam)
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (K, lam)
+            P = softmax_reference(X @ model.W.T + model.b)
+            clipped += int((P[np.arange(n), y] < 1e-300).sum())
+    assert clipped > 0
 
 
 def test_predict_tie_goes_to_lowest_class_index():
