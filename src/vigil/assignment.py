@@ -9,6 +9,10 @@ Among equal-cost optima the returned matching is canonical: the list of
 (row, col) pairs, sorted by row, is lexicographically smallest. Ties are
 resolved exactly on the graph of tight edges (zero reduced cost under the
 optimal potentials), so repeated runs and platforms agree bit-for-bit.
+
+Most of the tracker's matrices never reach the solver: _settle places
+their rows without it and proves that the solver and the tie-break would
+return the same pairs, or hands the matrix over to them.
 """
 
 from __future__ import annotations
@@ -33,15 +37,17 @@ def hungarian_assign(cost) -> list[tuple[int, int]]:
     if not np.isfinite(a).all():
         raise ValueError("cost matrix contains non-finite entries")
 
-    # Fast path: the answer is forced, so neither the search nor the tie
-    # canonicalization below can change it (see _forced_matching).  For
-    # m > n the same argument applies column-wise.
+    # Fast path: the answer is settled, so neither the search nor the tie
+    # canonicalization below can change it (see _settle).  For m > n the
+    # same argument applies column-wise: _canonicalize fixes the rows of
+    # the pool in index order, and they pair with the wildcard and
+    # constant columns in increasing order either way.
     if m <= n:
-        cols = _forced_matching(a)
+        cols, _ = _settle(a)
         if cols is not None:
             return list(enumerate(cols))
     else:
-        rows = _forced_matching(a.T)
+        rows, _ = _settle(a.T)
         if rows is not None:
             return sorted((i, j) for j, i in enumerate(rows))
 
@@ -59,18 +65,22 @@ def _tie_tolerance(a) -> float:
     return 1e-9 * max(1.0, float(np.abs(a).max()))
 
 
-def _forced_matching(a: np.ndarray):
-    """The optimum's column for each row of an r x c matrix with r <= c,
-    when one pass over the rows shows it is forced; else None.
+def _settle(a: np.ndarray):
+    """(the optimum's column for each row, how it was found) for an r x c
+    matrix with r <= c, when the rows show it without the full solve;
+    else (None, the check that failed).
 
-    The rule: a row is constant when its smallest and largest entries are
-    equal (a track that overlaps nothing is 1.0 everywhere).  Every other
-    row's minimum must beat its second-smallest value by more than
-    tol = max(r, c) * eps, eps being _canonicalize's tie tolerance, and
-    those minima must fall in distinct columns.  Then each such row keeps
-    its argmin and the constant rows take the lowest free columns, in row
-    order.  Why that is what the solve and _canonicalize return (with no
-    constant rows, the free columns go to the padding rows alone):
+    tol = max(r, c) * eps, eps being _canonicalize's tie tolerance.  A row
+    is constant when its smallest and largest entries are equal (a track
+    that overlaps nothing is 1.0 everywhere).  One pass over the rows finds
+    each other row's minimum and first argmin column.
+
+    "forced": every non-constant row's minimum beats its second-smallest
+    value by more than tol, and those minima fall in distinct columns.
+    Each such row keeps its argmin and the constant rows take the lowest
+    free columns, in row order.  Why that is what the solve and
+    _canonicalize return (with no constant rows, the free columns go to
+    the padding rows alone):
 
     - The matching above costs L = sum(minima) + sum(constants), and no
       matching costs less, so L is the optimum.  One that moves a
@@ -89,28 +99,200 @@ def _forced_matching(a: np.ndarray):
       column that leaves a tight matching: a non-constant row its argmin,
       a constant row the lowest free column not yet taken.
 
-    The tolerance leaves a margin far wider than the solver's rounding, and
-    a tie within it goes to the full solve.  Plain lists: the tracker's
-    matrices are a few rows wide, where numpy's per-call overhead dominates.
+    "settled" and "wildcards": otherwise each non-constant row takes its
+    first argmin column unless an earlier row holds it, with the duals
+    u = its minimum and v = 0, and each contested row is placed by one
+    shortest augmenting path (_place).  That keeps every reduced cost
+    a - u - v >= 0 and the matched ones 0, up to rounding, with v <= 0 and
+    v = 0 on the columns no row holds.  A wildcard row is a non-constant
+    row whose own column has v == 0 and whose cost is equal at every
+    column of the pool P: the unheld columns plus the wildcard rows' own,
+    shrunk to a fixed point.  An arc is a reduced cost <= tol from a
+    non-constant row to a column other than its own.  It leads to "pool"
+    when the column is in P (a wildcard row's arcs into P are dropped),
+    and otherwise to the row that holds the column.  The answer stands
+    when every reduced cost is >= -tol, every matched one within tol of 0
+    ("tolerance"), the arcs form no cycle ("cycle"), and no row whose own
+    column has v >= -tol reaches "pool" ("pool").  Then every non-constant
+    row that is not a wildcard keeps its column (a settled row), and the
+    wildcard and constant rows take P's columns lowest first, in row
+    order.  The forced rule's argument, extended:
+
+    - Give the constant rows (the padding rows too) u = their value: then
+      u + v <= a everywhere, and a constant or wildcard row is exactly as
+      tight at every column of P as at its own.  So the answer costs
+      L = sum(u) + sum(v), the optimum, and another matching costs L plus
+      the sum of its reduced costs.
+    - Where another matching moves a settled row, it moves a chain of
+      them: each takes the column the next one left, up to one that takes
+      a column of P, or around a cycle.  Unless all its edges are arcs,
+      a chain or cycle has an edge above tol.  A cycle of arcs is
+      excluded.  A chain of arcs reaches "pool", so the column its first
+      row left has v < -tol, and the row outside the chain that takes it
+      pays more than tol: -v for a constant or padding row, and for a
+      wildcard row an edge that is no arc, or it would reach "pool"
+      through the chain.  The other reduced costs are >= 0, so the
+      matching costs more than L + tol, and by the forced rule's second
+      point no tight matching moves a settled row.
+    - So the solver gives P's columns to the constant, padding and
+      wildcard rows, each of which costs the same at every column of P.
+      As for a constant row, each such row's column has the largest v of
+      P's columns, and every column of P is one of theirs, so they all
+      have the same v: every edge between those rows and P is exactly as
+      tight as a matched edge, and _canonicalize fixes the real rows as
+      the forced rule's last point says.
+
+    The tolerance leaves a margin far wider than either solve's rounding,
+    and a tie within it goes to the full solve.  Plain lists: the
+    tracker's matrices are a few rows wide, where numpy's per-call
+    overhead dominates; numpy builds only the one reduced-cost matrix.
     """
     rows = a.tolist()
     width = len(rows[0])
     tol = max(len(rows), width) * _tie_tolerance(a)
-    cols = []  # each row's argmin, None for a constant row
-    for row in rows:
+    u = []  # each row's dual: its minimum, -inf for a constant row
+    cols = []  # each row's column, None for a constant row
+    owner = [-1] * width  # each column's row, -1 while unheld
+    contested = []
+    strict = True
+    for i, row in enumerate(rows):
         ranked = sorted(row)
         low = ranked[0]
         if low == ranked[-1]:
+            u.append(-math.inf)
             cols.append(None)
-        elif ranked[1] - low > tol:
-            cols.append(row.index(low))
+            continue
+        u.append(low)
+        j = row.index(low)
+        if owner[j] < 0:
+            owner[j] = i
+            cols.append(j)
+            strict = strict and ranked[1] - low > tol
         else:
-            return None
-    taken = {j for j in cols if j is not None}
-    if len(taken) + cols.count(None) != len(cols):
-        return None
-    free = (j for j in range(width) if j not in taken)
-    return [next(free) if j is None else j for j in cols]
+            cols.append(-1)
+            contested.append(i)
+    if strict and not contested:
+        free = (j for j in range(width) if owner[j] < 0)
+        return [next(free) if j is None else j for j in cols], "forced"
+
+    v = [0.0] * width
+    for i in contested:
+        _place(rows, u, v, cols, owner, i)
+    return _certify(a, rows, u, v, cols, owner, tol)
+
+
+def _place(rows, u, v, cols, owner, start) -> None:
+    """Give row *start* a column by one shortest augmenting path over the
+    reduced costs a - u - v, all >= 0 (Dijkstra), then move the duals.
+
+    Each column the search took, at distance d, has v lowered by D - d
+    and its row's u raised by as much, D being the path's length; the u
+    of *start* rises by D.  That keeps every reduced cost >= 0 and the matched ones 0,
+    and leaves v alone on every column the path did not pass through.
+    Unheld columns come first in the scan, so a tie ends the path there.
+    """
+    ui = u[start]
+    dist = [x - ui - y for x, y in zip(rows[start], v)]
+    via = [start] * len(v)  # the row each column's best path comes from
+    left = sorted(range(len(v)), key=owner.__getitem__)
+    done = []
+    while True:
+        j = min(left, key=dist.__getitem__)
+        i = owner[j]
+        if i < 0:
+            break
+        left.remove(j)
+        done.append(j)
+        row = rows[i]
+        base = dist[j] - u[i]
+        for k in left:
+            d = base + row[k] - v[k]
+            if d < dist[k]:
+                dist[k] = d
+                via[k] = i
+    end = dist[j]
+    for k in done:
+        lead = end - dist[k]
+        v[k] -= lead
+        u[owner[k]] += lead
+    u[start] += end
+    while j >= 0:
+        i = via[j]
+        cols[i], j = j, cols[i]
+        owner[cols[i]] = i
+
+
+def _certify(a, rows, u, v, cols, owner, tol):
+    """_settle's checks on the matching _place left, and its answer."""
+    # A constant row's u of -inf makes its reduced costs +inf, so it is in
+    # no check; a NaN from an overflowed dual fails the first.
+    reduced = a - np.array(u)[:, None] - np.array(v)
+    if not reduced.min() >= -tol:
+        return None, "tolerance"
+
+    near = [[] for _ in rows]  # each row's columns at a reduced cost <= tol
+    for i, j in zip(*(x.tolist() for x in (reduced <= tol).nonzero())):
+        near[i].append(j)
+    placed = [i for i, j in enumerate(cols) if j is not None]
+    if not all(cols[i] in near[i] for i in placed):
+        return None, "tolerance"
+
+    # A wildcard row is as tight at every free column as at its own, so it
+    # has more near columns than there are free ones.
+    free = [j for j, i in enumerate(owner) if i < 0]
+    wild = {}  # each wildcard row's cost, the same at every free column
+    for i in placed:
+        j = cols[i]
+        if len(near[i]) > len(free) and v[j] == 0.0:
+            row = rows[i]
+            cost = row[j]
+            if all(row[k] == cost for k in free):
+                wild[i] = cost
+    while True:
+        held = [cols[i] for i in wild]
+        kept = {i: x for i, x in wild.items() if all(rows[i][j] == x for j in held)}
+        if len(kept) == len(wild):
+            break
+        wild = kept
+    pool = set(free).union(held)
+
+    after = {}  # the settled rows each row's arcs lead to
+    reach = set()  # the rows that reach "pool"
+    for i in placed:
+        if len(near[i]) == 1:
+            continue  # its own column alone
+        own = cols[i]
+        for j in near[i]:
+            if j == own:
+                continue
+            if j not in pool:
+                after.setdefault(i, []).append(owner[j])
+            elif i not in wild:
+                reach.add(i)
+
+    # Kahn's order: a row comes before every row its arcs lead to.
+    ahead = {}
+    for nxt in after.values():
+        for k in nxt:
+            ahead[k] = ahead.get(k, 0) + 1
+    order = [i for i in after if i not in ahead]
+    for i in order:
+        for k in after.get(i, ()):
+            ahead[k] -= 1
+            if not ahead[k]:
+                order.append(k)
+    if len(order) < len(after.keys() | ahead.keys()):
+        return None, "cycle"
+    if reach:
+        for i in reversed(order):
+            if i not in reach and any(k in reach for k in after.get(i, ())):
+                reach.add(i)
+        if any(v[cols[i]] >= -tol for i in reach):
+            return None, "pool"
+
+    spare = iter(sorted(pool))
+    out = [next(spare) if j is None or i in wild else j for i, j in enumerate(cols)]
+    return out, "wildcards" if wild else "settled"
 
 
 def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -83,8 +83,7 @@ def decode_json(text: str, error):
 def write_json(path, doc) -> None:
     """Write *doc* to *path* as UTF-8 JSON, indented 2, with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def read_text(path) -> str:

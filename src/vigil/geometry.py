@@ -242,39 +242,45 @@ def polygon_reach(polygon: Sequence[tuple[float, float]]) -> BoundingBox:
 
 
 def polygon_is_simple(polygon: list[tuple[float, float]]) -> bool:
-    """True when no two non-adjacent edges intersect (and no zero-length edge)."""
+    """True when no two non-adjacent edges intersect (and no zero-length edge).
+
+    Edges ab and cd meet when each one's ends fall on different sides of
+    the other's line, counting a side as ``> 0`` or not, or when an end
+    lies on the other edge: side 0 and within its box.  The sides are
+    segment_side's products, inlined.
+    """
     n = len(polygon)
     if n < 3:
         return False
     edges = [(polygon[i], polygon[(i + 1) % n]) for i in range(n)]
-    for (p1, q1) in edges:
+    for p1, q1 in edges:
         if p1 == q1:
             return False
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # shared-vertex neighbours
-            if _segments_intersect(*edges[i], *edges[j]):
+        (ax, ay), (bx, by) = edges[i]
+        ex, ey = bx - ax, by - ay
+        for j in range(i + 2, n - (i == 0)):  # skip the edges that share a vertex
+            (cx, cy), (dx, dy) = edges[j]
+            fx, fy = dx - cx, dy - cy
+            d1 = fx * (ay - cy) - fy * (ax - cx)
+            d2 = fx * (by - cy) - fy * (bx - cx)
+            d3 = ex * (cy - ay) - ey * (cx - ax)
+            d4 = ex * (dy - ay) - ey * (dx - ax)
+            if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
+                return False
+            if d1 == 0 and (min(cx, dx) <= ax <= max(cx, dx)
+                            and min(cy, dy) <= ay <= max(cy, dy)):
+                return False
+            if d2 == 0 and (min(cx, dx) <= bx <= max(cx, dx)
+                            and min(cy, dy) <= by <= max(cy, dy)):
+                return False
+            if d3 == 0 and (min(ax, bx) <= cx <= max(ax, bx)
+                            and min(ay, by) <= cy <= max(ay, by)):
+                return False
+            if d4 == 0 and (min(ax, bx) <= dx <= max(ax, bx)
+                            and min(ay, by) <= dy <= max(ay, by)):
                 return False
     return True
-
-
-def _segments_intersect(p1, q1, p2, q2) -> bool:
-    d1 = segment_side(p2, q2, p1)
-    d2 = segment_side(p2, q2, q1)
-    d3 = segment_side(p1, q1, p2)
-    d4 = segment_side(p1, q1, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
-    def on(a, b, c):
-        return (
-            segment_side(a, b, c) == 0
-            and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    return on(p2, q2, p1) or on(p2, q2, q1) or on(p1, q1, p2) or on(p1, q1, q2)
 
 
 def segment_side(p: tuple[float, float], q: tuple[float, float], x: tuple[float, float]) -> float:

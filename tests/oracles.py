@@ -57,6 +57,47 @@ def point_in_polygon_winding(point, poly) -> bool:
     return winding != 0
 
 
+def polygon_simplicity_reference(polygon) -> str:
+    """Which test decides polygon_is_simple, frozen as it stood while each
+    pair of edges went through a helper that called segment_side four times
+    and once more per on-segment test: "zero-length edge", "crossing",
+    "on 1" to "on 4" (the on-segment tests in their order), or "simple".
+    """
+    def side(p, q, x):
+        return (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0])
+
+    def on(a, b, c):
+        return (
+            side(a, b, c) == 0
+            and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    n = len(polygon)
+    if n < 3:
+        return "too few vertices"
+    edges = [(polygon[i], polygon[(i + 1) % n]) for i in range(n)]
+    for (p1, q1) in edges:
+        if p1 == q1:
+            return "zero-length edge"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # shared-vertex neighbours
+            p1, q1 = edges[i]
+            p2, q2 = edges[j]
+            d1 = side(p2, q2, p1)
+            d2 = side(p2, q2, q1)
+            d3 = side(p1, q1, p2)
+            d4 = side(p1, q1, q2)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+                return "crossing"
+            for k, args in enumerate(((p2, q2, p1), (p2, q2, q1), (p1, q1, p2), (p1, q1, q2))):
+                if on(*args):
+                    return f"on {k + 1}"
+    return "simple"
+
+
 # ---------------------------------------------------------------------------
 # assignment
 
@@ -214,6 +255,107 @@ def solve_square_reference(a: np.ndarray):
         if p[j] != 0:
             row_to_col[p[j] - 1] = j - 1
     return np.array(u[1:]), np.array(v[1:]), row_to_col
+
+
+# hungarian_assign frozen as it stood before its fast path grew from the
+# forced rule into the settle step: the forced rule, else the full solve
+# (solve_square_reference above, which the package's solver matches bit for
+# bit) and the tight-edge canonicalization.
+
+def hungarian_assign_reference(cost) -> list[tuple[int, int]]:
+    a = np.asarray(cost, dtype=float)
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return []
+    if m <= n:
+        cols = _forced_matching_reference(a)
+        if cols is not None:
+            return list(enumerate(cols))
+    else:
+        rows = _forced_matching_reference(a.T)
+        if rows is not None:
+            return sorted((i, j) for j, i in enumerate(rows))
+    size = max(m, n)
+    padded = np.zeros((size, size), dtype=float)
+    padded[:m, :n] = a
+    u, v, row_to_col = solve_square_reference(padded)
+    _canonicalize_reference(padded, u, v, row_to_col, m)
+    return sorted((i, row_to_col[i]) for i in range(m) if row_to_col[i] < n)
+
+
+def _tie_tolerance_reference(a) -> float:
+    return 1e-9 * max(1.0, float(np.abs(a).max()))
+
+
+def _forced_matching_reference(a: np.ndarray):
+    rows = a.tolist()
+    width = len(rows[0])
+    tol = max(len(rows), width) * _tie_tolerance_reference(a)
+    cols = []
+    for row in rows:
+        ranked = sorted(row)
+        low = ranked[0]
+        if low == ranked[-1]:
+            cols.append(None)
+        elif ranked[1] - low > tol:
+            cols.append(row.index(low))
+        else:
+            return None
+    taken = {j for j in cols if j is not None}
+    if len(taken) + cols.count(None) != len(cols):
+        return None
+    free = (j for j in range(width) if j not in taken)
+    return [next(free) if j is None else j for j in cols]
+
+
+def _canonicalize_reference(a, u, v, row_to_col, m) -> None:
+    size = a.shape[0]
+    eps = _tie_tolerance_reference(a)
+    tight = ((a - u[:, None] - v[None, :]) <= eps).tolist()
+    for i, j in enumerate(row_to_col):
+        tight[i][j] = True
+    tight_cols = [[j for j in range(size) if row[j]] for row in tight]
+    col_to_row = [-1] * size
+    for i, j in enumerate(row_to_col):
+        col_to_row[j] = i
+    locked_col = [False] * size
+
+    def augment(row, visited):
+        for j in tight_cols[row]:
+            if visited[j] or locked_col[j]:
+                continue
+            visited[j] = True
+            other = col_to_row[j]
+            if other == -1 or augment(other, visited):
+                row_to_col[row] = j
+                col_to_row[j] = row
+                return True
+        return False
+
+    def force_edge(i, j):
+        old_col = row_to_col[i]
+        old_row = col_to_row[j]
+        row_to_col[i] = j
+        col_to_row[j] = i
+        row_to_col[old_row] = -1
+        col_to_row[old_col] = -1
+        visited = [False] * size
+        visited[j] = True
+        if augment(old_row, visited):
+            return True
+        row_to_col[i] = old_col
+        col_to_row[old_col] = i
+        row_to_col[old_row] = j
+        col_to_row[j] = old_row
+        return False
+
+    for i in range(m):
+        for j in tight_cols[i]:
+            if locked_col[j]:
+                continue
+            if row_to_col[i] == j or force_edge(i, j):
+                locked_col[j] = True
+                break
 
 
 # ---------------------------------------------------------------------------

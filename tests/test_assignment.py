@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from vigil.tracker import SortTracker, TrackerConfig
 from oracles import (
     assignment_bruteforce,
     assignment_cost,
+    hungarian_assign_reference,
     solve_square_numpy_scalars,
     solve_square_reference,
 )
@@ -290,7 +292,7 @@ def test_forced_matchings_match_bruteforce():
     for k, a in enumerate(_bruteforce_pool()):
         cost = a.tolist()
         lines = _lines(a)
-        taken += vigil.assignment._forced_matching(lines) is not None \
+        taken += vigil.assignment._settle(lines)[1] == "forced" \
             and (lines.min(axis=1) == lines.max(axis=1)).any()
         assert hungarian_assign(cost) == assignment_bruteforce(cost, tie_eps=0.0)[1], (k, cost)
     assert taken > 100
@@ -331,7 +333,9 @@ def test_a_near_tie_is_settled_as_the_full_solve_settles_it():
     assert _solved(cost) == want
     assert hungarian_assign(cost) == want
     assert hungarian_assign(np.array(cost).T) == want
-    assert vigil.assignment._forced_matching(np.array(cost)) is None
+    # the settle step refuses it too: all but the 1e6 costs lie within the
+    # tolerance of each other, so the rows' arcs form a cycle
+    assert vigil.assignment._settle(np.array(cost)) == (None, "cycle")
 
 
 def _tracker_costs(monkeypatch):
@@ -356,12 +360,118 @@ def _tracker_costs(monkeypatch):
 
 
 def test_the_trackers_matrices_equal_the_full_solve(monkeypatch):
+    # both fast paths are reached; the pools below reach the full solve
     costs = _tracker_costs(monkeypatch)
-    fast = 0
+    forced = 0
     for k, cost in enumerate(costs):
         assert hungarian_assign(cost) == _solved(cost), k
-        fast += vigil.assignment._forced_matching(_lines(cost)) is not None
-    assert 20 < fast < len(costs) - 20, (fast, len(costs))
+        forced += vigil.assignment._settle(_lines(cost))[1] == "forced"
+    assert 20 < forced < len(costs) - 20, (forced, len(costs))
+
+
+# -- the settle step -----------------------------------------------------------
+
+
+def _crowd_pool():
+    """1 - IoU as a crowd gives it: up to 30 tracks and detections, each
+    track overlapping 0-3 of them.  Overlaps are rounded, a third of them
+    share one value, and a line may repeat another, so ties abound."""
+    gen = np.random.default_rng(31)
+    pool = []
+    for k in range(16500):
+        m, n = (int(x) for x in gen.integers(1, 31 if k % 20 == 0 else 11, size=2))
+        a = np.ones((m, n))
+        picks = np.argsort(gen.random((m, n)), axis=1)[:, :3]
+        hit = np.arange(picks.shape[1]) < gen.integers(0, 4, size=(m, 1))
+        values = np.round(gen.random(hit.shape), 2)
+        values[gen.random(hit.shape) < 0.3] = round(float(gen.random()), 2)
+        a[np.nonzero(hit)[0], picks[hit]] = values[hit]
+        for _ in range(int(gen.integers(0, 3))):
+            if gen.random() < 0.5:
+                a[gen.integers(0, m)] = a[gen.integers(0, m)]
+            else:
+                a[:, gen.integers(0, n)] = a[:, gen.integers(0, n)]
+        pool.append(a)
+    return pool
+
+
+def _counting_outcomes(monkeypatch):
+    """A Counter that _settle's outcomes go into from now on."""
+    outcomes = Counter()
+    settle = vigil.assignment._settle
+
+    def counted(a):
+        cols, how = settle(a)
+        outcomes[how] += 1
+        return cols, how
+
+    monkeypatch.setattr(vigil.assignment, "_settle", counted)
+    return outcomes
+
+
+def test_the_settle_step_equals_the_frozen_solve(monkeypatch):
+    pool = _forced_pool() + _bruteforce_pool() + _tracker_costs(monkeypatch) + _crowd_pool()
+    assert len(pool) >= 20000
+    outcomes = _counting_outcomes(monkeypatch)
+    for k, cost in enumerate(pool):
+        assert hungarian_assign(cost) == hungarian_assign_reference(cost), k
+    # each way to settle and each refusal that a tie causes; a refusal
+    # is a full solve
+    assert set(outcomes) == {"forced", "settled", "wildcards", "cycle", "pool"}, outcomes
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_an_overflowed_dual_goes_to_the_full_solve(monkeypatch):
+    # two rows whose one finite-sum column is the same: the second's path
+    # is infinitely long, its duals overflow and the reduced costs hold a
+    # NaN.  The full solve then answers, or raises, as it did before.
+    gen = np.random.default_rng(8)
+    outcomes = _counting_outcomes(monkeypatch)
+    answered = 0
+    for k in range(200):
+        m, n = (int(x) for x in gen.integers(2, 8, size=2))
+        a = gen.uniform(-1.0, 1.0, size=(m, n)) * 1.5e308
+        lines = _lines(a)  # a view: writes go to a
+        rows = gen.choice(lines.shape[0], size=2, replace=False)
+        lines[rows] = 1.5e308
+        lines[rows, gen.integers(0, lines.shape[1])] = -1.5e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = hungarian_assign_reference(a)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = hungarian_assign(a)
+            except ValueError as exc:
+                got = str(exc)
+        assert got == want, (k, a.tolist())
+        answered += isinstance(want, list)
+    assert outcomes == {"tolerance": 200}, outcomes
+    assert answered >= 50
+
+
+def test_a_contested_matrix_is_not_solved(monkeypatch):
+    # rows 0 and 1 want column 0: row 1 takes it and row 0 moves to column
+    # 1 (an augmenting path); rows 3 and 4 want column 2: row 3 loses it
+    # and becomes a wildcard row, 1.0 at every unheld column, which it
+    # shares with constant row 2 in row order
+    cost = [[0.2, 0.3, 1.0, 1.0, 1.0],
+            [0.1, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 0.6, 1.0, 1.0],
+            [1.0, 1.0, 0.4, 1.0, 1.0]]
+    want = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]
+    assert _solved(cost) == want
+    assert _solved(np.array(cost).T) == sorted((j, i) for i, j in want)
+    assert vigil.assignment._settle(np.array(cost)) == ([1, 0, 3, 4, 2], "wildcards")
+    assert vigil.assignment._settle(np.array(cost[:2])) == ([1, 0], "settled")
+
+    def no_solve(a):
+        raise AssertionError("solved a contested matrix")
+
+    monkeypatch.setattr(vigil.assignment, "_solve_square", no_solve)
+    assert hungarian_assign(cost) == want
+    assert hungarian_assign(np.array(cost).T) == sorted((j, i) for i, j in want)
 
 
 def test_solver_matches_its_reference_bit_for_bit(monkeypatch):

@@ -15,7 +15,7 @@ from vigil.geometry import (
     segment_side,
 )
 
-from oracles import iou_rasterized, point_in_polygon_winding
+from oracles import iou_rasterized, point_in_polygon_winding, polygon_simplicity_reference
 
 
 def random_box(rnd, lo=0.0, hi=40.0, step=0.25):
@@ -154,6 +154,32 @@ def test_polygon_is_simple():
     assert polygon_is_simple(CONCAVE)
     bowtie = [(0, 0), (10, 10), (10, 0), (0, 10)]
     assert not polygon_is_simple(bowtie)
+
+
+def _random_polygon(rnd, kind):
+    n = rnd.randint(3, 12)
+    if kind == 0:  # an integer grid: repeated vertices, touching edges
+        return [(rnd.randint(0, 4), rnd.randint(0, 4)) for _ in range(n)]
+    if kind == 1:  # a lattice line with a few vertices off it
+        return [(t, 2 * t + 1) if rnd.random() < 0.7 else (rnd.randint(-3, 3), rnd.randint(-5, 7))
+                for t in (rnd.randint(-3, 3) for _ in range(n))]
+    if kind == 2:  # 1e8 x 1e-8 slivers
+        return [(rnd.uniform(0, 1e8), rnd.uniform(0, 1e-8)) for _ in range(n)]
+    return [(rnd.uniform(0, 10), rnd.uniform(0, 10)) for _ in range(n)]
+
+
+def test_polygon_is_simple_matches_its_frozen_reference():
+    # the reference says which of its tests decided; every one is reached
+    rnd = random.Random(12)
+    exits = {}
+    for k in range(6000):
+        poly = _random_polygon(rnd, k % 4)
+        decided = polygon_simplicity_reference(poly)
+        exits[decided] = exits.get(decided, 0) + 1
+        assert polygon_is_simple(poly) == (decided == "simple"), poly
+    assert set(exits) == {"simple", "zero-length edge", "crossing",
+                          "on 1", "on 2", "on 3", "on 4"}, exits
+    assert min(exits.values()) >= 20, exits
 
 
 def test_segment_side_sign():
