@@ -36,9 +36,12 @@ def walker(frame: int):
 def run_walk() -> list:
     engine = RuleEngine(RULES)
     events = []
+    before = {}  # where the walker was last frame, as vigil's FrameLoop keeps it
     for frame in range(40):
         meta = FrameMeta(frame, frame * 250)
-        events += engine.evaluate(meta, place(engine.prepared_zones, [walker(frame)]))
+        placed = place(engine.prepared_zones, [walker(frame)])
+        events += engine.evaluate(meta, placed, before)
+        before = placed
     return events
 
 

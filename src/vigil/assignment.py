@@ -26,7 +26,7 @@ import numpy as np
 def hungarian_assign(cost) -> list[tuple[int, int]]:
     """Min-cost matching of size min(m, n) for an m x n cost matrix.
 
-    Returns (row, col) pairs sorted by row. Costs must be finite.
+    Returns (row, col) pairs sorted by row. Costs and their differences must be finite.
     """
     a = np.asarray(cost, dtype=float)
     if a.ndim != 2:
@@ -351,6 +351,8 @@ def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
             j0 = j1
             if p[j0] == 0:
                 break
+            if j0 == 0:  # no reduced cost below inf: a difference overflowed to inf or NaN
+                raise ValueError("cost differences overflow the float range")
             free.remove(j0)
             used.append(j0)
         while j0 != 0:

@@ -220,7 +220,10 @@ class FrameLoop:
     """A run's frame loop over *cfg*'s tracker, rules, grid and stages: it
     owns the ``tracker``, the ``engine`` and ``stats`` (None when their stage
     is off) and the ``zones`` both read, and places each frame's confirmed
-    tracks once, handing that :func:`place` record to both."""
+    tracks once, handing that :func:`place` record to both with the
+    previous frame's as *before*: the one record it keeps, since SortTracker
+    returns a confirmed track on every step until it is deleted and never
+    reissues an id."""
 
     def __init__(self, cfg: PipelineConfig):
         self.tracker = SortTracker(cfg.tracker)
@@ -228,6 +231,7 @@ class FrameLoop:
         self.zones = self.engine.prepared_zones if self.engine is not None else ZoneSet(())
         self.stats = (SceneStats(cfg.frame_width, cfg.frame_height, grid=cfg.grid,
                                  zones=self.zones) if cfg.run_stats else None)
+        self._before: dict = {}  # the previous frame's place() record
 
     def step(self, meta: FrameMeta, detections) -> tuple[list[Track], list]:
         """The frame's confirmed tracks and alerts."""
@@ -235,9 +239,10 @@ class FrameLoop:
         if self.engine is None and self.stats is None:
             return confirmed, []
         placed = place(self.zones, confirmed)
-        events = self.engine.evaluate(meta, placed) if self.engine is not None else []
+        before, self._before = self._before, placed
+        events = self.engine.evaluate(meta, placed, before) if self.engine is not None else []
         if self.stats is not None:
-            self.stats.ingest(meta, placed)
+            self.stats.ingest(meta, placed, before)
         return confirmed, events
 
 

@@ -260,14 +260,14 @@ class RuleEngine:
     as :func:`~vigil.geometry.segment_side` does and calls
     :func:`crossing` only when their signs are strictly opposite.
 
-    Per-track state is one map, ``track_id -> (class label, anchor, zone
-    ids)`` as :func:`place` gave it the last time the track was confirmed:
-    Intrusion reads from it whether the track was in its zone, LineCross
-    its last anchor.  All rules that apply to a track share the entry, so
-    a track's class (which decides those rules) must stay fixed for its
-    whole life, as :class:`~vigil.tracker.SortTracker` keeps it.  Loiter
-    entry times are kept per rule and track, debounce times per (rule,
-    track).  Events come in rule order, then track order.
+    *before* maps each track id to the :func:`place` record of the last
+    frame it was placed in (:class:`~vigil.pipeline.FrameLoop` passes the
+    previous frame's; a caller whose tracks skip frames, a map updated with
+    each frame's): Intrusion reads whether the track was in its zone,
+    LineCross its last anchor.  A track's class must stay fixed, as
+    :class:`~vigil.tracker.SortTracker` keeps it.  The engine keeps only
+    rule state: Loiter entry times per rule and track, debounce times per
+    (rule, track) and Occupancy flags.  Events come in rule, then track order.
     """
 
     def __init__(self, rules: list[Rule]):
@@ -277,18 +277,16 @@ class RuleEngine:
         self.rules = list(rules)
         self.prepared_zones = ZoneSet(r.zone for r in rules if r.zone is not None)
         self._last_frame: Optional[int] = None
-        self._placed: dict = {}        # track_id -> place() record when last confirmed
         self._loiter_start: dict = {r.id: {} for r in rules
                                     if r.kind == "Loiter"}  # rule_id -> {track_id: entry ts}
         self._last_emit: dict = {}     # (rule_id, track_id|None) -> ts
         self._occupancy_on: dict = {r.id: False for r in rules
                                     if r.kind == "Occupancy"}
 
-    def evaluate(self, frame: FrameMeta, placed: dict) -> list[AlertEvent]:
+    def evaluate(self, frame: FrameMeta, placed: dict, before: dict) -> list[AlertEvent]:
         """The frame's alerts from *placed*, its tracks' place() over ``prepared_zones``."""
         self._last_frame = next_frame(self._last_frame, frame.frame_id)
         ts = frame.timestamp_ms
-        before = self._placed
         members: dict = {}  # zone id -> (track id, label, anchor) of its tracks, in order
         for tid, (label, anchor, zone_ids) in placed.items():
             for zid in zone_ids:
@@ -340,7 +338,6 @@ class RuleEngine:
                     if zid not in placed[tid][2]:  # starts holds only the rule's classes
                         del starts[tid]  # a track seen outside has left
 
-        before.update(placed)
         return events
 
     def _emit(self, events, rule, frame, ts, track_id, payload):

@@ -5,9 +5,8 @@ of its box (the foot point for ground-plane analytics).  The frame extent
 is divided into square cells; anchors on the far frame edge land in the
 last cell.  Flow displacements accrue to the cell of the previous anchor.
 Dwell uses frame timestamps, not frame counts.  Each confirmed track has
-one record, which keeps the :func:`vigil.rules.place` record of its last
-frame as it is; the dwell and count reports are built from these records
-when written, first and last seen being its first and last observation.
+one record, from which the dwell and count reports are built when
+written, first and last seen being its first and last observation.
 """
 
 from __future__ import annotations
@@ -45,14 +44,13 @@ class GridSpec:
 
 @dataclass(slots=True)
 class _Track:
-    """One confirmed track: the ``(class label, anchor, zone ids)`` record
-    :func:`vigil.rules.place` gave its last frame, that frame's cell as a
+    """One confirmed track: its class label, its last frame's cell as a
     flat index ``cell_y * cells_x + cell_x`` into the grids (or None outside
     the frame), its observation timestamps (ascending, so first and last
     seen are the ends) and its dwell per zone id, holding only the zones it
     has dwelt in."""
 
-    placed: tuple
+    label: str
     cell: Optional[int]
     timestamps: list
     zone_ms: dict
@@ -96,10 +94,10 @@ class SceneStats:
 
     # -- ingestion --------------------------------------------------------
 
-    def ingest(self, frame: FrameMeta, placed: dict) -> None:
-        """Fold one frame's confirmed tracks into the statistics, from
-        *placed*: :func:`vigil.rules.place` over the frame's tracks and zones
-        with the same ids and polygons as ``self.zones``."""
+    def ingest(self, frame: FrameMeta, placed: dict, before: dict) -> None:
+        """Fold one frame's confirmed tracks into the statistics from *placed*,
+        their :func:`vigil.rules.place` over zones equal to ``self.zones``, and
+        *before* as RuleEngine reads it: a track not in it accrues no flow or dwell."""
         self._last_frame = next_frame(self._last_frame, frame.frame_id)
         ts = frame.timestamp_ms
 
@@ -114,8 +112,7 @@ class SceneStats:
         flow_dx = memoryview(self.flow_dx.reshape(-1))
         flow_dy = memoryview(self.flow_dy.reshape(-1))
         flow_n = memoryview(self.flow_n.reshape(-1))
-        for tid, rec in placed.items():
-            _, anchor, zones_now = rec
+        for tid, (label, anchor, zones_now) in placed.items():
             ax, ay = anchor
             if 0.0 <= ax <= width and 0.0 <= ay <= height:
                 cell = min(int(ay // cs), last_y) * gw + min(int(ax // cs), last_x)
@@ -126,9 +123,9 @@ class SceneStats:
 
             track = self._tracks.get(tid)
             if track is None:
-                self._tracks[tid] = _Track(rec, cell, [ts], {})
-            else:
-                _, prev_anchor, prev_zones = track.placed
+                track = self._tracks[tid] = _Track(label, None, [], {})
+            elif tid in before:
+                _, prev_anchor, prev_zones = before[tid]
                 prev_cell = track.cell
                 if prev_cell is not None:
                     flow_dx[prev_cell] += ax - prev_anchor[0]
@@ -138,9 +135,8 @@ class SceneStats:
                     interval = ts - track.timestamps[-1]
                     for zid in prev_zones & zones_now:
                         track.zone_ms[zid] = track.zone_ms.get(zid, 0) + interval
-                track.timestamps.append(ts)
-                track.placed = rec
-                track.cell = cell
+            track.timestamps.append(ts)
+            track.cell = cell
 
     # -- queries ----------------------------------------------------------
 
@@ -150,7 +146,7 @@ class SceneStats:
             raise ValueError("window start must not exceed its end")
         count = 0
         for track in self._tracks.values():
-            if track.placed[0] != class_label:
+            if track.label != class_label:
                 continue
             i = bisect.bisect_left(track.timestamps, t0)
             if i < len(track.timestamps) and track.timestamps[i] <= t1:
@@ -198,7 +194,7 @@ class SceneStats:
             first, last = track.timestamps[0], track.timestamps[-1]
             records.append({
                 "track_id": tid,
-                "class": track.placed[0],
+                "class": track.label,
                 "first_seen_ms": first,
                 "last_seen_ms": last,
                 "total_ms": last - first,
@@ -211,7 +207,7 @@ class SceneStats:
         track total and the in-bounds anchor samples."""
         per_class: dict = {}
         for track in self._tracks.values():
-            per_class[track.placed[0]] = per_class.get(track.placed[0], 0) + 1
+            per_class[track.label] = per_class.get(track.label, 0) + 1
         return {
             "per_class": {k: per_class[k] for k in sorted(per_class)},
             "total_tracks": len(self._tracks),

@@ -426,20 +426,24 @@ def test_criterion_08_rules_determinism():
                               zone=Zone("z", square))])
     entry_alerts = []
     xs = [90.0, 75.0, 60.0, 45.0, 30.0, 20.0, 10.0]  # inside from frame 3
+    before = {}
     for f, x in enumerate(xs):
-        for ev in engine.evaluate(FrameMeta(f, f * 100),
-                                  place(engine.prepared_zones, [_walking_track(1, x, 25.0)])):
+        placed = place(engine.prepared_zones, [_walking_track(1, x, 25.0)])
+        for ev in engine.evaluate(FrameMeta(f, f * 100), placed, before):
             entry_alerts.append(ev.frame_id)
+        before.update(placed)
     intrusion_ok = entry_alerts == [3]
 
     engine = RuleEngine([Rule(id="door", kind="Intrusion",
                               zone=Zone("z", square), debounce_ms=1000)])
     stamps = []
+    before = {}
     for f in range(40):  # in the zone on odd frames only: entry every 500 ms
         x = 25.0 if f % 2 == 1 else 90.0
-        for ev in engine.evaluate(FrameMeta(f, f * 250),
-                                  place(engine.prepared_zones, [_walking_track(1, x, 25.0)])):
+        placed = place(engine.prepared_zones, [_walking_track(1, x, 25.0)])
+        for ev in engine.evaluate(FrameMeta(f, f * 250), placed, before):
             stamps.append(ev.timestamp_ms)
+        before.update(placed)
     gaps = [b - a for a, b in zip(stamps, stamps[1:])]
     oscillation_ok = len(stamps) == 10 and all(g == 1000 for g in gaps)
 
@@ -489,10 +493,12 @@ def test_criterion_09_statistics_conservation():
         stats = SceneStats(cfg.width, cfg.height, GridSpec(cell),
                            zones=ZoneSet(Zone(zid, poly) for zid, poly in zones))
         tracker = SortTracker(TrackerConfig(min_hits=2, max_age=2))
-        log, anchors, class_of = [], [], {}
+        log, anchors, class_of, before = [], [], {}, {}
         for meta, dets in zip(scene.frames, scene.noisy):
             confirmed = tracker.step(meta, dets)
-            stats.ingest(meta, place(stats.zones, confirmed))
+            placed = place(stats.zones, confirmed)
+            stats.ingest(meta, placed, before)
+            before.update(placed)
             for t in confirmed:
                 anchors.append(t.bbox.anchor)
                 log.append((t.track_id, meta.timestamp_ms, t.bbox.anchor))

@@ -424,7 +424,8 @@ def test_the_settle_step_equals_the_frozen_solve(monkeypatch):
 def test_an_overflowed_dual_goes_to_the_full_solve(monkeypatch):
     # two rows whose one finite-sum column is the same: the second's path
     # is infinitely long, its duals overflow and the reduced costs hold a
-    # NaN.  The full solve then answers, or raises, as it did before.
+    # NaN.  The full solve then answers as it did before, or, where it
+    # failed inside list.remove, says that the differences overflow.
     gen = np.random.default_rng(8)
     outcomes = _counting_outcomes(monkeypatch)
     answered = 0
@@ -439,7 +440,8 @@ def test_an_overflowed_dual_goes_to_the_full_solve(monkeypatch):
             try:
                 want = hungarian_assign_reference(a)
             except ValueError as exc:
-                want = str(exc)
+                assert str(exc) == "list.remove(x): x not in list"
+                want = "cost differences overflow the float range"
             try:
                 got = hungarian_assign(a)
             except ValueError as exc:
@@ -448,6 +450,14 @@ def test_an_overflowed_dual_goes_to_the_full_solve(monkeypatch):
         answered += isinstance(want, list)
     assert outcomes == {"tolerance": 200}, outcomes
     assert answered >= 50
+
+
+def test_a_difference_past_the_float_range_is_named():
+    # finite costs whose differences overflow: no column of the path's scan
+    # has a reduced cost below inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="cost differences overflow the float range"):
+            hungarian_assign([[-1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
 
 
 def test_a_contested_matrix_is_not_solved(monkeypatch):

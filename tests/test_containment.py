@@ -4,28 +4,41 @@ rules.place tests each anchor against each zone's widened reach box and
 ray casts only inside it; the answer must equal point_in_polygon's for
 every point, including points that only its on-edge tolerance accepts,
 and equal the frozen placement in oracles.py.  The pipeline places each confirmed track in the zones once
-per frame and hands that one result to both the rules and the statistics.
+per frame and hands that one result to both the rules and the statistics,
+with the previous frame's result as where each track was; neither stage,
+and nothing else the frame loop owns, keeps the result of a track that has
+gone.
 """
 
 import dataclasses
+import gc
 import json
 import math
 import pathlib
 import random
-from collections import Counter
+from collections import Counter, deque
 from types import SimpleNamespace
+
+import numpy as np
 
 import vigil.cli
 import vigil.pipeline
 import vigil.rules
+from budget import hang_budget
 from oracles import reference_place
-from vigil.geometry import EDGE_TOL, BoundingBox, FrameMeta, point_in_polygon
-from vigil.pipeline import SCENE_SEED_LABEL, FrameLoop, pipeline_config_from_dict, run
+from vigil.geometry import EDGE_TOL, BoundingBox, Detection, FrameMeta, point_in_polygon
+from vigil.pipeline import (
+    SCENE_SEED_LABEL,
+    FrameLoop,
+    PipelineConfig,
+    pipeline_config_from_dict,
+    run,
+)
 from vigil.rng import derive_seed
-from vigil.rules import RuleEngine, Zone, ZoneSet, alert_record, place
-from vigil.sources import simulate
-from vigil.stats import SceneStats
-from vigil.tracker import Track, TrackStatus
+from vigil.rules import RuleEngine, Zone, ZoneSet, alert_record, place, rules_from_doc
+from vigil.sources import ObjectSpec, SyntheticSceneConfig, simulate
+from vigil.stats import GridSpec, SceneStats
+from vigil.tracker import Track, TrackerConfig, TrackStatus
 
 
 def _star(rng, cx, cy, r0, vertices=12):
@@ -99,8 +112,8 @@ def test_prepared_containment_matches_point_in_polygon():
         stats = SceneStats(100, 100, zones=zones)
         tracks = [_track(i, p) for i, p in enumerate(points)]
         placed = place(zones, tracks)
-        stats.ingest(FrameMeta(0, 0), placed)
-        stats.ingest(FrameMeta(1, 1000), placed)
+        stats.ingest(FrameMeta(0, 0), placed, {})
+        stats.ingest(FrameMeta(1, 1000), placed, placed)
         dwell = {rec["track_id"]: rec["zone_ms"][name]
                  for rec in stats.dwell_report_doc()["tracks"]}
         for i, p in enumerate(points):
@@ -250,32 +263,156 @@ def test_frame_loop_stream_matches_pipeline_with_one_corners_read_per_track(tmp_
     assert in_both
 
 
-def test_stats_share_the_rule_engines_placement_records(monkeypatch):
-    # each track's stats record keeps the place() record of its last frame,
-    # the very tuple the rule engine holds for the track, not a copy
-    cfg = pipeline_config_from_dict(PIPELINE_DOC)
-    scene = simulate(dataclasses.replace(
-        cfg.scene, seed=derive_seed(cfg.seed, SCENE_SEED_LABEL)))
-    loop = FrameLoop(cfg)
-    engine, stats = loop.engine, loop.stats
-    records = []  # FrameLoop.step's place() record of each frame
+_FOLLOWED = (dict, list, tuple, set, frozenset, deque)
+
+
+def _owned(root) -> list:
+    """Every object reachable from *root* through containers and vigil's
+    own objects: not through classes, functions, modules or arrays."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(ref for ref in gc.get_referents(obj)
+                     if type(ref) in _FOLLOWED or type(ref).__module__.startswith("vigil."))
+    return out
+
+
+def _recorded_place(monkeypatch) -> list:
+    """FrameLoop.step's place() record of each frame, in frame order."""
+    records = []
 
     def recorded_place(zones, tracks):
         records.append(place(zones, tracks))
         return records[-1]
 
     monkeypatch.setattr(vigil.pipeline, "place", recorded_place)
-    shared = 0
-    for meta, dets in zip(scene.frames, scene.noisy):
+    return records
+
+
+def test_the_loop_hands_both_stages_one_record_and_neither_keeps_one(monkeypatch):
+    # FrameLoop places each frame once and hands that record to the rules
+    # and the statistics, with the previous frame's record as *before*;
+    # neither stage holds a place() record, or a frame's record map, after
+    # the step
+    cfg = pipeline_config_from_dict(PIPELINE_DOC)
+    scene = simulate(dataclasses.replace(
+        cfg.scene, seed=derive_seed(cfg.seed, SCENE_SEED_LABEL)))
+    loop = FrameLoop(cfg)
+    engine, stats = loop.engine, loop.stats
+    records = _recorded_place(monkeypatch)
+    handed = []  # (stage, placed, before) of each stage call
+    for stage, name in ((engine, "evaluate"), (stats, "ingest")):
+        def seen(meta, placed, before, name=name, real=getattr(stage, name)):
+            handed.append((name, placed, before))
+            return real(meta, placed, before)
+
+        monkeypatch.setattr(stage, name, seen)
+    previous = None  # the record of the frame before
+    tracks = 0
+    for f, (meta, dets) in enumerate(zip(scene.frames, scene.noisy)):
         loop.step(meta, dets)
-        placed = records.pop()
-        assert not records  # placed once per frame
-        for tid, rec in placed.items():
-            assert stats._tracks[tid].placed is rec is engine._placed[tid]
-            shared += 1
-    assert stats._tracks.keys() == engine._placed.keys()
-    assert all(stats._tracks[tid].placed is engine._placed[tid] for tid in stats._tracks)
-    assert shared > 100
+        assert len(records) == f + 1  # placed once per frame
+        placed = records[-1]
+        assert [(name, p is placed, b is previous if f else b == {})
+                for name, p, b in handed] == [("evaluate", True, True), ("ingest", True, True)]
+        handed.clear()
+        made = {id(rec) for frame in records for rec in frame.values()}
+        made |= {id(frame) for frame in records}
+        for stage in (engine, stats):
+            assert not [obj for obj in _owned(stage) if id(obj) in made], (f, stage)
+        previous = placed
+        tracks += len(placed)
+    assert tracks > 100
+
+
+def _born_and_dying(frames, lifetime=10, slots=12):
+    """Per-frame Detection lists: object k is seen on frames [k, k + lifetime)
+    in slot k % slots, a 4 x 3 grid on a 320 x 240 frame, walking 2 px a
+    frame; a slot is free for two frames before its next object comes."""
+    out = []
+    for f in range(frames):
+        meta = FrameMeta(f, 100 * f)
+        dets = []
+        for k in range(max(0, f - lifetime + 1), f + 1):
+            x = (k % slots) % 4 * 80 + 20 + 2 * (f - k)
+            y = (k % slots) // 4 * 80 + 25
+            label = ("person", "car", "bike")[k % 3]
+            dets.append(Detection(meta, BoundingBox(x, y, x + 16, y + 30), label, 0.9))
+        out.append((meta, dets))
+    return out
+
+
+@hang_budget(20, "test_the_loop_holds_no_record_of_a_track_gone_from_the_last_frame")
+def test_the_loop_holds_no_record_of_a_track_gone_from_the_last_frame(monkeypatch):
+    # a camera that runs for days must hold per-track placement only for
+    # the tracks that are alive: after hundreds of tracks are born and die,
+    # nothing the loop owns holds the place() record of a track that the
+    # last frame did not place
+    cfg = PipelineConfig(frame_width=320, frame_height=240,
+                         rules=tuple(rules_from_doc(RULES)), grid=GridSpec(16))
+    loop = FrameLoop(cfg)
+    records = _recorded_place(monkeypatch)
+    for meta, dets in _born_and_dying(400):
+        loop.step(meta, dets)
+    owner = {id(rec): tid for frame in records for tid, rec in frame.items()}
+    gone = owner.keys() - {id(rec) for rec in records[-1].values()}
+    assert len(set(owner.values()) - records[-1].keys()) >= 300
+    held = [owner[id(obj)] for obj in _owned(loop) if id(obj) in gone]
+    assert held == []
+
+
+def test_the_previous_frames_record_gives_what_every_frames_records_give():
+    # FrameLoop hands the stages only the previous frame's record as
+    # *before*; the same engine and stats fed a map that keeps every frame's
+    # records, as a caller whose tracks skip frames keeps it, give the same
+    # alerts, grids (bit for bit), dwell and counts
+    rnd = random.Random(31)
+    kinds, dwelt = Counter(), 0
+    for seed in range(12):
+        objects = []
+        for _ in range(rnd.randint(4, 10)):
+            entry = rnd.randrange(40)
+            objects.append(ObjectSpec(
+                rnd.choice(("person", "car", "bike")),
+                (rnd.uniform(30, 290), rnd.uniform(30, 210)),
+                (rnd.uniform(-6, 6), rnd.uniform(-6, 6)),
+                (rnd.uniform(12, 40), rnd.uniform(20, 40)),
+                entry_frame=entry, exit_frame=entry + rnd.randint(5, 60)))
+        scene = simulate(SyntheticSceneConfig(
+            width=320, height=240, fps=10.0, duration_frames=80, objects=tuple(objects),
+            jitter_sigma=1.5, miss_probability=0.15, false_positives_per_frame=0.5,
+            seed=seed))
+        cfg = PipelineConfig(frame_width=320, frame_height=240,
+                             tracker=TrackerConfig(max_age=seed % 3 + 1,
+                                                   min_hits=rnd.randint(1, 3)),
+                             grid=GridSpec(rnd.choice((7, 16))),
+                             rules=tuple(rules_from_doc(RULES)))
+        loop = FrameLoop(cfg)
+        engine = RuleEngine(list(cfg.rules))
+        stats = SceneStats(320, 240, cfg.grid, zones=engine.prepared_zones)
+        every: dict = {}
+        for meta, dets in zip(scene.frames, scene.noisy):
+            confirmed, events = loop.step(meta, dets)
+            placed = place(engine.prepared_zones, confirmed)
+            want = engine.evaluate(meta, placed, every)
+            stats.ingest(meta, placed, every)
+            every.update(placed)
+            assert [alert_record(ev) for ev in events] == [alert_record(ev) for ev in want]
+            kinds.update(ev.kind for ev in events)
+        for name in ("heat", "flow_dx", "flow_dy", "flow_n"):
+            got, want = getattr(loop.stats, name), getattr(stats, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, name)
+        assert loop.stats.dwell_report_doc() == stats.dwell_report_doc(), seed
+        assert loop.stats.counts_doc() == stats.counts_doc(), seed
+        dwelt += sum(any(rec["zone_ms"].values())
+                     for rec in stats.dwell_report_doc()["tracks"])
+    assert set(kinds) == {"Intrusion", "Occupancy", "Loiter", "LineCross"}, kinds
+    assert dwelt > 20, dwelt
 
 
 def _reach_pairs(tracks_jsonl, zones) -> Counter:

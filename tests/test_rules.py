@@ -8,6 +8,7 @@ import random
 import socket
 import struct
 import threading
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -46,8 +47,18 @@ def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
                            status=status)
 
 
+# engine -> each track's place() record from the last frame it was placed in
+_BEFORE = weakref.WeakKeyDictionary()
+
+
 def _evaluate(engine, frame, tracks):
-    return engine.evaluate(frame, place(engine.prepared_zones, tracks))
+    """engine.evaluate over *tracks*, with a *before* map kept per engine and
+    updated with each frame's record, so tracks may skip frames."""
+    placed = place(engine.prepared_zones, tracks)
+    before = _BEFORE.setdefault(engine, {})
+    events = engine.evaluate(frame, placed, before)
+    before.update(placed)
+    return events
 
 
 def _zone_rule(kind="Intrusion", **kw):

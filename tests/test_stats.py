@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +31,17 @@ def _frame(i, ts):
     return FrameMeta(i, ts)
 
 
+# stats -> each track's place() record from the last frame it was placed in
+_BEFORE = weakref.WeakKeyDictionary()
+
+
 def _ingest(stats, frame, tracks):
-    stats.ingest(frame, place(stats.zones, tracks))
+    """stats.ingest over *tracks*, with a *before* map kept per SceneStats and
+    updated with each frame's record, so tracks may skip frames."""
+    placed = place(stats.zones, tracks)
+    before = _BEFORE.setdefault(stats, {})
+    stats.ingest(frame, placed, before)
+    before.update(placed)
 
 
 def _at(tid, ax, ay, label="person", status=TrackStatus.CONFIRMED):
@@ -119,10 +129,12 @@ def test_grids_match_the_scalar_loop_bit_for_bit():
     tracker = SortTracker()
     stats = SceneStats(width, height, GridSpec(7))
     frames = []
+    before = {}
     for f, (meta, dets) in enumerate(zip(scene.frames, scene.noisy)):
         tracks = tracker.step(meta, dets) + _edge_tracks(f, width, height)
         placed = place(ZoneSet(()), tracks)
-        stats.ingest(meta, placed)
+        stats.ingest(meta, placed, before)
+        before.update(placed)
         frames.append([(tid, rec[1]) for tid, rec in placed.items()])
     heat, flow_dx, flow_dy, flow_n = stats_grids_reference(frames, width, height, 7)
     assert int(flow_n.sum()) > 500
@@ -252,6 +264,24 @@ def test_zone_ms_holds_only_the_zones_a_track_dwelt_in():
     assert stats._tracks[2].zone_ms == {"a": 1000}
     assert [(rec["track_id"], rec["zone_ms"]) for rec in stats.dwell_report_doc()["tracks"]] == \
         [(1, {"a": 0, "b": 0}), (2, {"a": 1000, "b": 0})]
+
+
+def test_a_track_missing_from_before_accrues_nothing_for_that_interval():
+    # *before* is where each track was; a track that the stats have seen but
+    # *before* does not place accrues no flow or dwell for the interval, and
+    # its next interval starts from the frame that it was not placed before
+    stats = SceneStats(200, 100, GridSpec(10), zones=_zones(("a", ZONE_SQUARE)))
+    frames = [place(stats.zones, [_at(1, 15.0 + 3.0 * f, 25.0)]) for f in range(3)]
+    stats.ingest(_frame(0, 0), frames[0], {})
+    stats.ingest(_frame(1, 100), frames[1], {})
+    assert stats.flow_n.sum() == 0
+    assert stats._tracks[1].zone_ms == {}
+    stats.ingest(_frame(2, 200), frames[2], frames[1])
+    assert stats.flow_n[2, 1] == 1 and stats.flow_n.sum() == 1  # from x = 18, cell 1
+    assert stats.flow_dx[2, 1] == 3.0
+    assert stats.dwell_report_doc()["tracks"] == [
+        {"track_id": 1, "class": "person", "first_seen_ms": 0, "last_seen_ms": 200,
+         "total_ms": 200, "zone_ms": {"a": 100}}]
 
 
 def test_dwell_matches_recount_on_random_paths():

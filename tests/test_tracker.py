@@ -230,6 +230,42 @@ def test_noiseless_multi_object_scene_keeps_identities():
     assert len(set(identities.values())) == 3
 
 
+def test_a_confirmed_track_is_returned_on_every_step_until_it_is_deleted():
+    # the frame loop hands the rules and statistics only the previous
+    # frame's placement as each track's last; that holds because a confirmed
+    # track is returned on every step from its confirmation to its deletion
+    # (coasting through misses below max_age) and no id ever comes back
+    rnd = random.Random(32)
+    coasted = deleted = 0
+    for seed in range(24):
+        objects = []
+        for _ in range(rnd.randint(4, 14)):
+            entry = rnd.randrange(50)
+            objects.append(ObjectSpec(
+                rnd.choice(("person", "car")), (rnd.uniform(30, 290), rnd.uniform(30, 210)),
+                (rnd.uniform(-6, 6), rnd.uniform(-6, 6)),
+                (rnd.uniform(12, 40), rnd.uniform(12, 40)),
+                entry_frame=entry, exit_frame=entry + rnd.randint(3, 40)))
+        scene = simulate(SyntheticSceneConfig(
+            width=320, height=240, fps=10, duration_frames=60, objects=tuple(objects),
+            jitter_sigma=1.5, miss_probability=0.2, false_positives_per_frame=0.5,
+            seed=seed))
+        tracker = SortTracker(TrackerConfig(max_age=seed % 3 + 1,
+                                            min_hits=rnd.randint(1, 3)))
+        returned: dict = {}  # confirmed id -> the steps that returned it
+        alive: dict = {}     # id -> the steps after which the tracker held it
+        for step, (meta, dets) in enumerate(zip(scene.frames, scene.noisy)):
+            for t in tracker.step(meta, dets):
+                returned.setdefault(t.track_id, []).append(step)
+                coasted += t.misses > 0
+            for t in tracker.tracks:
+                alive.setdefault(t.track_id, []).append(step)
+        for steps in (*returned.values(), *alive.values()):
+            assert steps == list(range(steps[0], steps[-1] + 1)), (seed, steps)
+        deleted += sum(steps[-1] < len(scene.frames) - 1 for steps in returned.values())
+    assert coasted > 50 and deleted > 100, (coasted, deleted)
+
+
 def _random_scene(rnd, frames):
     """Per-frame (box, label) lists: objects that enter, leave, are missed,
     and some that shrink fast before vanishing, plus clutter and
