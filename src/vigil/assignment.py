@@ -226,7 +226,8 @@ def _certify(a, rows, u, v, cols, owner, tol):
     """_settle's checks on the matching _place left, and its answer."""
     # A constant row's u of -inf makes its reduced costs +inf, so it is in
     # no check; a NaN from an overflowed dual fails the first.
-    reduced = a - np.array(u)[:, None] - np.array(v)
+    with np.errstate(invalid="ignore", over="ignore"):
+        reduced = a - np.array(u)[:, None] - np.array(v)
     if not reduced.min() >= -tol:
         return None, "tolerance"
 

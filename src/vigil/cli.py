@@ -51,7 +51,7 @@ from .softmax import (
     save_model,
     train,
 )
-from .sources import load_scene_config, read_dump, simulate, write_dump
+from .sources import dump_lines, load_scene_config, read_dump, simulate_rows
 from .summarize import (
     DEFAULT_BUDGET,
     MODEL_KINDS,
@@ -99,14 +99,20 @@ def _cmd_synth(args) -> None:
     scene_cfg = load_scene_config(args.config)
     if args.seed is not None:
         scene_cfg = dataclasses.replace(scene_cfg, seed=args.seed)
-    scene = simulate(scene_cfg)
+    frames = list(simulate_rows(scene_cfg))  # all of it, before any file is made
     out = _out_dir(args)
     gt_path = os.path.join(out, "ground-truth.jsonl")
     det_path = os.path.join(out, "detections.jsonl")
-    n_gt = write_dump(gt_path, zip(scene.frames, scene.ground_truth))
-    n_noisy = write_dump(det_path, zip(scene.frames, scene.noisy))
-    _say(args, f"simulated {len(scene.frames)} frames "
-               f"({n_gt} true boxes, {n_noisy} noisy detections)")
+    n_gt = n_noisy = 0
+    labels: dict = {}
+    with open(gt_path, "w", encoding="utf-8", newline="\n") as gt_fh, \
+            open(det_path, "w", encoding="utf-8", newline="\n") as det_fh:
+        for meta, truth, detected, _ in frames:
+            gt_fh.write(dump_lines(meta, truth, labels))
+            det_fh.write(dump_lines(meta, detected, labels))
+            n_gt += len(truth)
+            n_noisy += len(detected)
+    _say(args, f"simulated {len(frames)} frames ({n_gt} true boxes, {n_noisy} noisy detections)")
     _say(args, f"wrote {gt_path}")
     _say(args, f"wrote {det_path}")
 

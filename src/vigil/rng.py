@@ -39,10 +39,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -69,23 +65,38 @@ class Rng:
         for _ in range(4):
             state, z = _splitmix64(state)
             s.append(z)
-        self._s = s
+        self._s = tuple(s)
+
+    # next_u64 and uniform each take one xoshiro256** step inline, with
+    # rotl(x, k) written out as ((x << k) | (x >> (64 - k))) & _MASK64;
+    # uniform is the simulator's draw, and a call to next_u64 from it would
+    # add about 4% to each draw
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & _MASK64
+        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = (s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64)
         return result
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
-        return lo + (hi - lo) * u
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & _MASK64
+        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = (s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64)
+        return lo + (hi - lo) * ((result >> 11) * (1.0 / (1 << 53)))
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         u1 = self.uniform()

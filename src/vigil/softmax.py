@@ -193,9 +193,8 @@ def save_model(path, model: SoftmaxModel) -> None:
         "W": [float(v) for v in model.W.reshape(-1)],  # row-major
         "b": [float(v) for v in model.b],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path) -> SoftmaxModel:

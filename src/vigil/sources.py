@@ -5,8 +5,9 @@ per frame, with strictly increasing frame ids.  The FrameMeta is the frame's
 id and timestamp, all a dump carries (no frame size, no source name); the
 batch holds the frame's boxes (k, 4), labels and confidences as arrays,
 which the tracker steps on as they are.  The seeded simulator below, which
-stands in for a detector, gives (FrameMeta, list[Detection]) frames
-instead, and write_dump writes frames of that kind as a dump.
+stands in for a detector, yields each frame as plain rows (simulate_rows);
+simulate keeps the frames as (FrameMeta, list[Detection]) instead, and
+write_dump writes frames of that kind as a dump.
 
 Dump format, one JSON object per line:
 
@@ -20,10 +21,11 @@ is below the previous frame's is a format error, since dwell times would go
 negative.  Ground-truth dumps use the same format with conf = 1.0.  A
 format error names the file and the line.
 
-write_dump writes each line from one template (_dump_line), and read_dump
-parses lines of exactly that shape from a pattern next to it; every other
-line, and every line that fails a check, goes through json.loads, so any
-valid JSON layout reads the same, only slower.
+dump_lines formats a frame's rows from one template, which `vigil synth`
+writes straight from the simulator's rows and write_dump from Detections;
+read_dump parses lines of exactly that shape from a pattern next to it.
+Every other line, and every line that fails a check, goes through
+json.loads, so any valid JSON layout reads the same, only slower.
 """
 
 from __future__ import annotations
@@ -57,28 +59,37 @@ _TRUE_CONF_SCALE = 20.0  # conf = max(0.5, 1 - |jitter| / 20)
 # dump I/O
 
 
-def _dump_line(meta: FrameMeta, det: Detection, labels: dict) -> str:
-    """``json.dumps`` of the detection's record and a newline, from a fixed
-    template (keys in DUMP_FIELDS order).
+def dump_lines(meta: FrameMeta, rows, labels: dict) -> str:
+    """The dump lines of one frame: for each row ``(label, x1, y1, x2, y2,
+    conf)``, ``json.dumps`` of its record and a newline, from a fixed
+    template (keys in DUMP_FIELDS order) that starts from one head per frame.
 
-    json.dumps writes an int and a finite float as their repr, so only the
-    label needs encoding; *labels* caches each label's JSON.  A record
-    holding any other value (inf, nan, an int coordinate, a subclass of
-    int, float or str such as numpy's scalars) goes through json.dumps.
+    A row that Detection rejects (an empty label, corners out of order, a
+    confidence outside [0, 1]) raises Detection's ValueError.  json.dumps
+    writes an int and a finite float as their repr, so only the label needs
+    encoding; *labels* caches each label's JSON.  A record holding any other
+    value (inf, nan, an int coordinate, a subclass of int, float or str such
+    as numpy's scalars) goes through json.dumps.
     """
-    box = det.bbox
-    frame, ts, label = meta.frame_id, meta.timestamp_ms, det.class_label
-    x1, y1, x2, y2, conf = box.x1, box.y1, box.x2, box.y2, det.confidence
-    if not (type(frame) is type(ts) is int and type(label) is str
-            and type(x1) is type(y1) is type(x2) is type(y2) is type(conf) is float
-            and math.isfinite(x1 + y1 + x2 + y2 + conf)):
-        return json.dumps({"frame": frame, "ts_ms": ts, "class": label, "x1": x1, "y1": y1,
-                           "x2": x2, "y2": y2, "conf": conf}) + "\n"
-    encoded = labels.get(label)
-    if encoded is None:
-        encoded = labels[label] = json.dumps(label)
-    return (f'{{"frame": {frame}, "ts_ms": {ts}, "class": {encoded}, '
-            f'"x1": {x1!r}, "y1": {y1!r}, "x2": {x2!r}, "y2": {y2!r}, "conf": {conf!r}}}\n')
+    frame, ts = meta.frame_id, meta.timestamp_ms
+    ints = type(frame) is type(ts) is int
+    head = f'{{"frame": {frame}, "ts_ms": {ts}, "class": ' if ints else ""
+    lines = []
+    for label, x1, y1, x2, y2, conf in rows:
+        if not (label and corners_ordered(x1, y1, x2, y2) and confidence_in_range(conf)):
+            Detection(meta, BoundingBox(x1, y1, x2, y2), label, conf)  # raises the message
+        if (ints and type(label) is str
+                and type(x1) is type(y1) is type(x2) is type(y2) is type(conf) is float
+                and math.isfinite(x1 + y1 + x2 + y2 + conf)):
+            encoded = labels.get(label)
+            if encoded is None:
+                encoded = labels[label] = json.dumps(label)
+            lines.append(f'{head}{encoded}, "x1": {x1!r}, "y1": {y1!r}, "x2": {x2!r}, '
+                         f'"y2": {y2!r}, "conf": {conf!r}}}\n')
+        else:
+            lines.append(json.dumps({"frame": frame, "ts_ms": ts, "class": label, "x1": x1,
+                                     "y1": y1, "x2": x2, "y2": y2, "conf": conf}) + "\n")
+    return "".join(lines)
 
 
 # A JSON number.  float() of the token is the float of what json.loads
@@ -88,7 +99,7 @@ def _dump_line(meta: FrameMeta, det: Detection, labels: dict) -> str:
 # "-0" out.
 _NUMBER = r"(-?(?:[1-9][0-9]*|0(?=[.eE]))(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|0)"
 
-# _dump_line's shape with a label free of escapes and control characters, so
+# dump_lines's shape with a label free of escapes and control characters, so
 # the label is the text between the quotes.  Frame ids and timestamps of
 # more than 18 digits take the slow path, so int() here never meets its
 # digit limit.
@@ -126,7 +137,7 @@ def _parse_record(path, line_no: int, line: str) -> dict:
 def read_dump(path) -> Iterator[FrameGroup]:
     """Stream frame groups from a detection dump.
 
-    A line in _dump_line's shape with finite values is parsed from the
+    A line in dump_lines's shape with finite values is parsed from the
     pattern's groups; every other line goes through json.loads and
     _parse_record.  Both then take the same frame checks and the same
     Detection rules, so the frames and errors are those of the slow path
@@ -199,11 +210,11 @@ def write_dump(path, stream: Iterator[tuple[FrameMeta, list[Detection]]]) -> int
     lines written."""
     n = 0
     labels: dict = {}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for meta, dets in stream:
-            lines = [_dump_line(meta, det, labels) for det in dets]
-            fh.write("".join(lines))
-            n += len(lines)
+            rows = [(det.class_label, *det.bbox.as_tuple(), det.confidence) for det in dets]
+            fh.write(dump_lines(meta, rows, labels))
+            n += len(rows)
     return n
 
 
@@ -327,8 +338,12 @@ class SyntheticScene:
     noisy_object_ids: list[list[Optional[int]]] = field(default_factory=list)
 
 
-def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
-    """Run the scene simulator.
+def simulate_rows(config: SyntheticSceneConfig) -> Iterator[tuple]:
+    """Run the scene simulator, one frame at a time: yield each frame as
+    ``(meta, truth_rows, detected_rows, object_ids)``, a row being
+    ``(label, x1, y1, x2, y2, conf)`` (conf 1.0 for a true row) and
+    object_ids giving each detected row's object index (None for a false
+    positive).
 
     Deterministic in (config, seed).  Random draws occur in a fixed order
     per frame: for each active object (spec order) two normals for center
@@ -337,60 +352,62 @@ def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
     the class, four uniforms for the box corners, and one for confidence.
     """
     rng = Rng(config.seed)
+    normal, uniform = rng.normal, rng.uniform
     W, H = float(config.width), float(config.height)
     labels = sorted({spec.class_label for spec in config.objects}) or ["object"]
-
-    # per-object mutable motion state
-    state = [{"cx": s.center[0], "cy": s.center[1],
-              "vx": s.velocity[0], "vy": s.velocity[1]} for s in config.objects]
-
-    frames: list[FrameMeta] = []
-    ground_truth: list[list[Detection]] = []
-    noisy: list[list[Detection]] = []
-    noisy_ids: list[list[Optional[int]]] = []
+    sigma, miss = config.jitter_sigma, config.miss_probability
+    # per object, its constants (index, label, entry and last frame, half
+    # sizes, upper bounce limits) and its motion state [cx, cy, vx, vy]
+    objects = []
+    for i, spec in enumerate(config.objects):
+        w2, h2 = spec.size[0] / 2.0, spec.size[1] / 2.0
+        last = config.duration_frames if spec.exit_frame is None else spec.exit_frame
+        objects.append((i, spec.class_label, spec.entry_frame, last, w2, h2, W - w2, H - h2,
+                        [*spec.center, *spec.velocity]))
 
     for f in range(config.duration_frames):
-        ts = int(round(f * 1000.0 / config.fps))
-        meta = FrameMeta(f, ts)
-        gt_frame: list[Detection] = []
-        noisy_frame: list[Detection] = []
-        ids_frame: list[Optional[int]] = []
-
-        for i, spec in enumerate(config.objects):
-            last = config.duration_frames if spec.exit_frame is None else spec.exit_frame
-            if not (spec.entry_frame <= f < last):
+        truth: list[tuple] = []
+        detected: list[tuple] = []
+        ids: list[Optional[int]] = []
+        for i, label, entry, last, w2, h2, x_hi, y_hi, st in objects:
+            if not (entry <= f < last):
                 continue
-            st = state[i]
-            w2, h2 = spec.size[0] / 2.0, spec.size[1] / 2.0
-            if f > spec.entry_frame:
-                st["cx"], st["vx"] = _reflect(st["cx"], st["vx"], w2, W - w2)
-                st["cy"], st["vy"] = _reflect(st["cy"], st["vy"], h2, H - h2)
-            box = BoundingBox(st["cx"] - w2, st["cy"] - h2, st["cx"] + w2, st["cy"] + h2)
-            gt_frame.append(Detection(meta, box, spec.class_label, 1.0))
-            dx = rng.normal(0.0, config.jitter_sigma)
-            dy = rng.normal(0.0, config.jitter_sigma)
-            missed = rng.uniform() < config.miss_probability
-            if missed:
+            if f > entry:
+                st[0], st[2] = _reflect(st[0], st[2], w2, x_hi)
+                st[1], st[3] = _reflect(st[1], st[3], h2, y_hi)
+            x1, y1, x2, y2 = st[0] - w2, st[1] - h2, st[0] + w2, st[1] + h2
+            truth.append((label, x1, y1, x2, y2, 1.0))
+            dx = normal(0.0, sigma)
+            dy = normal(0.0, sigma)
+            if uniform() < miss:
                 continue
-            jittered = BoundingBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
-            conf = max(_TRUE_CONF_FLOOR,
-                       1.0 - math.hypot(dx, dy) / _TRUE_CONF_SCALE)
-            noisy_frame.append(Detection(meta, jittered, spec.class_label, conf))
-            ids_frame.append(i)
+            conf = max(_TRUE_CONF_FLOOR, 1.0 - math.hypot(dx, dy) / _TRUE_CONF_SCALE)
+            detected.append((label, x1 + dx, y1 + dy, x2 + dx, y2 + dy, conf))
+            ids.append(i)
 
         for _ in range(rng.poisson(config.false_positives_per_frame)):
             label = labels[rng.randint(len(labels))]
-            xa, xb = rng.uniform(0.0, W), rng.uniform(0.0, W)
-            ya, yb = rng.uniform(0.0, H), rng.uniform(0.0, H)
-            box = BoundingBox(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
-            conf = rng.uniform(FP_CONF_LO, FP_CONF_HI)
-            noisy_frame.append(Detection(meta, box, label, conf))
-            ids_frame.append(None)
+            xa, xb = uniform(0.0, W), uniform(0.0, W)
+            ya, yb = uniform(0.0, H), uniform(0.0, H)
+            detected.append((label, min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb),
+                             uniform(FP_CONF_LO, FP_CONF_HI)))
+            ids.append(None)
 
-        frames.append(meta)
-        ground_truth.append(gt_frame)
-        noisy.append(noisy_frame)
-        noisy_ids.append(ids_frame)
+        yield FrameMeta(f, int(round(f * 1000.0 / config.fps))), truth, detected, ids
 
-    return SyntheticScene(config, frames, ground_truth, noisy, noisy_ids)
 
+def _detections(meta: FrameMeta, rows: list[tuple]) -> list[Detection]:
+    return [Detection(meta, BoundingBox(x1, y1, x2, y2), label, conf)
+            for label, x1, y1, x2, y2, conf in rows]
+
+
+def simulate(config: SyntheticSceneConfig) -> SyntheticScene:
+    """Run the scene simulator (simulate_rows) and keep every frame, its
+    rows as Detections."""
+    scene = SyntheticScene(config, [], [], [], [])
+    for meta, truth, detected, ids in simulate_rows(config):
+        scene.frames.append(meta)
+        scene.ground_truth.append(_detections(meta, truth))
+        scene.noisy.append(_detections(meta, detected))
+        scene.noisy_object_ids.append(ids)
+    return scene

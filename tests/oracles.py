@@ -755,6 +755,176 @@ class ReferenceSortTracker:
 
 
 # ---------------------------------------------------------------------------
+# the seeded generator, the scene simulator and the dump writer, frozen as
+# they stood while the generator kept a list state with a _rotl helper, the
+# simulator built a BoundingBox and a Detection per box and write_dump
+# formatted one Detection per line.  A box here is the row
+# (label, x1, y1, x2, y2, conf) that those objects held unchanged.
+
+_REF_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _ref_splitmix64(state: int) -> tuple[int, int]:
+    state = (state + 0x9E3779B97F4A7C15) & _REF_MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _REF_MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _REF_MASK64
+    z ^= z >> 31
+    return state, z
+
+
+def _ref_rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _REF_MASK64
+
+
+class RngReference:
+    """xoshiro256** with vigil.rng.Rng's distribution helpers."""
+
+    def __init__(self, seed: int):
+        state = seed & _REF_MASK64
+        s = []
+        for _ in range(4):
+            state, z = _ref_splitmix64(state)
+            s.append(z)
+        self._s = s
+
+    def next_u64(self) -> int:
+        s = self._s
+        result = (_ref_rotl((s[1] * 5) & _REF_MASK64, 7) * 9) & _REF_MASK64
+        t = (s[1] << 17) & _REF_MASK64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _ref_rotl(s[3], 45)
+        return result
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return lo + (hi - lo) * u
+
+    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        u1 = self.uniform()
+        u2 = self.uniform()
+        z = math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+        return mu + sigma * z
+
+    def randint(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randint requires n > 0")
+        k = int(self.uniform() * n)
+        return min(k, n - 1)
+
+    def poisson(self, lam: float) -> int:
+        if lam < 0:
+            raise ValueError("poisson rate must be >= 0")
+        if lam == 0:
+            return 0
+        limit = math.exp(-lam)
+        k = 0
+        p = 1.0
+        while True:
+            p *= self.uniform()
+            if p <= limit:
+                return k
+            k += 1
+
+    def sample_without_replacement(self, n: int, k: int) -> list[int]:
+        if k > n:
+            raise ValueError("cannot sample more items than available")
+        pool = list(range(n))
+        picked = []
+        for i in range(k):
+            j = i + self.randint(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+            picked.append(pool[i])
+        return picked
+
+
+def _ref_reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
+    pos += vel
+    if hi <= lo:
+        return lo, vel
+    while pos < lo or pos > hi:
+        if pos < lo:
+            pos = 2.0 * lo - pos
+        else:
+            pos = 2.0 * hi - pos
+        vel = -vel
+    return pos, vel
+
+
+def simulate_reference(config):
+    """(frames, ground_truth, noisy, noisy_ids) of a SyntheticSceneConfig:
+    frames as (frame_id, timestamp_ms) and each frame's boxes as rows."""
+    rng = RngReference(config.seed)
+    W, H = float(config.width), float(config.height)
+    labels = sorted({spec.class_label for spec in config.objects}) or ["object"]
+    state = [{"cx": s.center[0], "cy": s.center[1],
+              "vx": s.velocity[0], "vy": s.velocity[1]} for s in config.objects]
+    frames, ground_truth, noisy, noisy_ids = [], [], [], []
+    for f in range(config.duration_frames):
+        ts = int(round(f * 1000.0 / config.fps))
+        gt_frame, noisy_frame, ids_frame = [], [], []
+        for i, spec in enumerate(config.objects):
+            last = config.duration_frames if spec.exit_frame is None else spec.exit_frame
+            if not (spec.entry_frame <= f < last):
+                continue
+            st = state[i]
+            w2, h2 = spec.size[0] / 2.0, spec.size[1] / 2.0
+            if f > spec.entry_frame:
+                st["cx"], st["vx"] = _ref_reflect(st["cx"], st["vx"], w2, W - w2)
+                st["cy"], st["vy"] = _ref_reflect(st["cy"], st["vy"], h2, H - h2)
+            box = (st["cx"] - w2, st["cy"] - h2, st["cx"] + w2, st["cy"] + h2)
+            gt_frame.append((spec.class_label, *box, 1.0))
+            dx = rng.normal(0.0, config.jitter_sigma)
+            dy = rng.normal(0.0, config.jitter_sigma)
+            if rng.uniform() < config.miss_probability:
+                continue
+            jittered = (box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy)
+            conf = max(0.5, 1.0 - math.hypot(dx, dy) / 20.0)
+            noisy_frame.append((spec.class_label, *jittered, conf))
+            ids_frame.append(i)
+        for _ in range(rng.poisson(config.false_positives_per_frame)):
+            label = labels[rng.randint(len(labels))]
+            xa, xb = rng.uniform(0.0, W), rng.uniform(0.0, W)
+            ya, yb = rng.uniform(0.0, H), rng.uniform(0.0, H)
+            box = (min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+            conf = rng.uniform(0.3, 0.9)
+            noisy_frame.append((label, *box, conf))
+            ids_frame.append(None)
+        frames.append((f, ts))
+        ground_truth.append(gt_frame)
+        noisy.append(noisy_frame)
+        noisy_ids.append(ids_frame)
+    return frames, ground_truth, noisy, noisy_ids
+
+
+def dump_line_reference(frame, ts, row, labels: dict) -> str:
+    """One dump line: json.dumps of the record from a fixed template, or
+    json.dumps itself for any value the template does not write as it."""
+    label, x1, y1, x2, y2, conf = row
+    if not (type(frame) is type(ts) is int and type(label) is str
+            and type(x1) is type(y1) is type(x2) is type(y2) is type(conf) is float
+            and math.isfinite(x1 + y1 + x2 + y2 + conf)):
+        return json.dumps({"frame": frame, "ts_ms": ts, "class": label, "x1": x1, "y1": y1,
+                           "x2": x2, "y2": y2, "conf": conf}) + "\n"
+    encoded = labels.get(label)
+    if encoded is None:
+        encoded = labels[label] = json.dumps(label)
+    return (f'{{"frame": {frame}, "ts_ms": {ts}, "class": {encoded}, '
+            f'"x1": {x1!r}, "y1": {y1!r}, "x2": {x2!r}, "y2": {y2!r}, "conf": {conf!r}}}\n')
+
+
+def write_dump_reference(frames, rows_per_frame) -> str:
+    """The text that write_dump wrote for each frame's rows."""
+    labels: dict = {}
+    return "".join(dump_line_reference(frame, ts, row, labels)
+                   for (frame, ts), rows in zip(frames, rows_per_frame) for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # dump reading: read_dump frozen as it was before its fast path, every line
 # through json.loads, the field checks and the Detection checks, with the
 # finiteness check that also rejects an int beyond the float range.  It

@@ -460,6 +460,14 @@ def test_a_difference_past_the_float_range_is_named():
             hungarian_assign([[-1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
 
 
+def test_an_overflowed_dual_warns_of_nothing():
+    # the same matrix with no errstate: under warnings-as-errors, numpy's
+    # overflow in the reduced costs once raised RuntimeWarning before the
+    # full solve could name the overflow
+    with pytest.raises(ValueError, match="cost differences overflow the float range"):
+        hungarian_assign([[-1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+
+
 def test_a_contested_matrix_is_not_solved(monkeypatch):
     # rows 0 and 1 want column 0: row 1 takes it and row 0 moves to column
     # 1 (an augmenting path); rows 3 and 4 want column 2: row 3 loses it

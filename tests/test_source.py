@@ -189,3 +189,37 @@ def test_no_function_binds_an_imported_name():
     assert len(files) > 10
     found = {f.name: _shadowed_imports(f.read_text(encoding="utf-8")) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _text_writes_without_newline(source: str) -> list[int]:
+    """The lines on which *source* calls ``open`` to write text (a constant
+    mode holding "w", "a", "x" or "+" and no "b") and gives no ``newline``;
+    a call whose mode is not a constant is left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            continue
+        writes_text = bool(set(mode.value) & set("wax+")) and "b" not in mode.value
+        newline = len(node.args) > 5 or any(k.arg in ("newline", None) for k in node.keywords)
+        if writes_text and not newline:
+            found.append(node.lineno)
+    return found
+
+
+def test_every_text_write_names_its_line_end():
+    # a text file opened without newline= writes os.linesep for each "\n",
+    # so its bytes would differ between hosts
+    assert _text_writes_without_newline(
+        'open(p, "w")\nopen(p, "w", newline="\\n")\nopen(p, "wb")\nopen(p)\n'
+        'open(p, mode="a", encoding="utf-8")\nopen(p, "r+")\nopen(p, m)\n'
+        'open(p, "x", -1, "utf-8", None, "")\nopen(p, "w", **kw)\nf.open(p, "w")\n') == [
+        1, 5, 6]
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 10
+    found = {f.name: _text_writes_without_newline(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ from vigil.sources import (
     DUMP_FIELDS,
     ObjectSpec,
     SyntheticSceneConfig,
-    _dump_line,
+    dump_lines,
     read_dump,
     scene_config_from_dict,
     simulate,
     write_dump,
 )
 
-from oracles import read_dump_reference
+from oracles import read_dump_reference, simulate_reference, write_dump_reference
 
 
 def small_scene(**overrides) -> SyntheticSceneConfig:
@@ -162,6 +164,11 @@ def test_decreasing_timestamp_rejected(tmp_path):
     assert '"ts_ms" 50 decreases' in str(err.value)
 
 
+def _dump_line(meta, det, labels):
+    """dump_lines of a frame holding *det* alone."""
+    return dump_lines(meta, [(det.class_label, *det.bbox.as_tuple(), det.confidence)], labels)
+
+
 def test_dump_line_is_json_dumps_of_the_record():
     meta = FrameMeta(12, 3400)
     labels: dict = {}
@@ -197,6 +204,28 @@ def test_dump_line_is_json_dumps_of_the_record():
                                            bad_conf), labels)
 
 
+def test_dump_lines_writes_a_frame_line_by_line():
+    # a frame's lines are its rows' lines in order, whichever path each takes
+    meta = FrameMeta(4, 400)
+    rows = [("car", 1.0, 2.0, 3.0, 4.0, 0.5), ("é", 1.0, 2.0, 3.0, 4.0, 1.0),
+            ("car", 1, 2.0, 3.0, 4.0, 0.5), ("bus", 0.0, -0.0, math.inf, 4.0, 0.0)]
+    labels: dict = {}
+    want = "".join(json.dumps({"frame": 4, "ts_ms": 400, "class": label, "x1": x1, "y1": y1,
+                               "x2": x2, "y2": y2, "conf": conf}) + "\n"
+                   for label, x1, y1, x2, y2, conf in rows)
+    assert dump_lines(meta, rows, labels) == want
+    assert dump_lines(meta, [], labels) == ""
+    # a row that Detection rejects raises Detection's message
+    for row in [("", 1.0, 2.0, 3.0, 4.0, 0.5), ("car", 3.5, 2.0, 3.0, 4.0, 0.5),
+                ("car", 1.0, 4.5, 3.0, 4.0, 0.5), ("car", 1.0, 2.0, 3.0, 4.0, 1.5),
+                ("car", 1.0, 2.0, 3.0, 4.0, -0.0 - 1e-300), ("car", 1.0, 2.0, 3.0, 4.0, math.nan)]:
+        label, x1, y1, x2, y2, conf = row
+        with pytest.raises(ValueError) as want_err:
+            Detection(meta, BoundingBox(x1, y1, x2, y2), label, conf)
+        with pytest.raises(ValueError, match=re.escape(str(want_err.value))):
+            dump_lines(meta, [rows[0], row], labels)
+
+
 def test_dump_copies_through_read_and_write(tmp_path):
     # write_dump takes each frame's detections as any iterable of Detections
     scene = simulate(small_scene(jitter_sigma=1.0, false_positives_per_frame=0.3))
@@ -213,11 +242,11 @@ def test_written_lines_take_the_fast_path():
     meta = FrameMeta(3, 300)
     for box, conf in [((1.0, 2.0, 3.0, 4.0), 0.9), ((-0.0, 5e-324, 1e16, 1e17), 1.0),
                       ((0.1, 0.2, 0.30000000000000004, 1.5), 0.0)]:
-        line = _dump_line(meta, Detection(meta, BoundingBox(*box), "car", conf), {})
+        line = dump_lines(meta, [("car", *box, conf)], {})
         m = _DUMP_LINE.fullmatch(line)
         assert m is not None
         assert [float(g) for g in m.groups()[3:]] == [*box, conf]
-    escaped = _dump_line(meta, Detection(meta, BoundingBox(1, 2, 3, 4), "é", 0.5), {})
+    escaped = dump_lines(meta, [("é", 1, 2, 3, 4, 0.5)], {})
     assert _DUMP_LINE.fullmatch(escaped) is None
 
 
@@ -501,3 +530,106 @@ def test_jitter_is_rigid_shift():
             assert det.bbox.width == pytest.approx(g.bbox.width, abs=1e-9)
             assert det.bbox.height == pytest.approx(g.bbox.height, abs=1e-9)
 
+
+# ---------------------------------------------------------------------------
+# the simulator and the dump writer against their frozen references
+
+
+def _pool_scene(gen: random.Random, k: int) -> dict:
+    """A scene document for the frozen-reference pool: about one in nine
+    has no frames, one in seven no objects; the rest mix mid-scene entries
+    and exits, fast movers that bounce, int-valued centers, sizes and
+    velocities, labels that need escaping, and every miss and false-positive
+    regime."""
+    def num(lo, hi):
+        return gen.randint(int(lo), int(hi)) if gen.random() < 0.4 else gen.uniform(lo, hi)
+
+    width, height = gen.randint(40, 320), gen.randint(40, 240)
+    frames = 0 if k % 9 == 0 else gen.randint(1, 40)
+    objects = []
+    for _ in range(0 if k % 7 == 3 else gen.randint(1, 5)):
+        w, h = num(4, width / 2), num(4, height / 2)
+        obj = {"class_label": gen.choice(["person", "car", "é", 'say "hi"']),
+               "center": [num(w / 2 + 1, width - w / 2 - 1), num(h / 2 + 1, height - h / 2 - 1)],
+               "velocity": [num(-(width - w) / 3, (width - w) / 3),
+                            num(-(height - h) / 3, (height - h) / 3)],
+               "size": [w, h]}
+        if frames > 2 and gen.random() < 0.4:
+            obj["entry_frame"] = gen.randint(1, frames - 2)
+        if frames > 2 and gen.random() < 0.4:
+            obj["exit_frame"] = gen.randint(obj.get("entry_frame", 0) + 1, frames + 3)
+        objects.append(obj)
+    return {"width": width, "height": height, "fps": gen.choice([1, 7.5, 10, 29.97, 30]),
+            "duration_frames": frames, "objects": objects,
+            "jitter_sigma": gen.choice([0, 0.5, 2, 3.75]),
+            "miss_probability": gen.choice([0, 0, 1, 0.1, gen.random()]),
+            "false_positives_per_frame": gen.choice([0, 0, 0.4, 1.5, 4]),
+            "seed": gen.randint(0, 2**64 - 1)}
+
+
+def _bounces(config, ground_truth) -> set:
+    """The axes on which some object of *config* turned back: each frame's
+    true rows are its active objects in spec order."""
+    centers: dict = {}
+    for f, rows in enumerate(ground_truth):
+        active = [i for i, spec in enumerate(config.objects) if spec.entry_frame <= f
+                  and (spec.exit_frame is None or f < spec.exit_frame)]
+        for i, (_, x1, y1, x2, y2, _) in zip(active, rows):
+            centers.setdefault(i, []).append(((x1 + x2) / 2, (y1 + y2) / 2))
+    found = set()
+    for path in centers.values():
+        for axis in (0, 1):
+            steps = [b[axis] - a[axis] for a, b in zip(path, path[1:])]
+            if any(p * q < 0 for p, q in zip(steps, steps[1:])):
+                found.add("xy"[axis])
+    return found
+
+
+def test_synth_matches_the_frozen_simulator_and_writer(tmp_path):
+    # vigil synth's dumps, write_dump's and simulate()'s Detections equal
+    # those of the simulator and writer that built a Detection per box
+    gen = random.Random(33)
+    seen = dict.fromkeys(["entry", "exit", "x bounce", "y bounce", "miss 0", "miss 1",
+                          "no false positives", "3+ false positives", "no objects",
+                          "no frames", "int center", "int size", "int velocity",
+                          "escaped label"], 0)
+    for k in range(90):
+        doc = _pool_scene(gen, k)
+        config = scene_config_from_dict(doc)
+        frames, truth, noisy, noisy_ids = simulate_reference(config)
+        scene = simulate(config)
+        assert [(m.frame_id, m.timestamp_ms) for m in scene.frames] == frames, k
+        for got, want in [(scene.ground_truth, truth), (scene.noisy, noisy)]:
+            rows = [[(d.class_label, *d.bbox.as_tuple(), d.confidence) for d in dets]
+                    for dets in got]
+            assert repr(rows) == repr(want), k
+            assert all(d.frame is m for m, dets in zip(scene.frames, got) for d in dets)
+        assert scene.noisy_object_ids == noisy_ids, k
+
+        (tmp_path / "scene.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["synth", "--config", str(tmp_path / "scene.json"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        for name, rows, dets in [("ground-truth.jsonl", truth, scene.ground_truth),
+                                 ("detections.jsonl", noisy, scene.noisy)]:
+            want = write_dump_reference(frames, rows).encode("utf-8")
+            assert (tmp_path / "out" / name).read_bytes() == want, (k, name)
+            assert write_dump(tmp_path / "copy.jsonl", zip(scene.frames, dets)) == \
+                sum(map(len, rows))
+            assert (tmp_path / "copy.jsonl").read_bytes() == want, (k, name)
+
+        objects, fps = doc["objects"], [sum(i is None for i in ids) for ids in noisy_ids]
+        seen["entry"] += any(0 < o.get("entry_frame", 0) for o in objects)
+        seen["exit"] += any(o.get("exit_frame", len(frames)) < len(frames) for o in objects)
+        for axis in _bounces(config, truth):
+            seen[f"{axis} bounce"] += 1
+        seen["miss 0"] += bool(objects and frames) and doc["miss_probability"] == 0
+        seen["miss 1"] += bool(objects and frames) and doc["miss_probability"] == 1
+        seen["no false positives"] += bool(frames) and doc["false_positives_per_frame"] == 0
+        seen["3+ false positives"] += any(n >= 3 for n in fps)
+        seen["no objects"] += any(row[0] == "object" for rows in noisy for row in rows)
+        seen["no frames"] += not frames
+        for key in ("center", "size", "velocity"):
+            seen[f"int {key}"] += any(type(v) is int for o in objects for v in o[key])
+        seen["escaped label"] += any(json.dumps(row[0]) != f'"{row[0]}"'
+                                     for rows in truth + noisy for row in rows)
+    assert min(seen.values()) >= 3, seen
